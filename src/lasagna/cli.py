@@ -94,8 +94,6 @@ def _window(args) -> Window:
 
 def cmd_kh(args) -> int:
     d = _load_diagram(args.diagram)
-    if args.ring != "rational":
-        raise DiagramError("graded dimensions need --ring rational; see the lee subcommand")
     payload = {
         "cmd": "kh",
         "diagram": d.to_json_obj(),
@@ -191,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true")
         sp.add_argument("--no-cache", action="store_true")
         sp.add_argument("--cache-dir", default=None)
-        sp.add_argument("--ring", choices=["rational", "lee"], default="rational")
 
     kh = sub.add_parser("kh", help="gl2 link homology dimensions")
     common(kh)

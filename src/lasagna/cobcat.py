@@ -127,9 +127,6 @@ class Cobordism:
     def __repr__(self):
         return f"Cobordism({self.comps!r})"
 
-    def total_dots(self) -> int:
-        return sum(c.dots for c in self.comps)
-
     def transpose(self) -> "Cobordism":
         flip = {"s": "t", "t": "s"}
         comps = [

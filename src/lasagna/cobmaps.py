@@ -7,8 +7,14 @@ explicit strong-deformation-retract data between the small complex and the
 kinked/poked one, written resolution-by-resolution.  R3 maps, where the two
 diagrams share a crossing count, are composites through the fully reduced
 minimal models and are therefore canonical on homology only; no test
-asserts their chain-level signs.  Belt transpositions transport labels
-along crossed tubes and are checked to commute with the differential.
+asserts their chain-level signs.
+
+This module owns the belt-permutation action (`_permutation_chain_map`,
+labels transported along crossed tubes) and the symmetrizer built on it
+(`_Symmetrizer`), which `skein` imports.  The symmetrizer builds only the
+belt transpositions and checks every one of them to commute with the
+differential.  `homology_matrix` is the one routine turning a chain-level
+map into matrices between homology blocks.
 
 All formulas are classical-convention; consumers needing the gl2-normalized
 degree of a move use -chi + 2*dots.
@@ -16,15 +22,14 @@ degree of a move use -chi + 2*dots.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .densecube import ChainMap, Cube, TrackedReduction, _acc
 from .diagram import Crossing, LinkDiagram
 from .gradings import DimTable, Grading, Window
-from .linalg import Echelon, solve_in_span
+from .linalg import Echelon, row_reduce, solve_in_span
 
 
 @dataclass(frozen=True)
@@ -579,46 +584,43 @@ def r2_poke(d: LinkDiagram, over_edge: str, under_edge: str):
 # -- movies, homology functors, symmetrizer -------------------------------------
 
 
-def homology_matrix(F: ChainMap, grading_shift=(0, 0)) -> dict:
-    """For each source block, the matrix of F: H(src) -> H(dst).
+def homology_matrix(apply: Callable[[dict], dict], H_src: dict, H_dst: dict, shift=(0, 0)) -> dict:
+    """Matrix on homology of a chain-level map, block by block.
 
-    Returns {(h2,q2): list of column coordinate vectors} (columns indexed by
-    the source block's representatives).
+    `apply` sends a chain of the source to a chain of the target and moves
+    the grading (h2, q2) by `shift`; H_src and H_dst are homology bases as
+    returned by `Cube.homology_basis`.  Returns {source (h2,q2): columns},
+    one coordinate list per source representative, in the target block's
+    representatives.  Raises when an image is not a cycle of the target.
     """
-    Hs = F.src.homology_basis()
-    Hd = F.dst.homology_basis()
     result = {}
-    for key, (reps, _img) in Hs.items():
+    for (h2, q2), (reps, _img) in H_src.items():
         if not reps:
             continue
-        h2, q2 = key
-        tkey = (h2 + grading_shift[0], q2 + grading_shift[1])
-        treps, timg = Hd.get(tkey, ([], Echelon()))
+        treps, timg = H_dst.get((h2 + shift[0], q2 + shift[1]), ([], Echelon()))
+        reduced_treps = [timg.reduce(r) for r in treps]
         cols = []
         for v in reps:
-            img_vec = timg.reduce(F.apply(v))
-            if not img_vec:
-                cols.append([Fraction(0)] * len(treps))
-                continue
-            reduced_treps = [timg.reduce(r) for r in treps]
-            sol = solve_in_span(reduced_treps, img_vec)
+            red = timg.reduce(apply(v))
+            sol = solve_in_span(reduced_treps, red) if red else [Fraction(0)] * len(treps)
             if sol is None:
                 raise AssertionError("image not a cycle coordinate in target homology")
             cols.append(sol)
-        result[key] = cols
+        result[(h2, q2)] = cols
     return result
 
 
-def rank_of_homology_map(F: ChainMap, grading_shift=(0, 0)) -> dict:
-    ranks = {}
-    for key, cols in homology_matrix(F, grading_shift).items():
-        vecs = [
-            {i: c for i, c in enumerate(col) if c} for col in cols
-        ]
-        from .linalg import row_reduce
+def block_ranks(matrices: dict) -> dict:
+    """Rank of each block of a `homology_matrix` result."""
+    return {
+        key: len(row_reduce([{i: c for i, c in enumerate(col) if c} for col in cols]))
+        for key, cols in matrices.items()
+    }
 
-        ranks[key] = len(row_reduce(vecs))
-    return {k: r for k, r in ranks.items() if r}
+
+def rank_of_homology_map(F: ChainMap, grading_shift=(0, 0)) -> dict:
+    mats = homology_matrix(F.apply, F.src.homology_basis(), F.dst.homology_basis(), grading_shift)
+    return {key: r for key, r in block_ranks(mats).items() if r}
 
 
 def induced_map(move: ElementaryMove, src: Cube, dst: Cube) -> ChainMap:
@@ -760,6 +762,37 @@ def movie_compose(moves: Iterable[ElementaryMove], start: LinkDiagram, c=Fractio
 # -- symmetrizer -----------------------------------------------------------------
 
 
+class LasagnaError(ValueError):
+    pass
+
+
+def _permutation_chain_map(cube: Cube, groups: list, perm: tuple) -> ChainMap:
+    """Permute belt circles by transporting labels along crossed tubes.
+
+    Works per state; where some belt is not exactly one circle, or two belts
+    share a circle, the state is left fixed.  Callers check the result with
+    `is_chain_map`.
+    """
+    entries = {}
+    for gen in cube.generators():
+        s, labels = gen
+        circles = cube.circles[s]
+        idx = []
+        for grp in groups:
+            found = {i for i, c in enumerate(circles) if any(e in c for e in grp)}
+            if len(found) != 1:
+                break
+            idx.append(found.pop())
+        if len(idx) == len(groups) and len(set(idx)) == len(idx):
+            nl = list(labels)
+            for a, b in enumerate(perm):
+                nl[idx[b]] = labels[idx[a]]
+            entries[gen] = {(s, tuple(nl)): Fraction(1)}
+        else:
+            entries[gen] = {gen: Fraction(1)}
+    return ChainMap(cube, cube, entries)
+
+
 def swap_map(cube: Cube, group_a: list[str], group_b: list[str]) -> ChainMap:
     """Transposition of two parallel belt circles.
 
@@ -768,39 +801,48 @@ def swap_map(cube: Cube, group_a: list[str], group_b: list[str]) -> ChainMap:
     into the strands are fixed.  The result is verified to commute with the
     differential (it does for parallel belts around a common bundle).
     """
-    entries = {}
-    for gen in cube.generators():
-        s, labels = gen
-        circles = cube.circles[s]
-        ia = {i for i, c in enumerate(circles) if any(e in c for e in group_a)}
-        ib = {i for i, c in enumerate(circles) if any(e in c for e in group_b)}
-        if len(ia) == 1 and len(ib) == 1 and ia != ib:
-            a, b = ia.pop(), ib.pop()
-            nl = list(labels)
-            nl[a], nl[b] = labels[b], labels[a]
-            entries[gen] = {(s, tuple(nl)): Fraction(1)}
-        else:
-            entries[gen] = {gen: Fraction(1)}
-    f = ChainMap(cube, cube, entries)
+    f = _permutation_chain_map(cube, [group_a, group_b], (1, 0))
     if not f.is_chain_map():
         raise ValueError("belt swap is not a chain map for this configuration")
     return f
 
 
-def _permutation_map(cube: Cube, belt_edges: list[str], perm: tuple[int, ...]) -> ChainMap:
-    """Permutation of split belt circles as a chain map (label shuffling)."""
-    entries = {}
-    for gen in cube.generators():
-        s, labels = gen
-        circles = cube.circles[s]
-        idx = [_circle_index(circles, e) for e in belt_edges]
-        if len(set(idx)) != len(idx):
-            raise ValueError("belts are not split circles in some state")
-        nl = list(labels)
-        for a, b in enumerate(perm):
-            nl[idx[b]] = labels[idx[a]]
-        entries[gen] = {(s, tuple(nl)): Fraction(1)}
-    return ChainMap(cube, cube, entries)
+class _Symmetrizer:
+    """Average of all belt permutations per region, on chains.
+
+    Uses the Jucys-Murphy factorization Sym_k = X_k ... X_2 with
+    X_j = (1/j)(1 + sum_{i<j} (i j)), so only the k(k-1)/2 transpositions
+    are built.  Each is checked to be a chain map; they generate S_k, so
+    every permutation, and the average, is then one too.
+    """
+
+    def __init__(self, cube: Cube, region_groups: Iterable[list]):
+        self.factors = []  # the transposition maps of X_2, X_3, ... per region
+        for groups in region_groups:
+            k = len(groups)
+            for j in range(1, k):
+                maps = []
+                for i in range(j):
+                    perm = list(range(k))
+                    perm[i], perm[j] = j, i
+                    f = _permutation_chain_map(cube, groups, tuple(perm))
+                    if not f.is_chain_map():
+                        raise LasagnaError(
+                            f"belt transposition of {groups[i][0]!r} and {groups[j][0]!r} "
+                            "is not a chain map"
+                        )
+                    maps.append(f)
+                self.factors.append(maps)
+
+    def apply(self, vec: dict) -> dict:
+        out = dict(vec)
+        for maps in self.factors:
+            acc = dict(out)
+            for f in maps:
+                for k, v in f.apply(out).items():
+                    _acc(acc, k, v)
+            out = {k: v / (len(maps) + 1) for k, v in acc.items()}
+        return out
 
 
 def symmetrizer_image_dims(
@@ -811,37 +853,13 @@ def symmetrizer_image_dims(
     The belts must be split circles (crossingless free loops); each
     permutation acts by shuffling their tensor factors.
     """
-    k = len(belt_edges)
-    perm_maps = [
-        _permutation_map(cube, belt_edges, p) for p in itertools.permutations(range(k))
-    ]
+    for circles in cube.circles:
+        if len({_circle_index(circles, e) for e in belt_edges}) != len(belt_edges):
+            raise ValueError("belts are not split circles in some state")
     H = cube.homology_basis()
-    out = DimTable()
-    for key, (reps, img) in H.items():
-        if not reps:
-            continue
-        g = Grading(*key)
-        if window is not None and not window.contains(g):
-            continue
-        reduced_reps = [img.reduce(r) for r in reps]
-        cols = []
-        for v in reps:
-            acc: dict = {}
-            for pm in perm_maps:
-                for kk, vv in pm.apply(v).items():
-                    _acc(acc, kk, vv)
-            acc = {kk: vv / len(perm_maps) for kk, vv in acc.items()}
-            red = img.reduce(acc)
-            sol = solve_in_span(reduced_reps, red) if red else [Fraction(0)] * len(reps)
-            if sol is None:
-                raise AssertionError("symmetrized class left the grading block")
-            cols.append({i: c for i, c in enumerate(sol) if c})
-        from .linalg import row_reduce
-
-        rank = len(row_reduce(cols))
-        if rank:
-            out.add(g, rank)
-    return out
+    H_win = {key: b for key, b in H.items() if window is None or window.contains(Grading(*key))}
+    sym = _Symmetrizer(cube, [[[e] for e in belt_edges]])
+    return DimTable(block_ranks(homology_matrix(sym.apply, H_win, H)))
 
 
 def r1_kink(d: LinkDiagram, edge: str, sign: int):

@@ -204,9 +204,6 @@ class BigradedComplex:
 
     # -- homology --------------------------------------------------------------
 
-    def _scalar_entry(self, m: MorphismCombo) -> Fraction:
-        return m.as_scalar()
-
     def homology_dims(self, window: Optional[Window] = None) -> DimTable:
         """Kernel-minus-image dimensions per grading, inside the window.
 
@@ -239,11 +236,7 @@ class BigradedComplex:
         for (h2, q2), gids in blocks.items():
             rows = []
             for s in gids:
-                row = {
-                    t: self._scalar_entry(m)
-                    for t, m in self.d.get(s, {}).items()
-                    if self._scalar_entry(m)
-                }
+                row = {t: x for t, m in self.d.get(s, {}).items() if (x := m.as_scalar())}
                 if row:
                     rows.append(row)
             ranks[(h2, q2)] = len(row_reduce(rows))

@@ -441,6 +441,3 @@ class TrackedReduction:
                 for w, b in out_row.items():
                     _acc(v, w, -ct * b / lam)
         return v
-
-    def reduced_differential(self, g) -> dict:
-        return dict(self.d.get(g, {}))

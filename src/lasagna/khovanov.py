@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .cobcat import FlatTangle, FrobeniusSpec, KHOVANOV, LEE, MorphismCombo, elementary_saddle
+from .cobcat import FlatTangle, FrobeniusSpec, KHOVANOV, MorphismCombo, elementary_saddle
 from .complexes import BigradedComplex, planar_tensor
 from .densecube import Cube
 from .diagram import LinkDiagram
@@ -161,12 +161,6 @@ def khr2_dims(
 def tilde_renormalize(table: DimTable, writhe: int) -> DimTable:
     """Shift a gl2 table by (t q^-1)^(w/2): gradings move by (w/2, -w/2)."""
     return table.shift(writhe, -writhe)
-
-
-def lee_total_dim(d: LinkDiagram, max_crossings: int = 14) -> int:
-    """Total Lee homology dimension: 2^(number of components)."""
-    cube_ = Cube(d.forget_regions(), LEE.c, max_crossings=max_crossings)
-    return sum(cube_.total_homology_dims_by_h().values())
 
 
 # -- independent Euler-characteristic oracle ---------------------------------

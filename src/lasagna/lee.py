@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .cobcat import FrobeniusSpec, LEE
+from .cobcat import LEE
 from .densecube import Cube
 from .diagram import LinkDiagram
 
@@ -55,9 +55,4 @@ def lee_total_dim(d: LinkDiagram, max_crossings: int = 14) -> int:
     if d.regions:
         raise ValueError("lee_total_dim needs a diagram without surgery regions")
     cube = Cube(d, LEE.c, max_crossings=max_crossings)
-    return sum(cube.total_homology_dims_by_h().values())
-
-
-def total_dim(d: LinkDiagram, spec: FrobeniusSpec, max_crossings: int = 14) -> int:
-    cube = Cube(d.forget_regions(), spec.c, max_crossings=max_crossings)
     return sum(cube.total_homology_dims_by_h().values())

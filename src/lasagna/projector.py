@@ -15,22 +15,11 @@ of strands the projector is zero and the window is empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .diagram import LinkDiagram
 from .gradings import DimTable, Window
 from .khovanov import khr2_dims, tilde_renormalize
-
-
-@dataclass(frozen=True)
-class TwistApproximation:
-    strands: int
-    pattern: tuple[str, ...]  # transit directions, left to right
-    k: int
-    diagram: LinkDiagram  # fully twisted, framing points included
-    window: Optional[Window]
-    zero: bool
 
 
 def approximate_projector(d: LinkDiagram, region_id: str, k: int) -> LinkDiagram:

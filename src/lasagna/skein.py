@@ -17,6 +17,12 @@ belt pair by a saddle, dot, kill the resulting circle).  Reported colimit
 dimensions are the ranks of the last transition, flagged stable when the
 previous transition already had the same rank.
 
+The belt-permutation action and its symmetrizer live in `cobmaps`, which
+owns them; every stage builds one transposition map per pair of belts of a
+region, checks each of them to be a chain map, and averages through the
+Jucys-Murphy factorization.  Matrices on homology come from
+`cobmaps.homology_matrix`.
+
 Desk-scale guard: one handlebody component, few regions, small cables; the
 boundary link's transit strands must be crossingless circles.
 """
@@ -30,21 +36,22 @@ from typing import Optional
 from . import catalog
 from .cobmaps import (
     ChainMap,
+    LasagnaError,
+    _permutation_chain_map,  # noqa: F401  re-exported; perfbench/tracer.py wraps it here
+    _Symmetrizer,
     birth_diagram,
+    block_ranks,
     death_map,
     dot_map,
+    homology_matrix,
     reduction_equivalence,
     saddle_diagram,
     saddle_map,
 )
-from .densecube import Cube, _acc
+from .densecube import Cube
 from .diagram import LinkDiagram
 from .gradings import DimTable, Grading, Window
-from .linalg import Echelon, row_reduce, solve_in_span
-
-
-class LasagnaError(ValueError):
-    pass
+from .linalg import row_reduce
 
 
 @dataclass(frozen=True)
@@ -130,70 +137,6 @@ def _classical_to_global(h2: int, q2: int, stage: ColimitStage) -> Grading:
     return Grading(-h2, q2 - 2 * w + stage.q2_shift)
 
 
-def _permutation_chain_map(cube: Cube, groups: list, perm: tuple) -> ChainMap:
-    """Permute belt circles by transporting labels along crossed tubes.
-
-    Works per state; a permuted belt whose circle coincides with another
-    belt's circle or is merged with strand circles is left in place (the
-    transported label pattern is then unchanged).  The result is checked to
-    be a chain map by the caller once per cube.
-    """
-    entries = {}
-    for gen in cube.generators():
-        s, labels = gen
-        circles = cube.circles[s]
-        idx = []
-        ok = True
-        for grp in groups:
-            found = {i for i, c in enumerate(circles) if any(e in c for e in grp)}
-            if len(found) != 1:
-                ok = False
-                break
-            idx.append(found.pop())
-        if ok and len(set(idx)) == len(idx):
-            nl = list(labels)
-            for a, b in enumerate(perm):
-                nl[idx[b]] = labels[idx[a]]
-            entries[gen] = {(s, tuple(nl)): Fraction(1)}
-        else:
-            entries[gen] = {gen: Fraction(1)}
-    return ChainMap(cube, cube, entries)
-
-
-class _Symmetrizer:
-    """Average of all belt permutations per region, on homology."""
-
-    def __init__(self, stage: ColimitStage, check: bool = True):
-        import itertools
-
-        self.maps = []
-        cube = stage.cube
-        for reg_id, groups in stage.belt_groups.items():
-            k = len(groups)
-            if k <= 1:
-                continue
-            perms = list(itertools.permutations(range(k)))
-            pm = []
-            for p in perms:
-                f = _permutation_chain_map(cube, groups, p)
-                pm.append(f)
-            if check and not pm[-1].is_chain_map():
-                raise LasagnaError(
-                    f"belt permutation is not a chain map for region {reg_id}"
-                )
-            self.maps.append(pm)
-
-    def apply(self, vec: dict) -> dict:
-        out = dict(vec)
-        for pm in self.maps:
-            acc: dict = {}
-            for f in pm:
-                for k, v in f.apply(out).items():
-                    _acc(acc, k, v)
-            out = {k: v / len(pm) for k, v in acc.items()}
-        return out
-
-
 def transition_down(spec: HandlebodySpec, hi: ColimitStage, lo: ColimitStage) -> ChainMap:
     """Classical annulus-annihilation map C(stage r+1) -> C(stage r).
 
@@ -264,32 +207,6 @@ def _rename_map(src: Cube, dst: Cube) -> ChainMap:
     return ChainMap(src, dst, entries)
 
 
-def _block_matrix_on_homology(F: ChainMap, sym_src, sym_dst, H_src, H_dst, key_map):
-    """Matrices of sym_dst . F . sym_src between homology blocks."""
-    out = {}
-    for key, (reps, _img) in H_src.items():
-        if not reps:
-            continue
-        tkey = key_map(key)
-        treps, timg = H_dst.get(tkey, ([], Echelon()))
-        cols = []
-        for v in reps:
-            vec = sym_src.apply(v)
-            vec = F.apply(vec)
-            vec = sym_dst.apply(vec)
-            red = timg.reduce(vec)
-            if not red:
-                cols.append([Fraction(0)] * len(treps))
-                continue
-            reduced_treps = [timg.reduce(t) for t in treps]
-            sol = solve_in_span(reduced_treps, red)
-            if sol is None:
-                raise AssertionError("transition image not recognized in target homology")
-            cols.append(sol)
-        out[key] = cols
-    return out
-
-
 def s02_dims(
     spec: HandlebodySpec,
     window: Window,
@@ -307,37 +224,15 @@ def s02_dims(
     if r_max < 2:
         raise LasagnaError("r_max must be at least 2 to report stabilization")
     stages = [build_stage(spec, r, guard_strands) for r in range(r_max + 1)]
-    syms = [_Symmetrizer(st) for st in stages]
+    syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
     Hs = [st.cube.homology_basis() for st in stages]
     stage_tables = []
     for st, H, sym in zip(stages, Hs, syms):
-        t = DimTable()
-        for (h2, q2), (reps, img) in H.items():
-            if not reps:
-                continue
-            g = _classical_to_global(h2, q2, st)
-            if not window.contains(g):
-                continue
-            reduced = [img.reduce(r_) for r_ in reps]
-            cols = []
-            for v in reps:
-                red = img.reduce(sym.apply(v))
-                sol = solve_in_span(reduced, red) if red else None
-                cols.append({} if sol is None else {i: c for i, c in enumerate(sol) if c})
-            rank = len(row_reduce(cols))
-            if rank:
-                t.add(g, rank)
-        stage_tables.append(t)
+        H_win = {key: b for key, b in H.items() if window.contains(_classical_to_global(*key, st))}
+        ranks = block_ranks(homology_matrix(sym.apply, H_win, H))
+        stage_tables.append(DimTable({_classical_to_global(*k, st): v for k, v in ranks.items()}))
     # transitions down: M[r]: H(stage r+1) -> H(stage r), symmetrized
-    mats = []
-    for r in range(r_max):
-        F = transition_down(spec, stages[r + 1], stages[r])
-        key_map = lambda key: (key[0], key[1] - 4)
-        mats.append(
-            _block_matrix_on_homology(
-                F, syms[r + 1], syms[r], Hs[r + 1], Hs[r], key_map
-            )
-        )
+    mats = [_transition_matrix(spec, stages, syms, Hs, r) for r in range(r_max)]
     table = DimTable()
     stable = {}
     gradings = set()
@@ -356,6 +251,14 @@ def s02_dims(
         fresh = prev == 0 and stage_tables[r_max - 2][g] == 0
         stable[g] = (prev == last) or fresh
     return LasagnaResult(table, window, stage_tables, stable)
+
+
+def _transition_matrix(spec, stages, syms, Hs, r) -> dict:
+    """Symmetrized annihilation H(stage r+1) -> H(stage r); classical q2 drops by 4."""
+    F = transition_down(spec, stages[r + 1], stages[r])
+    return homology_matrix(
+        lambda v: syms[r].apply(F.apply(syms[r + 1].apply(v))), Hs[r + 1], Hs[r], (0, -4)
+    )
 
 
 def _composite_rank(g, stages, Hs, mats, r_lo, r_hi) -> int:
@@ -422,36 +325,17 @@ def belt_capping_class(spec: HandlebodySpec, guard_strands: int = 6) -> CappingC
     stages = [build_stage(spec, 0, guard_strands), build_stage(spec, 1, guard_strands)]
     if ell == 0:
         return CappingCertificate(Grading(0, 0), True, 0, True)
-    syms = [_Symmetrizer(st) for st in stages]
+    syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
     Hs = [st.cube.homology_basis() for st in stages]
-    F = transition_down(spec, stages[1], stages[0])
-    key_map = lambda key: (key[0], key[1] - 4)
-    mats = _block_matrix_on_homology(F, syms[1], syms[0], Hs[1], Hs[0], key_map)
+    mats = _transition_matrix(spec, stages, syms, Hs, 0)
     # classical block of the target grading in stage 0 and the all-x row
     key0 = _global_to_classical(grading, stages[0])
     src_key = (key0[0], key0[1] + 4)
     reps0, img0 = Hs[0].get(key0, ([], None))
     if not reps0:
         return CappingCertificate(grading, False, 1, False)
-    allx = _all_x_coordinate(stages[0].cube, reps0, img0)
-    block = mats.get(src_key)
-    nonzero = False
-    if block is not None and allx is not None:
-        for col in block:
-            val = sum(col[i] * allx.get(i, Fraction(0)) for i in range(len(reps0)))
-            if val:
-                nonzero = True
+    # coordinates of the all-x generator class in the stage-0 representatives
+    all_x = {(0, (1,) * len(stages[0].cube.circles[0])): Fraction(1)}
+    (allx,) = homology_matrix(lambda v: v, {key0: ([all_x], img0)}, Hs[0])[key0]
+    nonzero = any(sum(c * a for c, a in zip(col, allx)) for col in mats.get(src_key, []))
     return CappingCertificate(grading, nonzero, 1, nonzero)
-
-
-def _all_x_coordinate(cube: Cube, reps, img):
-    """Coordinates of the all-x generator class in the given representatives."""
-    state = 0
-    k = len(cube.circles[state])
-    target = {(state, tuple([1] * k)): Fraction(1)}
-    red = img.reduce(target)
-    reduced_reps = [img.reduce(r) for r in reps]
-    sol = solve_in_span(reduced_reps, red)
-    if sol is None:
-        return None
-    return {i: v for i, v in enumerate(sol) if v}

@@ -13,6 +13,7 @@ from lasagna.cobmaps import (
     coev_map,
     death_map,
     dot_map,
+    homology_matrix,
     induced_map,
     movie_compose,
     r1_kink,
@@ -175,6 +176,16 @@ def test_r3_reduction_equivalence_iso():
     assert ranks == {(g.h2, g.q2): v for g, v in kh_dims(d1).items()}
 
 
+def test_homology_matrix_rejects_image_outside_target():
+    cube = Cube(catalog.unknot())
+    H = cube.homology_basis()
+    # every class goes to the x generator, which is no cycle of the q2 = 2 block
+    to_x = lambda v: {(0, (1,)): Fraction(1)}
+    assert homology_matrix(to_x, {(0, -2): H[(0, -2)]}, H) == {(0, -2): [[Fraction(1)]]}
+    with pytest.raises(AssertionError, match="target homology"):
+        homology_matrix(to_x, H, H)
+
+
 def test_symmetrizer_identity_for_single_belt():
     d = catalog.unlink(2)
     cube = Cube(d)
@@ -197,6 +208,14 @@ def test_symmetrizer_idempotent():
     dims = symmetrizer_image_dims(Cube(d), ["a0", "a1", "a2"])
     # Sym^3 of V: dims 1 at q = -3,-1,1,3
     assert dims == DimTable({(0, -6): 1, (0, -2): 1, (0, 2): 1, (0, 6): 1})
+
+
+def test_symmetrizer_rejects_missing_or_shared_belts():
+    with pytest.raises(ValueError, match="not in any circle"):
+        symmetrizer_image_dims(Cube(catalog.unlink(2)), ["a0", "zz"])
+    # the Hopf link's two components share a circle in the mixed states
+    with pytest.raises(ValueError, match="not split"):
+        symmetrizer_image_dims(Cube(catalog.hopf_positive()), ["s0", "e2"])
 
 
 def test_dot_map_bidegree():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from lasagna import catalog
@@ -109,20 +111,49 @@ def test_capping_requires_belt_link():
 def test_transition_one_step_ranks_injective():
     # rank of each one-step symmetrized transition equals the source stage
     # dims inside the window: the maps are injective there
-    from lasagna.skein import _composite_rank, _Symmetrizer, transition_down, _block_matrix_on_homology
+    from lasagna.skein import _composite_rank, _Symmetrizer, _transition_matrix
 
     spec = HandlebodySpec(catalog.empty_surgery(1), (0,))
     window = Window(h2_lo=0, h2_hi=0, q2_lo=-8, q2_hi=0)
     res = s02_dims(spec, window, r_max=3)
     stages = [build_stage(spec, r) for r in range(4)]
-    syms = [_Symmetrizer(st) for st in stages]
+    syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
     Hs = [st.cube.homology_basis() for st in stages]
-    mats = []
-    for r in range(3):
-        F = transition_down(spec, stages[r + 1], stages[r])
-        mats.append(_block_matrix_on_homology(
-            F, syms[r + 1], syms[r], Hs[r + 1], Hs[r], lambda k: (k[0], k[1] - 4)))
+    mats = [_transition_matrix(spec, stages, syms, Hs, r) for r in range(3)]
     for r in range(3):
         for g, dim in res.stages[r].items():
             rank = _composite_rank(g, stages, Hs, mats, r, r + 1)
             assert rank == dim, (r, str(g))
+
+
+@pytest.mark.parametrize(
+    "boundary, offset, r",
+    [
+        (catalog.empty_surgery(1), (1,), 2),  # 5 belts, 120 permutations
+        (catalog.belt_link(2), (0,), 1),  # belts crossing the strands
+    ],
+    ids=["d2xs2-five-belts", "belt-link-2-crossing"],
+)
+def test_symmetrizer_equals_average_over_all_permutations(boundary, offset, r):
+    from lasagna.skein import _permutation_chain_map, _Symmetrizer
+
+    st = build_stage(HandlebodySpec(boundary, offset), r)
+    sym = _Symmetrizer(st.cube, st.belt_groups.values())
+    per_region = []
+    for groups in st.belt_groups.values():
+        perms = itertools.permutations(range(len(groups)))
+        per_region.append([_permutation_chain_map(st.cube, groups, p) for p in perms])
+
+    def average(vec):
+        for maps in per_region:
+            acc = {}
+            for f in maps:
+                for k, v in f.apply(vec).items():
+                    acc[k] = acc.get(k, 0) + v
+            vec = {k: v / len(maps) for k, v in acc.items() if v}
+        return vec
+
+    reps = [v for reps, _img in st.cube.homology_basis().values() for v in reps]
+    assert reps
+    for v in reps:
+        assert sym.apply(v) == average(v)
