@@ -19,13 +19,12 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .cobcat import (
-    Component,
     Cobordism,
     FlatTangle,
     FrobeniusSpec,
     KHOVANOV,
     MorphismCombo,
-    _boundary_circles,
+    _glued_component,
     deloop_maps,
     identity_cobordism,
 )
@@ -43,6 +42,7 @@ class BigradedComplex:
         self.gens: dict[int, tuple[Grading, FlatTangle]] = {}
         self.d: dict[int, dict[int, MorphismCombo]] = {}
         self.d_in: dict[int, set[int]] = {}
+        self.pivots: set[tuple[int, int]] = set()  # entries s -> t that are lambda * identity
         self.truncation = truncation
         self._next = 0
 
@@ -64,9 +64,14 @@ class BigradedComplex:
         if m.is_zero():
             self.d[s].pop(t, None)
             self.d_in[t].discard(s)
+            self.pivots.discard((s, t))
         else:
             self.d[s][t] = m
             self.d_in[t].add(s)
+            if m.invertible_scalar() is None:
+                self.pivots.discard((s, t))
+            else:
+                self.pivots.add((s, t))
 
     def entry(self, s: int, t: int) -> Optional[MorphismCombo]:
         return self.d.get(s, {}).get(t)
@@ -76,6 +81,7 @@ class BigradedComplex:
         c.gens = dict(self.gens)
         c.d = {s: dict(row) for s, row in self.d.items()}
         c.d_in = {t: set(srcs) for t, srcs in self.d_in.items()}
+        c.pivots = set(self.pivots)
         c._next = self._next
         return c
 
@@ -110,24 +116,23 @@ class BigradedComplex:
     def deloop_generator(self, gid: int) -> tuple[int, int]:
         """Split a generator whose tangle has a loop into q+1 and q-1 copies."""
         grading, tangle = self.gens[gid]
-        loops = sorted(tangle.loops, key=repr)
-        if not loops:
+        if not tangle.loops:
             raise ComplexError("generator has no loop to remove")
-        loop = loops[0]
+        # repr order: the loop taken first fixes the new generators' ids, and
+        # pivot choices depend on those
+        loop = min(tangle.loops, key=repr)
         (out_p, in_p), (out_m, in_m) = deloop_maps(tangle, loop, self.spec)
         g_p = self.add_generator(grading.shift(0, 2), tangle.without_loop(loop))
         g_m = self.add_generator(grading.shift(0, -2), tangle.without_loop(loop))
-        ins = [(u, self.d[u][gid]) for u in list(self.d_in[gid])]
-        outs = list(self.d.get(gid, {}).items())
+        ins = [(u, self.d[u][gid]) for u in self.d_in[gid]]
+        outs = list(self.d[gid].items())
+        self._drop_generator(gid)
         for u, f in ins:
-            self.d[u].pop(gid, None)
             self.set_entry(u, g_p, f.then(out_p, self.spec))
             self.set_entry(u, g_m, f.then(out_m, self.spec))
         for v, f in outs:
-            self.d_in[v].discard(gid)
             self.set_entry(g_p, v, in_p.then(f, self.spec))
             self.set_entry(g_m, v, in_m.then(f, self.spec))
-        del self.gens[gid], self.d[gid], self.d_in[gid]
         return g_p, g_m
 
     def deloop_all(self) -> None:
@@ -163,17 +168,11 @@ class BigradedComplex:
     def _drop_generator(self, gid: int) -> None:
         for v in self.d.pop(gid, {}):
             self.d_in[v].discard(gid)
+            self.pivots.discard((gid, v))
         for u in self.d_in.pop(gid, set()):
             self.d[u].pop(gid, None)
+            self.pivots.discard((u, gid))
         del self.gens[gid]
-
-    def _invertible_entries(self) -> list[tuple[int, int]]:
-        out = []
-        for s, row in self.d.items():
-            for t, m in row.items():
-                if m.invertible_scalar() is not None:
-                    out.append((s, t))
-        return out
 
     def simplify(self, pivot_policy: str = "minfill") -> "BigradedComplex":
         """Deloop all circles and cancel invertible entries to a fixpoint.
@@ -182,24 +181,24 @@ class BigradedComplex:
         (incoming-1)*(outgoing-1) fill-in, ties broken by the source's
         (h2, q2, id); the alternative "ordered" policy takes the lowest
         (h2, q2, id) outright.  Homology does not depend on the choice.
+
+        Candidates come from `pivots`, the set of lambda * identity entries
+        that `set_entry` and `_drop_generator` keep current, so no pass
+        rescans the differential.  Elimination creates no generator and no
+        loop, so delooping once up front suffices.
         """
         self.deloop_all()
-        while True:
-            cands = self._invertible_entries()
-            if not cands:
-                break
 
-            def cost(st):
-                s, t = st
-                g = self.gens[s][0]
-                fill = (len(self.d_in[t]) - 1) * (len(self.d[s]) - 1)
-                if pivot_policy == "ordered":
-                    return (g.h2, g.q2, s, t)
-                return (fill, g.h2, g.q2, s, t)
+        def cost(st):
+            s, t = st
+            g = self.gens[s][0]
+            if pivot_policy == "ordered":
+                return (g.h2, g.q2, s, t)
+            fill = (len(self.d_in[t]) - 1) * (len(self.d[s]) - 1)
+            return (fill, g.h2, g.q2, s, t)
 
-            s, t = min(cands, key=cost)
-            self.gaussian_eliminate(s, t)
-            self.deloop_all()
+        while self.pivots:
+            self.gaussian_eliminate(*min(self.pivots, key=cost))
         return self
 
     # -- homology --------------------------------------------------------------
@@ -386,22 +385,16 @@ def glue_cobordism(cob: Cobordism, pairs: list[tuple]) -> Cobordism:
     comps = []
     for root, idxs in groups.items():
         nodes = set()
-        chi = 0
+        chi = -counts.get(root, 0)
         dots = 0
         for i in idxs:
             c = cob.comps[i]
-            chi += 2 - 2 * c.genus - _boundary_circles(c.nodes)
+            chi += c.euler_characteristic()
             dots += c.dots
             for side, k in c.nodes:
                 m = src_map if side == "s" else tgt_map
                 nodes.add((side, m[k]))
-        chi -= counts.get(root, 0)
-        nodes = frozenset(nodes)
-        b_new = _boundary_circles(nodes) if nodes else 0
-        genus2 = 2 - b_new - chi
-        if genus2 % 2 or genus2 < 0:
-            raise AssertionError("non-surface gluing of a cobordism")
-        comps.append(Component(nodes, dots, genus2 // 2))
+        comps.append(_glued_component(frozenset(nodes), dots, chi))
     return Cobordism(src, tgt, comps)
 
 

@@ -8,7 +8,10 @@ ties broken by sorted key order.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
+
+
 def _sort_key(x) -> tuple:
     return (str(type(x)), repr(x))
 
@@ -45,24 +48,36 @@ class Echelon:
     """Incrementally maintained echelon basis supporting membership queries."""
 
     def __init__(self):
-        self.pivots: dict = {}
+        self.pivots: dict = {}  # pivot key -> vector with coefficient 1 there
+        self._index: dict = {}  # pivot key -> insertion index
 
     def reduce(self, vec: dict) -> dict:
+        """The remainder of vec free of pivot keys (unique, so order-free).
+
+        One pass in insertion order: a pivot vector was reduced by every
+        earlier one, so eliminating it can bring in later pivot keys only.
+        """
         v = dict(vec)
-        changed = True
-        while changed:
-            changed = False
-            for pivot in list(v):
-                if pivot in self.pivots:
-                    coeff = v[pivot]
-                    for k, val in self.pivots[pivot].items():
-                        nv = v.get(k, Fraction(0)) - coeff * val
-                        if nv:
-                            v[k] = nv
-                        else:
-                            v.pop(k, None)
-                    changed = True
-                    break
+        index = self._index
+        heap = [(index[k], k) for k in v if k in index]
+        heapq.heapify(heap)
+        last = -1
+        while heap:
+            i, pivot = heapq.heappop(heap)
+            if i == last:
+                continue
+            last = i
+            coeff = v.get(pivot)
+            if coeff is None:
+                continue
+            for k, val in self.pivots[pivot].items():
+                nv = v.get(k, 0) - coeff * val
+                if nv:
+                    if k not in v and k in index:
+                        heapq.heappush(heap, (index[k], k))
+                    v[k] = nv
+                else:
+                    v.pop(k, None)
         return v
 
     def add(self, vec: dict) -> bool:
@@ -73,6 +88,7 @@ class Echelon:
         pivot = min(v, key=_sort_key)
         inv = Fraction(1) / v[pivot]
         self.pivots[pivot] = {k: val * inv for k, val in v.items()}
+        self._index[pivot] = len(self._index)
         return True
 
     def contains(self, vec: dict) -> bool:

@@ -13,7 +13,6 @@ from lasagna.cobcat import (
     MorphismCombo,
     cap,
     cup,
-    compose,
     deloop_maps,
     elementary_saddle,
     identity_cobordism,
@@ -33,22 +32,20 @@ def test_identity_composition():
         elementary_saddle(t, FlatTangle([{1, 4}, {2, 3}]), t.arcs,
                           FlatTangle([{1, 4}, {2, 3}]).arcs)
     )
-    assert compose(ident, saddle, KHOVANOV) == saddle
-    assert compose(saddle, MorphismCombo.from_cobordism(
+    assert ident.then(saddle, KHOVANOV) == saddle
+    assert saddle.then(MorphismCombo.from_cobordism(
         identity_cobordism(FlatTangle([{1, 4}, {2, 3}]))), KHOVANOV) == saddle
 
 
 def test_sphere_relations():
     t0 = FlatTangle(())
     # cup then cap on the empty tangle: closed undotted sphere = 0
-    k = compose(
-        MorphismCombo.from_cobordism(cup(t0, "c")),
+    k = MorphismCombo.from_cobordism(cup(t0, "c")).then(
         MorphismCombo.from_cobordism(cap(circle("c"), "c")),
         KHOVANOV,
     )
     assert k.as_scalar() == 0
-    k2 = compose(
-        MorphismCombo.from_cobordism(cup(t0, "c")),
+    k2 = MorphismCombo.from_cobordism(cup(t0, "c")).then(
         MorphismCombo.from_cobordism(cap(circle("c"), "c", dotted=True)),
         KHOVANOV,
     )
@@ -64,12 +61,12 @@ def cap_m(dotted=False, tag="c"):
 
 
 def test_twice_dotted_component():
-    two_dots = compose(cup_m(dotted=True), cap_m(dotted=True), KHOVANOV)
+    two_dots = cup_m(dotted=True).then(cap_m(dotted=True), KHOVANOV)
     assert two_dots.as_scalar() == 0  # c = 0: x^2 = 0
-    two_dots_lee = compose(cup_m(dotted=True), cap_m(dotted=True), LEE)
+    two_dots_lee = cup_m(dotted=True).then(cap_m(dotted=True), LEE)
     assert two_dots_lee.as_scalar() == 0  # eps(x^2) = c * eps(1) = 0
     half = FrobeniusSpec(Fraction(1, 2))
-    tube_cut = compose(cup_m(dotted=True), cap_m(dotted=True), half)
+    tube_cut = cup_m(dotted=True).then(cap_m(dotted=True), half)
     assert tube_cut.as_scalar() == 0
 
 
@@ -124,12 +121,12 @@ def test_deloop_identities():
     t = circle()
     for spec in (KHOVANOV, LEE):
         (out_p, in_p), (out_m, in_m) = deloop_maps(t, "c", spec)
-        assert compose(in_p, out_p, spec).as_scalar() == 1
-        assert compose(in_m, out_m, spec).as_scalar() == 1
-        assert compose(in_p, out_m, spec).as_scalar() == 0
-        assert compose(in_m, out_p, spec).as_scalar() == 0
+        assert in_p.then(out_p, spec).as_scalar() == 1
+        assert in_m.then(out_m, spec).as_scalar() == 1
+        assert in_p.then(out_m, spec).as_scalar() == 0
+        assert in_m.then(out_p, spec).as_scalar() == 0
         # in.out summed is the identity tube (neck-cutting), in normal form
-        total = compose(out_p, in_p, spec) + compose(out_m, in_m, spec)
+        total = out_p.then(in_p, spec) + out_m.then(in_m, spec)
         assert total == reduce(
             MorphismCombo.from_cobordism(identity_cobordism(t)), spec
         )
@@ -165,8 +162,8 @@ def test_compose_associative_random():
         f = MorphismCombo.from_cobordism(_connect(a, b), Fraction(rng.randint(1, 3)))
         g = MorphismCombo.from_cobordism(_connect(b, c_))
         h = MorphismCombo.from_cobordism(_connect(c_, d_), Fraction(rng.randint(-2, -1)))
-        lhs = compose(compose(f, g, KHOVANOV), h, KHOVANOV)
-        rhs = compose(f, compose(g, h, KHOVANOV), KHOVANOV)
+        lhs = f.then(g, KHOVANOV).then(h, KHOVANOV)
+        rhs = f.then(g.then(h, KHOVANOV), KHOVANOV)
         assert lhs == rhs
 
 
@@ -200,4 +197,4 @@ def _connect(a: FlatTangle, b: FlatTangle) -> Cobordism:
 def test_domain_mismatch_raises():
     f = cup_m()
     with pytest.raises(ValueError, match="mismatch"):
-        compose(f, f, KHOVANOV)
+        f.then(f, KHOVANOV)

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 
 from lasagna import catalog
-from lasagna.cobcat import KHOVANOV, FlatTangle, MorphismCombo, identity_cobordism
+from lasagna.cobcat import (
+    KHOVANOV,
+    Cobordism,
+    Component,
+    FlatTangle,
+    MorphismCombo,
+    identity_cobordism,
+)
 from lasagna.complexes import BigradedComplex, ComplexError, planar_tensor
 from lasagna.gradings import DimTable, Grading, Window
 from lasagna.khovanov import kh_dims_bruteforce, scan_complex
@@ -176,3 +183,121 @@ def test_disjoint_eliminations_commute():
     c2.gaussian_eliminate(*q2)
     c2.gaussian_eliminate(*p2)
     assert t1 == c2.homology_dims() == DimTable({(0, 8): 1})
+
+
+# -- the structural identity test and the maintained pivot set ----------------
+
+
+@pytest.fixture(scope="module")
+def unsimplified_scans():
+    """(partial complexes, final delooped complexes) of unsimplified scans.
+
+    The partial complexes carry open arcs and loops; built once, because
+    T(3,4) takes seconds without simplification.
+    """
+    from lasagna import khovanov
+    from lasagna.projector import twist_all_regions
+
+    partial = []
+
+    def recording(a, b, gluing=None):
+        c = planar_tensor(a, b, gluing)
+        partial.append(c.copy())
+        return c
+
+    diagrams = [
+        catalog.trefoil_right(),
+        catalog.figure_eight(),
+        catalog.torus_link(3, 4),
+        twist_all_regions(catalog.belt_link(2), 2),
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(khovanov, "planar_tensor", recording)
+        final = [scan_complex(d, simplify=False) for d in diagrams]
+    return diagrams, partial, final
+
+
+def _reference_invertible_scalar(m):
+    """lambda when m is a single term equal to lambda * identity_cobordism(source)."""
+    if m.source != m.target or len(m.terms) != 1:
+        return None
+    [(cob, coeff)] = m.terms.items()
+    return coeff if cob == identity_cobordism(m.source) else None
+
+
+def _rescanned_pivots(c):
+    return {
+        (s, t) for s, row in c.d.items() for t, m in row.items() if m.invertible_scalar() is not None
+    }
+
+
+def test_invertible_scalar_matches_identity_comparison(unsimplified_scans):
+    _, partial, final = unsimplified_scans
+    outcomes = set()
+    for c in partial + final:
+        for row in c.d.values():
+            for m in row.values():
+                lam = m.invertible_scalar()
+                assert lam == _reference_invertible_scalar(m)
+                outcomes.add(lam is None)
+    assert outcomes == {True, False}
+
+
+def test_invertible_scalar_near_misses():
+    t = FlatTangle([{1, 2}, {3, 4}], ["c"])
+    a, b = sorted(t.arcs, key=sorted)
+    ident = identity_cobordism(t)
+
+    def tube(k, dots=0, genus=0):
+        return Component(frozenset({("s", k), ("t", k)}), dots, genus)
+
+    cases = {
+        "identity": (MorphismCombo.from_cobordism(ident), Fraction(1)),
+        "lambda != 1": (MorphismCombo.from_cobordism(ident, Fraction(-3, 2)), Fraction(-3, 2)),
+        "dotted": (MorphismCombo.from_cobordism(
+            Cobordism(t, t, [tube(a, dots=1), tube(b), tube("c")])), None),
+        "genus 1": (MorphismCombo.from_cobordism(
+            Cobordism(t, t, [tube(a), tube(b), tube("c", genus=1)])), None),
+        "extra closed component": (MorphismCombo.from_cobordism(
+            Cobordism(t, t, list(ident.comps) + [Component(frozenset(), 1, 0)])), None),
+        "loop not bounded": (MorphismCombo.from_cobordism(
+            Cobordism(t, t, [tube(a), tube(b)])), None),
+        "arcs permuted": (MorphismCombo.from_cobordism(Cobordism(t, t, [
+            Component(frozenset({("s", a), ("t", b)}), 0, 0),
+            Component(frozenset({("s", b), ("t", a)}), 0, 0),
+            tube("c"),
+        ])), None),
+        "source != target": (MorphismCombo.from_cobordism(Cobordism(
+            t, FlatTangle(t.arcs, ["d"]),
+            [tube(a), tube(b), Component(frozenset({("s", "c"), ("t", "d")}), 0, 0)])), None),
+        "two terms": (MorphismCombo.from_cobordism(ident) + MorphismCombo.from_cobordism(
+            Cobordism(t, t, [tube(a, dots=1), tube(b), tube("c")])), None),
+        "zero": (MorphismCombo.zero(t, t), None),
+    }
+    for name, (m, expected) in cases.items():
+        assert m.invertible_scalar() == expected, name
+        assert _reference_invertible_scalar(m) == expected, name
+
+
+def test_maintained_pivot_set_equals_rescan(unsimplified_scans, monkeypatch):
+    diagrams, partial, final = unsimplified_scans
+    eliminate = BigradedComplex.gaussian_eliminate
+    checked = []
+
+    def checking(self, s, t):
+        eliminate(self, s, t)
+        assert self.pivots == _rescanned_pivots(self)
+        checked.append((s, t))
+
+    monkeypatch.setattr(BigradedComplex, "gaussian_eliminate", checking)
+    for c in partial:
+        assert c.pivots == _rescanned_pivots(c)
+    for c in final:
+        c = c.copy()
+        assert c.pivots == _rescanned_pivots(c)
+        c.simplify()
+        assert not c.pivots
+    for d in diagrams:
+        # scanning with simplification: delooping and elimination on open tangles
+        scan_complex(d)
+    assert len(checked) > 100

@@ -1,0 +1,54 @@
+"""Results and elimination counts do not depend on PYTHONHASHSEED."""
+
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+SCRIPT = r"""
+import json
+
+from lasagna import catalog, khovanov, rw
+from lasagna.complexes import BigradedComplex
+from lasagna.gradings import Window
+
+eliminations = []
+eliminate = BigradedComplex.gaussian_eliminate
+scan = khovanov.scan_complex
+
+
+def counting_eliminate(self, s, t):
+    eliminations[-1] += 1
+    return eliminate(self, s, t)
+
+
+def counting_scan(*args, **kwargs):
+    eliminations.append(0)
+    return scan(*args, **kwargs)
+
+
+BigradedComplex.gaussian_eliminate = counting_eliminate
+khovanov.scan_complex = counting_scan
+
+res = rw.rw_plus(catalog.belt_link(2), Window(h2_lo=-4, h2_hi=2, q2_lo=-12, q2_hi=0), k_max=3)
+out = {
+    "T(3,4)": khovanov.kh_dims(catalog.torus_link(3, 4)).to_json_obj(),
+    "figure-eight": khovanov.kh_dims(catalog.figure_eight()).to_json_obj(),
+    "rw_plus belt_link(2)": res.to_json_obj(),
+    "eliminations per scan": eliminations,
+}
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+def test_results_do_not_depend_on_hash_seed():
+    outputs = []
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert '"eliminations per scan": [' in outputs[0]
