@@ -1073,15 +1073,13 @@ def reduction_equivalence(src: Cube, dst: Cube) -> ChainMap:
     bd = blocks(tr_d, dst)
     if {k: len(v) for k, v in bs.items()} != {k: len(v) for k, v in bd.items()}:
         raise ValueError("diagrams do not have matching reduced complexes")
+    match = {g: bd[key][pos] for key, block in bs.items() for pos, g in enumerate(block)}
     entries: dict = {}
     for g in src.generators():
         red = tr_s.project({g: Fraction(1)})
         image: dict = {}
         for gg, v in red.items():
-            gr = src.gen_grading(*gg)
-            pos = bs[(gr.h2, gr.q2)].index(gg)
-            target = bd[(gr.h2, gr.q2)][pos]
-            for t, w in tr_d.include({target: Fraction(1)}).items():
+            for t, w in tr_d.include({match[gg]: Fraction(1)}).items():
                 _acc(image, t, v * w)
         if image:
             entries[g] = image

@@ -16,7 +16,7 @@ nose.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .cobcat import (
     Cobordism,
@@ -274,11 +274,6 @@ class BigradedComplex:
                 c.set_entry(mapping[t], mapping[s], m.transpose())
         if self.truncation is not None:
             c.truncation = self.truncation.reflect()
-        return c
-
-    def relabel_gradings(self, fn: Callable[[Grading], Grading]) -> "BigradedComplex":
-        c = self.copy()
-        c.gens = {gid: (fn(g), t) for gid, (g, t) in self.gens.items()}
         return c
 
 

@@ -24,6 +24,7 @@ from .linalg import Echelon, kernel_basis, row_reduce
 
 LABEL_ONE = 0
 LABEL_X = 1
+_ZERO = Fraction(0)  # shared default for dict lookups; Fractions are immutable
 
 
 def resolve_circles(d: LinkDiagram, state: int) -> list[frozenset[str]]:
@@ -317,7 +318,7 @@ class ChainMap:
 
 
 def _acc(d: dict, k, v) -> None:
-    nv = d.get(k, Fraction(0)) + v
+    nv = d.get(k, _ZERO) + v
     if nv:
         d[k] = nv
     else:
@@ -331,16 +332,22 @@ def identity_map(cube: Cube) -> ChainMap:
 class TrackedReduction:
     """Gaussian elimination of a dense complex with tracked homotopy data.
 
-    Eliminating an invertible differential entry lambda: s -> t removes the
+    Eliminating an invertible differential entry lam: s -> t removes the
     pair and corrects the remaining differential by the zig-zag formula.
-    Each step's pivot row and column are logged, so the strong deformation
-    retract maps can be replayed lazily:
+    Each step's pivot row (the entries out of s) and column (the entries
+    into t) are logged; the strong deformation retract is read off the log:
 
-        iota_k(z) = z - lam^-1 * <z, col_t> * s        (inclusion, reversed log)
-        p_k(v)    = v|_drop(s,t) - lam^-1 * v_t * row_s (projection, forward log)
+        p(e_t) = -lam^-1 * sum_w row_s[w] * p(e_w),  p(e_s) = 0   (projection)
+        iota_k(z) = z - lam^-1 * <z, col_t> * s         (inclusion, reversed log)
 
-    with p∘iota = id and both chain maps.  A pivot_filter restricts which
-    entries may be eliminated (used to steer Reidemeister retracts onto a
+    with p∘iota = id and both chain maps.  Until the step that removes a
+    generator no step touches it, so the row of a removed t only holds
+    generators that die later or survive: one pass over the log in reverse
+    order tabulates p on every generator, and `project` is a sparse sum over
+    that table.  `include` memoizes iota on each basis vector it meets.  Both
+    the table and the memo belong to one log length and are rebuilt once a
+    later elimination grows the log.  A pivot_filter restricts which entries
+    may be eliminated (used to steer Reidemeister retracts onto a
     distinguished resolution).
     """
 
@@ -358,6 +365,9 @@ class TrackedReduction:
         self.alive = set(self.gens)
         self.pivot_filter = pivot_filter
         self.log: list = []  # (s, t, lam, out_row, in_col)
+        self._maps_at = 0  # log length the projection table and inclusion memo belong to
+        self._proj: dict = {}  # removed generator -> p(e_g)
+        self._incl: dict = {}  # generator -> iota(e_g)
 
     # -- elimination --------------------------------------------------------
 
@@ -404,24 +414,58 @@ class TrackedReduction:
                 self.d_in.get(v, {}).pop(g, None)
             for u in self.d_in.pop(g, {}):
                 self.d.get(u, {}).pop(g, None)
+        scaled_row = {v: inv * b for v, b in out_row.items()}
         created = []
         for u, a in in_col.items():
-            for v, b in out_row.items():
-                cur = self.d.setdefault(u, {}).get(v, Fraction(0)) - a * inv * b
+            row_u = self.d.setdefault(u, {})
+            for v, b in scaled_row.items():
+                cur = row_u.get(v, _ZERO) - a * b
                 if cur:
-                    self.d[u][v] = cur
+                    row_u[v] = cur
                     self.d_in.setdefault(v, {})[u] = cur
                     created.append((u, v))
                 else:
-                    self.d[u].pop(v, None)
+                    row_u.pop(v, None)
                     self.d_in.get(v, {}).pop(u, None)
         return created
 
-    # -- replayed SDR maps ---------------------------------------------------
+    # -- SDR maps --------------------------------------------------------------
+
+    def _sync_maps(self) -> None:
+        """Rebuild the projection table and clear the inclusion memo if the log grew."""
+        if self._maps_at == len(self.log):
+            return
+        self._maps_at = len(self.log)
+        self._incl = {}
+        table: dict = {}
+        for s, t, lam, out_row, _ in reversed(self.log):
+            image: dict = {}
+            for w, b in out_row.items():
+                c = -b / lam
+                later = table.get(w)
+                if later is None:  # w survives
+                    _acc(image, w, c)
+                else:
+                    for x, y in later.items():
+                        _acc(image, x, c * y)
+            table[t] = image
+            table[s] = {}
+        self._proj = table
 
     def include(self, z: dict) -> dict:
         """iota: chain in the reduced complex -> chain in the original one."""
-        z = dict(z)
+        self._sync_maps()
+        out: dict = {}
+        for a, c in z.items():
+            col = self._incl.get(a)
+            if col is None:
+                col = self._incl[a] = self._include_basis(a)
+            for g, w in col.items():
+                _acc(out, g, c * w)
+        return out
+
+    def _include_basis(self, a) -> dict:
+        z = {a: Fraction(1)}
         for s, t, lam, out_row, in_col in reversed(self.log):
             coeff = Fraction(0)
             for u, v in in_col.items():
@@ -433,11 +477,13 @@ class TrackedReduction:
 
     def project(self, v: dict) -> dict:
         """p: chain in the original complex -> chain in the reduced one."""
-        v = dict(v)
-        for s, t, lam, out_row, in_col in self.log:
-            ct = v.pop(t, Fraction(0))
-            v.pop(s, None)
-            if ct:
-                for w, b in out_row.items():
-                    _acc(v, w, -ct * b / lam)
-        return v
+        self._sync_maps()
+        out: dict = {}
+        for g, c in v.items():
+            image = self._proj.get(g)
+            if image is None:  # g survives
+                _acc(out, g, c)
+            else:
+                for w, y in image.items():
+                    _acc(out, w, c * y)
+        return out

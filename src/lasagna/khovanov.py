@@ -131,13 +131,6 @@ def kh_dims_bruteforce(d: LinkDiagram, spec: FrobeniusSpec = KHOVANOV, max_cross
     return Cube(d.forget_regions(), spec.c, max_crossings=max_crossings).homology_dims()
 
 
-def cube(d: LinkDiagram, spec: FrobeniusSpec = KHOVANOV) -> BigradedComplex:
-    """Simplified complex of d in the gl2 normalization (dual, writhe shift)."""
-    w = d.writhe()
-    c = scan_complex(d, spec).simplify().transpose()
-    return c.relabel_gradings(lambda g: Grading(g.h2, -g.q2 - 2 * w))
-
-
 def khr2_reindex(classical: DimTable, writhe: int) -> DimTable:
     return DimTable(
         {Grading(-g.h2, g.q2 - 2 * writhe): v for g, v in classical.items()}

@@ -171,9 +171,8 @@ def transition_down(spec: HandlebodySpec, hi: ColimitStage, lo: ColimitStage) ->
             split = birth_diagram(lo.diagram, "annih")
             cube_split = Cube(split)
             push(reduction_equivalence(cur_cube, cube_split))
-            d3 = lo.diagram
-            push(death_map(cube_split, Cube(d3), "annih"))
-            cur_diagram, cur_cube = d3, Cube(d3)
+            push(death_map(cube_split, lo.cube, "annih"))
+            cur_diagram, cur_cube = lo.diagram, lo.cube
     # identify leftover edge names with the lower stage
     if set(cur_diagram.edges) != set(lo.diagram.edges):
         push(_rename_map(cur_cube, lo.cube))

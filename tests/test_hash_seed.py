@@ -1,4 +1,4 @@
-"""Results and elimination counts do not depend on PYTHONHASHSEED."""
+"""Results, oracles and elimination counts do not depend on PYTHONHASHSEED."""
 
 import os
 import subprocess
@@ -7,10 +7,13 @@ import sys
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 SCRIPT = r"""
+import hashlib
 import json
 
 from lasagna import catalog, khovanov, rw
+from lasagna.cobmaps import reduction_equivalence
 from lasagna.complexes import BigradedComplex
+from lasagna.densecube import Cube
 from lasagna.gradings import Window
 
 eliminations = []
@@ -32,7 +35,13 @@ BigradedComplex.gaussian_eliminate = counting_eliminate
 khovanov.scan_complex = counting_scan
 
 res = rw.rw_plus(catalog.belt_link(2), Window(h2_lo=-4, h2_hi=2, q2_lo=-12, q2_hi=0), k_max=3)
+r3 = reduction_equivalence(Cube(catalog.braid_closure([1, 2, 1, -1, 2], 3)),
+                           Cube(catalog.braid_closure([2, 1, 2, -1, 2], 3)))
+r3_entries = [(g, [(t, str(v)) for t, v in row.items()]) for g, row in r3.entries.items()]
 out = {
+    "dense figure-eight": khovanov.kh_dims_bruteforce(catalog.figure_eight()).to_json_obj(),
+    "jones T(3,4)": list(khovanov.jones_unnormalized(catalog.torus_link(3, 4)).items()),
+    "R3 reduction_equivalence": hashlib.sha256(repr(r3_entries).encode()).hexdigest(),
     "T(3,4)": khovanov.kh_dims(catalog.torus_link(3, 4)).to_json_obj(),
     "figure-eight": khovanov.kh_dims(catalog.figure_eight()).to_json_obj(),
     "rw_plus belt_link(2)": res.to_json_obj(),

@@ -2,12 +2,13 @@ import random
 
 from lasagna import catalog
 from lasagna.gradings import DimTable, Grading, Window
+from lasagna.densecube import Cube
 from lasagna.khovanov import (
-    cube,
     jones_unnormalized,
     kh_dims,
     kh_dims_bruteforce,
     khr2_dims,
+    scan_complex,
     tilde_renormalize,
 )
 from lasagna.lee import lee_total_dim
@@ -69,12 +70,6 @@ def test_mirror_duality_dims():
         a = khr2_dims(d)
         b = khr2_dims(d.mirror())
         assert b == a.reflect(), d.to_json_obj()
-
-
-def test_cube_is_khr2_convention():
-    c = cube(catalog.trefoil_right())
-    assert c.verify_d_squared()
-    assert c.homology_dims() == khr2_dims(catalog.trefoil_right())
 
 
 def test_tilde_renormalize():
@@ -142,10 +137,11 @@ def test_window_restriction():
 
 def test_cube_rejects_surgery_regions():
     import pytest
-    from lasagna.khovanov import cube as build_cube
 
     with pytest.raises(ValueError, match="surgery"):
-        build_cube(catalog.belt_link(2))
+        scan_complex(catalog.belt_link(2))
+    with pytest.raises(ValueError, match="surgery"):
+        Cube(catalog.belt_link(2))
 
 
 def test_bruteforce_crossing_guard():
@@ -157,9 +153,7 @@ def test_bruteforce_crossing_guard():
 
 def test_cube_with_framing_points():
     d = catalog.trefoil_right().add_framing_points([("s0", 2)])
-    from lasagna.khovanov import cube as build_cube
-
-    assert build_cube(d).homology_dims() == khr2_dims(d)
+    assert khr2_dims(d, bruteforce=True) == khr2_dims(d)
 
 
 def test_torus_3_3_consistency():
