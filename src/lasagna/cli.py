@@ -15,14 +15,12 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 
-from .diagram import DiagramError, parse_diagram
+from .diagram import parse_diagram
 from .gradings import Window, parse_window
-from .khovanov import khr2_dims
-from .lee import lee_total_dim
-from .rw import AdmissibilityError, rw_plus
-from .skein import HandlebodySpec, LasagnaError, s02_dims
+
+# The computing modules are imported inside the commands that use them, so a
+# cache hit loads neither the cube nor the cobordism stack.
 
 ALGORITHM_VERSION = "scan-1/min-fill-pivot"
 
@@ -42,17 +40,40 @@ def _cache_key(payload: dict) -> str:
 
 
 def _cache_get(args, key: str):
+    """The cached entry for key; None when absent, unreadable or malformed."""
     if args.no_cache:
         return None
     path = os.path.join(_cache_dir(args), key + ".json")
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError):
+            entry = json.load(fh)
+    except (OSError, ValueError):
         return None
+    return entry if _well_formed(entry, args.command) else None
+
+
+def _well_formed(entry, command: str) -> bool:
+    """Whether a cache entry holds the fields its command prints and reads."""
+    if not isinstance(entry, dict):
+        return False
+    if command == "lee":
+        return isinstance(entry.get("total"), int)
+    dims = entry.get("dims")
+    if not isinstance(dims, list):
+        return False
+    for row in dims:
+        if not (isinstance(row, dict) and "h" in row and "q" in row and "dim" in row):
+            return False
+    if command == "rw":
+        return isinstance(entry.get("stabilized"), dict)
+    if command == "lasagna":
+        return isinstance(entry.get("stable"), dict)
+    return True
 
 
 def _cache_put(args, key: str, value: dict) -> None:
+    import tempfile
+
     if args.no_cache:
         return
     directory = _cache_dir(args)
@@ -104,6 +125,8 @@ def cmd_kh(args) -> int:
     key = _cache_key(payload)
     cached = _cache_get(args, key)
     if cached is None:
+        from .khovanov import khr2_dims
+
         table = khr2_dims(d, window=_window(args) if args.window else None,
                           bruteforce=bool(args.oracle))
         cached = {"dims": table.to_json_obj()}
@@ -124,6 +147,8 @@ def cmd_rw(args) -> int:
     key = _cache_key(payload)
     cached = _cache_get(args, key)
     if cached is None:
+        from .rw import rw_plus
+
         res = rw_plus(d, _window(args), k_max=args.max_twists)
         cached = res.to_json_obj()
         cached["notes"] = [
@@ -153,6 +178,8 @@ def cmd_lasagna(args) -> int:
     key = _cache_key(payload)
     cached = _cache_get(args, key)
     if cached is None:
+        from .skein import HandlebodySpec, s02_dims
+
         res = s02_dims(HandlebodySpec(d, offset), _window(args), r_max=args.r_max)
         cached = res.to_json_obj()
         cached["notes"] = [
@@ -173,6 +200,8 @@ def cmd_lee(args) -> int:
     key = _cache_key(payload)
     cached = _cache_get(args, key)
     if cached is None:
+        from .lee import lee_total_dim
+
         cached = {"total": lee_total_dim(d.forget_regions())}
         _cache_put(args, key, cached)
     _emit(cached, args.json)
@@ -235,7 +264,7 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (DiagramError, AdmissibilityError, LasagnaError, ValueError) as exc:
+    except ValueError as exc:  # DiagramError, AdmissibilityError, LasagnaError among them
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except OSError as exc:

@@ -166,14 +166,6 @@ class Cobordism:
     def __repr__(self):
         return f"Cobordism({self.comps!r})"
 
-    def transpose(self) -> "Cobordism":
-        flip = {"s": "t", "t": "s"}
-        comps = [
-            Component(frozenset((flip[side], k) for side, k in c.nodes), c.dots, c.genus)
-            for c in self.comps
-        ]
-        return Cobordism(self.target, self.source, comps)
-
 
 @lru_cache(maxsize=256)
 def _boundary_circle_partition(nodes: frozenset) -> tuple:
@@ -255,19 +247,22 @@ def elementary_saddle(source: FlatTangle, target: FlatTangle, moved_keys_s, move
 
 
 class MorphismCombo:
-    """Finite Q-linear combination of cobordisms with common source/target."""
+    """Finite Q-linear combination of cobordisms with common source/target.
+
+    Coefficients are ints until a division makes them non-integral.
+    """
 
     __slots__ = ("source", "target", "terms")
 
     def __init__(self, source: FlatTangle, target: FlatTangle, terms: Optional[dict] = None):
         self.source = source
         self.target = target
-        self.terms: dict[Cobordism, Fraction] = {}
+        self.terms: dict[Cobordism, int | Fraction] = {}
         if terms:
             for cob, coeff in terms.items():
-                self._add_term(cob, coeff if type(coeff) is Fraction else Fraction(coeff))
+                self._add_term(cob, coeff)
 
-    def _add_term(self, cob: Cobordism, coeff: Fraction) -> None:
+    def _add_term(self, cob: Cobordism, coeff) -> None:
         if not coeff:
             return
         cur = self.terms.get(cob)
@@ -278,8 +273,8 @@ class MorphismCombo:
             del self.terms[cob]
 
     @staticmethod
-    def from_cobordism(cob: Cobordism, coeff=Fraction(1)) -> "MorphismCombo":
-        return MorphismCombo(cob.source, cob.target, {cob: Fraction(coeff)})
+    def from_cobordism(cob: Cobordism, coeff=1) -> "MorphismCombo":
+        return MorphismCombo(cob.source, cob.target, {cob: coeff})
 
     @staticmethod
     def zero(source: FlatTangle, target: FlatTangle) -> "MorphismCombo":
@@ -297,13 +292,12 @@ class MorphismCombo:
         return out
 
     def __neg__(self) -> "MorphismCombo":
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
     def __sub__(self, other: "MorphismCombo") -> "MorphismCombo":
         return self + (-other)
 
     def scale(self, coeff) -> "MorphismCombo":
-        coeff = Fraction(coeff)
         return MorphismCombo(
             self.source, self.target, {c: v * coeff for c, v in self.terms.items()}
         )
@@ -319,11 +313,6 @@ class MorphismCombo:
     def __repr__(self):
         return f"MorphismCombo({len(self.terms)} terms {self.source}->{self.target})"
 
-    def transpose(self) -> "MorphismCombo":
-        return MorphismCombo(
-            self.target, self.source, {c.transpose(): v for c, v in self.terms.items()}
-        )
-
     def then(self, other: "MorphismCombo", spec: FrobeniusSpec) -> "MorphismCombo":
         """Vertical composition self followed by other, reduced."""
         if self.target != other.source:
@@ -335,18 +324,18 @@ class MorphismCombo:
                 out._add_term(cob, a * b)
         return reduce(out, spec)
 
-    def as_scalar(self) -> Fraction:
+    def as_scalar(self) -> int | Fraction:
         """The coefficient of the empty cobordism, for empty endpoints."""
         if self.source.keys() or self.target.keys():
             raise ValueError("scalar extraction needs empty source and target")
         if not self.terms:
-            return Fraction(0)
+            return 0
         [(cob, coeff)] = self.terms.items()
         if cob.comps:
             raise ValueError("combo not reduced to a scalar")
         return coeff
 
-    def invertible_scalar(self) -> Optional[Fraction]:
+    def invertible_scalar(self) -> Optional[int | Fraction]:
         """If self is lambda * identity (same tangle, lambda != 0), return lambda.
 
         Tested on the shape of the single term: one undotted genus-0
@@ -425,7 +414,7 @@ def reduce(m: MorphismCombo, spec: FrobeniusSpec) -> MorphismCombo:
 
 def _reduce_cobordism(cob: Cobordism, spec: FrobeniusSpec):
     """Normal-form expansion of a single cobordism: list of (cobordism, coeff)."""
-    pending = [(list(cob.comps), Fraction(1))]
+    pending = [(list(cob.comps), 1)]
     done = []
     while pending:
         comps, coeff = pending.pop()

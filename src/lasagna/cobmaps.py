@@ -22,6 +22,7 @@ degree of a move use -chi + 2*dots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -29,7 +30,7 @@ from typing import Callable, Iterable, Optional
 from .densecube import ChainMap, Cube, TrackedReduction, _acc
 from .diagram import Crossing, LinkDiagram
 from .gradings import DimTable, Grading, Window
-from .linalg import Echelon, row_reduce, solve_in_span
+from .linalg import Echelon, inverse, row_reduce, solve_in_span
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ def birth_map(src: Cube, dst: Cube, new_edge: str) -> ChainMap:
         for i, l in enumerate(labels):
             new_labels[match[i]] = l
         new_labels[j] = 0
-        entries[gen] = {(s, tuple(new_labels)): Fraction(1)}
+        entries[gen] = {(s, tuple(new_labels)): 1}
     return ChainMap(src, dst, entries)
 
 
@@ -162,7 +163,7 @@ def death_map(src: Cube, dst: Cube, edge: str) -> ChainMap:
         for i, l in enumerate(labels):
             if i != j:
                 new_labels[match[i]] = l
-        entries[gen] = {(s, tuple(new_labels)): Fraction(1)}
+        entries[gen] = {(s, tuple(new_labels)): 1}
     return ChainMap(src, dst, entries)
 
 
@@ -174,7 +175,7 @@ def dot_map(cube: Cube, edge: str) -> ChainMap:
         if labels[j] == 0:
             nl = list(labels)
             nl[j] = 1
-            entries[gen] = {(s, tuple(nl)): Fraction(1)}
+            entries[gen] = {(s, tuple(nl)): 1}
         elif cube.c:
             nl = list(labels)
             nl[j] = 0
@@ -209,11 +210,11 @@ def saddle_map(src: Cube, dst: Cube, e: str, f: str) -> ChainMap:
                 for la, lb in ((0, 1), (1, 0)):
                     nl = list(base)
                     nl[j_old], nl[j_new] = la, lb
-                    _acc(out, (s, tuple(nl)), Fraction(1))
+                    _acc(out, (s, tuple(nl)), 1)
             else:
                 nl = list(base)
                 nl[j_old], nl[j_new] = 1, 1
-                _acc(out, (s, tuple(nl)), Fraction(1))
+                _acc(out, (s, tuple(nl)), 1)
                 if src.c:
                     nl = list(base)
                     nl[j_old], nl[j_new] = 0, 0
@@ -238,11 +239,11 @@ def saddle_map(src: Cube, dst: Cube, e: str, f: str) -> ChainMap:
                 for la, lb in ((0, 1), (1, 0)):
                     nl = list(base)
                     nl[j1], nl[j2] = la, lb
-                    _acc(out, (s, tuple(nl)), Fraction(1))
+                    _acc(out, (s, tuple(nl)), 1)
             else:
                 nl = list(base)
                 nl[j1], nl[j2] = 1, 1
-                _acc(out, (s, tuple(nl)), Fraction(1))
+                _acc(out, (s, tuple(nl)), 1)
                 if src.c:
                     nl = list(base)
                     nl[j1], nl[j2] = 0, 0
@@ -263,11 +264,11 @@ def saddle_map(src: Cube, dst: Cube, e: str, f: str) -> ChainMap:
             if tot == 0:
                 nl = list(base)
                 nl[j] = 0
-                _acc(out, (s, tuple(nl)), Fraction(1))
+                _acc(out, (s, tuple(nl)), 1)
             elif tot == 1:
                 nl = list(base)
                 nl[j] = 1
-                _acc(out, (s, tuple(nl)), Fraction(1))
+                _acc(out, (s, tuple(nl)), 1)
             elif src.c:
                 nl = list(base)
                 nl[j] = 0
@@ -294,9 +295,9 @@ def coev_map(src: Cube, dst: Cube, c1: str, c2: str, dotted: bool = False) -> Ch
             base[match[k]] = l
         out: dict = {}
         if not dotted:
-            pairs = [((0, 1), Fraction(1)), ((1, 0), Fraction(1))]
+            pairs = [((0, 1), 1), ((1, 0), 1)]
         else:
-            pairs = [((1, 1), Fraction(1))]
+            pairs = [((1, 1), 1)]
             if c:
                 pairs.append(((0, 0), c))
         for (la, lb), coeff in pairs:
@@ -394,7 +395,7 @@ class R2Retract:
             nl = [0] * len(bc)
             for i in range(len(bc)):
                 nl[i] = labels[match[i]]
-            _acc(out, (bs, tuple(nl)), Fraction(1))
+            _acc(out, (bs, tuple(nl)), 1)
             # B-component: lane surgery, unit label on the middle circle
             bs2 = self._big_state(ss, self.state_B)
             for tgt, coeff in self._lane_surgery_into_B(ss, labels, bs2):
@@ -441,9 +442,9 @@ class R2Retract:
             j = changed_big[0]
             tot = labels[i1] + labels[i2]
             if tot == 0:
-                terms = [(0, Fraction(1))]
+                terms = [(0, 1)]
             elif tot == 1:
-                terms = [(1, Fraction(1))]
+                terms = [(1, 1)]
             else:
                 terms = [(0, self.small.c)] if self.small.c else []
             for lab, coeff in terms:
@@ -455,9 +456,9 @@ class R2Retract:
             assert len(changed_big) == 2, "lane surgery did not split"
             j1, j2 = changed_big
             if labels[i1] == 0:
-                pieces = [((0, 1), Fraction(1)), ((1, 0), Fraction(1))]
+                pieces = [((0, 1), 1), ((1, 0), 1)]
             else:
-                pieces = [((1, 1), Fraction(1))]
+                pieces = [((1, 1), 1)]
                 if self.small.c:
                     pieces.append(((0, 0), self.small.c))
             for (p1, p2), coeff in pieces:
@@ -481,7 +482,7 @@ class R2Retract:
                 nl = [0] * len(self.small.circles[ss])
                 for i, l in enumerate(labels):
                     nl[match[i]] = l
-                entries[gen] = {(ss, tuple(nl)): Fraction(1)}
+                entries[gen] = {(ss, tuple(nl)): 1}
             elif (r1, r2) == (1, 0):
                 out: dict = {}
                 for tgt, coeff in self._counit_and_split(bs, labels, ss):
@@ -507,9 +508,9 @@ class R2Retract:
             assert len(changed_big) == 1
             v = labels[changed_big[0]]
             if v == 0:
-                pieces = [((0, 1), Fraction(1)), ((1, 0), Fraction(1))]
+                pieces = [((0, 1), 1), ((1, 0), 1)]
             else:
-                pieces = [((1, 1), Fraction(1))]
+                pieces = [((1, 1), 1)]
                 if self.small.c:
                     pieces.append(((0, 0), self.small.c))
             for (p1, p2), coeff in pieces:
@@ -520,9 +521,9 @@ class R2Retract:
             assert len(changed_big) == 2
             tot = labels[changed_big[0]] + labels[changed_big[1]]
             if tot == 0:
-                terms = [(0, Fraction(1))]
+                terms = [(0, 1)]
             elif tot == 1:
-                terms = [(1, Fraction(1))]
+                terms = [(1, 1)]
             else:
                 terms = [(0, self.small.c)] if self.small.c else []
             for lab, coeff in terms:
@@ -602,7 +603,7 @@ def homology_matrix(apply: Callable[[dict], dict], H_src: dict, H_dst: dict, shi
         cols = []
         for v in reps:
             red = timg.reduce(apply(v))
-            sol = solve_in_span(reduced_treps, red) if red else [Fraction(0)] * len(treps)
+            sol = solve_in_span(reduced_treps, red) if red else [0] * len(treps)
             if sol is None:
                 raise AssertionError("image not a cycle coordinate in target homology")
             cols.append(sol)
@@ -787,9 +788,9 @@ def _permutation_chain_map(cube: Cube, groups: list, perm: tuple) -> ChainMap:
             nl = list(labels)
             for a, b in enumerate(perm):
                 nl[idx[b]] = labels[idx[a]]
-            entries[gen] = {(s, tuple(nl)): Fraction(1)}
+            entries[gen] = {(s, tuple(nl)): 1}
         else:
-            entries[gen] = {gen: Fraction(1)}
+            entries[gen] = {gen: 1}
     return ChainMap(cube, cube, entries)
 
 
@@ -813,7 +814,9 @@ class _Symmetrizer:
     Uses the Jucys-Murphy factorization Sym_k = X_k ... X_2 with
     X_j = (1/j)(1 + sum_{i<j} (i j)), so only the k(k-1)/2 transpositions
     are built.  Each is checked to be a chain map; they generate S_k, so
-    every permutation, and the average, is then one too.
+    every permutation, and the average, is then one too.  `apply` runs the
+    integral factors 1 + sum_{i<j} (i j) and divides by the product of the
+    j (k! per region) once at the end, so chains stay ints until then.
     """
 
     def __init__(self, cube: Cube, region_groups: Iterable[list]):
@@ -833,16 +836,17 @@ class _Symmetrizer:
                         )
                     maps.append(f)
                 self.factors.append(maps)
+        self.weight = inverse(math.prod(len(maps) + 1 for maps in self.factors))
 
     def apply(self, vec: dict) -> dict:
-        out = dict(vec)
+        out = vec
         for maps in self.factors:
             acc = dict(out)
             for f in maps:
                 for k, v in f.apply(out).items():
                     _acc(acc, k, v)
-            out = {k: v / (len(maps) + 1) for k, v in acc.items()}
-        return out
+            out = acc
+        return {k: self.weight * v for k, v in out.items()}
 
 
 def symmetrizer_image_dims(
@@ -983,14 +987,14 @@ class R1Retract:
                 # y (x) x - (dot y) (x) 1 on the strand circle
                 nl = list(base)
                 nl[o_idx] = 1
-                _acc(out, (bs, tuple(nl)), Fraction(1))
+                _acc(out, (bs, tuple(nl)), 1)
                 strand = _circle_index(self.small.circles[ss], self.proj[self.loop_edge])
                 strand_big = [i for i, m in match.items() if m == strand][0]
                 if base[strand_big] == 0:
                     nl = list(base)
                     nl[strand_big] = 1
                     nl[o_idx] = 0
-                    _acc(out, (bs, tuple(nl)), Fraction(-1))
+                    _acc(out, (bs, tuple(nl)), -1)
                 elif self.small.c:
                     nl = list(base)
                     nl[strand_big] = 0
@@ -999,7 +1003,7 @@ class R1Retract:
             else:
                 nl = list(base)
                 nl[o_idx] = 0
-                _acc(out, (bs, tuple(nl)), Fraction(1))
+                _acc(out, (bs, tuple(nl)), 1)
             entries[gen] = out
         return ChainMap(self.small, self.big, entries)
 
@@ -1020,19 +1024,19 @@ class R1Retract:
             if self.sign == 1:
                 # eps on O
                 if labels[o_idx] == 1:
-                    _acc(out, (ss, tuple(base)), Fraction(1))
+                    _acc(out, (ss, tuple(base)), 1)
             else:
                 strand = _circle_index(sc, self.proj[self.loop_edge])
                 if labels[o_idx] == 0:
                     # eps(x * 1) = 1
-                    _acc(out, (ss, tuple(base)), Fraction(1))
+                    _acc(out, (ss, tuple(base)), 1)
                     # minus eps(1) (dot v): eps(1) = 0, no term
                 else:
                     # eps(x*x) = eps(c) = 0; minus eps(x) (dot v) = -(dot v)
                     if base[strand] == 0:
                         nl = list(base)
                         nl[strand] = 1
-                        _acc(out, (ss, tuple(nl)), Fraction(-1))
+                        _acc(out, (ss, tuple(nl)), -1)
                     elif self.small.c:
                         nl = list(base)
                         nl[strand] = 0
@@ -1076,10 +1080,10 @@ def reduction_equivalence(src: Cube, dst: Cube) -> ChainMap:
     match = {g: bd[key][pos] for key, block in bs.items() for pos, g in enumerate(block)}
     entries: dict = {}
     for g in src.generators():
-        red = tr_s.project({g: Fraction(1)})
+        red = tr_s.project({g: 1})
         image: dict = {}
         for gg, v in red.items():
-            for t, w in tr_d.include({match[gg]: Fraction(1)}).items():
+            for t, w in tr_d.include({match[gg]: 1}).items():
                 _acc(image, t, v * w)
         if image:
             entries[g] = image

@@ -1,7 +1,7 @@
 """Bigraded chain complexes over the dotted-cobordism category.
 
 A complex stores generators (id, grading, flat tangle) and a sparse
-differential whose entries are MorphismCombos (or plain Fractions once all
+differential whose entries are MorphismCombos (or plain scalars once all
 objects are empty).  Differentials raise h2 by exactly 2.  The main
 consumers are the crossing-by-crossing scanning build of the Khovanov cube
 (attach a crossing, glue shared edge endpoints, deloop, cancel invertible
@@ -15,7 +15,6 @@ nose.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .cobcat import (
@@ -29,7 +28,7 @@ from .cobcat import (
     identity_cobordism,
 )
 from .gradings import DimTable, Grading, Window
-from .linalg import row_reduce
+from .linalg import inverse, row_reduce
 
 
 class ComplexError(ValueError):
@@ -153,7 +152,7 @@ class BigradedComplex:
         if lam is None:
             raise ComplexError("entry is not an isomorphism")
         inv_map = MorphismCombo.from_cobordism(
-            identity_cobordism(self.gens[t][1]), Fraction(1) / lam
+            identity_cobordism(self.gens[t][1]), inverse(lam)
         )
         ins = [(u, self.d[u][t]) for u in self.d_in[t] if u != s]
         outs = [(v, f) for v, f in self.d[s].items() if v != t]
@@ -260,20 +259,6 @@ class BigradedComplex:
     def shift(self, dh2: int, dq2: int) -> "BigradedComplex":
         c = self.copy()
         c.gens = {gid: (g.shift(dh2, dq2), t) for gid, (g, t) in self.gens.items()}
-        return c
-
-    def transpose(self) -> "BigradedComplex":
-        """Formal dual: arrows reversed, gradings negated."""
-        c = BigradedComplex(self.spec)
-        mapping = {}
-        for gid in self.generators():
-            g, t = self.gens[gid]
-            mapping[gid] = c.add_generator(Grading(-g.h2, -g.q2), t)
-        for s, row in self.d.items():
-            for t, m in row.items():
-                c.set_entry(mapping[t], mapping[s], m.transpose())
-        if self.truncation is not None:
-            c.truncation = self.truncation.reflect()
         return c
 
 
@@ -476,7 +461,7 @@ def _tensor_entry(
             cob = _disjoint_cobordism(ca, cb)
             if pairs:
                 cob = glue_cobordism(cob, pairs)
-            terms[cob] = terms.get(cob, Fraction(0)) + va * vb
+            terms[cob] = terms.get(cob, 0) + va * vb
             src, tgt = cob.source, cob.target
     if src is None:
         # one factor is zero; produce the zero morphism on glued endpoints

@@ -20,11 +20,10 @@ from typing import Iterable, Optional
 
 from .diagram import LinkDiagram
 from .gradings import DimTable, Grading
-from .linalg import Echelon, kernel_basis, row_reduce
+from .linalg import Echelon, inverse, kernel_basis, row_reduce
 
 LABEL_ONE = 0
 LABEL_X = 1
-_ZERO = Fraction(0)  # shared default for dict lookups; Fractions are immutable
 
 
 def resolve_circles(d: LinkDiagram, state: int) -> list[frozenset[str]]:
@@ -102,7 +101,7 @@ class Cube:
             circ2 = self.circles[s2]
             for tgt_labels, coeff in self._edge_map(circ, labels, circ2):
                 key = (s2, tgt_labels)
-                v = out.get(key, Fraction(0)) + sign * coeff
+                v = out.get(key, 0) + sign * coeff
                 if v:
                     out[key] = v
                 else:
@@ -123,9 +122,9 @@ class Cube:
             la, lb = labels[a], labels[b]
             terms = []
             if la + lb == 0:
-                terms = [(LABEL_ONE, Fraction(1))]
+                terms = [(LABEL_ONE, 1)]
             elif la + lb == 1:
-                terms = [(LABEL_X, Fraction(1))]
+                terms = [(LABEL_X, 1)]
             else:
                 if self.c:
                     terms = [(LABEL_ONE, self.c)]
@@ -142,9 +141,9 @@ class Cube:
             u, v = new_circles
             la = labels[a]
             if la == LABEL_ONE:
-                pieces = [({u: 1, v: 0}, Fraction(1)), ({u: 0, v: 1}, Fraction(1))]
+                pieces = [({u: 1, v: 0}, 1), ({u: 0, v: 1}, 1)]
             else:
-                pieces = [({u: 1, v: 1}, Fraction(1))]
+                pieces = [({u: 1, v: 1}, 1)]
                 if self.c:
                     pieces.append(({u: 0, v: 0}, self.c))
             return [(_transfer(circ, labels, circ2, assign), coeff) for assign, coeff in pieces]
@@ -261,14 +260,14 @@ class ChainMap:
     def __init__(self, src: Cube, dst: Cube, entries: dict, h2_shift: int = 0):
         self.src = src
         self.dst = dst
-        self.entries = entries  # gen -> {gen: Fraction}
+        self.entries = entries  # gen -> {gen: coefficient}, int or Fraction
         self.h2_shift = h2_shift
 
     def apply(self, vec: dict) -> dict:
         out: dict = {}
         for g, coeff in vec.items():
             for tgt, v in self.entries.get(g, {}).items():
-                nv = out.get(tgt, Fraction(0)) + coeff * v
+                nv = out.get(tgt, 0) + coeff * v
                 if nv:
                     out[tgt] = nv
                 else:
@@ -283,7 +282,7 @@ class ChainMap:
             acc: dict = {}
             for mid, v in row.items():
                 for tgt, w in then.entries.get(mid, {}).items():
-                    nv = acc.get(tgt, Fraction(0)) + v * w
+                    nv = acc.get(tgt, 0) + v * w
                     if nv:
                         acc[tgt] = nv
                     else:
@@ -318,7 +317,7 @@ class ChainMap:
 
 
 def _acc(d: dict, k, v) -> None:
-    nv = d.get(k, _ZERO) + v
+    nv = d.get(k, 0) + v
     if nv:
         d[k] = nv
     else:
@@ -326,7 +325,7 @@ def _acc(d: dict, k, v) -> None:
 
 
 def identity_map(cube: Cube) -> ChainMap:
-    return ChainMap(cube, cube, {g: {g: Fraction(1)} for g in cube.generators()})
+    return ChainMap(cube, cube, {g: {g: 1} for g in cube.generators()})
 
 
 class TrackedReduction:
@@ -399,7 +398,7 @@ class TrackedReduction:
 
     def _eliminate(self, s, t) -> list:
         lam = self.d[s][t]
-        inv = Fraction(1) / lam
+        inv = inverse(lam)
         in_col = {
             u: v for u, v in self.d_in.get(t, {}).items() if u in self.alive and u != s
         }
@@ -419,7 +418,7 @@ class TrackedReduction:
         for u, a in in_col.items():
             row_u = self.d.setdefault(u, {})
             for v, b in scaled_row.items():
-                cur = row_u.get(v, _ZERO) - a * b
+                cur = row_u.get(v, 0) - a * b
                 if cur:
                     row_u[v] = cur
                     self.d_in.setdefault(v, {})[u] = cur
@@ -440,8 +439,9 @@ class TrackedReduction:
         table: dict = {}
         for s, t, lam, out_row, _ in reversed(self.log):
             image: dict = {}
+            inv = inverse(lam)
             for w, b in out_row.items():
-                c = -b / lam
+                c = -b * inv
                 later = table.get(w)
                 if later is None:  # w survives
                     _acc(image, w, c)
@@ -465,14 +465,14 @@ class TrackedReduction:
         return out
 
     def _include_basis(self, a) -> dict:
-        z = {a: Fraction(1)}
+        z = {a: 1}
         for s, t, lam, out_row, in_col in reversed(self.log):
-            coeff = Fraction(0)
+            coeff = 0
             for u, v in in_col.items():
                 if u in z:
                     coeff += z[u] * v
             if coeff:
-                _acc(z, s, -coeff / lam)
+                _acc(z, s, -coeff * inverse(lam))
         return z
 
     def project(self, v: dict) -> dict:

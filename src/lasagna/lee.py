@@ -35,7 +35,7 @@ def _trace_component(genus: int, dots: int, c: Fraction) -> Fraction:
     multiplies by 2x (the neck-cutting identity m(Delta(1)) = 2x).
     """
     # represent the running element a + b x
-    a, b = Fraction(1), Fraction(0)
+    a, b = 1, 0
     for _ in range(genus):
         a, b = 2 * c * b, 2 * a
     for _ in range(dots):
@@ -44,7 +44,7 @@ def _trace_component(genus: int, dots: int, c: Fraction) -> Fraction:
 
 
 def eval_closed_surface(s: ClosedSurface) -> Fraction:
-    out = Fraction(1)
+    out = 1
     for genus, dots in s.components:
         out *= _trace_component(genus, dots, s.c)
     return out

@@ -1,9 +1,13 @@
 """Sparse exact linear algebra over the rationals.
 
-Matrices are dicts mapping (row, col) -> Fraction with zero entries absent;
-rows and columns are indexed by arbitrary hashable keys.  Everything here is
-deterministic: pivots are chosen by a Markowitz-style fill-in heuristic with
-ties broken by sorted key order.
+Matrices are dicts mapping (row, col) -> coefficient with zero entries
+absent; rows and columns are indexed by arbitrary hashable keys.  A
+coefficient is an int until a division makes it non-integral, and only then
+a Fraction: int with int stays int, int with Fraction gives Fraction, and
+equal values compare and hash equal across the two types.  `inverse` is the
+one place a scalar is inverted, so the cube and cobordism differentials,
+whose entries are mostly +-1, run on Python ints.  Everything here is
+deterministic: pivots are the smallest key present, by sorted key order.
 """
 
 from __future__ import annotations
@@ -16,8 +20,15 @@ def _sort_key(x) -> tuple:
     return (str(type(x)), repr(x))
 
 
+def inverse(x):
+    """The exact inverse of a nonzero scalar: an int for +-1, else a Fraction."""
+    if x == 1 or x == -1:
+        return int(x)
+    return Fraction(1) / x
+
+
 def row_reduce(vectors: list[dict], keygetter=_sort_key) -> list[dict]:
-    """Gaussian elimination of a list of sparse vectors (dict key->Fraction).
+    """Gaussian elimination of a list of sparse vectors (dict key->coefficient).
 
     Returns an independent list in echelon form, each with leading
     coefficient 1 at a distinct pivot key.  Deterministic: pivots are the
@@ -31,13 +42,13 @@ def row_reduce(vectors: list[dict], keygetter=_sort_key) -> list[dict]:
             if pivot in basis:
                 coeff = v[pivot]
                 for k, val in basis[pivot].items():
-                    nv = v.get(k, Fraction(0)) - coeff * val
+                    nv = v.get(k, 0) - coeff * val
                     if nv:
                         v[k] = nv
                     else:
                         v.pop(k, None)
             else:
-                inv = Fraction(1) / v[pivot]
+                inv = inverse(v[pivot])
                 v = {k: val * inv for k, val in v.items()}
                 basis[pivot] = v
                 break
@@ -86,7 +97,7 @@ class Echelon:
         if not v:
             return False
         pivot = min(v, key=_sort_key)
-        inv = Fraction(1) / v[pivot]
+        inv = inverse(v[pivot])
         self.pivots[pivot] = {k: val * inv for k, val in v.items()}
         self._index[pivot] = len(self._index)
         return True
@@ -101,22 +112,22 @@ class Echelon:
 def kernel_basis(entries: dict, cols: list) -> list[dict]:
     """Basis of the kernel of the matrix {(r,c): v} acting on column vectors.
 
-    Columns are the domain.  Returns sparse vectors {col: Fraction}.
+    Columns are the domain.  Returns sparse vectors {col: coefficient}.
     """
     by_col: dict = {c: {} for c in cols}
     for (r, c), v in entries.items():
         if v:
-            by_col[c][r] = Fraction(v)
+            by_col[c][r] = v
     # Reduce columns, tracking the combination that produced each reduced col.
     ech: dict = {}  # pivot row -> (reduced col vector, combination)
     kernel = []
     for c in cols:
         v = dict(by_col[c])
-        comb = {c: Fraction(1)}
+        comb = {c: 1}
         while v:
             pivot = min(v, key=_sort_key)
             if pivot not in ech:
-                inv = Fraction(1) / v[pivot]
+                inv = inverse(v[pivot])
                 ech[pivot] = (
                     {k: val * inv for k, val in v.items()},
                     {k: val * inv for k, val in comb.items()},
@@ -126,13 +137,13 @@ def kernel_basis(entries: dict, cols: list) -> list[dict]:
             pv, pcomb = ech[pivot]
             coeff = v[pivot]
             for k, val in pv.items():
-                nv = v.get(k, Fraction(0)) - coeff * val
+                nv = v.get(k, 0) - coeff * val
                 if nv:
                     v[k] = nv
                 else:
                     v.pop(k, None)
             for k, val in pcomb.items():
-                nc = comb.get(k, Fraction(0)) - coeff * val
+                nc = comb.get(k, 0) - coeff * val
                 if nc:
                     comb[k] = nc
                 else:
@@ -145,16 +156,16 @@ def kernel_basis(entries: dict, cols: list) -> list[dict]:
 def solve_in_span(span_vectors: list[dict], target: dict):
     """Express target as a combination of span_vectors, or return None.
 
-    Returns a list of Fractions (coefficients aligned with span_vectors).
+    Returns a list of coefficients aligned with span_vectors.
     """
     ech: dict = {}  # pivot -> (vector, combination over indices)
     for i, vec in enumerate(span_vectors):
         v = dict(vec)
-        comb = {i: Fraction(1)}
+        comb = {i: 1}
         while v:
             pivot = min(v, key=_sort_key)
             if pivot not in ech:
-                inv = Fraction(1) / v[pivot]
+                inv = inverse(v[pivot])
                 ech[pivot] = (
                     {k: val * inv for k, val in v.items()},
                     {k: val * inv for k, val in comb.items()},
@@ -163,13 +174,13 @@ def solve_in_span(span_vectors: list[dict], target: dict):
             pv, pcomb = ech[pivot]
             coeff = v[pivot]
             for k, val in pv.items():
-                nv = v.get(k, Fraction(0)) - coeff * val
+                nv = v.get(k, 0) - coeff * val
                 if nv:
                     v[k] = nv
                 else:
                     v.pop(k, None)
             for k, val in pcomb.items():
-                nc = comb.get(k, Fraction(0)) - coeff * val
+                nc = comb.get(k, 0) - coeff * val
                 if nc:
                     comb[k] = nc
                 else:
@@ -183,11 +194,11 @@ def solve_in_span(span_vectors: list[dict], target: dict):
         pv, pcomb = ech[pivot]
         coeff = t[pivot]
         for k, val in pv.items():
-            nv = t.get(k, Fraction(0)) - coeff * val
+            nv = t.get(k, 0) - coeff * val
             if nv:
                 t[k] = nv
             else:
                 t.pop(k, None)
         for k, val in pcomb.items():
-            out[k] = out.get(k, Fraction(0)) + coeff * val
-    return [out.get(i, Fraction(0)) for i in range(len(span_vectors))]
+            out[k] = out.get(k, 0) + coeff * val
+    return [out.get(i, 0) for i in range(len(span_vectors))]

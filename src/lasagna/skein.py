@@ -30,7 +30,6 @@ boundary link's transit strands must be crossingless circles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import catalog
@@ -202,7 +201,7 @@ def _rename_map(src: Cube, dst: Cube) -> ChainMap:
     entries = {}
     for gen in src.generators():
         s, labels = gen
-        entries[gen] = {(0, labels): Fraction(1)}
+        entries[gen] = {(0, labels): 1}
     return ChainMap(src, dst, entries)
 
 
@@ -270,11 +269,7 @@ def _composite_rank(g, stages, Hs, mats, r_lo, r_hi) -> int:
     if key not in Hs[r_hi] or not Hs[r_hi][key][0]:
         return 0
     dim_hi = len(Hs[r_hi][key][0])
-    cols = [
-        {i: Fraction(1) if i == j else Fraction(0) for i in range(dim_hi)}
-        for j in range(dim_hi)
-    ]
-    cols = [{k: v for k, v in c.items() if v} for c in cols]
+    cols = [{j: 1} for j in range(dim_hi)]
     cur_key = key
     for r in range(r_hi - 1, r_lo - 1, -1):
         block = mats[r].get(cur_key)
@@ -282,7 +277,7 @@ def _composite_rank(g, stages, Hs, mats, r_lo, r_hi) -> int:
         tgt_dim = len(Hs[r].get(tgt_key, ([], None))[0])
         new_cols = []
         for c in cols:
-            acc = [Fraction(0)] * tgt_dim
+            acc = [0] * tgt_dim
             for src_i, v in c.items():
                 if block is None:
                     continue
@@ -334,7 +329,7 @@ def belt_capping_class(spec: HandlebodySpec, guard_strands: int = 6) -> CappingC
     if not reps0:
         return CappingCertificate(grading, False, 1, False)
     # coordinates of the all-x generator class in the stage-0 representatives
-    all_x = {(0, (1,) * len(stages[0].cube.circles[0])): Fraction(1)}
+    all_x = {(0, (1,) * len(stages[0].cube.circles[0])): 1}
     (allx,) = homology_matrix(lambda v: v, {key0: ([all_x], img0)}, Hs[0])[key0]
     nonzero = any(sum(c * a for c, a in zip(col, allx)) for col in mats.get(src_key, []))
     return CappingCertificate(grading, nonzero, 1, nonzero)

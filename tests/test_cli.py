@@ -96,6 +96,25 @@ def test_determinism_and_cache(tmp_path):
     assert any(f.endswith(".json") for f in os.listdir(tmp_path))
 
 
+@pytest.mark.parametrize(
+    "argv, corrupt",
+    [
+        (["kh", "trefoil.json"], "{}"),
+        (["kh", "trefoil.json"], "[]"),
+        (["lee", "hopf.json"], '{"dims": []}'),
+    ],
+)
+def test_malformed_cache_entry_is_recomputed(tmp_path, argv, corrupt):
+    cmd, name = argv
+    first = run_cli([cmd, fixture(name)], tmp_path)
+    (entry,) = tmp_path.glob("*.json")
+    entry.write_text(corrupt)
+    again = run_cli([cmd, fixture(name)], tmp_path)
+    assert again.returncode == first.returncode == 0, again.stderr
+    assert again.stdout == first.stdout != ""
+    assert entry.read_text() != corrupt  # the bad entry was overwritten
+
+
 def test_input_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")

@@ -143,13 +143,6 @@ def test_truncation_window_guard():
         c.homology_dims(Window(h2_lo=-4, h2_hi=4))
 
 
-def test_transpose_negates_gradings_and_preserves_d_squared():
-    c = scan_complex(catalog.trefoil_right(), simplify=False)
-    t = c.transpose()
-    assert t.verify_d_squared()
-    assert t.homology_dims() == c.homology_dims().reflect()
-
-
 def test_pivot_policies_agree():
     for d in (catalog.trefoil_right(), catalog.figure_eight()):
         a = scan_complex(d, simplify=False).simplify("minfill").homology_dims()

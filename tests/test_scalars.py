@@ -1,0 +1,77 @@
+"""The scalar convention: a coefficient is an int until a division makes it
+non-integral, then a Fraction, and never a float."""
+
+from fractions import Fraction
+
+import pytest
+
+from lasagna import catalog
+from lasagna.cobmaps import full_reduction, homology_matrix
+from lasagna.densecube import Cube
+from lasagna.khovanov import scan_complex
+from lasagna.linalg import inverse
+from lasagna.skein import HandlebodySpec, _Symmetrizer, build_stage
+
+
+def _types(values) -> set:
+    return {type(v) for v in values}
+
+
+def test_inverse_of_a_unit_is_an_int():
+    for x in (1, -1, Fraction(1), Fraction(-1)):
+        y = inverse(x)
+        assert type(y) is int and y * x == 1
+
+
+def test_inverse_of_a_non_unit_is_an_exact_fraction():
+    for x, expected in ((2, Fraction(1, 2)), (Fraction(-3, 2), Fraction(-2, 3))):
+        y = inverse(x)
+        assert type(y) is Fraction and y == expected
+
+
+@pytest.fixture(scope="module")
+def r3_pair():
+    """Full reductions of the R3 pair; only the second meets non-unit pivots."""
+    return [full_reduction(Cube(catalog.braid_closure(w, 3)))
+            for w in ([1, 2, 1, -1, 2], [2, 1, 2, -1, 2])]
+
+
+def _reduction_values(tr):
+    """Every coefficient a reduction stores or hands out."""
+    for rows in (tr.d, tr.d_in):
+        for row in rows.values():
+            yield from row.values()
+    for _, _, lam, out_row, in_col in tr.log:
+        yield lam
+        yield from out_row.values()
+        yield from in_col.values()
+    for g in tr.gens:
+        yield from tr.project({g: 1}).values()
+    for a in tr.alive:
+        yield from tr.include({a: 1}).values()
+
+
+def test_reduction_coefficients_are_exact(r3_pair):
+    unit, mixed = r3_pair
+    assert all(lam in (1, -1) for _, _, lam, _, _ in unit.log)
+    assert _types(_reduction_values(unit)) == {int}
+    assert any(lam not in (1, -1) for _, _, lam, _, _ in mixed.log)
+    assert _types(_reduction_values(mixed)) == {int, Fraction}
+
+
+def test_symmetrizer_and_homology_matrix_are_exact():
+    st = build_stage(HandlebodySpec(catalog.empty_surgery(1), (0,)), 2)
+    sym = _Symmetrizer(st.cube, st.belt_groups.values())
+    H = st.cube.homology_basis()
+    reps = [v for reps, _img in H.values() for v in reps]
+    assert reps
+    images = [c for v in reps for c in sym.apply(v).values()]
+    assert images and _types(images) <= {int, Fraction}
+    cols = [c for block in homology_matrix(sym.apply, H, H).values() for col in block for c in col]
+    assert cols and _types(cols) <= {int, Fraction}
+
+
+def test_unsimplified_scan_coefficients_are_ints():
+    c = scan_complex(catalog.trefoil_right(), simplify=False)
+    terms = [v for row in c.d.values() for m in row.values() for v in m.terms.values()]
+    assert terms and _types(terms) == {int}

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -150,7 +151,7 @@ def test_symmetrizer_equals_average_over_all_permutations(boundary, offset, r):
             for f in maps:
                 for k, v in f.apply(vec).items():
                     acc[k] = acc.get(k, 0) + v
-            vec = {k: v / len(maps) for k, v in acc.items() if v}
+            vec = {k: Fraction(v, len(maps)) for k, v in acc.items() if v}
         return vec
 
     reps = [v for reps, _img in st.cube.homology_basis().values() for v in reps]
