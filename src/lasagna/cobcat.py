@@ -23,7 +23,8 @@ per node set in bounded LRU caches.
 `MorphismCombo.invertible_scalar` recognizes lambda * identity from the
 shape of its single term (one undotted genus-0 component {("s", k),
 ("t", k)} per arc or loop k of the source) without building the identity
-cobordism.
+cobordism.  Gluing the identity onto a cobordism gives it back unchanged, so
+composing a normal-form combo with lambda * identity is `scale(lambda)`.
 
 Gradings are bookkept by the complexes that use these morphisms, not here.
 The delooping maps follow the classical Khovanov convention: the circle is
@@ -458,6 +459,25 @@ def _reduce_cobordism(cob: Cobordism, spec: FrobeniusSpec):
             done.append((Cobordism(cob.source, cob.target, comps), coeff))
             continue
     return done
+
+
+def cap_loop(m: MorphismCombo, side: str, loop, dots: int, spec: FrobeniusSpec) -> MorphismCombo:
+    """m followed by a cap (side "t") or preceded by a cup (side "s") on a loop, reduced.
+
+    The disk removes the node (side, loop) from the one component holding it
+    and adds `dots`.  A loop node is a whole boundary circle, so the genus is
+    unchanged: the circle count drops by one and chi rises by one.  Equals
+    composing with the cap or cup of `deloop_maps` carrying as many dots.
+    """
+    node = (side, loop)
+    src = m.source.without_loop(loop) if side == "s" else m.source
+    tgt = m.target.without_loop(loop) if side == "t" else m.target
+    out = MorphismCombo(src, tgt)
+    for cob, coeff in m.terms.items():
+        comps = [Component(c.nodes - {node}, c.dots + dots, c.genus) if node in c.nodes else c
+                 for c in cob.comps]
+        out._add_term(Cobordism(src, tgt, comps), coeff)
+    return reduce(out, spec)
 
 
 def deloop_maps(t: FlatTangle, loop, spec: FrobeniusSpec):

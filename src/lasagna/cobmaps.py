@@ -771,20 +771,17 @@ def _permutation_chain_map(cube: Cube, groups: list, perm: tuple) -> ChainMap:
     """Permute belt circles by transporting labels along crossed tubes.
 
     Works per state; where some belt is not exactly one circle, or two belts
-    share a circle, the state is left fixed.  Callers check the result with
-    `is_chain_map`.
+    share a circle, the state is left fixed.  The belts' circles are found
+    once per state.  Callers check the result with `is_chain_map`.
     """
     entries = {}
+    belts: dict[int, Optional[list[int]]] = {}  # state -> circle index per belt group
     for gen in cube.generators():
         s, labels = gen
-        circles = cube.circles[s]
-        idx = []
-        for grp in groups:
-            found = {i for i, c in enumerate(circles) if any(e in c for e in grp)}
-            if len(found) != 1:
-                break
-            idx.append(found.pop())
-        if len(idx) == len(groups) and len(set(idx)) == len(idx):
+        if s not in belts:
+            belts[s] = _belt_circle_indices(cube.circles[s], groups)
+        idx = belts[s]
+        if idx is not None:
             nl = list(labels)
             for a, b in enumerate(perm):
                 nl[idx[b]] = labels[idx[a]]
@@ -792,6 +789,17 @@ def _permutation_chain_map(cube: Cube, groups: list, perm: tuple) -> ChainMap:
         else:
             entries[gen] = {gen: 1}
     return ChainMap(cube, cube, entries)
+
+
+def _belt_circle_indices(circles: list, groups: list) -> Optional[list[int]]:
+    """The circle of each belt group, or None unless they are distinct single circles."""
+    idx = []
+    for grp in groups:
+        found = {i for i, c in enumerate(circles) if any(e in c for e in grp)}
+        if len(found) != 1:
+            return None
+        idx.append(found.pop())
+    return idx if len(set(idx)) == len(idx) else None
 
 
 def swap_map(cube: Cube, group_a: list[str], group_b: list[str]) -> ChainMap:

@@ -10,7 +10,14 @@ entries) and the rank computations extracting homology dimensions.
 Gluing identifies boundary points in pairs.  Loops created by a closing arc
 chain are named by the frozenset of constituent arcs, so gluing a
 generator's tangle and gluing a differential entry's cobordism agree on the
-nose.
+nose.  `planar_tensor` glues each distinct pair of factor tangles once and
+keeps the glued tangle, keymap and joined source arcs for that call only;
+every entry between two generators glues its components against the cached
+gluings of its two ends, never re-gluing a tangle.
+
+Delooping caps or cups a loop in place (`cobcat.cap_loop`): a loop node is a
+whole boundary circle of the one component holding it, so the disk drops the
+circle count by one and raises chi by one, leaving the genus as it was.
 """
 
 from __future__ import annotations
@@ -24,8 +31,9 @@ from .cobcat import (
     KHOVANOV,
     MorphismCombo,
     _glued_component,
-    deloop_maps,
+    cap_loop,
     identity_cobordism,
+    reduce,
 )
 from .gradings import DimTable, Grading, Window
 from .linalg import inverse, row_reduce
@@ -120,18 +128,19 @@ class BigradedComplex:
         # repr order: the loop taken first fixes the new generators' ids, and
         # pivot choices depend on those
         loop = min(tangle.loops, key=repr)
-        (out_p, in_p), (out_m, in_m) = deloop_maps(tangle, loop, self.spec)
-        g_p = self.add_generator(grading.shift(0, 2), tangle.without_loop(loop))
-        g_m = self.add_generator(grading.shift(0, -2), tangle.without_loop(loop))
+        base = tangle.without_loop(loop)
+        g_p = self.add_generator(grading.shift(0, 2), base)
+        g_m = self.add_generator(grading.shift(0, -2), base)
         ins = [(u, self.d[u][gid]) for u in self.d_in[gid]]
         outs = list(self.d[gid].items())
         self._drop_generator(gid)
+        # the q+1 summand: dotted cap out, plain cup in; the q-1 summand the reverse
         for u, f in ins:
-            self.set_entry(u, g_p, f.then(out_p, self.spec))
-            self.set_entry(u, g_m, f.then(out_m, self.spec))
+            self.set_entry(u, g_p, cap_loop(f, "t", loop, 1, self.spec))
+            self.set_entry(u, g_m, cap_loop(f, "t", loop, 0, self.spec))
         for v, f in outs:
-            self.set_entry(g_p, v, in_p.then(f, self.spec))
-            self.set_entry(g_m, v, in_m.then(f, self.spec))
+            self.set_entry(g_p, v, cap_loop(f, "s", loop, 0, self.spec))
+            self.set_entry(g_m, v, cap_loop(f, "s", loop, 1, self.spec))
         return g_p, g_m
 
     def deloop_all(self) -> None:
@@ -151,16 +160,15 @@ class BigradedComplex:
         lam = m.invertible_scalar()
         if lam is None:
             raise ComplexError("entry is not an isomorphism")
-        inv_map = MorphismCombo.from_cobordism(
-            identity_cobordism(self.gens[t][1]), inverse(lam)
-        )
-        ins = [(u, self.d[u][t]) for u in self.d_in[t] if u != s]
+        # a -> (lam^-1 id) -> b, negated; entries are in normal form, so
+        # composing with lam^-1 id is scaling by lam^-1
+        ins = [(u, self.d[u][t].scale(-inverse(lam))) for u in self.d_in[t] if u != s]
         outs = [(v, f) for v, f in self.d[s].items() if v != t]
         self._drop_generator(s)
         self._drop_generator(t)
         for u, a in ins:
             for v, b in outs:
-                corr = a.then(inv_map, self.spec).then(b, self.spec).scale(-1)
+                corr = a.then(b, self.spec)
                 old = self.entry(u, v)
                 self.set_entry(u, v, old + corr if old else corr)
 
@@ -320,19 +328,25 @@ def glue_tangle(t: FlatTangle, pairs: list[tuple]) -> tuple[FlatTangle, dict]:
     return FlatTangle(arcs, loops), keymap
 
 
-def glue_cobordism(cob: Cobordism, pairs: list[tuple]) -> Cobordism:
-    """Self-glue a cobordism along boundary point pairs (same pairs on both ends)."""
-    src, src_map = glue_tangle(cob.source, pairs)
-    tgt, tgt_map = glue_tangle(cob.target, pairs)
-    s_arc_at = {}
-    for a in cob.source.arcs:
-        for p in a:
-            s_arc_at[p] = a
-    comp_of: dict = {}
-    for i, c in enumerate(cob.comps):
-        for node in c.nodes:
-            comp_of[node] = i
-    parent = list(range(len(cob.comps)))
+def tangle_gluing(t: FlatTangle, pairs: list[tuple]) -> tuple:
+    """(glued tangle, keymap, source-arc node pairs joined) for gluing t along pairs."""
+    glued, keymap = glue_tangle(t, pairs)
+    arc_at = {p: a for a in t.arcs for p in a}
+    return glued, keymap, [(("s", arc_at[p]), ("s", arc_at[q])) for p, q in pairs]
+
+
+def glue_cobordism(comps: tuple, src: tuple, tgt: tuple) -> Cobordism:
+    """Self-glue a disjoint union of components between the tangles glued as src and tgt.
+
+    `src` and `tgt` come from `tangle_gluing` with the same pairs.  The
+    vertical boundary line at a point joins its source and target arcs, so
+    source arcs decide which components merge; each glued pair is one
+    interval, lowering chi by one.  A component no pair touches is kept.
+    """
+    src_tangle, src_map, joins = src
+    tgt_tangle, tgt_map, _ = tgt
+    comp_of = {node: i for i, c in enumerate(comps) for node in c.nodes}
+    parent = list(range(len(comps)))
 
     def find(x):
         while parent[x] != x:
@@ -340,56 +354,40 @@ def glue_cobordism(cob: Cobordism, pairs: list[tuple]) -> Cobordism:
             x = parent[x]
         return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
+    for na, nb in joins:
+        ra, rb = find(comp_of[na]), find(comp_of[nb])
         if ra != rb:
             parent[ra] = rb
-
-    glued_in: dict[int, int] = {}
-    for p, q in pairs:
-        ca = comp_of[("s", s_arc_at[p])]
-        cb = comp_of[("s", s_arc_at[q])]
-        union(ca, cb)
-    for p, q in pairs:
-        root = find(comp_of[("s", s_arc_at[p])])
-        glued_in[root] = glued_in.get(root, 0) + 1
-    # regroup after all unions: counts keyed by final root
     counts: dict[int, int] = {}
-    for root, n in glued_in.items():
-        counts[find(root)] = counts.get(find(root), 0) + n
-
+    for na, _ in joins:
+        root = find(comp_of[na])
+        counts[root] = counts.get(root, 0) + 1
     groups: dict[int, list[int]] = {}
-    for i in range(len(cob.comps)):
+    for i in range(len(comps)):
         groups.setdefault(find(i), []).append(i)
 
-    comps = []
+    out = []
     for root, idxs in groups.items():
+        if root not in counts:
+            out.append(comps[root])
+            continue
         nodes = set()
-        chi = -counts.get(root, 0)
+        chi = -counts[root]
         dots = 0
         for i in idxs:
-            c = cob.comps[i]
+            c = comps[i]
             chi += c.euler_characteristic()
             dots += c.dots
             for side, k in c.nodes:
-                m = src_map if side == "s" else tgt_map
-                nodes.add((side, m[k]))
-        comps.append(_glued_component(frozenset(nodes), dots, chi))
-    return Cobordism(src, tgt, comps)
+                nodes.add((side, (src_map if side == "s" else tgt_map)[k]))
+        out.append(_glued_component(frozenset(nodes), dots, chi))
+    return Cobordism(src_tangle, tgt_tangle, out)
 
 
 def _disjoint_tangle(a: FlatTangle, b: FlatTangle) -> FlatTangle:
     if a.points & b.points or a.loops & b.loops:
         raise ComplexError("tangles to tensor must have disjoint labels")
     return FlatTangle(list(a.arcs) + list(b.arcs), list(a.loops) + list(b.loops))
-
-
-def _disjoint_cobordism(f: Cobordism, g: Cobordism) -> Cobordism:
-    return Cobordism(
-        _disjoint_tangle(f.source, g.source),
-        _disjoint_tangle(f.target, g.target),
-        list(f.comps) + list(g.comps),
-    )
 
 
 def planar_tensor(
@@ -405,70 +403,42 @@ def planar_tensor(
         raise ComplexError("tensor factors must share a Frobenius spec")
     out = BigradedComplex(a.spec)
     pairs = list(gluing or [])
-    index: dict[tuple[int, int], int] = {}
-    glue_cache: dict = {}
-
-    def glued_tangle(t: FlatTangle) -> tuple[FlatTangle, dict]:
-        if t not in glue_cache:
-            glue_cache[t] = glue_tangle(t, pairs) if pairs else (t, {})
-        return glue_cache[t]
-
+    gluings: dict = {}  # (tangle of a, tangle of b) -> tangle_gluing of their union
+    ends: dict[tuple[int, int], tuple[int, tuple]] = {}  # (ga, gb) -> (generator, gluing)
     for ga in a.generators():
+        gr_a, t_a = a.gens[ga]
         for gb in b.generators():
-            (gr_a, t_a) = a.gens[ga]
-            (gr_b, t_b) = b.gens[gb]
-            t = _disjoint_tangle(t_a, t_b)
-            glued, _ = glued_tangle(t)
-            index[(ga, gb)] = out.add_generator(gr_a + gr_b, glued)
-    for (ga, gb), gid in index.items():
-        (gr_a, t_a) = a.gens[ga]
-        (gr_b, t_b) = b.gens[gb]
+            gr_b, t_b = b.gens[gb]
+            if (t_a, t_b) not in gluings:
+                gluings[(t_a, t_b)] = tangle_gluing(_disjoint_tangle(t_a, t_b), pairs)
+            glued = gluings[(t_a, t_b)]
+            ends[(ga, gb)] = (out.add_generator(gr_a + gr_b, glued[0]), glued)
+    ids_a = {ga: identity_cobordism(t).comps for ga, (_, t) in a.gens.items()}
+    ids_b = {gb: identity_cobordism(t).comps for gb, (_, t) in b.gens.items()}
+    for (ga, gb), (gid, src) in ends.items():
+        gr_a = a.gens[ga][0]
         if gr_a.h2 % 2:
             raise ComplexError("Koszul sign needs integral h on the left factor")
         # d_a (x) id
-        for ta, m in a.d.get(ga, {}).items():
-            tgt = index[(ta, gb)]
-            entry = _tensor_entry(m, None, t_a, t_b, pairs, out.spec)
-            _accumulate(out, gid, tgt, entry)
+        for ta, m in a.d[ga].items():
+            tgt_id, tgt = ends[(ta, gb)]
+            terms = [(ca.comps + ids_b[gb], v) for ca, v in m.terms.items()]
+            _accumulate(out, gid, tgt_id, _tensor_entry(terms, src, tgt, out.spec))
         # (-1)^h id (x) d_b
         sign = -1 if (gr_a.h2 // 2) % 2 else 1
-        for tb, m in b.d.get(gb, {}).items():
-            tgt = index[(ga, tb)]
-            entry = _tensor_entry(None, m, t_a, t_b, pairs, out.spec).scale(sign)
-            _accumulate(out, gid, tgt, entry)
+        for tb, m in b.d[gb].items():
+            tgt_id, tgt = ends[(ga, tb)]
+            terms = [(ids_a[ga] + cb.comps, sign * v) for cb, v in m.terms.items()]
+            _accumulate(out, gid, tgt_id, _tensor_entry(terms, src, tgt, out.spec))
     return out
 
 
-def _tensor_entry(
-    ma: Optional[MorphismCombo],
-    mb: Optional[MorphismCombo],
-    t_a: FlatTangle,
-    t_b: FlatTangle,
-    pairs: list[tuple],
-    spec: FrobeniusSpec,
-) -> MorphismCombo:
-    from .cobcat import reduce as cob_reduce
-
-    if ma is None:
-        ma = MorphismCombo.from_cobordism(identity_cobordism(t_a))
-    if mb is None:
-        mb = MorphismCombo.from_cobordism(identity_cobordism(t_b))
-    src = None
-    tgt = None
-    terms = {}
-    for ca, va in ma.terms.items():
-        for cb, vb in mb.terms.items():
-            cob = _disjoint_cobordism(ca, cb)
-            if pairs:
-                cob = glue_cobordism(cob, pairs)
-            terms[cob] = terms.get(cob, 0) + va * vb
-            src, tgt = cob.source, cob.target
-    if src is None:
-        # one factor is zero; produce the zero morphism on glued endpoints
-        sa, _ = glue_tangle(_disjoint_tangle(ma.source, mb.source), pairs)
-        ta, _ = glue_tangle(_disjoint_tangle(ma.target, mb.target), pairs)
-        return MorphismCombo.zero(sa, ta)
-    return cob_reduce(MorphismCombo(src, tgt, terms), spec)
+def _tensor_entry(terms: list, src: tuple, tgt: tuple, spec: FrobeniusSpec) -> MorphismCombo:
+    """The reduced sum of (disjoint components, coefficient) terms, each glued."""
+    out = MorphismCombo(src[0], tgt[0])
+    for comps, v in terms:
+        out._add_term(glue_cobordism(comps, src, tgt), v)
+    return reduce(out, spec)
 
 
 def _accumulate(c: BigradedComplex, s: int, t: int, m: MorphismCombo) -> None:

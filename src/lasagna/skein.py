@@ -230,6 +230,7 @@ def s02_dims(
         ranks = block_ranks(homology_matrix(sym.apply, H_win, H))
         stage_tables.append(DimTable({_classical_to_global(*k, st): v for k, v in ranks.items()}))
     # transitions down: M[r]: H(stage r+1) -> H(stage r), symmetrized
+    drop = _transition_q2_drop(spec)
     mats = [_transition_matrix(spec, stages, syms, Hs, r) for r in range(r_max)]
     table = DimTable()
     stable = {}
@@ -240,8 +241,8 @@ def s02_dims(
     for g in sorted(gradings):
         if not window.contains(g):
             continue
-        last = _composite_rank(g, stages, Hs, mats, r_max - 1, r_max)
-        prev = _composite_rank(g, stages, Hs, mats, r_max - 2, r_max - 1)
+        last = _composite_rank(g, stages, Hs, mats, drop, r_max - 1, r_max)
+        prev = _composite_rank(g, stages, Hs, mats, drop, r_max - 2, r_max - 1)
         if last:
             table.add(g, last)
         # a class that could not exist before stage r_max-1 is fresh, not
@@ -251,19 +252,26 @@ def s02_dims(
     return LasagnaResult(table, window, stage_tables, stable)
 
 
+def _transition_q2_drop(spec: HandlebodySpec) -> int:
+    """Classical q2 change of one transition: each region loses a belt pair, q2 -4 each."""
+    return -4 * len(spec.boundary.regions)
+
+
 def _transition_matrix(spec, stages, syms, Hs, r) -> dict:
-    """Symmetrized annihilation H(stage r+1) -> H(stage r); classical q2 drops by 4."""
+    """Symmetrized annihilation H(stage r+1) -> H(stage r), lowering classical q2."""
     F = transition_down(spec, stages[r + 1], stages[r])
     return homology_matrix(
-        lambda v: syms[r].apply(F.apply(syms[r + 1].apply(v))), Hs[r + 1], Hs[r], (0, -4)
+        lambda v: syms[r].apply(F.apply(syms[r + 1].apply(v))), Hs[r + 1], Hs[r],
+        (0, _transition_q2_drop(spec)),
     )
 
 
-def _composite_rank(g, stages, Hs, mats, r_lo, r_hi) -> int:
+def _composite_rank(g, stages, Hs, mats, drop, r_lo, r_hi) -> int:
     """Rank at global grading g of the colimit map W_{r_lo} -> W_{r_hi}.
 
     Equals the rank of the composed symmetrized annihilation matrices from
-    stage r_hi down to r_lo, restricted to the block of g.
+    stage r_hi down to r_lo, restricted to the block of g; each step moves
+    classical q2 by `drop`.
     """
     key = _global_to_classical(g, stages[r_hi])
     if key not in Hs[r_hi] or not Hs[r_hi][key][0]:
@@ -273,7 +281,7 @@ def _composite_rank(g, stages, Hs, mats, r_lo, r_hi) -> int:
     cur_key = key
     for r in range(r_hi - 1, r_lo - 1, -1):
         block = mats[r].get(cur_key)
-        tgt_key = (cur_key[0], cur_key[1] - 4)
+        tgt_key = (cur_key[0], cur_key[1] + drop)
         tgt_dim = len(Hs[r].get(tgt_key, ([], None))[0])
         new_cols = []
         for c in cols:
@@ -324,7 +332,7 @@ def belt_capping_class(spec: HandlebodySpec, guard_strands: int = 6) -> CappingC
     mats = _transition_matrix(spec, stages, syms, Hs, 0)
     # classical block of the target grading in stage 0 and the all-x row
     key0 = _global_to_classical(grading, stages[0])
-    src_key = (key0[0], key0[1] + 4)
+    src_key = (key0[0], key0[1] - _transition_q2_drop(spec))
     reps0, img0 = Hs[0].get(key0, ([], None))
     if not reps0:
         return CappingCertificate(grading, False, 1, False)

@@ -12,6 +12,7 @@ from lasagna.cobcat import (
     FrobeniusSpec,
     MorphismCombo,
     cap,
+    cap_loop,
     cup,
     deloop_maps,
     elementary_saddle,
@@ -192,6 +193,57 @@ def _connect(a: FlatTangle, b: FlatTangle) -> Cobordism:
         groups.setdefault(find(n), set()).add(n)
     comps = [Component(frozenset(g), 0, 0) for g in groups.values()]
     return Cobordism(a, b, comps)
+
+
+def _random_cobordism(rng, source, target, loop_side):
+    """Boundary circles of source -> target grouped at random into components.
+
+    Components get 0-2 dots and genus 0-1; the circle of the loop "c" on
+    `loop_side` is alone on its component in about half of the draws.
+    """
+    circles = [set(c.nodes) for c in _connect(source, target).comps]
+    loop = (loop_side, "c")
+    comps = []
+    rng.shuffle(circles)
+    if rng.random() < 0.5:
+        circles.remove({loop})
+        comps.append(Component(frozenset({loop}), rng.randint(0, 2), rng.randint(0, 1)))
+    while circles:
+        take = rng.randint(1, min(3, len(circles)))
+        nodes = frozenset().union(*circles[:take])
+        circles = circles[take:]
+        comps.append(Component(nodes, rng.randint(0, 2), rng.randint(0, 1)))
+    return Cobordism(source, target, comps)
+
+
+@pytest.mark.parametrize("spec", [KHOVANOV, LEE], ids=["c=0", "c=1"])
+def test_cap_loop_equals_composing_with_deloop_maps(spec):
+    rng = random.Random(5)
+    pts = list(range(4))
+    seen = set()
+    for _ in range(60):
+        a = _random_flat_tangles(rng, pts)
+        b = _random_flat_tangles(rng, pts)
+        if rng.random() < 0.5:
+            b = b.with_loop("d")
+        for side in ("t", "s"):
+            src, tgt = (a, b.with_loop("c")) if side == "t" else (b.with_loop("c"), a)
+            m = MorphismCombo(src, tgt)
+            for _ in range(rng.randint(1, 3)):
+                cob = _random_cobordism(rng, src, tgt, side)
+                m = m + MorphismCombo.from_cobordism(cob, rng.choice([1, -2, Fraction(1, 3)]))
+                holder = next(c for c in cob.comps if (side, "c") in c.nodes)
+                seen.add("alone" if len(holder.nodes) == 1 else "shared")
+                seen.add("genus" if holder.genus else "disk")
+            (out_p, in_p), (out_m, in_m) = deloop_maps(tgt if side == "t" else src, "c", spec)
+            for f in (m, reduce(m, spec)):
+                if side == "t":
+                    assert cap_loop(f, "t", "c", 1, spec) == f.then(out_p, spec)
+                    assert cap_loop(f, "t", "c", 0, spec) == f.then(out_m, spec)
+                else:
+                    assert cap_loop(f, "s", "c", 0, spec) == in_p.then(f, spec)
+                    assert cap_loop(f, "s", "c", 1, spec) == in_m.then(f, spec)
+    assert seen == {"alone", "shared", "genus", "disk"}
 
 
 def test_domain_mismatch_raises():

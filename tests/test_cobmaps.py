@@ -256,3 +256,59 @@ def test_movie_with_coev_and_swap():
     assert f.is_chain_map()
     # dotted coev then merge gives x*x = 0, so the composite vanishes
     assert not f.entries
+
+
+def _belt_link_2_stage_1():
+    from lasagna.skein import HandlebodySpec, build_stage
+
+    st = build_stage(HandlebodySpec(catalog.belt_link(2), (0,)), 1)
+    (groups,) = st.belt_groups.values()
+    return st.cube, groups
+
+
+def _trefoil_and_two_circles():
+    d = birth_diagram(birth_diagram(catalog.trefoil_right(), "x"), "y")
+    return Cube(d), [["x"], ["y"], [catalog.trefoil_right().edges[0]]]
+
+
+@pytest.mark.parametrize(
+    "make, moves",
+    [
+        (_belt_link_2_stage_1, False),  # a belt crossing strands never is its own circle
+        (_trefoil_and_two_circles, True),  # 8 states, circle positions vary by state
+    ],
+    ids=["belt-link-2-stage-1", "trefoil-and-two-circles"],
+)
+def test_permutation_chain_map_finds_belts_once_per_state(make, moves):
+    from itertools import permutations
+
+    from lasagna.cobmaps import _permutation_chain_map
+
+    cube, groups = make()
+
+    def per_generator(perm):
+        entries = {}
+        for gen in cube.generators():
+            s, labels = gen
+            circles = cube.circles[s]
+            idx = []
+            for grp in groups:
+                found = {i for i, c in enumerate(circles) if any(e in c for e in grp)}
+                if len(found) != 1:
+                    break
+                idx.append(found.pop())
+            if len(idx) == len(groups) and len(set(idx)) == len(idx):
+                nl = list(labels)
+                for a, b in enumerate(perm):
+                    nl[idx[b]] = labels[idx[a]]
+                entries[gen] = {(s, tuple(nl)): 1}
+            else:
+                entries[gen] = {gen: 1}
+        return entries
+
+    moved = 0
+    for perm in permutations(range(len(groups))):
+        expected = per_generator(perm)
+        assert _permutation_chain_map(cube, groups, perm).entries == expected
+        moved += sum(1 for g, row in expected.items() if row != {g: 1})
+    assert bool(moved) == moves

@@ -6,13 +6,23 @@ import pytest
 from lasagna import catalog
 from lasagna.cobcat import (
     KHOVANOV,
+    LEE,
     Cobordism,
     Component,
     FlatTangle,
     MorphismCombo,
+    _glued_component,
     identity_cobordism,
+    reduce,
 )
-from lasagna.complexes import BigradedComplex, ComplexError, planar_tensor
+from lasagna.complexes import (
+    BigradedComplex,
+    ComplexError,
+    glue_cobordism,
+    glue_tangle,
+    planar_tensor,
+    tangle_gluing,
+)
 from lasagna.gradings import DimTable, Grading, Window
 from lasagna.khovanov import kh_dims_bruteforce, scan_complex
 
@@ -294,3 +304,151 @@ def test_maintained_pivot_set_equals_rescan(unsimplified_scans, monkeypatch):
         # scanning with simplification: delooping and elimination on open tangles
         scan_complex(d)
     assert len(checked) > 100
+
+
+# -- the fast paths against their general references ---------------------------
+
+
+def _union(a, b):
+    return FlatTangle(list(a.arcs) + list(b.arcs), list(a.loops) + list(b.loops))
+
+
+def _glue_from_scratch(cob, pairs):
+    """Glue a whole cobordism: glue_tangle on both ends, every component re-derived."""
+    src, src_map = glue_tangle(cob.source, pairs)
+    tgt, tgt_map = glue_tangle(cob.target, pairs)
+    arc_at = {p: a for a in cob.source.arcs for p in a}
+    comp_of = {n: i for i, c in enumerate(cob.comps) for n in c.nodes}
+    parent = list(range(len(cob.comps)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for p, q in pairs:
+        parent[find(comp_of[("s", arc_at[p])])] = find(comp_of[("s", arc_at[q])])
+    comps = []
+    for root in {find(i) for i in range(len(cob.comps))}:
+        members = [c for i, c in enumerate(cob.comps) if find(i) == root]
+        glued = sum(1 for p, _ in pairs if find(comp_of[("s", arc_at[p])]) == root)
+        nodes = frozenset((side, (src_map if side == "s" else tgt_map)[k])
+                          for c in members for side, k in c.nodes)
+        chi = sum(c.euler_characteristic() for c in members) - glued
+        comps.append(_glued_component(nodes, sum(c.dots for c in members), chi))
+    return Cobordism(src, tgt, comps)
+
+
+def _tensor_from_scratch(a, b, pairs):
+    """The Koszul-signed glued tensor built entry by entry, every term glued from scratch.
+
+    Also checks that `glue_cobordism` on each term agrees with the from-scratch glue.
+    """
+    out = BigradedComplex(a.spec)
+    index = {}
+    for ga in a.generators():
+        for gb in b.generators():
+            (gr_a, t_a), (gr_b, t_b) = a.gens[ga], b.gens[gb]
+            glued, _ = glue_tangle(_union(t_a, t_b), pairs)
+            index[(ga, gb)] = out.add_generator(gr_a + gr_b, glued)
+    for (ga, gb), gid in index.items():
+        (gr_a, t_a), (_, t_b) = a.gens[ga], b.gens[gb]
+        sign = -1 if (gr_a.h2 // 2) % 2 else 1
+        moves = [((ta, gb), m, MorphismCombo.from_cobordism(identity_cobordism(t_b)))
+                 for ta, m in a.d[ga].items()]
+        moves += [((ga, tb), MorphismCombo.from_cobordism(identity_cobordism(t_a), sign), m)
+                  for tb, m in b.d[gb].items()]
+        for key, ma, mb in moves:
+            src_t, tgt_t = _union(ma.source, mb.source), _union(ma.target, mb.target)
+            entry = MorphismCombo(glue_tangle(src_t, pairs)[0], glue_tangle(tgt_t, pairs)[0])
+            for ca, va in ma.terms.items():
+                for cb, vb in mb.terms.items():
+                    cob = _glue_from_scratch(Cobordism(src_t, tgt_t, ca.comps + cb.comps), pairs)
+                    fast = glue_cobordism(ca.comps + cb.comps, tangle_gluing(src_t, pairs),
+                                          tangle_gluing(tgt_t, pairs))
+                    assert fast == cob
+                    entry = entry + MorphismCombo.from_cobordism(cob, va * vb)
+            entry = reduce(entry, a.spec)
+            old = out.entry(gid, index[key])
+            out.set_entry(gid, index[key], old + entry if old else entry)
+    return out
+
+
+def test_planar_tensor_matches_from_scratch_gluing(monkeypatch):
+    from lasagna import khovanov
+    from lasagna.projector import twist_all_regions
+
+    sizes = []
+
+    def checking(a, b, gluing=None):
+        c = planar_tensor(a, b, gluing)
+        ref = _tensor_from_scratch(a, b, list(gluing or []))
+        assert c.gens == ref.gens
+        assert c.d == ref.d
+        sizes.append(sum(len(row) for row in c.d.values()))
+        return c
+
+    from lasagna.cobmaps import r1_kink
+
+    monkeypatch.setattr(khovanov, "planar_tensor", checking)
+    scan_complex(catalog.torus_link(3, 4))
+    scan_complex(twist_all_regions(catalog.belt_link(2), 1))
+    # a kink glues two points of one crossing: a component glued to itself
+    kinked, _, _ = r1_kink(catalog.trefoil_right(), catalog.trefoil_right().edges[0], 1)
+    scan_complex(kinked)
+    assert len(sizes) == 14 and sum(sizes) > 100
+
+
+def _eliminate_by_composition(c, s, t):
+    """Gaussian elimination composing through lambda^-1 * identity, then negating."""
+    from lasagna.linalg import inverse
+
+    lam = c.entry(s, t).invertible_scalar()
+    inv_map = MorphismCombo.from_cobordism(identity_cobordism(c.gens[t][1]), inverse(lam))
+    ins = [(u, c.d[u][t]) for u in c.d_in[t] if u != s]
+    outs = [(v, f) for v, f in c.d[s].items() if v != t]
+    c._drop_generator(s)
+    c._drop_generator(t)
+    for u, a in ins:
+        for v, b in outs:
+            corr = a.then(inv_map, c.spec).then(b, c.spec).scale(-1)
+            old = c.entry(u, v)
+            c.set_entry(u, v, old + corr if old else corr)
+    return lam, len(ins) * len(outs)
+
+
+@pytest.mark.parametrize("spec", [KHOVANOV, LEE], ids=["c=0", "c=1"])
+def test_scaled_elimination_equals_composing_with_inverse_identity(spec, monkeypatch):
+    eliminate = BigradedComplex.gaussian_eliminate
+    lams = []
+    pairs = []
+
+    def checking(self, s, t):
+        ref = self.copy()
+        lam, n = _eliminate_by_composition(ref, s, t)
+        eliminate(self, s, t)
+        assert self.gens == ref.gens
+        assert self.d == ref.d
+        lams.append(lam)
+        pairs.append(n)
+
+    monkeypatch.setattr(BigradedComplex, "gaussian_eliminate", checking)
+    scan_complex(catalog.torus_link(3, 4), spec)
+    assert sum(pairs) > 20
+    assert any(abs(lam) != 1 for lam in lams)  # a non-unit inverse is exercised
+
+
+def test_elimination_divides_by_a_non_unit_pivot():
+    # u -> t (3 id), s -> t (2 id), s -> v (5 id): the zig-zag leaves u -> v = -3 * 5 / 2 id
+    t = FlatTangle([{1, 2}])
+    c = BigradedComplex(KHOVANOV)
+    u, s = c.add_generator(Grading(0, 0), t), c.add_generator(Grading(0, 0), t)
+    tt, v = c.add_generator(Grading(2, 0), t), c.add_generator(Grading(2, 0), t)
+    ident = identity_cobordism(t)
+    for src, tgt, lam in ((u, tt, 3), (s, tt, 2), (s, v, 5)):
+        c.set_entry(src, tgt, MorphismCombo.from_cobordism(ident, lam))
+    ref = c.copy()
+    _eliminate_by_composition(ref, s, tt)
+    c.gaussian_eliminate(s, tt)
+    assert c.d == ref.d
+    assert c.entry(u, v) == MorphismCombo.from_cobordism(ident, Fraction(-15, 2))

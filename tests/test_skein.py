@@ -85,6 +85,21 @@ def test_guard_rejects_large_cables():
         s02_dims(spec, FIXTURE_WINDOW, r_max=3, guard_strands=6)
 
 
+def test_two_regions_are_the_tensor_square_of_one():
+    # boundary sums tensor: each transition drops classical q2 by 4 per region
+    one = s02_dims(HandlebodySpec(catalog.empty_surgery(1), (0,)), Window(), r_max=2)
+    two = s02_dims(HandlebodySpec(catalog.empty_surgery(2), (0, 0)), Window(), r_max=2)
+    assert one.table == DimTable({(0, 0): 1, (0, -4): 1, (0, -8): 1})
+    assert two.table == one.table.convolve(one.table)
+
+
+def test_two_regions_at_r3_hit_the_stage_guard():
+    # 2 regions x 3 pairs = 12 belts, over the default 8-belt guard
+    spec = HandlebodySpec(catalog.empty_surgery(2), (0, 0))
+    with pytest.raises(LasagnaError, match="12 belts exceeds the desk-scale guard"):
+        s02_dims(spec, Window(), r_max=3)
+
+
 def test_capping_certificates():
     assert belt_capping_class(HandlebodySpec(catalog.empty_surgery(1), (0,))).survives
     cert1 = belt_capping_class(HandlebodySpec(catalog.belt_link(1), (0,)))
@@ -112,7 +127,12 @@ def test_capping_requires_belt_link():
 def test_transition_one_step_ranks_injective():
     # rank of each one-step symmetrized transition equals the source stage
     # dims inside the window: the maps are injective there
-    from lasagna.skein import _composite_rank, _Symmetrizer, _transition_matrix
+    from lasagna.skein import (
+        _composite_rank,
+        _Symmetrizer,
+        _transition_matrix,
+        _transition_q2_drop,
+    )
 
     spec = HandlebodySpec(catalog.empty_surgery(1), (0,))
     window = Window(h2_lo=0, h2_hi=0, q2_lo=-8, q2_hi=0)
@@ -123,7 +143,7 @@ def test_transition_one_step_ranks_injective():
     mats = [_transition_matrix(spec, stages, syms, Hs, r) for r in range(3)]
     for r in range(3):
         for g, dim in res.stages[r].items():
-            rank = _composite_rank(g, stages, Hs, mats, r, r + 1)
+            rank = _composite_rank(g, stages, Hs, mats, _transition_q2_drop(spec), r, r + 1)
             assert rank == dim, (r, str(g))
 
 
