@@ -18,7 +18,11 @@ node key, dots, genus).  A node key is a string in which frozensets list
 their members sorted, so it depends on the node's value only, never on
 hash order or PYTHONHASHSEED.  Equal cobordisms therefore compare and hash
 equal.  Node keys and boundary-circle partitions are memoized per node and
-per node set in bounded LRU caches.
+per node set in bounded LRU caches.  Each Component computes its order key
+and hash once, when built, so sorting and hashing a Cobordism read stored
+values.  A cobordism to which no relation applies is already normal, and
+`reduce` passes it on as the same object.  `FlatTangle.without_loop` skips
+the matching validation: dropping a loop leaves the validated arcs as is.
 
 `MorphismCombo.invertible_scalar` recognizes lambda * identity from the
 shape of its single term (one undotted genus-0 component {("s", k),
@@ -37,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Optional
 
 
@@ -78,7 +83,10 @@ class FlatTangle:
     def without_loop(self, loop) -> "FlatTangle":
         if loop not in self.loops:
             raise ValueError("no such loop")
-        return FlatTangle(self.arcs, self.loops - {loop})
+        out = object.__new__(FlatTangle)  # self.arcs is already a validated matching
+        out.arcs, out.loops = self.arcs, self.loops - {loop}
+        out._hash = hash((out.arcs, out.loops))
+        return out
 
     def with_loop(self, loop) -> "FlatTangle":
         return FlatTangle(self.arcs, self.loops | {loop})
@@ -122,23 +130,43 @@ def _canon(x) -> str:
 _node_key = lru_cache(maxsize=256)(_canon)
 
 
-@dataclass(frozen=True)
 class Component:
-    nodes: frozenset  # ('s'|'t', arc-or-loop key)
-    dots: int
-    genus: int
+    """A connected component: boundary nodes ('s'|'t', arc-or-loop key), dots, genus.
 
-    def sort_key(self) -> tuple:
-        """(smallest node key, dots, genus).
+    Immutable; the order key (smallest node key, dots, genus) and the hash
+    are computed once, here.  The components of a cobordism bound disjoint
+    node sets, so only closed components share the empty first key.
+    """
 
-        The components of a cobordism bound disjoint node sets, so this
-        orders them canonically: only closed components share the empty
-        first key, and those are ordered by (dots, genus).
-        """
-        return (min(map(_node_key, self.nodes), default=""), self.dots, self.genus)
+    __slots__ = ("nodes", "dots", "genus", "_key", "_hash")
+
+    def __init__(self, nodes: frozenset, dots: int, genus: int):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "dots", dots)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "_key", (min(map(_node_key, nodes), default=""), dots, genus))
+        object.__setattr__(self, "_hash", hash((nodes, dots, genus)))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Component is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, Component) and self._hash == other._hash
+                                 and self._key == other._key and self.nodes == other.nodes)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Component(nodes={self.nodes!r}, dots={self.dots!r}, genus={self.genus!r})"
 
     def euler_characteristic(self) -> int:
         return 2 - 2 * self.genus - len(_boundary_circle_partition(self.nodes))
+
+
+_order_key = attrgetter("_key")
 
 
 class Cobordism:
@@ -147,7 +175,7 @@ class Cobordism:
     __slots__ = ("source", "target", "comps", "_hash")
 
     def __init__(self, source: FlatTangle, target: FlatTangle, comps: Iterable[Component]):
-        comps = tuple(sorted(comps, key=Component.sort_key))
+        comps = tuple(sorted(comps, key=_order_key))
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "comps", comps)
@@ -415,7 +443,7 @@ def reduce(m: MorphismCombo, spec: FrobeniusSpec) -> MorphismCombo:
 
 def _reduce_cobordism(cob: Cobordism, spec: FrobeniusSpec):
     """Normal-form expansion of a single cobordism: list of (cobordism, coeff)."""
-    pending = [(list(cob.comps), 1)]
+    pending = [(cob.comps, 1)]
     done = []
     while pending:
         comps, coeff = pending.pop()
@@ -424,8 +452,8 @@ def _reduce_cobordism(cob: Cobordism, spec: FrobeniusSpec):
                 # neck-cutting along a handle: two (equal) terms, one dot each
                 rest = comps[:i] + comps[i + 1 :]
                 cut = Component(c.nodes, c.dots + 1, c.genus - 1)
-                pending.append((rest + [cut], coeff))
-                pending.append((rest + [cut], coeff))
+                pending.append((rest + (cut,), coeff))
+                pending.append((rest + (cut,), coeff))
                 break
             circles = _boundary_circle_partition(c.nodes)
             if len(circles) >= 2:
@@ -435,17 +463,17 @@ def _reduce_cobordism(cob: Cobordism, spec: FrobeniusSpec):
                 rest_nodes = c.nodes - first
                 rest = comps[:i] + comps[i + 1 :]
                 pending.append(
-                    (rest + [Component(first, 1, 0), Component(rest_nodes, c.dots, 0)], coeff)
+                    (rest + (Component(first, 1, 0), Component(rest_nodes, c.dots, 0)), coeff)
                 )
                 pending.append(
-                    (rest + [Component(first, 0, 0), Component(rest_nodes, c.dots + 1, 0)], coeff)
+                    (rest + (Component(first, 0, 0), Component(rest_nodes, c.dots + 1, 0)), coeff)
                 )
                 break
             if c.dots >= 2:
                 if spec.c != 0:
                     rest = comps[:i] + comps[i + 1 :]
                     pending.append(
-                        (rest + [Component(c.nodes, c.dots - 2, 0)], coeff * spec.c)
+                        (rest + (Component(c.nodes, c.dots - 2, 0),), coeff * spec.c)
                     )
                 break
             if not c.nodes:
@@ -456,8 +484,9 @@ def _reduce_cobordism(cob: Cobordism, spec: FrobeniusSpec):
                 # undotted sphere = 0: drop the term entirely
                 break
         else:
+            if comps is cob.comps:  # no relation applied: cob is already normal
+                return [(cob, 1)]
             done.append((Cobordism(cob.source, cob.target, comps), coeff))
-            continue
     return done
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from lasagna.cobcat import (
     FlatTangle,
     FrobeniusSpec,
     MorphismCombo,
+    _canon,
+    _reduce_cobordism,
     cap,
     cap_loop,
     cup,
@@ -250,3 +253,107 @@ def test_domain_mismatch_raises():
     f = cup_m()
     with pytest.raises(ValueError, match="mismatch"):
         f.then(f, KHOVANOV)
+
+
+@dataclass(frozen=True)
+class _ReferenceComponent:
+    """The value semantics Component must keep: a frozen dataclass."""
+
+    nodes: frozenset
+    dots: int
+    genus: int
+
+
+def _random_node_sets(rng):
+    """Disjoint node sets: arc nodes and loop nodes on both sides, plus closed ones."""
+    pts = list(range(2 * rng.randint(0, 4)))
+    rng.shuffle(pts)
+    arcs = [frozenset(pts[i:i + 2]) for i in range(0, len(pts), 2)]
+    nodes = [(side, a) for a in arcs for side in "st" if rng.random() < 0.8]
+    nodes += [(side, f"l{i}") for i in range(rng.randint(0, 3)) for side in "st"
+              if rng.random() < 0.7]
+    nodes += [(side, (i, "x")) for i in range(rng.randint(0, 2)) for side in "st"]
+    rng.shuffle(nodes)
+    sets = []
+    while nodes:
+        take = rng.randint(1, 3)
+        sets.append(frozenset(nodes[:take]))
+        nodes = nodes[take:]
+    return sets + [frozenset()] * rng.randint(1, 3)
+
+
+def test_component_matches_frozen_dataclass_reference():
+    rng = random.Random(17)
+    for _ in range(150):
+        sets = _random_node_sets(rng)
+        values = [(ns, rng.randint(0, 2), rng.randint(0, 1)) for ns in sets]
+        comps = [Component(*v) for v in values]
+        refs = [_ReferenceComponent(*v) for v in values]
+        for c, r in zip(comps, refs):
+            assert hash(c) == hash(r)
+            assert repr(c) == repr(r).replace("_ReferenceComponent", "Component", 1)
+            assert (c.nodes, c.dots, c.genus) == (r.nodes, r.dots, r.genus)
+        pairs = list(zip(comps, refs))
+        for _ in range(20):
+            (c, r), (c2, r2) = rng.choice(pairs), rng.choice(pairs)
+            assert (c == c2) == (r == r2)
+            # same nodes, other dots or genus: unequal exactly when the reference is
+            nd, ng = c.dots + rng.randint(0, 1), c.genus + rng.randint(0, 1)
+            assert (c == Component(c.nodes, nd, ng)) == (r == _ReferenceComponent(r.nodes, nd, ng))
+            assert c == Component(frozenset(c.nodes), c.dots, c.genus)
+        shuffled = list(comps)
+        rng.shuffle(shuffled)
+        cob = Cobordism(FlatTangle(()), FlatTangle(()), shuffled)
+        ordered = sorted(refs, key=lambda r: (min(map(_canon, r.nodes), default=""),
+                                               r.dots, r.genus))
+        assert [(c.nodes, c.dots, c.genus) for c in cob.comps] == [
+            (r.nodes, r.dots, r.genus) for r in ordered]
+        assert hash(cob) == hash(Cobordism(FlatTangle(()), FlatTangle(()), reversed(comps)))
+
+
+def test_component_is_immutable():
+    c = Component(frozenset({("s", "c")}), 1, 0)
+    for name in ("nodes", "dots", "genus", "_key", "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, 2)
+        with pytest.raises(AttributeError):
+            delattr(c, name)
+    assert (c.dots, c.genus) == (1, 0)
+    assert c == Component(frozenset({("s", "c")}), 1, 0)
+
+
+@pytest.mark.parametrize("spec", [KHOVANOV, LEE], ids=["c=0", "c=1"])
+def test_reduce_returns_normal_cobordism_itself(spec):
+    rng = random.Random(23)
+    pts = list(range(4))
+    normal = 0
+    for _ in range(80):
+        a = _random_flat_tangles(rng, pts)
+        b = _random_flat_tangles(rng, pts).with_loop("c")
+        raw = _random_cobordism(rng, a, b, "t")
+        for cob, _coeff in reduce(MorphismCombo.from_cobordism(raw), spec).terms.items():
+            [(same, coeff)] = _reduce_cobordism(cob, spec)
+            assert same is cob and coeff == 1
+            normal += 1
+        ident = identity_cobordism(a)  # loop-free: every tube bounds one circle
+        assert _reduce_cobordism(ident, spec)[0][0] is ident
+        if any(c.genus or c.dots >= 2 for c in raw.comps):
+            assert all(out is not raw for out, _ in _reduce_cobordism(raw, spec))
+    assert normal >= 20
+
+
+def test_without_loop_equals_rebuilt_tangle():
+    rng = random.Random(29)
+    for _ in range(40):
+        t = _random_flat_tangles(rng, list(range(2 * rng.randint(0, 3))))
+        loops = [f"l{i}" for i in range(rng.randint(1, 3))] + [(0, "x")]
+        for loop in loops:
+            t = t.with_loop(loop)
+        loop = rng.choice(loops)
+        out = t.without_loop(loop)
+        ref = FlatTangle(t.arcs, t.loops - {loop})
+        assert out == ref and hash(out) == hash(ref) and repr(out) == repr(ref)
+        assert out.arcs == t.arcs and loop not in out.loops
+        assert {ref: 1}[out] == 1
+        with pytest.raises(ValueError, match="no such loop"):
+            out.without_loop(loop)
