@@ -1054,8 +1054,9 @@ class R1Retract:
         return ChainMap(self.big, self.small, entries)
 
 
-def full_reduction(cube: Cube) -> TrackedReduction:
-    tr = TrackedReduction(cube)
+def full_reduction(cube: Cube, q2s=None) -> TrackedReduction:
+    """Reduce the cube to a zero-differential model (only in `q2s`, if given; c = 0)."""
+    tr = TrackedReduction(cube, q2s=q2s)
     tr.eliminate_all()
     for g in tr.alive:
         if tr.d.get(g):
@@ -1063,16 +1064,19 @@ def full_reduction(cube: Cube) -> TrackedReduction:
     return tr
 
 
-def reduction_equivalence(src: Cube, dst: Cube) -> ChainMap:
+def reduction_equivalence(src: Cube, dst: Cube, q2s=None) -> ChainMap:
     """A chain homotopy equivalence C(src) -> C(dst) through minimal models.
 
     Both complexes reduce to zero-differential models; graded blocks are
     matched by a fixed basis ordering.  Canonical on dimensions, not on
     signs: used for moves (like R3) whose chain-level normalization is a
-    convention.
+    convention.  `q2s` (c = 0 only) reduces both cubes in those quantum
+    degrees alone and builds entries for the source generators there; they
+    equal the full map's entries on those generators, since each degree is
+    a direct summand that reduces as in the full run.
     """
-    tr_s = full_reduction(src)
-    tr_d = full_reduction(dst)
+    tr_s = full_reduction(src, q2s)
+    tr_d = full_reduction(dst, q2s)
 
     def blocks(tr, cube):
         out: dict = {}
@@ -1087,7 +1091,7 @@ def reduction_equivalence(src: Cube, dst: Cube) -> ChainMap:
         raise ValueError("diagrams do not have matching reduced complexes")
     match = {g: bd[key][pos] for key, block in bs.items() for pos, g in enumerate(block)}
     entries: dict = {}
-    for g in src.generators():
+    for g in tr_s.gens:
         red = tr_s.project({g: 1})
         image: dict = {}
         for gg, v in red.items():

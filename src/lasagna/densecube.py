@@ -204,17 +204,23 @@ class Cube:
                 out[h2] = dim
         return out
 
-    def homology_basis(self) -> dict:
+    def homology_basis(self, keys=None) -> dict:
         """Per (h2,q2) block: (cycle representatives, image echelon).
 
         Homology coordinates of a cycle are obtained by reducing modulo the
         image echelon and solving in the representative span.  Requires c=0.
+        `keys`, a collection of (h2, q2), builds only those blocks (each one
+        reads its own differentials and those of (h2-2, q2)); the result
+        equals the full basis on them, and a key without generators is
+        left out as there.
         """
         if self.c != 0:
             raise ValueError("graded homology basis needs c = 0")
         blocks = self.blocks(graded=True)
         data: dict = {}
         for key, gens in blocks.items():
+            if keys is not None and key not in keys:
+                continue
             entries = {}
             for g in gens:
                 for tgt, v in self.differential(g).items():
@@ -348,11 +354,24 @@ class TrackedReduction:
     later elimination grows the log.  A pivot_filter restricts which entries
     may be eliminated (used to steer Reidemeister retracts onto a
     distinguished resolution).
+
+    `q2s`, a collection of doubled quantum degrees, reduces only the
+    generators of those degrees, kept in `cube.generators()` order.  With
+    c = 0 the differential preserves q, so they span a direct summand; the
+    last-in-first-out queue restricted to it runs step for step as the
+    global queue does in those degrees, and the log, the projection table
+    and the inclusions there equal the global ones.  The Lee differential
+    (c != 0) is not q-homogeneous, and `q2s` with it raises ValueError.
     """
 
-    def __init__(self, cube: Cube, pivot_filter=None):
+    def __init__(self, cube: Cube, pivot_filter=None, q2s=None):
+        if q2s is not None and cube.c != 0:
+            raise ValueError("a q2-restricted reduction needs c = 0")
         self.cube = cube
-        self.gens = list(cube.generators())
+        gens = cube.generators()
+        if q2s is not None:
+            gens = (g for g in gens if cube.gen_grading(*g).q2 in q2s)
+        self.gens = list(gens)
         self.d: dict = {}
         self.d_in: dict = {}
         for g in self.gens:

@@ -136,12 +136,19 @@ def _classical_to_global(h2: int, q2: int, stage: ColimitStage) -> Grading:
     return Grading(-h2, q2 - 2 * w + stage.q2_shift)
 
 
-def transition_down(spec: HandlebodySpec, hi: ColimitStage, lo: ColimitStage) -> ChainMap:
+def transition_down(
+    spec: HandlebodySpec, hi: ColimitStage, lo: ColimitStage, keys=None
+) -> ChainMap:
     """Classical annulus-annihilation map C(stage r+1) -> C(stage r).
 
     Merge each region's newest belt pair with a saddle, dot the merged
     circle, and kill it; if the intermediate circle still crosses strands,
     the identification with the lower stage goes through the reduced models.
+    `keys`, a collection of classical (h2, q2) of the upper stage, keeps
+    only the source generators in those blocks; the reduced models are then
+    built only in the quantum degrees the restricted map reaches.  Exact
+    for c = 0, where every step is q-homogeneous: the entries equal the full
+    map's on those generators.
     """
     cur_diagram = hi.diagram
     cur_cube = hi.cube
@@ -149,6 +156,9 @@ def transition_down(spec: HandlebodySpec, hi: ColimitStage, lo: ColimitStage) ->
 
     def push(f: ChainMap):
         nonlocal composite
+        if composite is None and keys is not None:
+            entries = {g: row for g, row in f.entries.items() if _block_key(f.src, g) in keys}
+            f = ChainMap(f.src, f.dst, entries, f.h2_shift)
         composite = f if composite is None else composite.compose(f)
 
     for reg_id, (grp_up, grp_down) in hi.newest_pair.items():
@@ -169,7 +179,10 @@ def transition_down(spec: HandlebodySpec, hi: ColimitStage, lo: ColimitStage) ->
             # the reduced models to the split configuration, then kill it
             split = birth_diagram(lo.diagram, "annih")
             cube_split = Cube(split)
-            push(reduction_equivalence(cur_cube, cube_split))
+            q2s = None
+            if keys is not None:
+                q2s = {cur_cube.gen_grading(*t).q2 for row in composite.entries.values() for t in row}
+            push(reduction_equivalence(cur_cube, cube_split, q2s))
             push(death_map(cube_split, lo.cube, "annih"))
             cur_diagram, cur_cube = lo.diagram, lo.cube
     # identify leftover edge names with the lower stage
@@ -178,6 +191,11 @@ def transition_down(spec: HandlebodySpec, hi: ColimitStage, lo: ColimitStage) ->
         cur_diagram, cur_cube = lo.diagram, lo.cube
     assert composite is not None
     return composite
+
+
+def _block_key(cube: Cube, gen) -> tuple[int, int]:
+    g = cube.gen_grading(*gen)
+    return (g.h2, g.q2)
 
 
 def _death(d: LinkDiagram, edge: str) -> LinkDiagram:
@@ -257,9 +275,14 @@ def _transition_q2_drop(spec: HandlebodySpec) -> int:
     return -4 * len(spec.boundary.regions)
 
 
-def _transition_matrix(spec, stages, syms, Hs, r) -> dict:
-    """Symmetrized annihilation H(stage r+1) -> H(stage r), lowering classical q2."""
-    F = transition_down(spec, stages[r + 1], stages[r])
+def _transition_matrix(spec, stages, syms, Hs, r, keys=None) -> dict:
+    """Symmetrized annihilation H(stage r+1) -> H(stage r), lowering classical q2.
+
+    `keys` restricts the chain map to those stage-(r+1) blocks (see
+    `transition_down`); Hs[r + 1] must then hold only them, since any other
+    block would read the restricted map as zero.
+    """
+    F = transition_down(spec, stages[r + 1], stages[r], keys)
     return homology_matrix(
         lambda v: syms[r].apply(F.apply(syms[r + 1].apply(v))), Hs[r + 1], Hs[r],
         (0, _transition_q2_drop(spec)),
@@ -313,6 +336,19 @@ def belt_capping_class(spec: HandlebodySpec, guard_strands: int = 6) -> CappingC
     through the first symmetrized transition; the certificate records
     whether its image is nonzero (dually: whether the all-x classical
     coordinate row of the annihilation matrix survives symmetrization).
+
+    It reads two blocks only: key0, the classical block of the grading at
+    stage 0, and src_key = key0 - drop at stage 1, the one block the
+    transition maps into key0.  Homology bases and the transition are built
+    in those blocks alone.  This is exact: the algebra is undeformed
+    (c = 0), so the differential, the saddle, dot and death maps, the belt
+    permutations and the reduced models are all q-homogeneous, and every
+    other block is a direct summand whose data the answer never reads.
+
+    On a crossed belt link (e.g. `belt_link(2)`) the stage symmetrizer is
+    the identity on every state: a smoothing never leaves two belts on
+    circles of their own, so `_permutation_chain_map` fixes everything, and
+    this certificate is in effect unsymmetrized (an open finding).
     """
     d = spec.boundary
     free = set(d.free_loops)
@@ -327,15 +363,17 @@ def belt_capping_class(spec: HandlebodySpec, guard_strands: int = 6) -> CappingC
     stages = [build_stage(spec, 0, guard_strands), build_stage(spec, 1, guard_strands)]
     if ell == 0:
         return CappingCertificate(Grading(0, 0), True, 0, True)
-    syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
-    Hs = [st.cube.homology_basis() for st in stages]
-    mats = _transition_matrix(spec, stages, syms, Hs, 0)
-    # classical block of the target grading in stage 0 and the all-x row
+    # classical block of the target grading in stage 0, and the one stage-1
+    # block the transition maps into it
     key0 = _global_to_classical(grading, stages[0])
     src_key = (key0[0], key0[1] - _transition_q2_drop(spec))
-    reps0, img0 = Hs[0].get(key0, ([], None))
+    H0 = stages[0].cube.homology_basis({key0})
+    reps0, img0 = H0.get(key0, ([], None))
     if not reps0:
         return CappingCertificate(grading, False, 1, False)
+    syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
+    Hs = [H0, stages[1].cube.homology_basis({src_key})]
+    mats = _transition_matrix(spec, stages, syms, Hs, 0, {src_key})
     # coordinates of the all-x generator class in the stage-0 representatives
     all_x = {(0, (1,) * len(stages[0].cube.circles[0])): 1}
     (allx,) = homology_matrix(lambda v: v, {key0: ([all_x], img0)}, Hs[0])[key0]

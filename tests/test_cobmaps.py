@@ -176,6 +176,20 @@ def test_r3_reduction_equivalence_iso():
     assert ranks == {(g.h2, g.q2): v for g, v in kh_dims(d1).items()}
 
 
+def test_q2_restricted_reduction_equivalence_is_the_full_one_restricted():
+    d1 = catalog.braid_closure([1, 2, 1, -1, 2], 3)
+    d2 = catalog.braid_closure([2, 1, 2, -1, 2], 3)
+    src, dst = Cube(d1), Cube(d2)
+    full = reduction_equivalence(src, dst)
+    degrees = sorted({src.gen_grading(*g).q2 for g in src.generators()})
+    for q2s in [{q} for q in degrees] + [set(degrees[1::2])]:
+        part = reduction_equivalence(src, dst, q2s)
+        assert part.entries == {
+            g: row for g, row in full.entries.items() if src.gen_grading(*g).q2 in q2s
+        }
+    assert reduction_equivalence(src, dst, set()).entries == {}
+
+
 def test_homology_matrix_rejects_image_outside_target():
     cube = Cube(catalog.unknot())
     H = cube.homology_basis()

@@ -127,3 +127,55 @@ def test_tables_follow_further_eliminations():
     late_incl = {a: tr.include({a: Fraction(1)}) for a in tr.alive}
     assert late_incl == {a: _replay_include(tr.log, {a: Fraction(1)}) for a in tr.alive}
     assert any(late_incl[a] != early_incl[a] for a in tr.alive)
+
+
+def _q2(cube, g):
+    return cube.gen_grading(*g).q2
+
+
+def _degree_sets(cube):
+    """Each quantum degree alone, and every other one together."""
+    q2s = sorted({_q2(cube, g) for g in cube.generators()})
+    return [{q} for q in q2s] + [set(q2s[::2])]
+
+
+def _steps(log):
+    return [(s, t, lam, list(row.items()), list(col.items())) for s, t, lam, row, col in log]
+
+
+def test_q2_restricted_reduction_is_the_global_one_in_those_degrees(reductions):
+    for full in reductions:
+        cube = full.cube
+        for q2s in _degree_sets(cube):
+            tr = full_reduction(cube, q2s)
+            assert tr.gens == [g for g in cube.generators() if _q2(cube, g) in q2s]
+            assert _steps(tr.log) == _steps([st for st in full.log if _q2(cube, st[0]) in q2s])
+            assert tr.alive == {g for g in full.alive if _q2(cube, g) in q2s}
+            for g in tr.gens:
+                assert tr.project({g: 1}) == full.project({g: 1})
+            for a in tr.alive:
+                assert tr.include({a: 1}) == full.include({a: 1})
+
+
+def test_q2_restriction_needs_the_undeformed_algebra():
+    cube = Cube(catalog.braid_closure([1, 2, 1, -1, 2], 3), c=Fraction(1))
+    with pytest.raises(ValueError, match="c = 0"):
+        TrackedReduction(cube, q2s={0})
+    with pytest.raises(ValueError, match="c = 0"):
+        full_reduction(cube, {0})
+    TrackedReduction(cube)  # the unrestricted Lee reduction is still allowed
+
+
+def test_homology_basis_on_keys_equals_the_full_basis():
+    stage = build_stage(HandlebodySpec(catalog.belt_link(2), (0,)), 0)
+    cubes = [Cube(catalog.braid_closure([1, 2, 1, -1, 2], 3)), stage.cube, *_winding_cubes()]
+    for cube in cubes:
+        full = cube.homology_basis()
+        keys = list(full)
+        for chosen in (keys[::3], keys[1::2], [keys[-1], (999, 999)]):
+            part = cube.homology_basis(set(chosen))
+            assert set(part) == set(chosen) & set(full)
+            for key, (reps, img) in part.items():
+                assert reps == full[key][0]
+                assert img.pivots == full[key][1].pivots
+                assert img._index == full[key][1]._index

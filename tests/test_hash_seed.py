@@ -9,16 +9,21 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 # sha256 of the Gaussian elimination (s, t) sequence of the pinned scans below;
 # a cobordism-layer speed-up must leave the pivot choices exactly as they are
 PIVOT_DIGEST = "1f3e1953ccc86ba3b3d27b956f2c7498a1457804d6c497e44f67bde9772d6bf7"
+# sha256 of the belt_link(2) stage-1 -> stage-0 transition block (0, 0) and the
+# all-x coordinates at (0, -4) behind the capping certificate; computed on the
+# unrestricted path (every block of both stages), read here from the restricted one
+CAPPING_DIGEST = "ee25acaf5ebda7c7a29eff5084f4aabc5ff591310a0f7f5510c475e23a7d542a"
 
 SCRIPT = r"""
 import hashlib
 import json
 
 from lasagna import catalog, khovanov, projector, rw
-from lasagna.cobmaps import reduction_equivalence
+from lasagna.cobmaps import homology_matrix, reduction_equivalence
 from lasagna.complexes import BigradedComplex
 from lasagna.densecube import Cube
 from lasagna.gradings import Window
+from lasagna.skein import HandlebodySpec, _Symmetrizer, _transition_matrix, build_stage
 
 eliminations = []
 pivots = []
@@ -49,10 +54,19 @@ pivot_digest = hashlib.sha256(repr(pivots).encode()).hexdigest()
 r3 = reduction_equivalence(Cube(catalog.braid_closure([1, 2, 1, -1, 2], 3)),
                            Cube(catalog.braid_closure([2, 1, 2, -1, 2], 3)))
 r3_entries = [(g, [(t, str(v)) for t, v in row.items()]) for g, row in r3.entries.items()]
+spec = HandlebodySpec(catalog.belt_link(2), (0,))
+stages = [build_stage(spec, 0, 6), build_stage(spec, 1, 6)]
+syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
+Hs = [stages[0].cube.homology_basis({(0, -4)}), stages[1].cube.homology_basis({(0, 0)})]
+block = _transition_matrix(spec, stages, syms, Hs, 0, {(0, 0)})[(0, 0)]
+all_x = {(0, (1,) * len(stages[0].cube.circles[0])): 1}
+(allx,) = homology_matrix(lambda v: v, {(0, -4): ([all_x], Hs[0][(0, -4)][1])}, Hs[0])[(0, -4)]
+capping = [[str(c) for c in col] for col in block + [allx]]
 out = {
     "dense figure-eight": khovanov.kh_dims_bruteforce(catalog.figure_eight()).to_json_obj(),
     "jones T(3,4)": list(khovanov.jones_unnormalized(catalog.torus_link(3, 4)).items()),
     "R3 reduction_equivalence": hashlib.sha256(repr(r3_entries).encode()).hexdigest(),
+    "capping digest": hashlib.sha256(repr(capping).encode()).hexdigest(),
     "T(3,4)": khovanov.kh_dims(catalog.torus_link(3, 4)).to_json_obj(),
     "figure-eight": khovanov.kh_dims(catalog.figure_eight()).to_json_obj(),
     "rw_plus belt_link(2)": res.to_json_obj(),
@@ -74,3 +88,4 @@ def test_results_do_not_depend_on_hash_seed():
     assert outputs[0] == outputs[1] == outputs[2]
     assert '"eliminations per scan": [' in outputs[0]
     assert json.loads(outputs[0])["pivot digest"] == PIVOT_DIGEST
+    assert json.loads(outputs[0])["capping digest"] == CAPPING_DIGEST

@@ -107,6 +107,30 @@ def test_capping_certificates():
     cert2 = belt_capping_class(HandlebodySpec(catalog.belt_link(2), (0,)))
     assert cert2.survives
     assert cert2.grading == Grading(0, -4)
+    cert11 = belt_capping_class(HandlebodySpec(catalog.belt_link(1, 1), (0,)))
+    assert cert11.survives
+    assert cert11.grading == Grading(0, -4)
+
+
+@pytest.mark.parametrize(
+    "boundary, r",
+    [(catalog.belt_link(1), 0), (catalog.empty_surgery(1), 1)],
+    ids=["belt-link-1-winding", "d2xs2-crossingless"],
+)
+def test_transition_on_keys_is_the_full_transition_restricted(boundary, r):
+    spec = HandlebodySpec(boundary, (0,))
+    hi, lo = build_stage(spec, r + 1), build_stage(spec, r)
+    full = transition_down(spec, hi, lo)
+
+    def key(g):
+        gr = hi.cube.gen_grading(*g)
+        return (gr.h2, gr.q2)
+
+    keys = sorted({key(g) for g in hi.cube.generators()})
+    for chosen in [{k} for k in keys] + [set(keys[::2])]:
+        part = transition_down(spec, hi, lo, chosen)
+        assert part.src is hi.cube and part.dst is lo.cube
+        assert part.entries == {g: row for g, row in full.entries.items() if key(g) in chosen}
 
 
 def test_capping_requires_belt_link():
