@@ -5,7 +5,8 @@ homology of an admissible diagram), lasagna (skein lasagna module dims of a
 2-handlebody), lee (Lee total rank), oracle (dense-cube recomputations).
 Tables print as TSV `h<TAB>q<TAB>dim` with half-integer gradings rendered
 as fractions; --json mirrors the same values as strings.  Exit codes:
-0 success, 2 input error, 3 stabilization failure.
+0 success, 2 input error, 3 stabilization failure, 4 capacity limit (a
+size guard such as the dense-cube crossing guard refused the input).
 """
 
 from __future__ import annotations
@@ -266,7 +267,9 @@ def run(argv) -> int:
         return args.func(args)
     except ValueError as exc:  # DiagramError, AdmissibilityError, LasagnaError among them
         sys.stderr.write(f"error: {exc}\n")
-        return 2
+        from .densecube import CapacityError  # only on the error path: a cache hit skips densecube
+
+        return 4 if isinstance(exc, CapacityError) else 2
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

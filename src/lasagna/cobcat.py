@@ -24,6 +24,19 @@ values.  A cobordism to which no relation applies is already normal, and
 `reduce` passes it on as the same object.  `FlatTangle.without_loop` skips
 the matching validation: dropping a loop leaves the validated arcs as is.
 
+Normal form: every component has genus 0, at most one dot and exactly one
+boundary circle, so no component is closed.  `reduce` marks each cobordism
+it returns `normal`; the flag only records what is known and is no part of
+the value.  Every entry a scanned complex stores is normal.  A loop node is
+a whole boundary circle, so in a normal term the component holding it is
+the disk {(side, loop)} with e <= 1 dots.  Capping or cupping that disk with
+d dots gives a sphere with e + d dots, worth 1 if e + d = 1 and 0
+otherwise, for c = 0 and c = 1 alike.  Delooping a normal entry therefore
+partitions its terms between the two summands by the disk's dot
+(`deloop_split`): each term loses the disk and keeps its coefficient and its
+other components, still sorted; nothing is reduced.  A term not known to be
+normal is capped and reduced instead.
+
 `MorphismCombo.invertible_scalar` recognizes lambda * identity from the
 shape of its single term (one undotted genus-0 component {("s", k),
 ("t", k)} per arc or loop k of the source) without building the identity
@@ -170,9 +183,13 @@ _order_key = attrgetter("_key")
 
 
 class Cobordism:
-    """A connected-component-encoded cobordism between two flat tangles."""
+    """A connected-component-encoded cobordism between two flat tangles.
 
-    __slots__ = ("source", "target", "comps", "_hash")
+    `normal` is True once `reduce` has found or made it normal; False means
+    not known.  It is no part of the value: equality and hash ignore it.
+    """
+
+    __slots__ = ("source", "target", "comps", "_hash", "normal")
 
     def __init__(self, source: FlatTangle, target: FlatTangle, comps: Iterable[Component]):
         comps = tuple(sorted(comps, key=_order_key))
@@ -180,6 +197,16 @@ class Cobordism:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "comps", comps)
         object.__setattr__(self, "_hash", hash((source, target, comps)))
+        object.__setattr__(self, "normal", False)
+
+    @staticmethod
+    def _normal_sorted(source: FlatTangle, target: FlatTangle, comps: tuple) -> "Cobordism":
+        """A cobordism from components already sorted and in normal form."""
+        out = object.__new__(Cobordism)
+        out.source, out.target, out.comps = source, target, comps
+        out._hash = hash((source, target, comps))
+        out.normal = True
+        return out
 
     def __eq__(self, other):
         return (
@@ -485,28 +512,44 @@ def _reduce_cobordism(cob: Cobordism, spec: FrobeniusSpec):
                 break
         else:
             if comps is cob.comps:  # no relation applied: cob is already normal
+                cob.normal = True
                 return [(cob, 1)]
-            done.append((Cobordism(cob.source, cob.target, comps), coeff))
+            out = Cobordism(cob.source, cob.target, comps)
+            out.normal = True
+            done.append((out, coeff))
     return done
 
 
-def cap_loop(m: MorphismCombo, side: str, loop, dots: int, spec: FrobeniusSpec) -> MorphismCombo:
-    """m followed by a cap (side "t") or preceded by a cup (side "s") on a loop, reduced.
+def deloop_split(m: MorphismCombo, side: str, loop, spec: FrobeniusSpec) -> tuple:
+    """The plus and minus summands of delooping `loop` on one end of m, reduced.
 
-    The disk removes the node (side, loop) from the one component holding it
-    and adds `dots`.  A loop node is a whole boundary circle, so the genus is
-    unchanged: the circle count drops by one and chi rises by one.  Equals
-    composing with the cap or cup of `deloop_maps` carrying as many dots.
+    Side "t" caps the loop after m: plus = m then dotted cap, minus = m then
+    plain cap.  Side "s" cups it before m: plus = plain cup then m, minus =
+    dotted cup then m.  Equals composing with the maps of `deloop_maps`.
+    A normal term goes to the one summand its disk's dot selects (see the
+    module docstring); any other term is capped with 0 and 1 dots and reduced.
     """
     node = (side, loop)
     src = m.source.without_loop(loop) if side == "s" else m.source
     tgt = m.target.without_loop(loop) if side == "t" else m.target
-    out = MorphismCombo(src, tgt)
+    plus, minus = MorphismCombo(src, tgt), MorphismCombo(src, tgt)
+    # the summand reached by adding 0 dots, then by adding 1
+    by_dots = (minus, plus) if side == "t" else (plus, minus)
     for cob, coeff in m.terms.items():
-        comps = [Component(c.nodes - {node}, c.dots + dots, c.genus) if node in c.nodes else c
-                 for c in cob.comps]
-        out._add_term(Cobordism(src, tgt, comps), coeff)
-    return reduce(out, spec)
+        comps = cob.comps
+        if cob.normal:
+            for i, c in enumerate(comps):
+                if node in c.nodes:
+                    rest = comps[:i] + comps[i + 1:]
+                    by_dots[1 - c.dots]._add_term(Cobordism._normal_sorted(src, tgt, rest), coeff)
+                    break
+            continue
+        for dots, summand in enumerate(by_dots):
+            capped = Cobordism(src, tgt, [Component(c.nodes - {node}, c.dots + dots, c.genus)
+                                          if node in c.nodes else c for c in comps])
+            for cob2, coeff2 in _reduce_cobordism(capped, spec):
+                summand._add_term(cob2, coeff * coeff2)
+    return plus, minus
 
 
 def deloop_maps(t: FlatTangle, loop, spec: FrobeniusSpec):

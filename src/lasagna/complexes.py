@@ -15,9 +15,17 @@ keeps the glued tangle, keymap and joined source arcs for that call only;
 every entry between two generators glues its components against the cached
 gluings of its two ends, never re-gluing a tangle.
 
-Delooping caps or cups a loop in place (`cobcat.cap_loop`): a loop node is a
-whole boundary circle of the one component holding it, so the disk drops the
-circle count by one and raises chi by one, leaving the genus as it was.
+A glued and reduced term depends only on the factor cobordism, the other
+factor's tangle and which factor the cobordism belongs to: those fix both
+glued ends and the identity it is tensored with.  `planar_tensor` keeps
+that normal form, keyed by (cobordism, other tangle, side), for the
+duration of one call, and applies the coefficient and the Koszul sign
+outside the memo.
+
+Every stored entry is in normal form (see `cobcat`): gluing, delooping and
+elimination each return reduced morphisms.  Delooping a generator splits
+each incoming and outgoing entry once into its plus and minus summands
+(`cobcat.deloop_split`), which for a normal entry partitions its terms.
 """
 
 from __future__ import annotations
@@ -31,9 +39,9 @@ from .cobcat import (
     KHOVANOV,
     MorphismCombo,
     _glued_component,
-    cap_loop,
+    _reduce_cobordism,
+    deloop_split,
     identity_cobordism,
-    reduce,
 )
 from .gradings import DimTable, Grading, Window
 from .linalg import inverse, row_reduce
@@ -136,11 +144,13 @@ class BigradedComplex:
         self._drop_generator(gid)
         # the q+1 summand: dotted cap out, plain cup in; the q-1 summand the reverse
         for u, f in ins:
-            self.set_entry(u, g_p, cap_loop(f, "t", loop, 1, self.spec))
-            self.set_entry(u, g_m, cap_loop(f, "t", loop, 0, self.spec))
+            plus, minus = deloop_split(f, "t", loop, self.spec)
+            self.set_entry(u, g_p, plus)
+            self.set_entry(u, g_m, minus)
         for v, f in outs:
-            self.set_entry(g_p, v, cap_loop(f, "s", loop, 0, self.spec))
-            self.set_entry(g_m, v, cap_loop(f, "s", loop, 1, self.spec))
+            plus, minus = deloop_split(f, "s", loop, self.spec)
+            self.set_entry(g_p, v, plus)
+            self.set_entry(g_m, v, minus)
         return g_p, g_m
 
     def deloop_all(self) -> None:
@@ -415,32 +425,32 @@ def planar_tensor(
             ends[(ga, gb)] = (out.add_generator(gr_a + gr_b, glued[0]), glued)
     ids_a = {ga: identity_cobordism(t).comps for ga, (_, t) in a.gens.items()}
     ids_b = {gb: identity_cobordism(t).comps for gb, (_, t) in b.gens.items()}
+    memo: dict = {}  # (factor cobordism, other tangle, side) -> its glued normal form
+
+    def glue_term(cob, other, side, ids):
+        key = (cob, other, side)
+        if key not in memo:
+            pair_s, pair_t = (cob.source, other), (cob.target, other)
+            if side == "b":
+                pair_s, pair_t = pair_s[::-1], pair_t[::-1]
+            memo[key] = _reduce_cobordism(
+                glue_cobordism(cob.comps + ids, gluings[pair_s], gluings[pair_t]), out.spec)
+        return memo[key]
+
     for (ga, gb), (gid, src) in ends.items():
-        gr_a = a.gens[ga][0]
+        gr_a, t_a = a.gens[ga]
+        t_b = b.gens[gb][1]
         if gr_a.h2 % 2:
             raise ComplexError("Koszul sign needs integral h on the left factor")
-        # d_a (x) id
-        for ta, m in a.d[ga].items():
-            tgt_id, tgt = ends[(ta, gb)]
-            terms = [(ca.comps + ids_b[gb], v) for ca, v in m.terms.items()]
-            _accumulate(out, gid, tgt_id, _tensor_entry(terms, src, tgt, out.spec))
-        # (-1)^h id (x) d_b
+        # d_a (x) id, then (-1)^h id (x) d_b
         sign = -1 if (gr_a.h2 // 2) % 2 else 1
-        for tb, m in b.d[gb].items():
-            tgt_id, tgt = ends[(ga, tb)]
-            terms = [(ids_a[ga] + cb.comps, sign * v) for cb, v in m.terms.items()]
-            _accumulate(out, gid, tgt_id, _tensor_entry(terms, src, tgt, out.spec))
+        moves = [((ta, gb), m, 1, t_b, "a", ids_b[gb]) for ta, m in a.d[ga].items()]
+        moves += [((ga, tb), m, sign, t_a, "b", ids_a[ga]) for tb, m in b.d[gb].items()]
+        for pair, m, sgn, other, side, ids in moves:
+            tgt_id, tgt = ends[pair]
+            entry = MorphismCombo(src[0], tgt[0])
+            for cob, v in m.terms.items():
+                for normal, w in glue_term(cob, other, side, ids):
+                    entry._add_term(normal, sgn * v * w)
+            out.set_entry(gid, tgt_id, entry)
     return out
-
-
-def _tensor_entry(terms: list, src: tuple, tgt: tuple, spec: FrobeniusSpec) -> MorphismCombo:
-    """The reduced sum of (disjoint components, coefficient) terms, each glued."""
-    out = MorphismCombo(src[0], tgt[0])
-    for comps, v in terms:
-        out._add_term(glue_cobordism(comps, src, tgt), v)
-    return reduce(out, spec)
-
-
-def _accumulate(c: BigradedComplex, s: int, t: int, m: MorphismCombo) -> None:
-    old = c.entry(s, t)
-    c.set_entry(s, t, old + m if old else m)

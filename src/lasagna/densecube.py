@@ -55,6 +55,10 @@ def resolve_circles(d: LinkDiagram, state: int) -> list[frozenset[str]]:
     return sorted((frozenset(g) for g in groups.values()), key=min)
 
 
+class CapacityError(ValueError):
+    """A guard on the size of a computation refused its input."""
+
+
 class Cube:
     """Full cube of resolutions of a diagram over Q[x]/(x^2-c)."""
 
@@ -62,7 +66,7 @@ class Cube:
         if d.regions:
             raise ValueError("cube of resolutions requires a diagram without surgery regions")
         if len(d.crossings) > max_crossings:
-            raise ValueError(
+            raise CapacityError(
                 f"dense cube guard: {len(d.crossings)} crossings exceeds {max_crossings}"
             )
         self.diagram = d

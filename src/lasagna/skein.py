@@ -47,7 +47,7 @@ from .cobmaps import (
     saddle_diagram,
     saddle_map,
 )
-from .densecube import Cube
+from .densecube import CapacityError, Cube
 from .diagram import LinkDiagram
 from .gradings import DimTable, Grading, Window
 from .linalg import row_reduce
@@ -66,6 +66,10 @@ class HandlebodySpec:
         if len(n) != m:
             raise LasagnaError("offset vector longer than the number of regions")
         return n
+
+
+class StageCapacityError(LasagnaError, CapacityError):
+    """The stage cable has more belts than the guard allows."""
 
 
 @dataclass
@@ -117,7 +121,7 @@ def build_stage(spec: HandlebodySpec, r: int, guard_strands: int = 8) -> Colimit
             # newest pair: outermost up-belt and innermost down-belt
             newest[reg.region_id] = (groups[a - 1], groups[a])
     if total > guard_strands:
-        raise LasagnaError(
+        raise StageCapacityError(
             f"stage cable of {total} belts exceeds the desk-scale guard "
             f"({guard_strands}); pass a larger guard to opt in"
         )

@@ -125,6 +125,14 @@ def test_input_error_exit_code(tmp_path):
     assert missing.returncode == 2
 
 
+def test_capacity_limit_exit_code(tmp_path):
+    # belt2 at r=2 needs a 16-crossing dense cube, over the 14-crossing guard
+    out = run_cli(["lasagna", fixture("belt2.json"), "--r-max", "2", "--no-cache"], tmp_path)
+    assert out.returncode == 4
+    assert out.stdout == ""
+    assert out.stderr == "error: dense cube guard: 16 crossings exceeds 14\n"
+
+
 def test_stabilization_failure_exit_code(tmp_path):
     out = run_cli(
         ["rw", fixture("belt2.json"), "--window", "-2:10,-40:0", "--max-twists", "2"],

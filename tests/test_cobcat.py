@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from lasagna import cobcat
 from lasagna.cobcat import (
     KHOVANOV,
     LEE,
@@ -15,9 +16,9 @@ from lasagna.cobcat import (
     _canon,
     _reduce_cobordism,
     cap,
-    cap_loop,
     cup,
     deloop_maps,
+    deloop_split,
     elementary_saddle,
     identity_cobordism,
     reduce,
@@ -220,10 +221,24 @@ def _random_cobordism(rng, source, target, loop_side):
 
 
 @pytest.mark.parametrize("spec", [KHOVANOV, LEE], ids=["c=0", "c=1"])
-def test_cap_loop_equals_composing_with_deloop_maps(spec):
+def test_deloop_split_equals_composing_with_deloop_maps(spec, monkeypatch):
+    """Both summands equal composing with the maps of `deloop_maps`.
+
+    Each combo is split twice: as drawn, from fresh cobordisms not known to
+    be normal (shared holders, genus, two dots), which take the
+    cap-and-reduce route, two reductions per term; then reduced, which takes
+    the split of terms and reduces nothing.
+    """
     rng = random.Random(5)
     pts = list(range(4))
-    seen = set()
+    reduced = []
+    reduce_cobordism = cobcat._reduce_cobordism
+
+    def counting(cob, spec):
+        reduced.append(cob)
+        return reduce_cobordism(cob, spec)
+
+    seen, routes = set(), set()
     for _ in range(60):
         a = _random_flat_tangles(rng, pts)
         b = _random_flat_tangles(rng, pts)
@@ -239,14 +254,24 @@ def test_cap_loop_equals_composing_with_deloop_maps(spec):
                 seen.add("alone" if len(holder.nodes) == 1 else "shared")
                 seen.add("genus" if holder.genus else "disk")
             (out_p, in_p), (out_m, in_m) = deloop_maps(tgt if side == "t" else src, "c", spec)
-            for f in (m, reduce(m, spec)):
-                if side == "t":
-                    assert cap_loop(f, "t", "c", 1, spec) == f.then(out_p, spec)
-                    assert cap_loop(f, "t", "c", 0, spec) == f.then(out_m, spec)
-                else:
-                    assert cap_loop(f, "s", "c", 0, spec) == in_p.then(f, spec)
-                    assert cap_loop(f, "s", "c", 1, spec) == in_m.then(f, spec)
+            if side == "t":
+                expected = (m.then(out_p, spec), m.then(out_m, spec))
+            else:
+                expected = (in_p.then(m, spec), in_m.then(m, spec))
+            for route in ("fallback", "split"):
+                f = m if route == "fallback" else reduce(m, spec)
+                assert all(cob.normal == (route == "split") for cob in f.terms)
+                del reduced[:]
+                with monkeypatch.context() as mp:
+                    mp.setattr(cobcat, "_reduce_cobordism", counting)
+                    split = deloop_split(f, side, "c", spec)
+                assert split == expected
+                assert len(reduced) == (2 * len(f.terms) if route == "fallback" else 0)
+                assert all(cob.normal for summand in split for cob in summand.terms)
+                if any(summand.terms for summand in split):
+                    routes.add(route)
     assert seen == {"alone", "shared", "genus", "disk"}
+    assert routes == {"fallback", "split"}
 
 
 def test_domain_mismatch_raises():

@@ -11,6 +11,7 @@ from lasagna.cobcat import (
     Component,
     FlatTangle,
     MorphismCombo,
+    _boundary_circle_partition,
     _glued_component,
     identity_cobordism,
     reduce,
@@ -397,6 +398,103 @@ def test_planar_tensor_matches_from_scratch_gluing(monkeypatch):
     kinked, _, _ = r1_kink(catalog.trefoil_right(), catalog.trefoil_right().edges[0], 1)
     scan_complex(kinked)
     assert len(sizes) == 14 and sum(sizes) > 100
+
+
+@pytest.mark.parametrize("spec", [KHOVANOV, LEE], ids=["c=0", "c=1"])
+def test_planar_tensor_memo_matches_unmemoized_reference(spec, monkeypatch):
+    """Every entry equals the term-by-term glue-and-reduce reference.
+
+    a has a saddle p -> r and a second generator q on p's tangle; b has the
+    same saddle from u and from w, both on one tangle.  So each factor
+    cobordism meets the same other tangle for several generator pairs and
+    is glued once, and b's saddle glued against p's tangle serves p in
+    h = 0 and q in h = 1: Koszul signs of both parities from one glue.
+    """
+    from lasagna import complexes
+    from lasagna.khovanov import crossing_complex
+
+    def saddle_and_tangles(ci):
+        piece = crossing_complex(ci, 1, spec)
+        (g0, (_, res0)), (g1, (_, res1)) = sorted(piece.gens.items())
+        return piece.entry(g0, g1), res0, res1
+
+    saddle_a, res0_a, res1_a = saddle_and_tangles(0)
+    a = BigradedComplex(spec)
+    p, q = a.add_generator(Grading(0, 2), res0_a), a.add_generator(Grading(2, 4), res0_a)
+    r = a.add_generator(Grading(2, 4), res1_a)
+    a.set_entry(p, r, saddle_a)
+    saddle_b, res0_b, res1_b = saddle_and_tangles(1)
+    b = BigradedComplex(spec)
+    u, w = b.add_generator(Grading(0, 0), res0_b), b.add_generator(Grading(0, 2), res0_b)
+    x = b.add_generator(Grading(2, 2), res1_b)
+    b.set_entry(u, x, saddle_b)
+    b.set_entry(w, x, saddle_b.scale(-2))
+
+    glued = []
+    glue_cobordism = complexes.glue_cobordism
+
+    def counting(comps, src, tgt):
+        glued.append(comps)
+        return glue_cobordism(comps, src, tgt)
+
+    monkeypatch.setattr(complexes, "glue_cobordism", counting)
+    pairs = [((0, 2), (1, 0)), ((0, 3), (1, 1))]  # closes a loop in res0 (x) res0
+    c = planar_tensor(a, b, pairs)
+    ref = _tensor_from_scratch(a, b, pairs)
+    assert c.gens == ref.gens
+    assert c.d == ref.d
+    # 3 terms of d_a (x) id and 6 of id (x) d_b; one glue per (saddle, other tangle)
+    assert len(glued) == 4
+    # generator (ga, gb) of the tensor is 3 * ga + gb; q's id (x) d_b entries negate p's
+    for v in (u, w):
+        assert c.entry(3 * q + v, 3 * q + x) == -c.entry(3 * p + v, 3 * p + x)
+    assert any(len(m.terms) > 1 for row in c.d.values() for m in row.values())
+
+
+def _assert_normal_entries(c) -> int:
+    """Every entry is in normal form, every term known to be normal; returns the term count."""
+    count = 0
+    for row in c.d.values():
+        for m in row.values():
+            for cob in m.terms:
+                assert cob.normal
+                for comp in cob.comps:
+                    assert comp.genus == 0 and comp.dots <= 1
+                    assert len(_boundary_circle_partition(comp.nodes)) == 1
+                count += 1
+            assert reduce(m, c.spec) == m
+    return count
+
+
+@pytest.mark.parametrize("name", ["T(4,4)", "belt_link(4) twisted once", "Lee T(3,3)"])
+def test_scan_keeps_every_entry_in_normal_form(name, monkeypatch):
+    """The precondition of splitting terms when delooping, after each scan step."""
+    from lasagna import khovanov
+    from lasagna.projector import twist_all_regions
+
+    diagram, spec = {
+        "T(4,4)": (catalog.torus_link(4, 4), KHOVANOV),
+        "belt_link(4) twisted once": (twist_all_regions(catalog.belt_link(4), 1), KHOVANOV),
+        "Lee T(3,3)": (catalog.torus_link(3, 3), LEE),
+    }[name]
+    steps, terms = [], []
+    simplify = BigradedComplex.simplify
+
+    def tensor_checking(a, b, gluing=None):
+        c = planar_tensor(a, b, gluing)
+        terms.append(_assert_normal_entries(c))
+        return c
+
+    def simplify_checking(self, *args):
+        simplify(self, *args)
+        terms.append(_assert_normal_entries(self))
+        steps.append(len(self.gens))
+        return self
+
+    monkeypatch.setattr(khovanov, "planar_tensor", tensor_checking)
+    monkeypatch.setattr(BigradedComplex, "simplify", simplify_checking)
+    khovanov.scan_complex(diagram, spec)
+    assert len(steps) == len(diagram.crossings) and max(steps) > 4 and sum(terms) > 100
 
 
 def _eliminate_by_composition(c, s, t):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lasagna import catalog
+from lasagna.densecube import CapacityError, Cube
 from lasagna.gradings import DimTable, Grading, Window
 from lasagna.skein import (
     HandlebodySpec,
@@ -98,6 +99,14 @@ def test_two_regions_at_r3_hit_the_stage_guard():
     spec = HandlebodySpec(catalog.empty_surgery(2), (0, 0))
     with pytest.raises(LasagnaError, match="12 belts exceeds the desk-scale guard"):
         s02_dims(spec, Window(), r_max=3)
+
+
+def test_size_guards_raise_capacity_errors():
+    spec = HandlebodySpec(catalog.empty_surgery(2), (0, 0))
+    with pytest.raises(CapacityError, match="^stage cable of 4 belts exceeds the desk-scale guard"):
+        build_stage(spec, 1, guard_strands=2)
+    with pytest.raises(CapacityError, match="^dense cube guard: 12 crossings exceeds 10$"):
+        Cube(catalog.torus_link(4, 4), max_crossings=10)
 
 
 def test_capping_certificates():
