@@ -5,8 +5,10 @@ homology of an admissible diagram), lasagna (skein lasagna module dims of a
 2-handlebody), lee (Lee total rank), oracle (dense-cube recomputations).
 Tables print as TSV `h<TAB>q<TAB>dim` with half-integer gradings rendered
 as fractions; --json mirrors the same values as strings.  Exit codes:
-0 success, 2 input error, 3 stabilization failure, 4 capacity limit (a
-size guard such as the dense-cube crossing guard refused the input).
+0 success, 1 internal error (a failed invariant; the traceback goes to
+stderr, nothing to stdout or the cache), 2 input error, 3 stabilization
+failure, 4 capacity limit (a size guard such as the dense-cube crossing
+guard refused the input).
 """
 
 from __future__ import annotations
@@ -18,12 +20,9 @@ import os
 import sys
 
 from .diagram import parse_diagram
-from .gradings import Window, parse_window
 
-# The computing modules are imported inside the commands that use them, so a
-# cache hit loads neither the cube nor the cobordism stack.
-
-ALGORITHM_VERSION = "scan-1/min-fill-pivot"
+# The computing modules, and gradings, are imported inside the functions that
+# use them, so a cache hit loads neither the cube nor the cobordism stack.
 
 
 def _cache_dir(args) -> str:
@@ -35,14 +34,32 @@ def _cache_dir(args) -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "lasagna")
 
 
-def _cache_key(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True).encode()
+def _source_version() -> str:
+    """sha256 of the package sources: the sorted .py file names, each with its bytes.
+
+    Cache keys include it, so an entry never outlives the code that computed it.
+    """
+    package = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
+        with open(os.path.join(package, name), "rb") as fh:
+            data = fh.read()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def _cache_key(args, payload: dict) -> str | None:
+    """The cache key of a request, or None under --no-cache (no cache is consulted)."""
+    if args.no_cache:
+        return None
+    blob = json.dumps({**payload, "version": _source_version()}, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
-def _cache_get(args, key: str):
-    """The cached entry for key; None when absent, unreadable or malformed."""
-    if args.no_cache:
+def _cache_get(args, key: str | None):
+    """The cached entry for key; None under --no-cache or when absent, unreadable or malformed."""
+    if key is None:
         return None
     path = os.path.join(_cache_dir(args), key + ".json")
     try:
@@ -72,11 +89,11 @@ def _well_formed(entry, command: str) -> bool:
     return True
 
 
-def _cache_put(args, key: str, value: dict) -> None:
+def _cache_put(args, key: str | None, value: dict) -> None:
+    if key is None:
+        return
     import tempfile
 
-    if args.no_cache:
-        return
     directory = _cache_dir(args)
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -108,7 +125,9 @@ def _load_diagram(path: str):
         return parse_diagram(fh.read())
 
 
-def _window(args) -> Window:
+def _window(args):
+    from .gradings import Window, parse_window
+
     if args.window:
         return parse_window(args.window)
     return Window()
@@ -120,10 +139,9 @@ def cmd_kh(args) -> int:
         "cmd": "kh",
         "diagram": d.to_json_obj(),
         "window": args.window or "",
-        "version": ALGORITHM_VERSION,
         "oracle": bool(args.oracle),
     }
-    key = _cache_key(payload)
+    key = _cache_key(args, payload)
     cached = _cache_get(args, key)
     if cached is None:
         from .khovanov import khr2_dims
@@ -143,9 +161,8 @@ def cmd_rw(args) -> int:
         "diagram": d.to_json_obj(),
         "window": args.window or "",
         "k_max": args.max_twists,
-        "version": ALGORITHM_VERSION,
     }
-    key = _cache_key(payload)
+    key = _cache_key(args, payload)
     cached = _cache_get(args, key)
     if cached is None:
         from .rw import rw_plus
@@ -174,9 +191,8 @@ def cmd_lasagna(args) -> int:
         "alpha": list(offset),
         "window": args.window or "",
         "r_max": args.r_max,
-        "version": ALGORITHM_VERSION,
     }
-    key = _cache_key(payload)
+    key = _cache_key(args, payload)
     cached = _cache_get(args, key)
     if cached is None:
         from .skein import HandlebodySpec, s02_dims
@@ -197,8 +213,8 @@ def cmd_lasagna(args) -> int:
 
 def cmd_lee(args) -> int:
     d = _load_diagram(args.diagram)
-    payload = {"cmd": "lee", "diagram": d.to_json_obj(), "version": ALGORITHM_VERSION}
-    key = _cache_key(payload)
+    payload = {"cmd": "lee", "diagram": d.to_json_obj()}
+    key = _cache_key(args, payload)
     cached = _cache_get(args, key)
     if cached is None:
         from .lee import lee_total_dim

@@ -821,7 +821,8 @@ class _Symmetrizer:
 
     Uses the Jucys-Murphy factorization Sym_k = X_k ... X_2 with
     X_j = (1/j)(1 + sum_{i<j} (i j)), so only the k(k-1)/2 transpositions
-    are built.  Each is checked to be a chain map; they generate S_k, so
+    are built.  Each is checked to be a chain map (one that fixes every
+    generator is the identity, and needs no check); they generate S_k, so
     every permutation, and the average, is then one too.  `apply` runs the
     integral factors 1 + sum_{i<j} (i j) and divides by the product of the
     j (k! per region) once at the end, so chains stay ints until then.
@@ -837,7 +838,8 @@ class _Symmetrizer:
                     perm = list(range(k))
                     perm[i], perm[j] = j, i
                     f = _permutation_chain_map(cube, groups, tuple(perm))
-                    if not f.is_chain_map():
+                    moves = any(row != {g: 1} for g, row in f.entries.items())
+                    if moves and not f.is_chain_map():
                         raise LasagnaError(
                             f"belt transposition of {groups[i][0]!r} and {groups[j][0]!r} "
                             "is not a chain map"

@@ -21,8 +21,7 @@ one region transit in total.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 
 class DiagramError(ValueError):
@@ -33,10 +32,45 @@ UP = "up"
 DOWN = "down"
 
 
-@dataclass(frozen=True)
-class Crossing:
-    edges: tuple[str, str, str, str]
-    sign: int
+class _Value:
+    """An immutable value over the fields named in `__slots__`.
+
+    Equal only to an instance of the same class with equal fields; hash and
+    repr are those of a frozen dataclass with the same fields.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Crossing(_Value):
+    __slots__ = ("edges", "sign")
+
+    def __init__(self, edges: tuple[str, str, str, str], sign: int):
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "sign", sign)
 
     def mirror(self) -> "Crossing":
         e = self.edges
@@ -45,16 +79,20 @@ class Crossing:
         return Crossing((e[1], e[2], e[3], e[0]), 1)
 
 
-@dataclass(frozen=True)
-class RegionStrand:
-    edge: str
-    direction: str  # UP or DOWN
+class RegionStrand(_Value):
+    __slots__ = ("edge", "direction")  # direction: UP or DOWN
+
+    def __init__(self, edge: str, direction: str):
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "direction", direction)
 
 
-@dataclass(frozen=True)
-class SurgeryRegion:
-    region_id: str
-    strands: tuple[RegionStrand, ...]
+class SurgeryRegion(_Value):
+    __slots__ = ("region_id", "strands")
+
+    def __init__(self, region_id: str, strands: tuple[RegionStrand, ...]):
+        object.__setattr__(self, "region_id", region_id)
+        object.__setattr__(self, "strands", strands)
 
     @property
     def strand_count(self) -> int:
@@ -74,7 +112,7 @@ class LinkDiagram:
         crossings: Iterable[Crossing] = (),
         framing_points: Iterable[tuple[str, int]] = (),
         regions: Iterable[SurgeryRegion] = (),
-        orientations: Optional[dict[str, str]] = None,
+        orientations: dict[str, str] | None = None,
     ):
         self.edges = tuple(edges)
         self.crossings = tuple(crossings)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -140,3 +141,89 @@ def test_stabilization_failure_exit_code(tmp_path):
     )
     assert out.returncode == 3
     assert "stabilized[1]=false" in out.stderr
+
+
+def python_c(code, cache_dir, **env):
+    """Run `python -c code` with the cache directory and extra environment set."""
+    env = dict(os.environ, LASAGNA_CACHE_DIR=str(cache_dir), **env)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
+def test_cache_hit_loads_only_cli_and_diagram(tmp_path):
+    primed = run_cli(["kh", fixture("trefoil.json")], tmp_path)
+    assert primed.returncode == 0
+    (entry,) = tmp_path.iterdir()
+    bare = python_c("import sys; print(*sys.modules)", tmp_path)
+    # the table goes to stderr, so stdout holds the exit code and the loaded modules
+    hit = python_c(
+        "import io, sys\n"
+        "from lasagna.cli import run\n"
+        "out, sys.stdout = sys.stdout, io.StringIO()\n"
+        f"code = run(['kh', {fixture('trefoil.json')!r}])\n"
+        "sys.stderr.write(sys.stdout.getvalue())\n"
+        "sys.stdout = out\n"
+        "print(code, *sys.modules)\n",
+        tmp_path,
+    )
+    code, *loaded = hit.stdout.split()
+    assert code == "0" and hit.stderr == primed.stdout != ""
+    assert list(tmp_path.iterdir()) == [entry]
+    assert {m for m in loaded if m.split(".")[0] == "lasagna"} == {
+        "lasagna", "lasagna.cli", "lasagna.diagram"}
+    assert "dataclasses" not in set(loaded) - set(bare.stdout.split())
+
+
+def source_version(src_dir, hash_seed):
+    out = python_c("import lasagna.cli as c; print(c._source_version())", src_dir,
+                   PYTHONPATH=str(src_dir), PYTHONHASHSEED=str(hash_seed))
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+def test_source_version_is_a_digest_of_the_sources(tmp_path):
+    import lasagna
+
+    copy = tmp_path / "lasagna"
+    shutil.copytree(os.path.dirname(lasagna.__file__), copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    version = source_version(tmp_path, 0)
+    assert len(version) == 64 and version == source_version(tmp_path, 1)
+    rw = copy / "rw.py"
+    data = bytearray(rw.read_bytes())
+    i = data.index(b"Rozansky")
+    data[i] = ord("r")  # one byte of a docstring
+    rw.write_bytes(bytes(data))
+    changed = source_version(tmp_path, 0)
+    assert changed != version and changed == source_version(tmp_path, 1)
+
+
+def test_source_version_only_on_the_cache_path(tmp_path, monkeypatch, capsys):
+    from lasagna import cli
+
+    calls = []
+    real = cli._source_version
+    monkeypatch.setattr(cli, "_source_version", lambda: calls.append(1) or real())
+    argv = ["kh", fixture("unknot.json"), "--cache-dir", str(tmp_path)]
+    assert cli.run(argv + ["--no-cache"]) == 0
+    assert calls == [] and list(tmp_path.iterdir()) == []
+    assert cli.run(argv) == 0
+    assert calls == [1] and len(list(tmp_path.iterdir())) == 1
+    assert capsys.readouterr().out == "0\t-1\t1\n0\t1\t1\n" * 2
+
+
+def test_internal_error_exit_code(tmp_path):
+    # a failed invariant inside the computation crashes visibly
+    out = python_c(
+        "import sys\n"
+        "from lasagna import cli, khovanov\n"
+        "def broken(*args, **kwargs):\n"
+        "    raise AssertionError('invariant broken')\n"
+        "khovanov.khr2_dims = broken\n"
+        f"sys.argv = ['lasagna', 'kh', {fixture('trefoil.json')!r}]\n"
+        "cli.main()\n",
+        tmp_path,
+    )
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("Traceback") and "AssertionError: invariant broken" in out.stderr
+    assert list(tmp_path.iterdir()) == []

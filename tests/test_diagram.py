@@ -1,4 +1,9 @@
+import copy
 import json
+import os
+import pickle
+import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -9,8 +14,12 @@ from lasagna.diagram import (
     Crossing,
     DiagramError,
     LinkDiagram,
+    RegionStrand,
+    SurgeryRegion,
     parse_diagram,
 )
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def test_empty_diagram():
@@ -168,3 +177,120 @@ def test_region_unknown():
         catalog.belt_link(2).insert_full_twists("nope", 1)
     with pytest.raises(DiagramError, match="unknown region"):
         catalog.belt_link(2).add_belts("nope", 1, 0)
+
+
+# The value semantics Crossing, RegionStrand and SurgeryRegion must keep:
+# frozen dataclasses with the same fields.
+
+
+@dataclass(frozen=True)
+class _RefCrossing:
+    edges: tuple
+    sign: int
+
+    def mirror(self):
+        e = self.edges
+        if self.sign == 1:
+            return _RefCrossing((e[3], e[0], e[1], e[2]), -1)
+        return _RefCrossing((e[1], e[2], e[3], e[0]), 1)
+
+
+@dataclass(frozen=True)
+class _RefRegionStrand:
+    edge: str
+    direction: str
+
+
+@dataclass(frozen=True)
+class _RefSurgeryRegion:
+    region_id: str
+    strands: tuple
+
+
+def _random_value_pairs(rng):
+    """(value, reference) pairs over a small alphabet, so equal values recur."""
+    def edge():
+        return rng.choice("abcd")
+
+    pairs = []
+    for _ in range(6):
+        edges, sign = tuple(edge() for _ in range(4)), rng.choice((1, -1))
+        pairs.append((Crossing(edges, sign), _RefCrossing(edges, sign)))
+    strands = []
+    for _ in range(6):
+        e, d = edge(), rng.choice((UP, DOWN))
+        strands.append((RegionStrand(e, d), _RefRegionStrand(e, d)))
+    pairs += strands
+    for _ in range(6):
+        rid, chosen = rng.choice("12"), rng.sample(strands, rng.randint(0, 2))
+        pairs.append((SurgeryRegion(rid, tuple(v for v, _ in chosen)),
+                      _RefSurgeryRegion(rid, tuple(r for _, r in chosen))))
+    return pairs
+
+
+def test_value_classes_match_frozen_dataclass_reference():
+    rng = random.Random(31)
+    for _ in range(60):
+        pairs = _random_value_pairs(rng)
+        for v, r in pairs:
+            assert hash(v) == hash(r)
+            assert repr(v) == repr(r).replace("_Ref", "")
+            assert v == type(v)(**{f: getattr(v, f) for f in type(v).__slots__})
+            assert v != r and v != tuple(getattr(r, f) for f in type(v).__slots__)
+            assert copy.deepcopy(v) == v == pickle.loads(pickle.dumps(v))
+            if isinstance(v, Crossing):
+                m, rm = v.mirror(), r.mirror()
+                assert type(m) is Crossing and (m.edges, m.sign) == (rm.edges, rm.sign)
+                assert m.mirror() == v
+            if isinstance(v, SurgeryRegion):
+                assert v.strand_count == len(r.strands)
+                assert v.signed_transit == sum(1 if s.direction == UP else -1 for s in r.strands)
+        for _ in range(40):
+            (v, r), (v2, r2) = rng.choice(pairs), rng.choice(pairs)
+            assert (v == v2) == (r == r2)
+            assert (v != v2) == (r != r2)
+
+
+@pytest.mark.parametrize("value", [
+    Crossing(("a", "b", "c", "d"), 1),
+    RegionStrand("a", UP),
+    SurgeryRegion("1", (RegionStrand("a", UP),)),
+], ids=["crossing", "strand", "region"])
+def test_value_classes_are_immutable(value):
+    before = repr(value)
+    for name in (*type(value).__slots__, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 2)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == before
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(FIXTURES) if n.endswith(".json")))
+def test_fixture_round_trip(name):
+    with open(os.path.join(FIXTURES, name)) as fh:
+        text = fh.read()
+    d = parse_diagram(text)
+    assert d.to_json_obj() == json.loads(text)
+    again = parse_diagram(d.to_json())
+    assert again.crossings == d.crossings and again.regions == d.regions
+    assert again.to_json_obj() == d.to_json_obj()
+
+
+def test_package_names_resolve():
+    import lasagna
+    from lasagna import cobcat, diagram, gradings
+
+    assert lasagna.__all__ == [
+        "DiagramError", "DimTable", "FrobeniusSpec", "Grading", "KHOVANOV", "LEE",
+        "LinkDiagram", "Window", "parse_diagram", "parse_window",
+    ]
+    assert lasagna.Grading is gradings.Grading
+    assert lasagna.parse_window is gradings.parse_window
+    namespace = {}
+    exec("from lasagna import *", namespace)
+    for name in lasagna.__all__:
+        home = next(m for m in (diagram, gradings, cobcat) if hasattr(m, name))
+        assert namespace[name] is getattr(home, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lasagna.no_such_name

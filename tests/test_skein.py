@@ -219,3 +219,42 @@ def test_symmetrizer_equals_average_over_all_permutations(boundary, offset, r, m
         # compares two identities (see the FOUND: line on
         # `_permutation_chain_map` in CHANGES.md; whether that is right is open).
         assert all(sym.apply(v) == v for v in reps)
+
+
+def test_symmetrizer_checks_every_transposition_that_moves_a_generator(monkeypatch):
+    from lasagna import cobmaps
+    from lasagna.densecube import ChainMap
+    from lasagna.skein import _Symmetrizer
+
+    checked = []
+    real_check = ChainMap.is_chain_map
+    monkeypatch.setattr(ChainMap, "is_chain_map", lambda f: checked.append(f) or real_check(f))
+
+    five = build_stage(HandlebodySpec(catalog.empty_surgery(1), (1,)), 2)
+    _Symmetrizer(five.cube, five.belt_groups.values())
+    assert len(checked) == 10  # all 5 * 4 / 2 transpositions move some generator
+
+    # belt_link(2)'s stage-1 transposition fixes every generator: it is the
+    # identity, kept as a factor (weight 1/2) but not checked; that the
+    # symmetrizer is then the identity is checked above
+    crossed = build_stage(HandlebodySpec(catalog.belt_link(2), (0,)), 1)
+    cube, groups = crossed.cube, list(crossed.belt_groups.values())
+    checked.clear()
+    sym = _Symmetrizer(cube, groups)
+    assert checked == []
+    assert [len(maps) for maps in sym.factors] == [1] and sym.weight == Fraction(1, 2)
+
+    # a transposition that moves one generator and breaks commutation is refused
+    gens = list(cube.generators())
+    cycle = next(g for g in gens if not cube.differential(g))
+    other = next(g for g in gens if cube.differential(g))
+
+    def broken(cube, groups, perm):
+        entries = {g: {g: 1} for g in cube.generators()}
+        entries[cycle] = {other: 1}
+        return ChainMap(cube, cube, entries)
+
+    assert not real_check(broken(cube, groups, None))
+    monkeypatch.setattr(cobmaps, "_permutation_chain_map", broken)
+    with pytest.raises(LasagnaError, match="not a chain map"):
+        _Symmetrizer(cube, groups)
