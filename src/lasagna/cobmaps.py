@@ -13,8 +13,11 @@ This module owns the belt-permutation action (`_permutation_chain_map`,
 labels transported along crossed tubes) and the symmetrizer built on it
 (`_Symmetrizer`), which `skein` imports.  The symmetrizer builds only the
 belt transpositions and checks every one of them to commute with the
-differential.  `homology_matrix` is the one routine turning a chain-level
-map into matrices between homology blocks.
+differential.  `Movie` is the one place moves are dispatched and composed.
+`homology_matrix` is the one routine turning a chain-level map into
+matrices between homology blocks: each column is one reduction of an image
+in the target block's coordinate echelon (`Cube.homology_basis`), with no
+span rebuilt per column.
 
 All formulas are classical-convention; consumers needing the gl2-normalized
 degree of a move use -chi + 2*dots.
@@ -30,15 +33,7 @@ from typing import Callable, Iterable, Optional
 from .densecube import ChainMap, Cube, TrackedReduction, _acc
 from .diagram import Crossing, LinkDiagram
 from .gradings import DimTable, Grading, Window
-from .linalg import Echelon, inverse, row_reduce, solve_in_span
-
-
-@dataclass(frozen=True)
-class ElementaryMove:
-    """One movie step; `kind` fixes which location fields are read."""
-
-    kind: str  # birth, death, saddle, dot, coev, dotted_coev, r1+-, r2, swap
-    edges: tuple = ()
+from .linalg import Echelon, inverse, row_reduce
 
 
 # -- diagram rewrites for Morse moves ----------------------------------------
@@ -595,18 +590,16 @@ def homology_matrix(apply: Callable[[dict], dict], H_src: dict, H_dst: dict, shi
     representatives.  Raises when an image is not a cycle of the target.
     """
     result = {}
-    for (h2, q2), (reps, _img) in H_src.items():
+    for (h2, q2), (reps, _ech) in H_src.items():
         if not reps:
             continue
-        treps, timg = H_dst.get((h2 + shift[0], q2 + shift[1]), ([], Echelon()))
-        reduced_treps = [timg.reduce(r) for r in treps]
+        treps, tech = H_dst.get((h2 + shift[0], q2 + shift[1]), ([], Echelon()))
         cols = []
         for v in reps:
-            red = timg.reduce(apply(v))
-            sol = solve_in_span(reduced_treps, red) if red else [0] * len(treps)
+            sol = tech.coordinates(apply(v))
             if sol is None:
                 raise AssertionError("image not a cycle coordinate in target homology")
-            cols.append(sol)
+            cols.append([sol.get(i, 0) for i in range(len(treps))])
         result[(h2, q2)] = cols
     return result
 
@@ -617,32 +610,6 @@ def block_ranks(matrices: dict) -> dict:
         key: len(row_reduce([{i: c for i, c in enumerate(col) if c} for col in cols]))
         for key, cols in matrices.items()
     }
-
-
-def rank_of_homology_map(F: ChainMap, grading_shift=(0, 0)) -> dict:
-    mats = homology_matrix(F.apply, F.src.homology_basis(), F.dst.homology_basis(), grading_shift)
-    return {key: r for key, r in block_ranks(mats).items() if r}
-
-
-def induced_map(move: ElementaryMove, src: Cube, dst: Cube) -> ChainMap:
-    """Chain map of one elementary move between prebuilt cubes."""
-    k = move.kind
-    if k == "birth":
-        return birth_map(src, dst, move.edges[0])
-    if k == "death":
-        return death_map(src, dst, move.edges[0])
-    if k == "dot":
-        return dot_map(src, move.edges[0])
-    if k == "saddle":
-        return saddle_map(src, dst, move.edges[0], move.edges[1])
-    if k in ("coev", "dotted_coev"):
-        return coev_map(src, dst, move.edges[0], move.edges[1], dotted=(k == "dotted_coev"))
-    if k == "swap":
-        return swap_map(src, [move.edges[0]], [move.edges[1]])
-    raise ValueError(
-        f"induced_map does not handle kind {k!r} directly; build it through a "
-        "Movie (Reidemeister moves need the poke bookkeeping)"
-    )
 
 
 @dataclass
@@ -730,34 +697,6 @@ class Movie:
         for g in maps[1:]:
             f = f.compose(g)
         return f
-
-
-def movie_compose(moves: Iterable[ElementaryMove], start: LinkDiagram, c=Fraction(0)) -> ChainMap:
-    """Build and compose the chain maps of a movie, step by step."""
-    m = Movie(start, c)
-    for i, mv in enumerate(moves):
-        try:
-            if mv.kind == "birth":
-                m.birth(mv.edges[0])
-            elif mv.kind == "death":
-                m.death(mv.edges[0])
-            elif mv.kind == "dot":
-                m.dot(mv.edges[0])
-            elif mv.kind == "saddle":
-                m.saddle(mv.edges[0], mv.edges[1])
-            elif mv.kind in ("coev", "dotted_coev"):
-                m.coev(mv.edges[0], mv.edges[1], dotted=(mv.kind == "dotted_coev"))
-            elif mv.kind == "r2":
-                m.r2_include(mv.edges[0], mv.edges[1])
-            elif mv.kind in ("r1+", "r1-"):
-                m.r1_include(mv.edges[0], 1 if mv.kind == "r1+" else -1)
-            elif mv.kind == "swap":
-                m.swap(mv.edges[0], mv.edges[1])
-            else:
-                raise ValueError(f"unsupported movie move kind {mv.kind!r}")
-        except Exception as exc:
-            raise ValueError(f"movie incompatible at step {i}: {exc}") from exc
-    return m.composite()
 
 
 # -- symmetrizer -----------------------------------------------------------------

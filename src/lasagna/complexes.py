@@ -224,7 +224,9 @@ class BigradedComplex:
         """Kernel-minus-image dimensions per grading, inside the window.
 
         Requires every generator's tangle to be empty (fully scanned closed
-        diagram); the sparse rank computation runs per q2 column.
+        diagram); the sparse rank computation runs per (h2, q2) block.  With
+        c != 0 the differential is not q-homogeneous: blocks are keyed by h2
+        alone and each dimension is recorded at q2 = 0, as `Cube.blocks` does.
         """
         if window is None:
             window = Window()
@@ -245,9 +247,10 @@ class BigradedComplex:
                 raise ComplexError(
                     "homology needs a fully reduced complex over the empty tangle"
                 )
+        graded = self.spec.c == 0
         blocks: dict[tuple[int, int], list[int]] = {}
         for gid, (g, _) in self.gens.items():
-            blocks.setdefault((g.h2, g.q2), []).append(gid)
+            blocks.setdefault((g.h2, g.q2 if graded else 0), []).append(gid)
         ranks: dict[tuple[int, int], int] = {}
         for (h2, q2), gids in blocks.items():
             rows = []

@@ -16,7 +16,7 @@ doubled like everywhere else.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .diagram import LinkDiagram
 from .gradings import DimTable, Grading
@@ -156,71 +156,47 @@ class Cube:
 
     # -- homology -----------------------------------------------------------
 
-    def blocks(self, graded: Optional[bool] = None) -> dict:
-        """Group generators into blocks keyed by (h2, q2) (graded) or h2."""
-        if graded is None:
-            graded = self.c == 0
+    def blocks(self) -> dict:
+        """Generators by block: (h2, q2) for c = 0, else (h2, 0).
+
+        The Lee differential (c != 0) is not q-homogeneous, so its blocks are
+        keyed by h2 alone and their homology is recorded at q2 = 0.
+        """
         blocks: dict = {}
         for gen in self.generators():
             g = self.gen_grading(*gen)
-            key = (g.h2, g.q2) if graded else g.h2
-            blocks.setdefault(key, []).append(gen)
+            blocks.setdefault((g.h2, g.q2 if self.c == 0 else 0), []).append(gen)
         return blocks
 
     def homology_dims(self) -> DimTable:
-        """Classical homology dimensions (q-graded; requires c = 0)."""
-        if self.c != 0:
-            raise ValueError("q-graded homology needs the undeformed algebra")
-        blocks = self.blocks(graded=True)
-        ranks: dict = {}
-        for key, gens in blocks.items():
-            entries = {}
-            for g in gens:
-                for tgt, v in self.differential(g).items():
-                    entries[(tgt, g)] = v
-            by_row: dict = {}
-            for (r, cgen), v in entries.items():
-                by_row.setdefault(cgen, {})[r] = v
-            ranks[key] = len(row_reduce(list(by_row.values())))
+        """Homology dimensions per block of `blocks` (for c != 0 at q2 = 0)."""
+        blocks = self.blocks()
+        ranks = {
+            key: len(row_reduce([self.differential(g) for g in gens]))
+            for key, gens in blocks.items()
+        }
         out = DimTable()
         for (h2, q2), gens in blocks.items():
-            r_out = ranks.get((h2, q2), 0)
-            r_in = ranks.get((h2 - 2, q2), 0)
-            dim = len(gens) - r_out - r_in
+            dim = len(gens) - ranks[(h2, q2)] - ranks.get((h2 - 2, q2), 0)
             if dim:
                 out.add(Grading(h2, q2), dim)
         return out
 
-    def total_homology_dims_by_h(self) -> dict[int, int]:
-        """Homology dims per h2, ignoring q (works for any c, e.g. Lee)."""
-        blocks = self.blocks(graded=False)
-        ranks: dict = {}
-        for h2, gens in blocks.items():
-            by_row: dict = {}
-            for g in gens:
-                for tgt, v in self.differential(g).items():
-                    by_row.setdefault(g, {})[tgt] = v
-            ranks[h2] = len(row_reduce(list(by_row.values())))
-        out = {}
-        for h2, gens in blocks.items():
-            dim = len(gens) - ranks.get(h2, 0) - ranks.get(h2 - 2, 0)
-            if dim:
-                out[h2] = dim
-        return out
-
     def homology_basis(self, keys=None) -> dict:
-        """Per (h2,q2) block: (cycle representatives, image echelon).
+        """Per (h2,q2) block: (cycle representatives, coordinate echelon).
 
-        Homology coordinates of a cycle are obtained by reducing modulo the
-        image echelon and solving in the representative span.  Requires c=0.
-        `keys`, a collection of (h2, q2), builds only those blocks (each one
-        reads its own differentials and those of (h2-2, q2)); the result
-        equals the full basis on them, and a key without generators is
-        left out as there.
+        The echelon holds the block's image untagged and the representatives
+        tagged with their index, so its `coordinates` of a cycle are the
+        cycle's homology coordinates.  A cycle is a representative exactly
+        when it enlarges the span of the image and the earlier ones.
+        Requires c=0.  `keys`, a collection of (h2, q2), builds only those
+        blocks (each one reads its own differentials and those of
+        (h2-2, q2)); the result equals the full basis on them, and a key
+        without generators is left out as there.
         """
         if self.c != 0:
             raise ValueError("graded homology basis needs c = 0")
-        blocks = self.blocks(graded=True)
+        blocks = self.blocks()
         data: dict = {}
         for key, gens in blocks.items():
             if keys is not None and key not in keys:
@@ -229,18 +205,15 @@ class Cube:
             for g in gens:
                 for tgt, v in self.differential(g).items():
                     entries[(tgt, g)] = v
-            cycles = kernel_basis(entries, gens)
             h2, q2 = key
-            img = Echelon()
+            ech = Echelon()
             for g in blocks.get((h2 - 2, q2), []):
-                img.add(self.differential(g))
+                ech.add(self.differential(g))
             reps = []
-            rep_ech = Echelon()
-            for v in cycles:
-                red = img.reduce(v)
-                if red and rep_ech.add(red):
+            for v in kernel_basis(entries, gens):
+                if ech.add(v, len(reps)):
                     reps.append(v)
-            data[key] = (reps, img)
+            data[key] = (reps, ech)
         return data
 
 

@@ -206,10 +206,6 @@ class DimTable:
             out[g.q2] = out.get(g.q2, 0) + (-1) ** (g.h2 // 2) * v
         return {q2: c for q2, c in out.items() if c}
 
-    def to_tsv(self) -> str:
-        lines = [f"{format_half(g.h2)}\t{format_half(g.q2)}\t{v}" for g, v in self.items()]
-        return "\n".join(lines)
-
     def to_json_obj(self) -> list[dict]:
         return [
             {"h": format_half(g.h2), "q": format_half(g.q2), "dim": str(v)}
@@ -218,14 +214,3 @@ class DimTable:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
-
-    @staticmethod
-    def from_tsv(text: str) -> "DimTable":
-        t = DimTable()
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            h, q, v = line.split("\t")
-            t.add(Grading(parse_half(h), parse_half(q)), int(v))
-        return t

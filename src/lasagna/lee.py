@@ -1,7 +1,8 @@
 """Lee deformation utilities: closed-surface evaluation and rank oracles.
 
 The Lee algebra is Q[x]/(x^2-1); over it every link has total homology rank
-2^(number of components), which makes it a cheap nondegeneracy oracle.  The
+2^(number of components), which makes it a cheap nondegeneracy oracle, read
+off the scanning complex and checked against the dense Lee cube in tests.  The
 closed-surface evaluator computes Frobenius traces directly and serves as
 the independent check of the cobordism-category reduction rules.
 """
@@ -11,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from .cobcat import LEE
-from .densecube import Cube
 from .diagram import LinkDiagram
+from .khovanov import scan_complex
 
 
 @dataclass(frozen=True)
@@ -50,9 +51,11 @@ def eval_closed_surface(s: ClosedSurface) -> Fraction:
     return out
 
 
-def lee_total_dim(d: LinkDiagram, max_crossings: int = 14) -> int:
-    """Total Lee homology dimension of a closed diagram: 2^components."""
+def lee_total_dim(d: LinkDiagram) -> int:
+    """Total Lee homology dimension of a closed diagram: 2^components.
+
+    Ranked on the scanning complex, whose Lee homology is per h2 only.
+    """
     if d.regions:
         raise ValueError("lee_total_dim needs a diagram without surgery regions")
-    cube = Cube(d, LEE.c, max_crossings=max_crossings)
-    return sum(cube.total_homology_dims_by_h().values())
+    return scan_complex(d, LEE).homology_dims().total()

@@ -8,6 +8,13 @@ equal values compare and hash equal across the two types.  `inverse` is the
 one place a scalar is inverted, so the cube and cobordism differentials,
 whose entries are mostly +-1, run on Python ints.  Everything here is
 deterministic: pivots are the smallest key present, by sorted key order.
+
+`Echelon.reduce` is the one elimination kernel: every rank, kernel basis,
+solution and homology coordinate here and in the modules above is read off
+an `Echelon`.  A vector may be added with a tag, a bookkeeping key `Tag(t)`
+with coefficient -1 that is never chosen as a pivot.  Eliminating pivot
+vectors then carries their tags along, so the tags of a remainder record
+the combination of tagged vectors that was subtracted from it.
 """
 
 from __future__ import annotations
@@ -27,32 +34,25 @@ def inverse(x):
     return Fraction(1) / x
 
 
-def row_reduce(vectors: list[dict], keygetter=_sort_key) -> list[dict]:
-    """Gaussian elimination of a list of sparse vectors (dict key->coefficient).
+class Tag(tuple):
+    """Bookkeeping key `Tag(label)` of a tagged vector.
 
-    Returns an independent list in echelon form, each with leading
-    coefficient 1 at a distinct pivot key.  Deterministic: pivots are the
-    smallest key (by keygetter) present in each vector.
+    A tuple that starts with the class itself, so it is equal to no key a
+    caller supplies, yet hashes and compares at tuple speed.
     """
-    basis: dict = {}  # pivot key -> reduced vector
-    for vec in vectors:
-        v = dict(vec)
-        while v:
-            pivot = min(v, key=keygetter)
-            if pivot in basis:
-                coeff = v[pivot]
-                for k, val in basis[pivot].items():
-                    nv = v.get(k, 0) - coeff * val
-                    if nv:
-                        v[k] = nv
-                    else:
-                        v.pop(k, None)
-            else:
-                inv = inverse(v[pivot])
-                v = {k: val * inv for k, val in v.items()}
-                basis[pivot] = v
-                break
-    return [basis[p] for p in sorted(basis, key=keygetter)]
+
+    __slots__ = ()
+
+    def __new__(cls, label):
+        return tuple.__new__(cls, (cls, label))
+
+    @property
+    def label(self):
+        return self[1]
+
+
+def _untagged(v: dict) -> list:
+    return [k for k in v if type(k) is not Tag]
 
 
 class Echelon:
@@ -91,114 +91,82 @@ class Echelon:
                     v.pop(k, None)
         return v
 
-    def add(self, vec: dict) -> bool:
-        """Insert vec; returns True if it enlarged the span."""
-        v = self.reduce(vec)
-        if not v:
+    def add(self, vec: dict, tag=None) -> bool:
+        """Insert vec, tagged `tag` unless None; True if it enlarged the span."""
+        if tag is not None:
+            vec = {**vec, Tag(tag): -1}
+        return self._insert(self.reduce(vec))
+
+    def _insert(self, v: dict) -> bool:
+        """Make the remainder v a pivot vector unless it holds only tags."""
+        keys = _untagged(v)
+        if not keys:
             return False
-        pivot = min(v, key=_sort_key)
+        pivot = min(keys, key=_sort_key)
         inv = inverse(v[pivot])
         self.pivots[pivot] = {k: val * inv for k, val in v.items()}
         self._index[pivot] = len(self._index)
         return True
 
+    def coordinates(self, vec: dict):
+        """{tag: coefficient} of the tagged vectors that, with some untagged
+        combination, sum to vec; None if vec is outside the span."""
+        v = self.reduce(vec)
+        if _untagged(v):
+            return None
+        return {k.label: val for k, val in v.items()}
+
     def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
+        return not _untagged(self.reduce(vec))
 
     def rank(self) -> int:
         return len(self.pivots)
 
 
+def row_reduce(vectors: list[dict]) -> list[dict]:
+    """Gaussian elimination of a list of sparse vectors (dict key->coefficient).
+
+    Returns an independent list in echelon form, each with leading
+    coefficient 1 at a distinct pivot key, sorted by pivot.  Deterministic:
+    pivots are the smallest key present in each remainder.
+    """
+    ech = Echelon()
+    for vec in vectors:
+        ech.add(vec)
+    return [ech.pivots[p] for p in sorted(ech.pivots, key=_sort_key)]
+
+
 def kernel_basis(entries: dict, cols: list) -> list[dict]:
     """Basis of the kernel of the matrix {(r,c): v} acting on column vectors.
 
-    Columns are the domain.  Returns sparse vectors {col: coefficient}.
+    Columns are the domain.  Returns sparse vectors {col: coefficient}: one
+    per column that depends on the earlier ones.  Each column is tagged +1,
+    so the tags of a dependent column's remainder are its kernel vector.
     """
     by_col: dict = {c: {} for c in cols}
     for (r, c), v in entries.items():
         if v:
             by_col[c][r] = v
-    # Reduce columns, tracking the combination that produced each reduced col.
-    ech: dict = {}  # pivot row -> (reduced col vector, combination)
+    ech = Echelon()
     kernel = []
     for c in cols:
-        v = dict(by_col[c])
-        comb = {c: 1}
-        while v:
-            pivot = min(v, key=_sort_key)
-            if pivot not in ech:
-                inv = inverse(v[pivot])
-                ech[pivot] = (
-                    {k: val * inv for k, val in v.items()},
-                    {k: val * inv for k, val in comb.items()},
-                )
-                v = None
-                break
-            pv, pcomb = ech[pivot]
-            coeff = v[pivot]
-            for k, val in pv.items():
-                nv = v.get(k, 0) - coeff * val
-                if nv:
-                    v[k] = nv
-                else:
-                    v.pop(k, None)
-            for k, val in pcomb.items():
-                nc = comb.get(k, 0) - coeff * val
-                if nc:
-                    comb[k] = nc
-                else:
-                    comb.pop(k, None)
-        if v is not None and not v:
-            kernel.append(comb)
+        v = ech.reduce({**by_col[c], Tag(c): 1})
+        if not ech._insert(v):
+            kernel.append({k.label: val for k, val in v.items()})
     return kernel
 
 
 def solve_in_span(span_vectors: list[dict], target: dict):
     """Express target as a combination of span_vectors, or return None.
 
-    Returns a list of coefficients aligned with span_vectors.
+    Returns a list of coefficients aligned with span_vectors.  Nothing in
+    the package calls it any more (`Echelon.coordinates` does its job);
+    `perfbench/tracer.py` still wraps it by name.
     """
-    ech: dict = {}  # pivot -> (vector, combination over indices)
+    ech = Echelon()
     for i, vec in enumerate(span_vectors):
-        v = dict(vec)
-        comb = {i: 1}
-        while v:
-            pivot = min(v, key=_sort_key)
-            if pivot not in ech:
-                inv = inverse(v[pivot])
-                ech[pivot] = (
-                    {k: val * inv for k, val in v.items()},
-                    {k: val * inv for k, val in comb.items()},
-                )
-                break
-            pv, pcomb = ech[pivot]
-            coeff = v[pivot]
-            for k, val in pv.items():
-                nv = v.get(k, 0) - coeff * val
-                if nv:
-                    v[k] = nv
-                else:
-                    v.pop(k, None)
-            for k, val in pcomb.items():
-                nc = comb.get(k, 0) - coeff * val
-                if nc:
-                    comb[k] = nc
-                else:
-                    comb.pop(k, None)
-    t = dict(target)
-    out = {}
-    while t:
-        pivot = min(t, key=_sort_key)
-        if pivot not in ech:
-            return None
-        pv, pcomb = ech[pivot]
-        coeff = t[pivot]
-        for k, val in pv.items():
-            nv = t.get(k, 0) - coeff * val
-            if nv:
-                t[k] = nv
-            else:
-                t.pop(k, None)
-        for k, val in pcomb.items():
-            out[k] = out.get(k, 0) + coeff * val
-    return [out.get(i, 0) for i in range(len(span_vectors))]
+        ech.add(vec, i)
+    sol = ech.coordinates(target)
+    if sol is None:
+        return None
+    return [sol.get(i, 0) for i in range(len(span_vectors))]

@@ -372,14 +372,13 @@ def belt_capping_class(spec: HandlebodySpec, guard_strands: int = 6) -> CappingC
     key0 = _global_to_classical(grading, stages[0])
     src_key = (key0[0], key0[1] - _transition_q2_drop(spec))
     H0 = stages[0].cube.homology_basis({key0})
-    reps0, img0 = H0.get(key0, ([], None))
-    if not reps0:
+    if not H0.get(key0, ([], None))[0]:
         return CappingCertificate(grading, False, 1, False)
     syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
     Hs = [H0, stages[1].cube.homology_basis({src_key})]
     mats = _transition_matrix(spec, stages, syms, Hs, 0, {src_key})
     # coordinates of the all-x generator class in the stage-0 representatives
     all_x = {(0, (1,) * len(stages[0].cube.circles[0])): 1}
-    (allx,) = homology_matrix(lambda v: v, {key0: ([all_x], img0)}, Hs[0])[key0]
+    (allx,) = homology_matrix(lambda v: v, {key0: ([all_x], None)}, Hs[0])[key0]
     nonzero = any(sum(c * a for c, a in zip(col, allx)) for col in mats.get(src_key, []))
     return CappingCertificate(grading, nonzero, 1, nonzero)

@@ -4,21 +4,18 @@ import pytest
 
 from lasagna import catalog
 from lasagna.cobmaps import (
-    ElementaryMove,
     Movie,
     R1Retract,
     R2Retract,
     birth_diagram,
     birth_map,
+    block_ranks,
     coev_map,
     death_map,
     dot_map,
     homology_matrix,
-    induced_map,
-    movie_compose,
     r1_kink,
     r2_poke,
-    rank_of_homology_map,
     reduction_equivalence,
     saddle_diagram,
     saddle_map,
@@ -27,6 +24,12 @@ from lasagna.cobmaps import (
 from lasagna.densecube import Cube, identity_map
 from lasagna.gradings import DimTable, Window
 from lasagna.khovanov import kh_dims
+
+
+def _nonzero_ranks(f):
+    """Nonzero block ranks of a chain map on homology."""
+    mats = homology_matrix(f.apply, f.src.homology_basis(), f.dst.homology_basis())
+    return {key: r for key, r in block_ranks(mats).items() if r}
 
 
 def sum_entries(*maps):
@@ -110,16 +113,6 @@ def test_saddle_merge_two_unknots():
     assert (0, (1, 1)) not in m.entries
 
 
-def test_induced_map_dispatch():
-    src = Cube(catalog.empty_diagram())
-    d2 = birth_diagram(catalog.empty_diagram(), "u")
-    dst = Cube(d2)
-    f = induced_map(ElementaryMove("birth", ("u",)), src, dst)
-    assert f.is_chain_map()
-    with pytest.raises(ValueError, match="kind"):
-        induced_map(ElementaryMove("r3"), src, dst)
-
-
 def test_r2_retract_is_sdr():
     d = birth_diagram(catalog.trefoil_right(), "c")
     big, proj, new = r2_poke(d, "c", "e1")
@@ -142,7 +135,7 @@ def test_r1_retracts_are_sdr():
 
 def test_empty_movie_is_identity():
     d = catalog.hopf_positive()
-    f = movie_compose([], d)
+    f = Movie(d).composite()
     assert f.entries == identity_map(Cube(d)).entries
 
 
@@ -154,17 +147,9 @@ def test_movie_r2_then_inverse_is_homology_iso():
     assert m.current.to_json_obj() == big.to_json_obj()
     m.r2_project(d, proj, new)
     f = m.composite()
-    ranks = rank_of_homology_map(f)
+    ranks = _nonzero_ranks(f)
     expected = {(g.h2, g.q2): v for g, v in kh_dims(d).items()}
     assert ranks == expected
-
-
-def test_movie_incompatible_step_reports_index():
-    d = catalog.unknot()
-    with pytest.raises(ValueError, match="step 1"):
-        movie_compose(
-            [ElementaryMove("birth", ("z",)), ElementaryMove("death", ("missing",))], d
-        )
 
 
 def test_r3_reduction_equivalence_iso():
@@ -172,7 +157,7 @@ def test_r3_reduction_equivalence_iso():
     d2 = catalog.braid_closure([2, 1, 2, -1, 2], 3)
     f = reduction_equivalence(Cube(d1), Cube(d2))
     assert f.is_chain_map()
-    ranks = rank_of_homology_map(f)
+    ranks = _nonzero_ranks(f)
     assert ranks == {(g.h2, g.q2): v for g, v in kh_dims(d1).items()}
 
 
@@ -258,14 +243,13 @@ def test_swap_map_split_and_nonsplit():
 
 def test_movie_with_coev_and_swap():
     d = catalog.unknot()
-    f = movie_compose(
-        [
-            ElementaryMove("dotted_coev", ("c1", "c2")),
-            ElementaryMove("swap", ("c1", "c2")),
-            ElementaryMove("saddle", ("c1", "c2")),
-            ElementaryMove("death", ("c1",)),
-        ],
-        d,
+    f = (
+        Movie(d)
+        .coev("c1", "c2", dotted=True)
+        .swap("c1", "c2")
+        .saddle("c1", "c2")
+        .death("c1")
+        .composite()
     )
     assert f.is_chain_map()
     # dotted coev then merge gives x*x = 0, so the composite vanishes

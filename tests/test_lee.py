@@ -1,9 +1,14 @@
+import os
 import random
 from fractions import Fraction
 
-from lasagna import catalog
+from lasagna import catalog, parse_diagram
 from lasagna.cobcat import KHOVANOV, LEE, Component, Cobordism, FlatTangle, FrobeniusSpec, MorphismCombo, reduce
+from lasagna.densecube import Cube
+from lasagna.khovanov import scan_complex
 from lasagna.lee import ClosedSurface, eval_closed_surface, lee_total_dim
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def test_sphere_values():
@@ -60,3 +65,21 @@ def test_lee_total_dims_random_corpus():
     for _ in range(6):
         d = catalog.random_braid_diagram(rng, 6)
         assert lee_total_dim(d) == 2 ** d.component_count
+
+
+def test_lee_total_dims_of_the_fixtures():
+    """Ranked on the scan, T(4,4) included (the dense Lee cube took minutes)."""
+    for name in sorted(n for n in os.listdir(FIXTURES) if n.endswith(".json")):
+        with open(os.path.join(FIXTURES, name)) as fh:
+            d = parse_diagram(fh.read()).forget_regions()
+        assert lee_total_dim(d) == 2 ** d.component_count, name
+
+
+def test_lee_scan_agrees_with_the_dense_cube_per_h():
+    rng = random.Random(78)
+    cases = [catalog.hopf_positive(), catalog.torus_link(2, 4), catalog.unlink(2)]
+    cases += [catalog.random_braid_diagram(rng, 6) for _ in range(4)]
+    for d in cases:
+        dense = Cube(d, LEE.c).homology_dims()
+        assert scan_complex(d, LEE).homology_dims() == dense, d.to_json_obj()
+        assert all(g.q2 == 0 for g in dense)
