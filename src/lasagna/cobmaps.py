@@ -1,10 +1,15 @@
 """Chain maps induced by elementary link cobordisms, in the dense model.
 
 Morse moves (birth, death, saddle, dot, coevaluations) act state-by-state
-through the Frobenius algebra; their matrices are exact and commute with the
-cube differentials on the nose.  First and second Reidemeister moves carry
-explicit strong-deformation-retract data between the small complex and the
-kinked/poked one, written resolution-by-resolution.  R3 maps, where the two
+through the Frobenius algebra: eta, eps, m or Delta, x. and Delta(1) or
+Delta(x).  The structure maps themselves live in `densecube`, next to the
+cube differential built on them; `_state_map` here places them state by
+state.  Their matrices are exact and commute with the cube differentials on
+the nose.  First and second Reidemeister moves carry explicit
+strong-deformation-retract data between the small complex and the
+kinked/poked one, written resolution-by-resolution from the same maps (R2:
+m or Delta with eta or eps on the middle circle; R1: eta, eps and x. on the
+kink circle and the strand).  R3 maps, where the two
 diagrams share a crossing count, are composites through the fully reduced
 minimal models and are therefore canonical on homology only; no test
 asserts their chain-level signs.
@@ -30,7 +35,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from .densecube import ChainMap, Cube, TrackedReduction, _acc
+from .densecube import (
+    LABEL_ONE,
+    LABEL_X,
+    ChainMap,
+    Cube,
+    TrackedReduction,
+    _acc,
+    _all_labels,
+    carry,
+    comult,
+    counit,
+    identity_map,
+    match_circles,
+    mult,
+    times_x,
+    unit,
+)
 from .diagram import Crossing, LinkDiagram
 from .gradings import DimTable, Grading, Window
 from .linalg import Echelon, inverse, row_reduce
@@ -104,7 +125,7 @@ def _absorb(d: LinkDiagram, gone: str) -> LinkDiagram:
     )
 
 
-# -- per-state circle matching -------------------------------------------------
+# -- per-state maps from the Frobenius structure --------------------------------
 
 
 def _circle_index(circles, edge):
@@ -114,196 +135,178 @@ def _circle_index(circles, edge):
     raise ValueError(f"edge {edge!r} not in any circle")
 
 
-def _match_other_circles(src_circles, dst_circles, changed_src, changed_dst):
-    """Match unchanged circles by edge content; return dst index per src index."""
-    unchanged_dst = {c: i for i, c in enumerate(dst_circles) if i not in changed_dst}
-    out = {}
-    for i, c in enumerate(src_circles):
-        if i in changed_src:
-            continue
-        if c not in unchanged_dst:
-            raise ValueError("circle mismatch between diagrams")
-        out[i] = unchanged_dst[c]
-    return out
+def _state_map(src: Cube, dst: Cube, plan) -> ChainMap:
+    """Chain map built state by state from the structure maps of `densecube`.
+
+    `plan(s)` lists, once per source state s, its parts (t, slots, ins,
+    outs, op): the target state t, the circle matching `slots` (each target
+    circle's source circle, or None, as `match_circles` gives it), and the
+    local map `op` reading the labels at positions `ins` of the source and
+    writing those at positions `outs` of the target.  A generator's row sums
+    its parts' terms; an empty row is left out.
+    """
+    entries = {}
+    c = src.c
+    for s, circles in enumerate(src.circles):
+        parts = plan(s)
+        for t, slots, ins, outs, op in parts:
+            if any(i is None and j not in outs for j, i in enumerate(slots)):
+                raise ValueError("circle mismatch between diagrams")
+        for labels in _all_labels(len(circles)):
+            row: dict = {}
+            for t, slots, ins, outs, op in parts:
+                for tl, coeff in carry(labels, slots, ins, outs, op, c):
+                    _acc(row, (t, tl), coeff)
+            if row:
+                entries[(s, labels)] = row
+    return ChainMap(src, dst, entries)
+
+
+def _morse_map(src: Cube, dst: Cube, local) -> ChainMap:
+    """A move that keeps the crossings, so state s goes to state s.
+
+    `local(src circles, dst circles)` gives (ins, outs, op) for the circles
+    the move touches; every other circle keeps its label.
+    """
+
+    def plan(s):
+        sc, dc = src.circles[s], dst.circles[s]
+        return [(s, match_circles(sc, dc)[0], *local(sc, dc))]
+
+    return _state_map(src, dst, plan)
+
+
+def _tensor(a, b):
+    """Tensor product of two term lists."""
+    return [(x + y, kx * ky) for x, kx in a for y, ky in b]
+
+
+def _scaled(terms, k):
+    return [(l, k * v) for l, v in terms]
+
+
+def _keep(loc, c):
+    """The identity on no circles: the carried labels alone, coefficient 1."""
+    return (((), 1),)
 
 
 # -- Morse chain maps ---------------------------------------------------------
 
 
 def birth_map(src: Cube, dst: Cube, new_edge: str) -> ChainMap:
-    entries = {}
-    for gen in src.generators():
-        s, labels = gen
-        dst_circles = dst.circles[s]
-        j = _circle_index(dst_circles, new_edge)
-        match = _match_other_circles(src.circles[s], dst_circles, set(), {j})
-        new_labels = [0] * len(dst_circles)
-        for i, l in enumerate(labels):
-            new_labels[match[i]] = l
-        new_labels[j] = 0
-        entries[gen] = {(s, tuple(new_labels)): 1}
-    return ChainMap(src, dst, entries)
+    return _morse_map(src, dst, lambda sc, dc: ((), (_circle_index(dc, new_edge),), unit))
 
 
 def death_map(src: Cube, dst: Cube, edge: str) -> ChainMap:
-    entries = {}
-    for gen in src.generators():
-        s, labels = gen
-        src_circles = src.circles[s]
-        j = _circle_index(src_circles, edge)
-        if labels[j] == 0:  # eps(1) = 0
-            continue
-        match = _match_other_circles(src_circles, dst.circles[s], {j}, set())
-        new_labels = [0] * len(dst.circles[s])
-        for i, l in enumerate(labels):
-            if i != j:
-                new_labels[match[i]] = l
-        entries[gen] = {(s, tuple(new_labels)): 1}
-    return ChainMap(src, dst, entries)
+    return _morse_map(src, dst, lambda sc, dc: ((_circle_index(sc, edge),), (), counit))
 
 
 def dot_map(cube: Cube, edge: str) -> ChainMap:
-    entries = {}
-    for gen in cube.generators():
-        s, labels = gen
-        j = _circle_index(cube.circles[s], edge)
-        if labels[j] == 0:
-            nl = list(labels)
-            nl[j] = 1
-            entries[gen] = {(s, tuple(nl)): 1}
-        elif cube.c:
-            nl = list(labels)
-            nl[j] = 0
-            entries[gen] = {(s, tuple(nl)): cube.c}
-    return ChainMap(cube, cube, entries)
+    def local(sc, dc):
+        j = _circle_index(sc, edge)
+        return (j,), (j,), times_x
+
+    return _morse_map(cube, cube, local)
 
 
 def saddle_map(src: Cube, dst: Cube, e: str, f: str) -> ChainMap:
-    """TQFT map of the saddle between edges e and f (split when e == f)."""
-    entries = {}
-    split_edge = None
-    if e == f:
-        split_edge = [x for x in dst.diagram.edges if x not in src.diagram.edges]
-        assert len(split_edge) == 1
-        split_edge = split_edge[0]
-    for gen in src.generators():
-        s, labels = gen
-        sc = src.circles[s]
-        dc = dst.circles[s]
-        if split_edge is not None:
-            i = _circle_index(sc, e)
-            j_new = _circle_index(dc, split_edge)
-            j_old = _circle_index(dc, e)
-            match = _match_other_circles(sc, dc, {i}, {j_new, j_old})
-            base = [0] * len(dc)
-            for k, l in enumerate(labels):
-                if k != i:
-                    base[match[k]] = l
-            out: dict = {}
-            # Delta: 1 -> 1(x)x + x(x)1 ; x -> x(x)x + c 1(x)1
-            if labels[i] == 0:
-                for la, lb in ((0, 1), (1, 0)):
-                    nl = list(base)
-                    nl[j_old], nl[j_new] = la, lb
-                    _acc(out, (s, tuple(nl)), 1)
-            else:
-                nl = list(base)
-                nl[j_old], nl[j_new] = 1, 1
-                _acc(out, (s, tuple(nl)), 1)
-                if src.c:
-                    nl = list(base)
-                    nl[j_old], nl[j_new] = 0, 0
-                    _acc(out, (s, tuple(nl)), src.c)
-            entries[gen] = out
-            continue
-        i1 = _circle_index(sc, e)
-        i2 = _circle_index(sc, f)
-        surviving = e if e in dst.diagram.edges else f
-        if i1 == i2:
-            # one circle splits into the two dst circles containing e and f
-            j1 = _circle_index(dc, e)
-            j2 = _circle_index(dc, f)
+    """TQFT map of the saddle between edges e and f: Delta where they share
+    a circle, m where they lie on two.  With e == f a new circle splits off
+    e's, and f is read as its edge."""
+    split_off = e == f
+    if split_off:
+        [f] = [x for x in dst.diagram.edges if x not in src.diagram.edges]
+    surviving = e if e in dst.diagram.edges else f
+    cross_join = e in dst.diagram.edges and f in dst.diagram.edges
+
+    def local(sc, dc):
+        i = _circle_index(sc, e)
+        if split_off or i == _circle_index(sc, f):
+            j1, j2 = _circle_index(dc, e), _circle_index(dc, f)
             assert j1 != j2, "saddle did not split"
-            match = _match_other_circles(sc, dc, {i1}, {j1, j2})
-            base = [0] * len(dc)
-            for k, l in enumerate(labels):
-                if k != i1:
-                    base[match[k]] = l
-            out = {}
-            if labels[i1] == 0:
-                for la, lb in ((0, 1), (1, 0)):
-                    nl = list(base)
-                    nl[j1], nl[j2] = la, lb
-                    _acc(out, (s, tuple(nl)), 1)
-            else:
-                nl = list(base)
-                nl[j1], nl[j2] = 1, 1
-                _acc(out, (s, tuple(nl)), 1)
-                if src.c:
-                    nl = list(base)
-                    nl[j1], nl[j2] = 0, 0
-                    _acc(out, (s, tuple(nl)), src.c)
-            entries[gen] = out
-        else:
-            # two circles merge
-            j = _circle_index(dc, surviving)
-            if e in dst.diagram.edges and f in dst.diagram.edges:
-                assert j == _circle_index(dc, f), "saddle did not merge"
-            match = _match_other_circles(sc, dc, {i1, i2}, {j})
-            base = [0] * len(dc)
-            for k, l in enumerate(labels):
-                if k not in (i1, i2):
-                    base[match[k]] = l
-            tot = labels[i1] + labels[i2]
-            out = {}
-            if tot == 0:
-                nl = list(base)
-                nl[j] = 0
-                _acc(out, (s, tuple(nl)), 1)
-            elif tot == 1:
-                nl = list(base)
-                nl[j] = 1
-                _acc(out, (s, tuple(nl)), 1)
-            elif src.c:
-                nl = list(base)
-                nl[j] = 0
-                _acc(out, (s, tuple(nl)), src.c)
-            if out:
-                entries[gen] = out
-        if gen in entries and not entries[gen]:
-            del entries[gen]
-    return ChainMap(src, dst, entries)
+            return (i,), (j1, j2), comult
+        j = _circle_index(dc, surviving)
+        if cross_join:
+            assert j == _circle_index(dc, f), "saddle did not merge"
+        return (i, _circle_index(sc, f)), (j,), mult
+
+    return _morse_map(src, dst, local)
 
 
 def coev_map(src: Cube, dst: Cube, c1: str, c2: str, dotted: bool = False) -> ChainMap:
-    """Create the split circle pair (c1, c2): 1 -> 1(x)x + x(x)1, dotted: x(x)x."""
-    entries = {}
-    c = src.c
-    for gen in src.generators():
-        s, labels = gen
-        dc = dst.circles[s]
-        j1 = _circle_index(dc, c1)
-        j2 = _circle_index(dc, c2)
-        match = _match_other_circles(src.circles[s], dc, set(), {j1, j2})
-        base = [0] * len(dc)
-        for k, l in enumerate(labels):
-            base[match[k]] = l
-        out: dict = {}
-        if not dotted:
-            pairs = [((0, 1), 1), ((1, 0), 1)]
-        else:
-            pairs = [((1, 1), 1)]
-            if c:
-                pairs.append(((0, 0), c))
-        for (la, lb), coeff in pairs:
-            nl = list(base)
-            nl[j1], nl[j2] = la, lb
-            _acc(out, (s, tuple(nl)), coeff)
-        entries[gen] = out
-    return ChainMap(src, dst, entries)
+    """Create the split circle pair (c1, c2): Delta(1) = 1(x)x + x(x)1, dotted Delta(x)."""
+    created = (LABEL_X if dotted else LABEL_ONE,)
+
+    def op(loc, c):
+        return comult(created, c)
+
+    return _morse_map(src, dst, lambda sc, dc: ((), (_circle_index(dc, c1), _circle_index(dc, c2)), op))
 
 
 # -- Reidemeister retracts ------------------------------------------------------
+
+
+def _big_state(shared: list[int], small_state: int, extra: int = 0) -> int:
+    """The big cube's state: the small state's bits on the shared crossings, plus `extra`."""
+    out = extra
+    for k, i in enumerate(shared):
+        if (small_state >> k) & 1:
+            out |= 1 << i
+    return out
+
+
+def _small_state(shared: list[int], big_state: int) -> int:
+    out = 0
+    for k, i in enumerate(shared):
+        if (big_state >> i) & 1:
+            out |= 1 << k
+    return out
+
+
+def _projected(circles, proj: dict, loop=None):
+    """Big circles in the small diagram's edge names, and the index of `loop`.
+
+    The loop circle is written None, so `match_circles` pairs it with nothing.
+    """
+    out, at = [], None
+    for i, c in enumerate(circles):
+        if c == loop:
+            out.append(None)
+            at = i
+        else:
+            out.append(frozenset(proj[e] for e in c))
+    return out, at
+
+
+def _surgery(ins, outs):
+    """m or Delta, by how many circles the lane surgery reads and writes."""
+    if (len(ins), len(outs)) == (2, 1):
+        return mult
+    assert (len(ins), len(outs)) == (1, 2), "lane surgery did not split"
+    return comult
+
+
+def _fresh_namer(d: LinkDiagram):
+    """Edge namer for a rewrite of d: base'0, base'1, ..., never reusing a name."""
+    used = set(d.edges)
+
+    def fresh(base):
+        i = 0
+        while f"{base}'{i}" in used:
+            i += 1
+        used.add(f"{base}'{i}")
+        return f"{base}'{i}"
+
+    return fresh
+
+
+def _head_slots(d: LinkDiagram) -> dict:
+    """Edge -> (crossing index, slot) of every slot where an edge ends."""
+    heads = {}
+    for ci, c in enumerate(d.crossings):
+        heads[c.edges[0]] = (ci, 0)
+        heads[c.edges[3 if c.sign == 1 else 1]] = (ci, 3 if c.sign == 1 else 1)
+    return heads
 
 
 class R2Retract:
@@ -312,8 +315,9 @@ class R2Retract:
     The big diagram is the small one with crossings (X1, X2) added by
     r2_poke; the distinguished resolution (X1,X2) = (0,1) reproduces the two
     strands, while (1,0) contains the small middle circle O.  Writing sigma
-    for the lane surgery (the reconnection at the X1 site), eta for the
-    birth of O with unit label and eps for the counit on O, the retract is
+    for the lane surgery (the reconnection at the X1 site: m where it fuses
+    two circles, Delta where it splits one), eta for the birth of O with
+    unit label and eps for the counit on O, the retract is
 
         include(y)   = y|_(0,1) + (sigma(y) (x) eta)|_(1,0)
         project      = relabel on (0,1),  -(sigma' o (id (x) eps)) on (1,0),
@@ -332,8 +336,8 @@ class R2Retract:
         if small.n != len(self.shared):
             raise ValueError("crossing counts do not line up")
         x1, x2 = self.new
-        self.state_K = {x1: 0, x2: 1}
-        self.state_B = {x1: 1, x2: 0}
+        self.bits_K = 1 << x2  # (X1, X2) = (0, 1)
+        self.bits_B = 1 << x1  # (X1, X2) = (1, 0)
         # middle circle of the (1,0) resolution: the two swapped-out pieces
         # (they meet only the two new crossings)
         mids = [e for e, p in self.proj.items() if e != p]
@@ -344,188 +348,58 @@ class R2Retract:
                                 and self._hits_both_new(e))
         if len(self.middle) != 2:
             raise ValueError("middle circle of the poke not recognized")
-        self.lanes = tuple(sorted(self.proj[e] for e in self.middle))
 
     def _hits_both_new(self, e) -> bool:
         return all(e in self.big.diagram.crossings[i].edges for i in self.new)
 
-    def _big_state(self, small_state: int, res: dict) -> int:
-        out = 0
-        for k, i in enumerate(self.shared):
-            if (small_state >> k) & 1:
-                out |= 1 << i
-        for i, r in res.items():
-            if r:
-                out |= 1 << i
-        return out
-
-    def _small_state(self, big_state: int) -> int:
-        out = 0
-        for k, i in enumerate(self.shared):
-            if (big_state >> i) & 1:
-                out |= 1 << k
-        return out
-
-    def _match_by_projection(self, big_circles, small_circles):
-        small_idx = {c: i for i, c in enumerate(small_circles)}
-        out = {}
-        for i, c in enumerate(big_circles):
-            pc = frozenset(self.proj[e] for e in c)
-            if pc not in small_idx:
-                return None
-            out[i] = small_idx[pc]
-        return out
+    def _projected_B(self, bs):
+        """The (1,0) state's circles in small edge names, and the index of O."""
+        pc, o = _projected(self.big.circles[bs], self.proj, self.middle)
+        if o is None:
+            raise AssertionError("middle circle missing in the (1,0) resolution")
+        return pc, o
 
     def include(self) -> ChainMap:
-        entries: dict = {}
-        for gen in self.small.generators():
-            ss, labels = gen
-            out: dict = {}
-            # K-component: straight relabeling through the projection
-            bs = self._big_state(ss, self.state_K)
-            bc = self.big.circles[bs]
-            match = self._match_by_projection(bc, self.small.circles[ss])
-            if match is None:
-                raise AssertionError("distinguished resolution does not project")
-            nl = [0] * len(bc)
-            for i in range(len(bc)):
-                nl[i] = labels[match[i]]
-            _acc(out, (bs, tuple(nl)), 1)
-            # B-component: lane surgery, unit label on the middle circle
-            bs2 = self._big_state(ss, self.state_B)
-            for tgt, coeff in self._lane_surgery_into_B(ss, labels, bs2):
-                _acc(out, tgt, coeff)
-            entries[gen] = out
-        return ChainMap(self.small, self.big, entries)
+        def plan(ss):
+            sc = self.small.circles[ss]
+            bs = _big_state(self.shared, ss, self.bits_K)
+            slots_K = match_circles(sc, _projected(self.big.circles[bs], self.proj)[0])[0]
+            bs2 = _big_state(self.shared, ss, self.bits_B)
+            pc, o = self._projected_B(bs2)
+            slots, lanes = match_circles(sc, pc)
+            outs = [j for j, i in enumerate(slots) if i is None and j != o]
+            sigma = _surgery(lanes, outs)
 
-    def _circle_data_B(self, bs2, ss):
-        bc = self.big.circles[bs2]
-        o_idx = None
-        for i, c in enumerate(bc):
-            if c == self.middle:
-                o_idx = i
-        if o_idx is None:
-            raise AssertionError("middle circle missing in the (1,0) resolution")
-        sc = self.small.circles[ss]
-        la, lb = self.lanes
-        i1 = _circle_index(sc, la)
-        i2 = _circle_index(sc, lb)
-        proj_rest = {}
-        for i, c in enumerate(bc):
-            if i != o_idx:
-                proj_rest[i] = frozenset(self.proj[e] for e in c)
-        changed_big = sorted(i for i, pc in proj_rest.items() if la in pc or lb in pc)
-        small_unchanged = {}
-        for i, c in enumerate(sc):
-            if i not in (i1, i2):
-                small_unchanged[c] = i
-        return bc, sc, o_idx, i1, i2, proj_rest, changed_big, small_unchanged
+            def op(loc, c):
+                return _tensor(sigma(loc, c), unit((), c))
 
-    def _lane_surgery_into_B(self, ss, labels, bs2):
-        """sigma(y) (x) unit on O, placed in the (1,0) resolution."""
-        bc, sc, o_idx, i1, i2, proj_rest, changed_big, small_unchanged = (
-            self._circle_data_B(bs2, ss)
-        )
-        base = [0] * len(bc)
-        for i, pc in proj_rest.items():
-            if i not in changed_big:
-                base[i] = labels[small_unchanged[pc]]
-        results = []
-        if i1 != i2:
-            # the two lane circles fuse under the surgery
-            assert len(changed_big) == 1
-            j = changed_big[0]
-            tot = labels[i1] + labels[i2]
-            if tot == 0:
-                terms = [(0, 1)]
-            elif tot == 1:
-                terms = [(1, 1)]
-            else:
-                terms = [(0, self.small.c)] if self.small.c else []
-            for lab, coeff in terms:
-                nl = list(base)
-                nl[j] = lab
-                nl[o_idx] = 0
-                results.append(((bs2, tuple(nl)), coeff))
-        else:
-            assert len(changed_big) == 2, "lane surgery did not split"
-            j1, j2 = changed_big
-            if labels[i1] == 0:
-                pieces = [((0, 1), 1), ((1, 0), 1)]
-            else:
-                pieces = [((1, 1), 1)]
-                if self.small.c:
-                    pieces.append(((0, 0), self.small.c))
-            for (p1, p2), coeff in pieces:
-                nl = list(base)
-                nl[j1], nl[j2] = p1, p2
-                nl[o_idx] = 0
-                results.append(((bs2, tuple(nl)), coeff))
-        return results
+            return [(bs, slots_K, (), (), _keep), (bs2, slots, lanes, (*outs, o), op)]
+
+        return _state_map(self.small, self.big, plan)
 
     def project(self) -> ChainMap:
-        entries: dict = {}
-        x1, x2 = self.new
-        for gen in self.big.generators():
-            bs, labels = gen
-            r1 = (bs >> x1) & 1
-            r2 = (bs >> x2) & 1
-            ss = self._small_state(bs)
-            if (r1, r2) == (0, 1):
-                bc = self.big.circles[bs]
-                match = self._match_by_projection(bc, self.small.circles[ss])
-                nl = [0] * len(self.small.circles[ss])
-                for i, l in enumerate(labels):
-                    nl[match[i]] = l
-                entries[gen] = {(ss, tuple(nl)): 1}
-            elif (r1, r2) == (1, 0):
-                out: dict = {}
-                for tgt, coeff in self._counit_and_split(bs, labels, ss):
-                    _acc(out, tgt, -coeff)
-                if out:
-                    entries[gen] = out
-        return ChainMap(self.big, self.small, entries)
+        new_bits = self.bits_K | self.bits_B
 
-    def _counit_and_split(self, bs, labels, ss):
-        """(id (x) eps) then the reverse lane surgery, from the (1,0) state."""
-        bc, sc, o_idx, i1, i2, proj_rest, changed_big, small_unchanged = (
-            self._circle_data_B(bs, ss)
-        )
-        if labels[o_idx] == 0:
-            return []  # eps(1) = 0
-        base = [0] * len(sc)
-        for i, pc in proj_rest.items():
-            if i not in changed_big:
-                base[small_unchanged[pc]] = labels[i]
-        results = []
-        if i1 != i2:
-            # reverse of a merge: split the merged-lane label over two circles
-            assert len(changed_big) == 1
-            v = labels[changed_big[0]]
-            if v == 0:
-                pieces = [((0, 1), 1), ((1, 0), 1)]
-            else:
-                pieces = [((1, 1), 1)]
-                if self.small.c:
-                    pieces.append(((0, 0), self.small.c))
-            for (p1, p2), coeff in pieces:
-                nl = list(base)
-                nl[i1], nl[i2] = p1, p2
-                results.append(((ss, tuple(nl)), coeff))
-        else:
-            assert len(changed_big) == 2
-            tot = labels[changed_big[0]] + labels[changed_big[1]]
-            if tot == 0:
-                terms = [(0, 1)]
-            elif tot == 1:
-                terms = [(1, 1)]
-            else:
-                terms = [(0, self.small.c)] if self.small.c else []
-            for lab, coeff in terms:
-                nl = list(base)
-                nl[i1] = lab
-                results.append(((ss, tuple(nl)), coeff))
-        return results
+        def plan(bs):
+            ss = _small_state(self.shared, bs)
+            sc = self.small.circles[ss]
+            if bs & new_bits == self.bits_K:
+                pc = _projected(self.big.circles[bs], self.proj)[0]
+                return [(ss, match_circles(pc, sc)[0], (), (), _keep)]
+            if bs & new_bits != self.bits_B:
+                return []
+            pc, o = self._projected_B(bs)
+            slots, gone = match_circles(pc, sc)
+            ins = [j for j in gone if j != o]
+            lanes = [i for i, j in enumerate(slots) if j is None]
+            sigma = _surgery(ins, lanes)
+
+            def op(loc, c):
+                return _scaled(_tensor(counit(loc[-1:], c), sigma(loc[:-1], c)), -1)
+
+            return [(ss, slots, (*ins, o), lanes, op)]
+
+        return _state_map(self.big, self.small, plan)
 
 
 def r2_poke(d: LinkDiagram, over_edge: str, under_edge: str):
@@ -535,20 +409,9 @@ def r2_poke(d: LinkDiagram, over_edge: str, under_edge: str):
     """
     if over_edge == under_edge:
         raise ValueError("poke needs two distinct edges")
-    used = set(d.edges)
-
-    def fresh(base):
-        i = 0
-        while f"{base}'{i}" in used:
-            i += 1
-        used.add(f"{base}'{i}")
-        return f"{base}'{i}"
-
+    fresh = _fresh_namer(d)
     a, b = over_edge, under_edge
-    heads = {}
-    for ci, c in enumerate(d.crossings):
-        heads[c.edges[0]] = (ci, 0)
-        heads[c.edges[3 if c.sign == 1 else 1]] = (ci, 3 if c.sign == 1 else 1)
+    heads = _head_slots(d)
     a_m = fresh(a)
     b_m = fresh(b)
     # free loops close back onto their original id; open strands get a top stub
@@ -633,21 +496,10 @@ class Movie:
     def _push(self, d: LinkDiagram, f: ChainMap) -> None:
         self.steps.append(MovieStep(d, f.dst, f))
 
-    def birth(self, new_edge: str) -> "Movie":
-        d2 = birth_diagram(self.current, new_edge)
-        cube2 = Cube(d2.forget_regions(), self.c)
-        self._push(d2, birth_map(self.steps[-1].cube, cube2, new_edge))
-        return self
-
     def death(self, edge: str) -> "Movie":
         d2 = death_diagram(self.current, edge)
         cube2 = Cube(d2.forget_regions(), self.c)
         self._push(d2, death_map(self.steps[-1].cube, cube2, edge))
-        return self
-
-    def dot(self, edge: str) -> "Movie":
-        f = dot_map(self.steps[-1].cube, edge)
-        self._push(self.current, f)
         return self
 
     def saddle(self, e: str, f: str) -> "Movie":
@@ -660,13 +512,6 @@ class Movie:
         d2 = birth_diagram(birth_diagram(self.current, c1), c2)
         cube2 = Cube(d2.forget_regions(), self.c)
         self._push(d2, coev_map(self.steps[-1].cube, cube2, c1, c2, dotted=dotted))
-        return self
-
-    def r1_include(self, edge: str, sign: int) -> "Movie":
-        big, proj, new = r1_kink(self.current, edge, sign)
-        cube_big = Cube(big.forget_regions(), self.c)
-        retract = R1Retract(cube_big, self.steps[-1].cube, proj, new)
-        self._push(big, retract.include())
         return self
 
     def swap(self, belt_a: str, belt_b: str) -> "Movie":
@@ -690,8 +535,6 @@ class Movie:
     def composite(self) -> ChainMap:
         maps = [s.map_from_prev for s in self.steps[1:]]
         if not maps:
-            from .densecube import identity_map
-
             return identity_map(self.steps[0].cube)
         f = maps[0]
         for g in maps[1:]:
@@ -821,20 +664,9 @@ def r1_kink(d: LinkDiagram, edge: str, sign: int):
     Returns (new_diagram, edge_projection, new_crossing_index).  The loop
     piece closes on itself in one resolution, forming the small circle.
     """
-    used = set(d.edges)
-
-    def fresh(base):
-        i = 0
-        while f"{base}'{i}" in used:
-            i += 1
-        used.add(f"{base}'{i}")
-        return f"{base}'{i}"
-
+    fresh = _fresh_namer(d)
     e = edge
-    heads = {}
-    for ci, c in enumerate(d.crossings):
-        heads[c.edges[0]] = (ci, 0)
-        heads[c.edges[3 if c.sign == 1 else 1]] = (ci, 3 if c.sign == 1 else 1)
+    heads = _head_slots(d)
     e_m = fresh(e)
     e2 = fresh(e) if e in heads else e
     crossings = [list(c.edges) for c in d.crossings]
@@ -885,114 +717,54 @@ class R1Retract:
             self.loop_edge = cr[1]
         self.keep_res = 0 if self.sign == 1 else 1
 
-    def _big_state(self, small_state: int, r: int) -> int:
-        out = 0
-        for k, i in enumerate(self.shared):
-            if (small_state >> k) & 1:
-                out |= 1 << i
-        if r:
-            out |= 1 << self.x
-        return out
-
-    def _small_state(self, big_state: int) -> int:
-        out = 0
-        for k, i in enumerate(self.shared):
-            if (big_state >> i) & 1:
-                out |= 1 << k
-        return out
-
-    def _match(self, bs, ss):
-        """big circle index -> small circle index, with O singled out."""
-        bc = self.big.circles[bs]
-        sc = self.small.circles[ss]
-        o_idx = None
-        for i, c in enumerate(bc):
-            if c == frozenset([self.loop_edge]):
-                o_idx = i
-        if o_idx is None:
+    def _loop_state(self, bs):
+        """The retract state's circles in small edge names, and the index of O."""
+        pc, o = _projected(self.big.circles[bs], self.proj, frozenset([self.loop_edge]))
+        if o is None:
             raise AssertionError("kink circle missing in the retract resolution")
-        small_idx = {c: i for i, c in enumerate(sc)}
-        match = {}
-        for i, c in enumerate(bc):
-            if i == o_idx:
-                continue
-            pc = frozenset(self.proj[e] for e in c)
-            match[i] = small_idx[pc]
-        return o_idx, match
+        return pc, o
+
+    def _strand(self, ss) -> int:
+        return _circle_index(self.small.circles[ss], self.proj[self.loop_edge])
 
     def include(self) -> ChainMap:
-        entries: dict = {}
-        for gen in self.small.generators():
-            ss, labels = gen
-            bs = self._big_state(ss, self.keep_res)
-            o_idx, match = self._match(bs, ss)
-            bc = self.big.circles[bs]
-            base = [0] * len(bc)
-            for i in range(len(bc)):
-                if i != o_idx:
-                    base[i] = labels[match[i]]
-            out: dict = {}
-            if self.sign == 1:
-                # y (x) x - (dot y) (x) 1 on the strand circle
-                nl = list(base)
-                nl[o_idx] = 1
-                _acc(out, (bs, tuple(nl)), 1)
-                strand = _circle_index(self.small.circles[ss], self.proj[self.loop_edge])
-                strand_big = [i for i, m in match.items() if m == strand][0]
-                if base[strand_big] == 0:
-                    nl = list(base)
-                    nl[strand_big] = 1
-                    nl[o_idx] = 0
-                    _acc(out, (bs, tuple(nl)), -1)
-                elif self.small.c:
-                    nl = list(base)
-                    nl[strand_big] = 0
-                    nl[o_idx] = 0
-                    _acc(out, (bs, tuple(nl)), -self.small.c)
-            else:
-                nl = list(base)
-                nl[o_idx] = 0
-                _acc(out, (bs, tuple(nl)), 1)
-            entries[gen] = out
-        return ChainMap(self.small, self.big, entries)
+        def plan(ss):
+            bs = _big_state(self.shared, ss, self.keep_res << self.x)
+            pc, o = self._loop_state(bs)
+            slots = match_circles(self.small.circles[ss], pc)[0]
+            if self.sign == -1:
+                return [(bs, slots, (), (o,), unit)]
+            strand = self._strand(ss)
+            return [(bs, slots, (strand,), (slots.index(strand), o), _kink_include)]
+
+        return _state_map(self.small, self.big, plan)
 
     def project(self) -> ChainMap:
-        entries: dict = {}
-        for gen in self.big.generators():
-            bs, labels = gen
+        def plan(bs):
             if ((bs >> self.x) & 1) != self.keep_res:
-                continue
-            ss = self._small_state(bs)
-            o_idx, match = self._match(bs, ss)
-            sc = self.small.circles[ss]
-            base = [0] * len(sc)
-            for i, l in enumerate(labels):
-                if i != o_idx:
-                    base[match[i]] = l
-            out: dict = {}
+                return []
+            ss = _small_state(self.shared, bs)
+            pc, o = self._loop_state(bs)
+            slots = match_circles(pc, self.small.circles[ss])[0]
             if self.sign == 1:
-                # eps on O
-                if labels[o_idx] == 1:
-                    _acc(out, (ss, tuple(base)), 1)
-            else:
-                strand = _circle_index(sc, self.proj[self.loop_edge])
-                if labels[o_idx] == 0:
-                    # eps(x * 1) = 1
-                    _acc(out, (ss, tuple(base)), 1)
-                    # minus eps(1) (dot v): eps(1) = 0, no term
-                else:
-                    # eps(x*x) = eps(c) = 0; minus eps(x) (dot v) = -(dot v)
-                    if base[strand] == 0:
-                        nl = list(base)
-                        nl[strand] = 1
-                        _acc(out, (ss, tuple(nl)), -1)
-                    elif self.small.c:
-                        nl = list(base)
-                        nl[strand] = 0
-                        _acc(out, (ss, tuple(nl)), -self.small.c)
-            if out:
-                entries[gen] = out
-        return ChainMap(self.big, self.small, entries)
+                return [(ss, slots, (o,), (), counit)]
+            strand = self._strand(ss)
+            return [(ss, slots, (slots[strand], o), (strand,), _kink_project)]
+
+        return _state_map(self.big, self.small, plan)
+
+
+def _kink_include(loc, c):
+    """Positive kink, on (strand, O): y -> y (x) x - (x y) (x) 1."""
+    return [(loc + (LABEL_X,), 1)] + _scaled(_tensor(times_x(loc, c), unit((), c)), -1)
+
+
+def _kink_project(loc, c):
+    """Negative kink, on (strand, O) -> strand: v (x) w -> eps(x w) v - eps(w) (x v)."""
+    v, w = loc[:1], loc[1:]
+    eps_xw = sum(k * e for xw, k in times_x(w, c) for _, e in counit(xw, c))
+    head = [(v, eps_xw)] if eps_xw else []
+    return head + _scaled(_tensor(times_x(v, c), counit(w, c)), -1)
 
 
 def full_reduction(cube: Cube, q2s=None) -> TrackedReduction:

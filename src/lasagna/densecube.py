@@ -8,6 +8,12 @@ eps(x) = 1; a state is a resolution vector over the crossings; the
 quantum degree deg + |s| + n_+ - 2n_-; the edge s -> s^i carries the sign
 (-1)^(number of 1s before i).
 
+The structure maps of V are written once, here: `mult` (m), `comult`
+(Delta), `counit` (eps), `unit` (eta) and `times_x` (x.), each on the labels
+of the circles it touches.  `match_circles` pairs two states' circles and
+`carry` keeps every untouched circle's label.  The cube differential and
+every chain map of `cobmaps` are built on these.
+
 No simplification happens here: this is the reference computation that the
 scanning pipeline is checked against.  Gradings in the public containers are
 doubled like everywhere else.
@@ -16,6 +22,7 @@ doubled like everywhere else.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Iterable
 
 from .diagram import LinkDiagram
@@ -24,6 +31,79 @@ from .linalg import Echelon, inverse, kernel_basis, row_reduce
 
 LABEL_ONE = 0
 LABEL_X = 1
+
+# -- the Frobenius algebra V, one circle at a time ----------------------------
+#
+# Each structure map takes the labels of the circles it reads and c, and
+# returns the terms ((labels of the circles it writes, coefficient), ...); no
+# zero coefficient is emitted.  `match_circles` and `carry` place the terms in
+# a whole state, where every other circle keeps its label.
+
+_UNIT = (((LABEL_ONE,), 1),)
+_DELTA_ONE = (((LABEL_ONE, LABEL_X), 1), ((LABEL_X, LABEL_ONE), 1))
+
+
+def mult(loc, c):
+    """m: V (x) V -> V; 1.1 = 1, 1.x = x.1 = x, x.x = c."""
+    a, b = loc
+    if a == LABEL_ONE:
+        return (((b,), 1),)
+    if b == LABEL_ONE:
+        return (((a,), 1),)
+    return (((LABEL_ONE,), c),) if c else ()
+
+
+def comult(loc, c):
+    """Delta: V -> V (x) V; 1 -> 1(x)x + x(x)1, x -> x(x)x + c 1(x)1."""
+    if loc[0] == LABEL_ONE:
+        return _DELTA_ONE
+    return (((LABEL_X, LABEL_X), 1), ((LABEL_ONE, LABEL_ONE), c)) if c else (((LABEL_X, LABEL_X), 1),)
+
+
+def counit(loc, c):
+    """eps: V -> Q; eps(1) = 0, eps(x) = 1."""
+    return (((), 1),) if loc[0] == LABEL_X else ()
+
+
+def unit(loc, c):
+    """eta: Q -> V; the empty tensor goes to 1."""
+    return _UNIT
+
+
+def times_x(loc, c):
+    """x.: V -> V, multiplication by x (a dot); 1 -> x, x -> c."""
+    if loc[0] == LABEL_ONE:
+        return (((LABEL_X,), 1),)
+    return (((LABEL_ONE,), c),) if c else ()
+
+
+def match_circles(src: list, dst: list) -> tuple[list, list]:
+    """Match two states' circles by their edge sets.
+
+    Returns (slots, gone): slots[j] is the index of dst[j] among src, None
+    where no src circle equals it, and gone lists the src indices that equal
+    no dst circle, in order.
+    """
+    where = {c: i for i, c in enumerate(src)}
+    slots = [where.pop(c, None) for c in dst]
+    return slots, list(where.values())
+
+
+def carry(labels, slots, ins, outs, op, c) -> list:
+    """Image of one generator's labels under a local structure map.
+
+    `op` reads the labels at positions `ins` and writes its terms' labels at
+    positions `outs` of the target; every other target position j gets the
+    source label at slots[j] (as `match_circles` gives them).  Returns
+    [(target labels, coefficient)].
+    """
+    base = [LABEL_ONE if i is None else labels[i] for i in slots]
+    out = []
+    for loc, coeff in op(tuple([labels[i] for i in ins]), c):
+        for j, l in zip(outs, loc):
+            base[j] = l
+        out.append((tuple(base), coeff))
+    return out
 
 
 def resolve_circles(d: LinkDiagram, state: int) -> list[frozenset[str]]:
@@ -75,6 +155,7 @@ class Cube:
         self.n_plus = sum(1 for x in d.crossings if x.sign == 1)
         self.n_minus = self.n - self.n_plus
         self.circles = [resolve_circles(d, s) for s in range(1 << self.n)]
+        self._edges_at, self._edges = None, []  # `differential`'s last state and its edges
 
     # generators are (state, labels) with labels a tuple over the state's
     # circles in canonical order; label 0 is the unit, 1 is x.
@@ -93,17 +174,18 @@ class Cube:
                 yield (s, labels)
 
     def differential(self, gen) -> dict:
-        """Sparse image of a generator under the cube differential."""
+        """Sparse image of a generator under the cube differential.
+
+        The edges out of a state are matched once and kept until a generator
+        of another state asks; callers mostly walk the generators state by
+        state.
+        """
         s, labels = gen
+        if self._edges_at != s:
+            self._edges_at, self._edges = s, self._edges_out(s)
         out: dict = {}
-        circ = self.circles[s]
-        for i in range(self.n):
-            if (s >> i) & 1:
-                continue
-            sign = (-1) ** ((s & ((1 << i) - 1)).bit_count())
-            s2 = s | (1 << i)
-            circ2 = self.circles[s2]
-            for tgt_labels, coeff in self._edge_map(circ, labels, circ2):
+        for s2, sign, slots, ins, outs, op in self._edges:
+            for tgt_labels, coeff in carry(labels, slots, ins, outs, op, self.c):
                 key = (s2, tgt_labels)
                 v = out.get(key, 0) + sign * coeff
                 if v:
@@ -112,47 +194,29 @@ class Cube:
                     out.pop(key, None)
         return out
 
-    def _edge_map(self, circ, labels, circ2):
-        """TQFT map along one cube edge: merge -> m, split -> Delta."""
-        set2idx = {c: i for i, c in enumerate(circ2)}
-        changed_src = [i for i, c in enumerate(circ) if c not in set2idx]
-        if len(changed_src) == 2:
-            # merge: two circles fuse into one
-            a, b = changed_src
-            tgt_circle = None
-            for c2 in circ2:
-                if c2 not in circ:
-                    tgt_circle = c2
-            la, lb = labels[a], labels[b]
-            terms = []
-            if la + lb == 0:
-                terms = [(LABEL_ONE, 1)]
-            elif la + lb == 1:
-                terms = [(LABEL_X, 1)]
+    def _edges_out(self, s) -> list:
+        """(s2, sign, slots, ins, outs, op) per cube edge s -> s2.
+
+        The TQFT map is m when two circles fuse and Delta when one splits;
+        Delta(1) writes (x, 1) before (1, x) over the new circles in circ2
+        order, and the differential's insertion order depends on it.
+        """
+        edges = []
+        circ = self.circles[s]
+        for i in range(self.n):
+            if (s >> i) & 1:
+                continue
+            sign = (-1) ** ((s & ((1 << i) - 1)).bit_count())
+            s2 = s | (1 << i)
+            slots, gone = match_circles(circ, self.circles[s2])
+            new = [j for j, k in enumerate(slots) if k is None]
+            if len(gone) == 2 and len(new) == 1:
+                edges.append((s2, sign, slots, gone, new, mult))
+            elif len(gone) == 1 and len(new) == 2:
+                edges.append((s2, sign, slots, gone, new[::-1], comult))
             else:
-                if self.c:
-                    terms = [(LABEL_ONE, self.c)]
-            out = []
-            for lt, coeff in terms:
-                tl = _transfer(circ, labels, circ2, {tgt_circle: lt})
-                out.append((tl, coeff))
-            return out
-        elif len(changed_src) == 1:
-            # split: one circle becomes two
-            a = changed_src[0]
-            new_circles = [c2 for c2 in circ2 if c2 not in circ]
-            assert len(new_circles) == 2
-            u, v = new_circles
-            la = labels[a]
-            if la == LABEL_ONE:
-                pieces = [({u: 1, v: 0}, 1), ({u: 0, v: 1}, 1)]
-            else:
-                pieces = [({u: 1, v: 1}, 1)]
-                if self.c:
-                    pieces.append(({u: 0, v: 0}, self.c))
-            return [(_transfer(circ, labels, circ2, assign), coeff) for assign, coeff in pieces]
-        else:
-            raise AssertionError("cube edge must merge or split exactly one pair")
+                raise AssertionError("cube edge must merge or split exactly one pair")
+        return edges
 
     # -- homology -----------------------------------------------------------
 
@@ -217,24 +281,9 @@ class Cube:
         return data
 
 
-def _all_labels(k: int):
-    if k == 0:
-        yield ()
-        return
-    for m in range(1 << k):
-        yield tuple((m >> i) & 1 for i in range(k))
-
-
-def _transfer(circ, labels, circ2, assign: dict) -> tuple[int, ...]:
-    """Carry labels over to the target circle list by matching edge sets."""
-    lab_by_set = {c: labels[i] for i, c in enumerate(circ)}
-    out = []
-    for c2 in circ2:
-        if c2 in assign:
-            out.append(assign[c2])
-        else:
-            out.append(lab_by_set[c2])
-    return tuple(out)
+def _all_labels(k: int) -> list:
+    """All label tuples over k circles, the first circle's label changing fastest."""
+    return [p[::-1] for p in product((LABEL_ONE, LABEL_X), repeat=k)]
 
 
 class ChainMap:

@@ -40,6 +40,7 @@ from .cobmaps import (
     _Symmetrizer,
     birth_diagram,
     block_ranks,
+    death_diagram,
     death_map,
     dot_map,
     homology_matrix,
@@ -174,7 +175,7 @@ def transition_down(
         merged = e_up if e_up in d2.edges else e_down
         push(dot_map(cur_cube, merged))
         if merged in cur_diagram.free_loops:
-            d3 = _death(cur_diagram, merged)
+            d3 = death_diagram(cur_diagram, merged)
             cube3 = Cube(d3)
             push(death_map(cur_cube, cube3, merged))
             cur_diagram, cur_cube = d3, cube3
@@ -200,12 +201,6 @@ def transition_down(
 def _block_key(cube: Cube, gen) -> tuple[int, int]:
     g = cube.gen_grading(*gen)
     return (g.h2, g.q2)
-
-
-def _death(d: LinkDiagram, edge: str) -> LinkDiagram:
-    from .cobmaps import death_diagram
-
-    return death_diagram(d, edge)
 
 
 def _rename_map(src: Cube, dst: Cube) -> ChainMap:

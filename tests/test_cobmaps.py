@@ -60,77 +60,94 @@ def test_birth_into_empty_hits_unit():
     assert b.bidegree_shifts() == {(0, 2)}
 
 
+# the dense maps run at c = 0 and in the Lee deformation c = 1, where the
+# c-terms of m, Delta and x. are live; each test loops over both, so its id
+# stays the one it had at c = 0 alone
+C_VALUES = (Fraction(0), Fraction(1))
+
+
 def test_dotted_birth_then_death_is_identity():
-    d = catalog.trefoil_right()
-    c1 = Cube(d)
-    d2 = birth_diagram(d, "u")
-    c2 = Cube(d2)
-    composite = birth_map(c1, c2, "u").compose(dot_map(c2, "u")).compose(
-        death_map(c2, c1, "u")
-    )
-    assert composite.entries == identity_map(c1).entries
+    for c in C_VALUES:
+        d = catalog.trefoil_right()
+        c1 = Cube(d, c)
+        d2 = birth_diagram(d, "u")
+        c2 = Cube(d2, c)
+        composite = birth_map(c1, c2, "u").compose(dot_map(c2, "u")).compose(
+            death_map(c2, c1, "u")
+        )
+        assert composite.entries == identity_map(c1).entries
 
 
 def test_coev_and_dotted_coev_formulas():
-    src = Cube(catalog.unknot())
-    d2 = birth_diagram(birth_diagram(catalog.unknot(), "c1"), "c2")
-    dst = Cube(d2)
-    plain = coev_map(src, dst, "c1", "c2", dotted=False)
-    dotted = coev_map(src, dst, "c1", "c2", dotted=True)
-    assert plain.is_chain_map() and dotted.is_chain_map()
-    # on the generator labeled 1: plain hits 1(x)x + x(x)1, dotted hits x(x)x
-    gen = (0, (0,))
-    assert set(plain.entries[gen]) == {(0, (0, 0, 1)), (0, (0, 1, 0))}
-    assert set(dotted.entries[gen]) == {(0, (0, 1, 1))}
-    assert plain.bidegree_shifts() == {(0, 0)}
-    assert dotted.bidegree_shifts() == {(0, -4)}
+    for c in C_VALUES:
+        src = Cube(catalog.unknot(), c)
+        d2 = birth_diagram(birth_diagram(catalog.unknot(), "c1"), "c2")
+        dst = Cube(d2, c)
+        plain = coev_map(src, dst, "c1", "c2", dotted=False)
+        dotted = coev_map(src, dst, "c1", "c2", dotted=True)
+        assert plain.is_chain_map() and dotted.is_chain_map()
+        # on the generator labeled 1: plain hits 1(x)x + x(x)1, dotted hits
+        # x(x)x + c 1(x)1
+        gen = (0, (0,))
+        assert plain.entries[gen] == {(0, (0, 0, 1)): 1, (0, (0, 1, 0)): 1}
+        assert dotted.entries[gen] == {(0, (0, 1, 1)): 1, **({(0, (0, 0, 0)): c} if c else {})}
+        assert plain.bidegree_shifts() == {(0, 0)}
+        # a c-term sits 8 above its map's degree in doubled q: c is x.x
+        assert dotted.bidegree_shifts() == ({(0, -4), (0, 4)} if c else {(0, -4)})
 
 
 def test_saddle_commutes_and_handleslide_decomposition():
     # splitting a circle off a trefoil strand equals
     # (birth)(x)(dot on the strand) + (dotted birth)(x)1
-    d = catalog.trefoil_right()
-    c1 = Cube(d)
-    d2 = saddle_diagram(d, "s0", "s0")
-    c2 = Cube(d2)
-    split = saddle_map(c1, c2, "s0", "s0")
-    assert split.is_chain_map()
-    new_edge = [e for e in d2.edges if e not in d.edges][0]
-    term1 = birth_map(c1, c2, new_edge).compose(dot_map(c2, "s0"))
-    term2 = birth_map(c1, c2, new_edge).compose(dot_map(c2, new_edge))
-    assert split.entries == sum_entries(term1, term2)
+    for c in C_VALUES:
+        d = catalog.trefoil_right()
+        c1 = Cube(d, c)
+        d2 = saddle_diagram(d, "s0", "s0")
+        c2 = Cube(d2, c)
+        split = saddle_map(c1, c2, "s0", "s0")
+        assert split.is_chain_map()
+        new_edge = [e for e in d2.edges if e not in d.edges][0]
+        term1 = birth_map(c1, c2, new_edge).compose(dot_map(c2, "s0"))
+        term2 = birth_map(c1, c2, new_edge).compose(dot_map(c2, new_edge))
+        assert split.entries == sum_entries(term1, term2)
 
 
 def test_saddle_merge_two_unknots():
-    d = catalog.unlink(2)
-    c1 = Cube(d)
-    d2 = saddle_diagram(d, "a0", "a1")
-    c2 = Cube(d2)
-    m = saddle_map(c1, c2, "a0", "a1")
-    assert m.is_chain_map()
-    # merge: 1(x)1 -> 1, 1(x)x -> x, x(x)x -> 0
-    assert m.entries[(0, (0, 0))] == {(0, (0,)): Fraction(1)}
-    assert (0, (1, 1)) not in m.entries
+    for c in C_VALUES:
+        d = catalog.unlink(2)
+        c1 = Cube(d, c)
+        d2 = saddle_diagram(d, "a0", "a1")
+        c2 = Cube(d2, c)
+        m = saddle_map(c1, c2, "a0", "a1")
+        assert m.is_chain_map()
+        # merge: 1(x)1 -> 1, 1(x)x -> x, x(x)x -> c 1
+        assert m.entries[(0, (0, 0))] == {(0, (0,)): Fraction(1)}
+        assert m.entries[(0, (0, 1))] == m.entries[(0, (1, 0))] == {(0, (1,)): Fraction(1)}
+        assert m.entries.get((0, (1, 1)), {}) == ({(0, (0,)): c} if c else {})
 
 
 def test_r2_retract_is_sdr():
-    d = birth_diagram(catalog.trefoil_right(), "c")
-    big, proj, new = r2_poke(d, "c", "e1")
-    r = R2Retract(Cube(big), Cube(d), proj, new)
-    inc, prj = r.include(), r.project()
-    assert inc.is_chain_map() and prj.is_chain_map()
-    assert inc.compose(prj).entries == identity_map(Cube(d)).entries
-    assert inc.bidegree_shifts() == {(0, 0)}
+    for c in C_VALUES:
+        d = birth_diagram(catalog.trefoil_right(), "c")
+        big, proj, new = r2_poke(d, "c", "e1")
+        r = R2Retract(Cube(big, c), Cube(d, c), proj, new)
+        inc, prj = r.include(), r.project()
+        assert inc.is_chain_map() and prj.is_chain_map()
+        assert inc.compose(prj).entries == identity_map(Cube(d, c)).entries
+        # the lane surgery's c-terms (x(x)x -> c 1 merging, x -> c 1(x)1 splitting)
+        # sit 8 above in doubled q
+        assert inc.bidegree_shifts() == ({(0, 0), (0, 8)} if c else {(0, 0)})
 
 
 def test_r1_retracts_are_sdr():
-    d = catalog.hopf_positive()
-    for sign in (1, -1):
-        big, proj, new = r1_kink(d, "s0", sign)
-        r = R1Retract(Cube(big), Cube(d), proj, new)
-        inc, prj = r.include(), r.project()
-        assert inc.is_chain_map() and prj.is_chain_map()
-        assert inc.compose(prj).entries == identity_map(Cube(d)).entries
+    for c in C_VALUES:
+        d = catalog.hopf_positive()
+        for sign in (1, -1):
+            big, proj, new = r1_kink(d, "s0", sign)
+            r = R1Retract(Cube(big, c), Cube(d, c), proj, new)
+            inc, prj = r.include(), r.project()
+            assert inc.is_chain_map() and prj.is_chain_map()
+            assert inc.compose(prj).entries == identity_map(Cube(d, c)).entries
 
 
 def test_empty_movie_is_identity():
@@ -218,10 +235,14 @@ def test_symmetrizer_rejects_missing_or_shared_belts():
 
 
 def test_dot_map_bidegree():
-    cube = Cube(catalog.unknot())
-    f = dot_map(cube, "a")
-    assert f.is_chain_map()
-    assert f.bidegree_shifts() == {(0, -4)}  # classical degree -2
+    for c in C_VALUES:
+        cube = Cube(catalog.unknot(), c)
+        f = dot_map(cube, "a")
+        assert f.is_chain_map()
+        assert f.entries[(0, (0,))] == {(0, (1,)): 1}
+        assert f.entries.get((0, (1,)), {}) == ({(0, (0,)): c} if c else {})
+        # classical degree -2; the c-term x.x = c sits 8 above in doubled q
+        assert f.bidegree_shifts() == ({(0, -4), (0, 4)} if c else {(0, -4)})
 
 
 def test_swap_map_split_and_nonsplit():

@@ -1,4 +1,5 @@
-"""The tabulated strong deformation retract of densecube.TrackedReduction."""
+"""The Frobenius-algebra kernel and the tabulated strong deformation retract of
+densecube.TrackedReduction."""
 
 import random
 from fractions import Fraction
@@ -7,8 +8,31 @@ import pytest
 
 from lasagna import catalog
 from lasagna.cobmaps import birth_diagram, full_reduction, saddle_diagram
-from lasagna.densecube import Cube, TrackedReduction
+from lasagna.densecube import Cube, TrackedReduction, comult, counit, mult, times_x, unit
+from lasagna.lee import _trace_component
 from lasagna.skein import HandlebodySpec, build_stage
+
+
+@pytest.mark.parametrize("c", [Fraction(0), Fraction(1), Fraction(5, 2)])
+def test_frobenius_kernel_matches_closed_surface_traces(c):
+    """eps(x^d (m o Delta)^g (1)) is the trace of a closed genus-g surface with
+    d dots, which `lee` evaluates independently of the kernel."""
+
+    def apply(op, vec: dict) -> dict:
+        out: dict = {}
+        for loc, k in vec.items():
+            for loc2, k2 in op(loc, c):
+                out[loc2] = out.get(loc2, 0) + k * k2
+        return out
+
+    for genus in range(4):
+        for dots in range(4):
+            v = apply(unit, {(): 1})
+            for _ in range(genus):
+                v = apply(mult, apply(comult, v))
+            for _ in range(dots):
+                v = apply(times_x, v)
+            assert apply(counit, v).get((), 0) == _trace_component(genus, dots, c)
 
 
 def _replay_project(log, v: dict) -> dict:
