@@ -143,14 +143,19 @@ def _state_map(src: Cube, dst: Cube, plan) -> ChainMap:
     circle's source circle, or None, as `match_circles` gives it), and the
     local map `op` reading the labels at positions `ins` of the source and
     writing those at positions `outs` of the target.  A generator's row sums
-    its parts' terms; an empty row is left out.
+    its parts' terms; an empty row is left out.  A target circle that is
+    neither matched nor written, or a source circle that is neither matched
+    nor read, raises ValueError.
     """
     entries = {}
     c = src.c
     for s, circles in enumerate(src.circles):
         parts = plan(s)
         for t, slots, ins, outs, op in parts:
-            if any(i is None and j not in outs for j, i in enumerate(slots)):
+            kept = set(slots)
+            if any(i is None and j not in outs for j, i in enumerate(slots)) or any(
+                i not in kept and i not in ins for i in range(len(circles))
+            ):
                 raise ValueError("circle mismatch between diagrams")
         for labels in _all_labels(len(circles)):
             row: dict = {}
@@ -215,7 +220,9 @@ def saddle_map(src: Cube, dst: Cube, e: str, f: str) -> ChainMap:
     e's, and f is read as its edge."""
     split_off = e == f
     if split_off:
-        [f] = [x for x in dst.diagram.edges if x not in src.diagram.edges]
+        new = [x for x in dst.diagram.edges if x not in src.diagram.edges]
+        assert len(new) == 1, "split needs exactly one new edge"
+        [f] = new
     surviving = e if e in dst.diagram.edges else f
     cross_join = e in dst.diagram.edges and f in dst.diagram.edges
 
@@ -263,10 +270,11 @@ def _small_state(shared: list[int], big_state: int) -> int:
     return out
 
 
-def _projected(circles, proj: dict, loop=None):
+def _projected(circles, proj: dict, loop=None, missing=""):
     """Big circles in the small diagram's edge names, and the index of `loop`.
 
-    The loop circle is written None, so `match_circles` pairs it with nothing.
+    The loop circle is written None, so `match_circles` pairs it with nothing;
+    a `loop` given and not found raises AssertionError(missing).
     """
     out, at = [], None
     for i, c in enumerate(circles):
@@ -275,6 +283,8 @@ def _projected(circles, proj: dict, loop=None):
             at = i
         else:
             out.append(frozenset(proj[e] for e in c))
+    if loop is not None and at is None:
+        raise AssertionError(missing)
     return out, at
 
 
@@ -348,16 +358,27 @@ class R2Retract:
                                 and self._hits_both_new(e))
         if len(self.middle) != 2:
             raise ValueError("middle circle of the poke not recognized")
+        self.lanes = tuple(sorted(self.proj[e] for e in self.middle))
 
     def _hits_both_new(self, e) -> bool:
         return all(e in self.big.diagram.crossings[i].edges for i in self.new)
 
-    def _projected_B(self, bs):
-        """The (1,0) state's circles in small edge names, and the index of O."""
-        pc, o = _projected(self.big.circles[bs], self.proj, self.middle)
-        if o is None:
-            raise AssertionError("middle circle missing in the (1,0) resolution")
-        return pc, o
+    def _lane_state(self, ss, bs):
+        """The (1,0) state bs over small state ss, for the lane surgery.
+
+        Returns its circles in small edge names (O written None), the index
+        of O, the small circles of the two lanes (one when they share it) and
+        the big circles the surgery changes: those whose projection holds a
+        lane edge.  A changed circle can project onto a whole small circle
+        when the lanes share one, so it is told by its edges, not by a failed
+        match.
+        """
+        pc, o = _projected(self.big.circles[bs], self.proj, self.middle,
+                           "middle circle missing in the (1,0) resolution")
+        sc = self.small.circles[ss]
+        lanes = tuple(dict.fromkeys(_circle_index(sc, e) for e in self.lanes))
+        changed = tuple(j for j, p in enumerate(pc) if p is not None and not p.isdisjoint(self.lanes))
+        return pc, o, lanes, changed
 
     def include(self) -> ChainMap:
         def plan(ss):
@@ -365,15 +386,14 @@ class R2Retract:
             bs = _big_state(self.shared, ss, self.bits_K)
             slots_K = match_circles(sc, _projected(self.big.circles[bs], self.proj)[0])[0]
             bs2 = _big_state(self.shared, ss, self.bits_B)
-            pc, o = self._projected_B(bs2)
-            slots, lanes = match_circles(sc, pc)
-            outs = [j for j, i in enumerate(slots) if i is None and j != o]
-            sigma = _surgery(lanes, outs)
+            pc, o, lanes, changed = self._lane_state(ss, bs2)
+            sigma = _surgery(lanes, changed)
 
             def op(loc, c):
                 return _tensor(sigma(loc, c), unit((), c))
 
-            return [(bs, slots_K, (), (), _keep), (bs2, slots, lanes, (*outs, o), op)]
+            slots = match_circles(sc, pc)[0]
+            return [(bs, slots_K, (), (), _keep), (bs2, slots, lanes, (*changed, o), op)]
 
         return _state_map(self.small, self.big, plan)
 
@@ -388,16 +408,13 @@ class R2Retract:
                 return [(ss, match_circles(pc, sc)[0], (), (), _keep)]
             if bs & new_bits != self.bits_B:
                 return []
-            pc, o = self._projected_B(bs)
-            slots, gone = match_circles(pc, sc)
-            ins = [j for j in gone if j != o]
-            lanes = [i for i, j in enumerate(slots) if j is None]
-            sigma = _surgery(ins, lanes)
+            pc, o, lanes, changed = self._lane_state(ss, bs)
+            sigma = _surgery(changed, lanes)
 
             def op(loc, c):
                 return _scaled(_tensor(counit(loc[-1:], c), sigma(loc[:-1], c)), -1)
 
-            return [(ss, slots, (*ins, o), lanes, op)]
+            return [(ss, match_circles(pc, sc)[0], (*changed, o), lanes, op)]
 
         return _state_map(self.big, self.small, plan)
 
@@ -717,20 +734,14 @@ class R1Retract:
             self.loop_edge = cr[1]
         self.keep_res = 0 if self.sign == 1 else 1
 
-    def _loop_state(self, bs):
-        """The retract state's circles in small edge names, and the index of O."""
-        pc, o = _projected(self.big.circles[bs], self.proj, frozenset([self.loop_edge]))
-        if o is None:
-            raise AssertionError("kink circle missing in the retract resolution")
-        return pc, o
-
     def _strand(self, ss) -> int:
         return _circle_index(self.small.circles[ss], self.proj[self.loop_edge])
 
     def include(self) -> ChainMap:
         def plan(ss):
             bs = _big_state(self.shared, ss, self.keep_res << self.x)
-            pc, o = self._loop_state(bs)
+            pc, o = _projected(self.big.circles[bs], self.proj, frozenset([self.loop_edge]),
+                               "kink circle missing in the retract resolution")
             slots = match_circles(self.small.circles[ss], pc)[0]
             if self.sign == -1:
                 return [(bs, slots, (), (o,), unit)]
@@ -744,7 +755,8 @@ class R1Retract:
             if ((bs >> self.x) & 1) != self.keep_res:
                 return []
             ss = _small_state(self.shared, bs)
-            pc, o = self._loop_state(bs)
+            pc, o = _projected(self.big.circles[bs], self.proj, frozenset([self.loop_edge]),
+                               "kink circle missing in the retract resolution")
             slots = match_circles(pc, self.small.circles[ss])[0]
             if self.sign == 1:
                 return [(ss, slots, (o,), (), counit)]

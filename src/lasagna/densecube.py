@@ -155,7 +155,6 @@ class Cube:
         self.n_plus = sum(1 for x in d.crossings if x.sign == 1)
         self.n_minus = self.n - self.n_plus
         self.circles = [resolve_circles(d, s) for s in range(1 << self.n)]
-        self._edges_at, self._edges = None, []  # `differential`'s last state and its edges
 
     # generators are (state, labels) with labels a tuple over the state's
     # circles in canonical order; label 0 is the unit, 1 is x.
@@ -174,17 +173,10 @@ class Cube:
                 yield (s, labels)
 
     def differential(self, gen) -> dict:
-        """Sparse image of a generator under the cube differential.
-
-        The edges out of a state are matched once and kept until a generator
-        of another state asks; callers mostly walk the generators state by
-        state.
-        """
+        """Sparse image of a generator under the cube differential."""
         s, labels = gen
-        if self._edges_at != s:
-            self._edges_at, self._edges = s, self._edges_out(s)
         out: dict = {}
-        for s2, sign, slots, ins, outs, op in self._edges:
+        for s2, sign, slots, ins, outs, op in self._edges_out(s):
             for tgt_labels, coeff in carry(labels, slots, ins, outs, op, self.c):
                 key = (s2, tgt_labels)
                 v = out.get(key, 0) + sign * coeff
