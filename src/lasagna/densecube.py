@@ -22,6 +22,7 @@ doubled like everywhere else.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from typing import Iterable
 
@@ -253,18 +254,19 @@ class Cube:
         if self.c != 0:
             raise ValueError("graded homology basis needs c = 0")
         blocks = self.blocks()
+        d = cache(self.differential)  # each generator's differential once per call
         data: dict = {}
         for key, gens in blocks.items():
             if keys is not None and key not in keys:
                 continue
             entries = {}
             for g in gens:
-                for tgt, v in self.differential(g).items():
+                for tgt, v in d(g).items():
                     entries[(tgt, g)] = v
             h2, q2 = key
             ech = Echelon()
             for g in blocks.get((h2 - 2, q2), []):
-                ech.add(self.differential(g))
+                ech.add(d(g))
             reps = []
             for v in kernel_basis(entries, gens):
                 if ech.add(v, len(reps)):

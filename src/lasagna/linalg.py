@@ -11,16 +11,18 @@ deterministic: pivots are the smallest key present, by sorted key order.
 
 `Echelon.reduce` is the one elimination kernel: every rank, kernel basis,
 solution and homology coordinate here and in the modules above is read off
-an `Echelon`.  A vector may be added with a tag, a bookkeeping key `Tag(t)`
-with coefficient -1 that is never chosen as a pivot.  Eliminating pivot
-vectors then carries their tags along, so the tags of a remainder record
-the combination of tagged vectors that was subtracted from it.
+an `Echelon`, which is fraction-free (integer rows, one division at output).
+A vector may be added with a tag, a bookkeeping key `Tag(t)` with
+coefficient -1 that is never chosen as a pivot.  Eliminating pivot vectors
+then carries their tags along, so the tags of a remainder record the
+combination of tagged vectors that was subtracted from it.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def _sort_key(x) -> tuple:
@@ -55,22 +57,46 @@ def _untagged(v: dict) -> list:
     return [k for k in v if type(k) is not Tag]
 
 
+def _integral(vec: dict) -> tuple[dict, int]:
+    """(w, den): an int vector w and the least den > 0 with vec = w / den."""
+    den = lcm(*(x.denominator for x in vec.values()))
+    return {k: x.numerator * (den // x.denominator) for k, x in vec.items()}, den
+
+
+def _scaled(w: dict, den: int) -> dict:
+    """The vector w / den: an int where den divides, else a Fraction."""
+    return w if den == 1 else {k: Fraction(x, den) if x % den else x // den for k, x in w.items()}
+
+
 class Echelon:
-    """Incrementally maintained echelon basis supporting membership queries."""
+    """Incrementally maintained echelon basis supporting membership queries.
+
+    Fraction-free: a pivot row is a primitive int vector, positive at its
+    pivot.  A reduction clears its input's denominators once, on entry, and
+    keeps the remainder as an int vector w over one int den > 0; only the
+    outputs divide, handing out w / den as ints where integral.
+    """
 
     def __init__(self):
-        self.pivots: dict = {}  # pivot key -> vector with coefficient 1 there
+        self._rows: dict = {}  # pivot key -> primitive int vector, positive there
         self._index: dict = {}  # pivot key -> insertion index
+
+    @property
+    def pivots(self) -> dict:
+        """Read only: pivot key -> its pivot vector scaled to coefficient 1 there."""
+        return {p: _scaled(row, row[p]) for p, row in self._rows.items()}
 
     def reduce(self, vec: dict) -> dict:
         """The remainder of vec free of pivot keys (unique, so order-free).
 
         One pass in insertion order: a pivot vector was reduced by every
         earlier one, so eliminating it can bring in later pivot keys only.
+        Eliminating row r turns w / den into (a w - b r) / (a den), where
+        a / b = r[pivot] / w[pivot] in lowest terms with a > 0.
         """
-        v = dict(vec)
-        index = self._index
-        heap = [(index[k], k) for k in v if k in index]
+        w, den = _integral(vec)
+        rows, index = self._rows, self._index
+        heap = [(index[k], k) for k in w if k in index]
         heapq.heapify(heap)
         last = -1
         while heap:
@@ -78,18 +104,24 @@ class Echelon:
             if i == last:
                 continue
             last = i
-            coeff = v.get(pivot)
+            coeff = w.get(pivot)
             if coeff is None:
                 continue
-            for k, val in self.pivots[pivot].items():
-                nv = v.get(k, 0) - coeff * val
+            row = rows[pivot]
+            if row[pivot] != 1:
+                g = gcd(row[pivot], coeff)
+                a, coeff = row[pivot] // g, coeff // g
+                if a != 1:
+                    w, den = {k: a * x for k, x in w.items()}, a * den
+            for k, val in row.items():
+                nv = w.get(k, 0) - coeff * val
                 if nv:
-                    if k not in v and k in index:
+                    if k not in w and k in index:
                         heapq.heappush(heap, (index[k], k))
-                    v[k] = nv
+                    w[k] = nv
                 else:
-                    v.pop(k, None)
-        return v
+                    w.pop(k, None)
+        return _scaled(w, den)
 
     def add(self, vec: dict, tag=None) -> bool:
         """Insert vec, tagged `tag` unless None; True if it enlarged the span."""
@@ -98,13 +130,15 @@ class Echelon:
         return self._insert(self.reduce(vec))
 
     def _insert(self, v: dict) -> bool:
-        """Make the remainder v a pivot vector unless it holds only tags."""
+        """Make the remainder v a pivot row (primitive, positive at its pivot)
+        unless it holds only tags."""
         keys = _untagged(v)
         if not keys:
             return False
         pivot = min(keys, key=_sort_key)
-        inv = inverse(v[pivot])
-        self.pivots[pivot] = {k: val * inv for k, val in v.items()}
+        w, _ = _integral(v)
+        g = gcd(*w.values()) if w[pivot] > 0 else -gcd(*w.values())
+        self._rows[pivot] = {k: x // g for k, x in w.items()}
         self._index[pivot] = len(self._index)
         return True
 
@@ -120,7 +154,7 @@ class Echelon:
         return not _untagged(self.reduce(vec))
 
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self._rows)
 
 
 def row_reduce(vectors: list[dict]) -> list[dict]:
@@ -133,7 +167,8 @@ def row_reduce(vectors: list[dict]) -> list[dict]:
     ech = Echelon()
     for vec in vectors:
         ech.add(vec)
-    return [ech.pivots[p] for p in sorted(ech.pivots, key=_sort_key)]
+    pivots = ech.pivots
+    return [pivots[p] for p in sorted(pivots, key=_sort_key)]
 
 
 def kernel_basis(entries: dict, cols: list) -> list[dict]:

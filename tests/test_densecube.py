@@ -203,3 +203,17 @@ def test_homology_basis_on_keys_equals_the_full_basis():
                 assert reps == full[key][0]
                 assert img.pivots == full[key][1].pivots
                 assert img._index == full[key][1]._index
+
+
+def test_homology_basis_computes_each_differential_once(monkeypatch):
+    cube = Cube(catalog.torus_link(3, 4))
+    calls = []
+    differential = cube.differential
+
+    def counting(g):
+        calls.append(g)
+        return differential(g)
+
+    monkeypatch.setattr(cube, "differential", counting)
+    cube.homology_basis()
+    assert len(calls) == len(set(calls)) == len(list(cube.generators())) == 1602

@@ -1,7 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
-from lasagna.linalg import Echelon, kernel_basis, row_reduce, solve_in_span
+from lasagna.linalg import Echelon, Tag, kernel_basis, row_reduce, solve_in_span
 
 
 def _restart_reduce(pivots: dict, vec: dict) -> dict:
@@ -44,6 +45,103 @@ def test_echelon_reduce_matches_restart_loop():
         for _ in range(10):
             v = _random_vector(rng, keys, rng.randint(1, len(keys)))
             assert ech.reduce(v) == _restart_reduce(ech.pivots, v)
+
+
+# -- the fraction-free kernel against a Fraction reference echelon --------------
+
+
+def _ref_add(ref: dict, vec: dict) -> dict:
+    """Reduce vec by the normalized Fraction rows of ref; insert it unless only
+    tags remain.  Returns the remainder."""
+    v = _restart_reduce(ref, vec)
+    keys = [k for k in v if type(k) is not Tag]
+    if keys:
+        pivot = min(keys, key=_sort_key)
+        ref[pivot] = {k: Fraction(x) / v[pivot] for k, x in v.items()}
+    return v
+
+
+def _weighted_vector(rng, keys, size, ints):
+    """Int entries, or Fractions over mixed denominators such as the
+    symmetrizer's 1/k! and 1/20-style weights."""
+    if ints:
+        return {k: rng.choice([-5, -4, -2, -1, 1, 2, 3, 6]) for k in rng.sample(keys, size)}
+    return {k: Fraction(rng.choice([-7, -3, -2, -1, 1, 2, 5, 12]), rng.choice([1, 2, 3, 6, 20, 24]))
+            for k in rng.sample(keys, size)}
+
+
+def _combination(rng, vectors, ints):
+    out: dict = {}
+    for v in rng.sample(vectors, min(3, len(vectors))):
+        x = rng.choice([-2, -1, 3]) if ints else Fraction(rng.choice([-1, 1, 5]), rng.choice([1, 6, 20]))
+        for k, val in v.items():
+            out[k] = out.get(k, 0) + x * val
+    return {k: val for k, val in out.items() if val}
+
+
+def _follows_scalar_convention(vec: dict) -> bool:
+    return all(type(x) is int or (type(x) is Fraction and x.denominator != 1) for x in vec.values())
+
+
+def _assert_rows_primitive(ech):
+    for pivot, row in ech._rows.items():
+        assert all(type(x) is int for x in row.values())
+        assert row[pivot] > 0
+        assert math.gcd(*row.values()) == 1
+
+
+def test_fraction_free_echelon_matches_the_fraction_reference():
+    rng = random.Random(13)
+    solved = kernels = non_unit = 0
+    for trial in range(60):
+        ints = trial % 2 == 0
+        keys = [("k", i) for i in range(rng.randint(3, 14))] + [f"x{i}" for i in range(3)]
+        vectors = []
+        for _ in range(rng.randint(1, 16)):
+            if vectors and rng.random() < 0.3:
+                vectors.append(_combination(rng, vectors, ints))
+            else:
+                vectors.append(_weighted_vector(rng, keys, rng.randint(1, min(6, len(keys))), ints))
+        vectors = [v for v in vectors if v]
+        ech, ref = Echelon(), {}
+        for t, v in enumerate(vectors):
+            got = ech.reduce({**v, Tag(t): -1})
+            assert got == _restart_reduce(ref, {**v, Tag(t): -1})
+            assert _follows_scalar_convention(got)
+            enlarged = any(type(k) is not Tag for k in _ref_add(ref, {**v, Tag(t): -1}))
+            assert ech.add(v, t) == enlarged
+            assert ech.pivots == ref
+            _assert_rows_primitive(ech)
+        non_unit += sum(row[p] != 1 for p, row in ech._rows.items())
+        for _ in range(6):
+            target = (_combination(rng, vectors, ints) if rng.random() < 0.6
+                      else _weighted_vector(rng, keys, rng.randint(1, 4), ints))
+            rem = _restart_reduce(ref, target)
+            expected = None if any(type(k) is not Tag for k in rem) else {k.label: x for k, x in rem.items()}
+            got = ech.coordinates(target)
+            assert got == expected
+            assert got is None or _follows_scalar_convention(got)
+            solved += got is not None
+        normalized = row_reduce(vectors)
+        plain, ref_rows = Echelon(), {}
+        for v in vectors:
+            plain.add(v)
+            _ref_add(ref_rows, v)
+        _assert_rows_primitive(plain)
+        non_unit += sum(row[p] != 1 for p, row in plain._rows.items())
+        assert normalized == [ref_rows[p] for p in sorted(ref_rows, key=_sort_key)]
+        assert all(_follows_scalar_convention(row) for row in normalized)
+        entries = {(k, c): x for c, v in enumerate(vectors) for k, x in v.items()}
+        ref_kernel, ref_cols = [], {}
+        for c, v in enumerate(vectors):
+            rem = _ref_add(ref_cols, {**v, Tag(c): 1})
+            if all(type(k) is Tag for k in rem):
+                ref_kernel.append({k.label: x for k, x in rem.items()})
+        kernel = kernel_basis(entries, list(range(len(vectors))))
+        assert kernel == ref_kernel
+        assert all(_follows_scalar_convention(vec) for vec in kernel)
+        kernels += len(kernel)
+    assert solved > 100 and kernels > 50 and non_unit > 100, (solved, kernels, non_unit)
 
 
 # -- references: the leading-key elimination loops the kernel replaced ------------

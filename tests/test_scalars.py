@@ -10,11 +10,16 @@ from lasagna.cobmaps import full_reduction, homology_matrix
 from lasagna.densecube import Cube
 from lasagna.khovanov import scan_complex
 from lasagna.linalg import inverse
-from lasagna.skein import HandlebodySpec, _Symmetrizer, build_stage
+from lasagna.skein import HandlebodySpec, _Symmetrizer, _transition_matrix, build_stage
 
 
 def _types(values) -> set:
     return {type(v) for v in values}
+
+
+def _strict(values) -> bool:
+    """Every value an int, or a Fraction that is not integral."""
+    return all(type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in values)
 
 
 def test_inverse_of_a_unit_is_an_int():
@@ -68,7 +73,22 @@ def test_symmetrizer_and_homology_matrix_are_exact():
     images = [c for v in reps for c in sym.apply(v).values()]
     assert images and _types(images) <= {int, Fraction}
     cols = [c for block in homology_matrix(sym.apply, H, H).values() for col in block for c in col]
-    assert cols and _types(cols) <= {int, Fraction}
+    assert cols and _strict(cols)
+    assert any(c not in (0, 1, -1) for c in cols)
+
+
+def test_capping_coordinates_follow_the_convention_strictly():
+    """The belt_link(2) transition block and all-x coordinates behind the
+    capping certificate: integral coordinates are ints."""
+    spec = HandlebodySpec(catalog.belt_link(2), (0,))
+    stages = [build_stage(spec, 0, 6), build_stage(spec, 1, 6)]
+    syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
+    Hs = [stages[0].cube.homology_basis({(0, -4)}), stages[1].cube.homology_basis({(0, 0)})]
+    block = _transition_matrix(spec, stages, syms, Hs, 0, {(0, 0)})[(0, 0)]
+    all_x = {(0, (1,) * len(stages[0].cube.circles[0])): 1}
+    (allx,) = homology_matrix(lambda v: v, {(0, -4): ([all_x], None)}, Hs[0])[(0, -4)]
+    coords = [c for col in block + [allx] for c in col]
+    assert coords and _strict(coords)
 
 
 def test_unsimplified_scan_coefficients_are_ints():
