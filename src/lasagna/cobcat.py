@@ -35,7 +35,7 @@ otherwise, for c = 0 and c = 1 alike.  Delooping a normal entry therefore
 partitions its terms between the two summands by the disk's dot
 (`deloop_split`): each term loses the disk and keeps its coefficient and its
 other components, still sorted; nothing is reduced.  A term not known to be
-normal is capped and reduced instead.
+normal is reduced first and then split the same way.
 
 `MorphismCombo.invertible_scalar` recognizes lambda * identity from the
 shape of its single term (one undotted genus-0 component {("s", k),
@@ -526,8 +526,8 @@ def deloop_split(m: MorphismCombo, side: str, loop, spec: FrobeniusSpec) -> tupl
     Side "t" caps the loop after m: plus = m then dotted cap, minus = m then
     plain cap.  Side "s" cups it before m: plus = plain cup then m, minus =
     dotted cup then m.  Equals composing with the maps of `deloop_maps`.
-    A normal term goes to the one summand its disk's dot selects (see the
-    module docstring); any other term is capped with 0 and 1 dots and reduced.
+    A term not known to be normal is reduced first; every normal term then
+    goes to the one summand its disk's dot selects (see the module docstring).
     """
     node = (side, loop)
     src = m.source.without_loop(loop) if side == "s" else m.source
@@ -536,19 +536,14 @@ def deloop_split(m: MorphismCombo, side: str, loop, spec: FrobeniusSpec) -> tupl
     # the summand reached by adding 0 dots, then by adding 1
     by_dots = (minus, plus) if side == "t" else (plus, minus)
     for cob, coeff in m.terms.items():
-        comps = cob.comps
-        if cob.normal:
+        for normal, coeff2 in [(cob, 1)] if cob.normal else _reduce_cobordism(cob, spec):
+            comps = normal.comps
             for i, c in enumerate(comps):
                 if node in c.nodes:
                     rest = comps[:i] + comps[i + 1:]
-                    by_dots[1 - c.dots]._add_term(Cobordism._normal_sorted(src, tgt, rest), coeff)
+                    by_dots[1 - c.dots]._add_term(
+                        Cobordism._normal_sorted(src, tgt, rest), coeff * coeff2)
                     break
-            continue
-        for dots, summand in enumerate(by_dots):
-            capped = Cobordism(src, tgt, [Component(c.nodes - {node}, c.dots + dots, c.genus)
-                                          if node in c.nodes else c for c in comps])
-            for cob2, coeff2 in _reduce_cobordism(capped, spec):
-                summand._add_term(cob2, coeff * coeff2)
     return plus, minus
 
 

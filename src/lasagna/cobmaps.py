@@ -18,11 +18,10 @@ This module owns the belt-permutation action (`_permutation_chain_map`,
 labels transported along crossed tubes) and the symmetrizer built on it
 (`_Symmetrizer`), which `skein` imports.  The symmetrizer builds only the
 belt transpositions and checks every one of them to commute with the
-differential.  `Movie` is the one place moves are dispatched and composed.
-`homology_matrix` is the one routine turning a chain-level map into
-matrices between homology blocks: each column is one reduction of an image
-in the target block's coordinate echelon (`Cube.homology_basis`), with no
-span rebuilt per column.
+differential.  `homology_matrix` is the one routine turning a chain-level
+map into matrices between homology blocks: each column is one reduction of
+an image in the target block's coordinate echelon (`Cube.homology_basis`),
+with no span rebuilt per column.
 
 All formulas are classical-convention; consumers needing the gl2-normalized
 degree of a move use -chi + 2*dots.
@@ -31,8 +30,6 @@ degree of a move use -chi + 2*dots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .densecube import (
@@ -46,7 +43,6 @@ from .densecube import (
     carry,
     comult,
     counit,
-    identity_map,
     match_circles,
     mult,
     times_x,
@@ -457,7 +453,7 @@ def r2_poke(d: LinkDiagram, over_edge: str, under_edge: str):
     return big, proj, [len(d.crossings), len(d.crossings) + 1]
 
 
-# -- movies, homology functors, symmetrizer -------------------------------------
+# -- homology functors ---------------------------------------------------------
 
 
 def homology_matrix(apply: Callable[[dict], dict], H_src: dict, H_dst: dict, shift=(0, 0)) -> dict:
@@ -490,73 +486,6 @@ def block_ranks(matrices: dict) -> dict:
         key: len(row_reduce([{i: c for i, c in enumerate(col) if c} for col in cols]))
         for key, cols in matrices.items()
     }
-
-
-@dataclass
-class MovieStep:
-    diagram: LinkDiagram
-    cube: Cube
-    map_from_prev: Optional[ChainMap]
-
-
-class Movie:
-    """A sequence of elementary moves with their composed chain map."""
-
-    def __init__(self, start: LinkDiagram, c=Fraction(0)):
-        self.steps = [MovieStep(start, Cube(start.forget_regions(), c), None)]
-        self.c = c
-
-    @property
-    def current(self) -> LinkDiagram:
-        return self.steps[-1].diagram
-
-    def _push(self, d: LinkDiagram, f: ChainMap) -> None:
-        self.steps.append(MovieStep(d, f.dst, f))
-
-    def death(self, edge: str) -> "Movie":
-        d2 = death_diagram(self.current, edge)
-        cube2 = Cube(d2.forget_regions(), self.c)
-        self._push(d2, death_map(self.steps[-1].cube, cube2, edge))
-        return self
-
-    def saddle(self, e: str, f: str) -> "Movie":
-        d2 = saddle_diagram(self.current, e, f)
-        cube2 = Cube(d2.forget_regions(), self.c)
-        self._push(d2, saddle_map(self.steps[-1].cube, cube2, e, f))
-        return self
-
-    def coev(self, c1: str, c2: str, dotted: bool = False) -> "Movie":
-        d2 = birth_diagram(birth_diagram(self.current, c1), c2)
-        cube2 = Cube(d2.forget_regions(), self.c)
-        self._push(d2, coev_map(self.steps[-1].cube, cube2, c1, c2, dotted=dotted))
-        return self
-
-    def swap(self, belt_a: str, belt_b: str) -> "Movie":
-        f = swap_map(self.steps[-1].cube, [belt_a], [belt_b])
-        self._push(self.current, f)
-        return self
-
-    def r2_include(self, over: str, under: str) -> "Movie":
-        big, proj, new = r2_poke(self.current, over, under)
-        cube_big = Cube(big.forget_regions(), self.c)
-        retract = R2Retract(cube_big, self.steps[-1].cube, proj, new)
-        self._push(big, retract.include())
-        return self
-
-    def r2_project(self, small: LinkDiagram, proj: dict, new: list[int]) -> "Movie":
-        cube_small = Cube(small.forget_regions(), self.c)
-        retract = R2Retract(self.steps[-1].cube, cube_small, proj, new)
-        self._push(small, retract.project())
-        return self
-
-    def composite(self) -> ChainMap:
-        maps = [s.map_from_prev for s in self.steps[1:]]
-        if not maps:
-            return identity_map(self.steps[0].cube)
-        f = maps[0]
-        for g in maps[1:]:
-            f = f.compose(g)
-        return f
 
 
 # -- symmetrizer -----------------------------------------------------------------

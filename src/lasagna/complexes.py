@@ -43,8 +43,8 @@ from .cobcat import (
     deloop_split,
     identity_cobordism,
 )
-from .gradings import DimTable, Grading, Window
-from .linalg import inverse, row_reduce
+from .gradings import DimTable, Grading, graded_blocks
+from .linalg import block_homology_dims, inverse
 
 
 class ComplexError(ValueError):
@@ -52,13 +52,12 @@ class ComplexError(ValueError):
 
 
 class BigradedComplex:
-    def __init__(self, spec: FrobeniusSpec = KHOVANOV, truncation: Optional[Window] = None):
+    def __init__(self, spec: FrobeniusSpec = KHOVANOV):
         self.spec = spec
         self.gens: dict[int, tuple[Grading, FlatTangle]] = {}
         self.d: dict[int, dict[int, MorphismCombo]] = {}
         self.d_in: dict[int, set[int]] = {}
         self.pivots: set[tuple[int, int]] = set()  # entries s -> t that are lambda * identity
-        self.truncation = truncation
         self._next = 0
 
     # -- construction -------------------------------------------------------
@@ -92,7 +91,7 @@ class BigradedComplex:
         return self.d.get(s, {}).get(t)
 
     def copy(self) -> "BigradedComplex":
-        c = BigradedComplex(self.spec, self.truncation)
+        c = BigradedComplex(self.spec)
         c.gens = dict(self.gens)
         c.d = {s: dict(row) for s, row in self.d.items()}
         c.d_in = {t: set(srcs) for t, srcs in self.d_in.items()}
@@ -191,26 +190,21 @@ class BigradedComplex:
             self.pivots.discard((u, gid))
         del self.gens[gid]
 
-    def simplify(self, pivot_policy: str = "minfill") -> "BigradedComplex":
+    def simplify(self) -> "BigradedComplex":
         """Deloop all circles and cancel invertible entries to a fixpoint.
 
-        The default policy prefers pivots minimizing the
-        (incoming-1)*(outgoing-1) fill-in, ties broken by the source's
-        (h2, q2, id); the alternative "ordered" policy takes the lowest
-        (h2, q2, id) outright.  Homology does not depend on the choice.
-
-        Candidates come from `pivots`, the set of lambda * identity entries
-        that `set_entry` and `_drop_generator` keep current, so no pass
-        rescans the differential.  Elimination creates no generator and no
-        loop, so delooping once up front suffices.
+        Each pivot minimizes the (incoming-1)*(outgoing-1) fill-in, ties
+        broken by the source's (h2, q2, id); homology does not depend on the
+        choice.  Candidates come from `pivots`, the set of lambda * identity
+        entries that `set_entry` and `_drop_generator` keep current, so no
+        pass rescans the differential.  Elimination creates no generator and
+        no loop, so delooping once up front suffices.
         """
         self.deloop_all()
 
         def cost(st):
             s, t = st
             g = self.gens[s][0]
-            if pivot_policy == "ordered":
-                return (g.h2, g.q2, s, t)
             fill = (len(self.d_in[t]) - 1) * (len(self.d[s]) - 1)
             return (fill, g.h2, g.q2, s, t)
 
@@ -220,52 +214,23 @@ class BigradedComplex:
 
     # -- homology --------------------------------------------------------------
 
-    def homology_dims(self, window: Optional[Window] = None) -> DimTable:
-        """Kernel-minus-image dimensions per grading, inside the window.
+    def homology_dims(self) -> DimTable:
+        """Homology dimensions per block (`block_homology_dims`).
 
         Requires every generator's tangle to be empty (fully scanned closed
-        diagram); the sparse rank computation runs per (h2, q2) block.  With
-        c != 0 the differential is not q-homogeneous: blocks are keyed by h2
-        alone and each dimension is recorded at q2 = 0, as `Cube.blocks` does.
+        diagram), so every entry is a scalar.
         """
-        if window is None:
-            window = Window()
-        if self.truncation is not None:
-            safe = Window(
-                None if self.truncation.h2_lo is None else self.truncation.h2_lo + 2,
-                None if self.truncation.h2_hi is None else self.truncation.h2_hi - 2,
-                self.truncation.q2_lo,
-                self.truncation.q2_hi,
-            )
-            if not safe.contains_window(window):
-                raise ComplexError(
-                    f"window {window} exceeds the built region {self.truncation} "
-                    "minus one column of slack"
-                )
         for gid, (_, tangle) in self.gens.items():
             if tangle.keys():
                 raise ComplexError(
                     "homology needs a fully reduced complex over the empty tangle"
                 )
-        graded = self.spec.c == 0
-        blocks: dict[tuple[int, int], list[int]] = {}
-        for gid, (g, _) in self.gens.items():
-            blocks.setdefault((g.h2, g.q2 if graded else 0), []).append(gid)
-        ranks: dict[tuple[int, int], int] = {}
-        for (h2, q2), gids in blocks.items():
-            rows = []
-            for s in gids:
-                row = {t: x for t, m in self.d.get(s, {}).items() if (x := m.as_scalar())}
-                if row:
-                    rows.append(row)
-            ranks[(h2, q2)] = len(row_reduce(rows))
-        out = DimTable()
-        for (h2, q2), gids in blocks.items():
-            dim = len(gids) - ranks.get((h2, q2), 0) - ranks.get((h2 - 2, q2), 0)
-            g = Grading(h2, q2)
-            if dim and window.contains(g):
-                out.add(g, dim)
-        return out
+
+        def row(s):
+            return {t: x for t, m in self.d[s].items() if (x := m.as_scalar())}
+
+        gradings = ((gid, g) for gid, (g, _) in self.gens.items())
+        return block_homology_dims(graded_blocks(gradings, self.spec.c == 0), row)
 
     def euler_characteristic(self) -> dict[int, int]:
         out: dict[int, int] = {}

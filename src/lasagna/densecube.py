@@ -27,8 +27,8 @@ from itertools import product
 from typing import Iterable
 
 from .diagram import LinkDiagram
-from .gradings import DimTable, Grading
-from .linalg import Echelon, inverse, kernel_basis, row_reduce
+from .gradings import DimTable, Grading, graded_blocks
+from .linalg import Echelon, block_homology_dims, inverse, kernel_basis
 
 LABEL_ONE = 0
 LABEL_X = 1
@@ -214,30 +214,13 @@ class Cube:
     # -- homology -----------------------------------------------------------
 
     def blocks(self) -> dict:
-        """Generators by block: (h2, q2) for c = 0, else (h2, 0).
-
-        The Lee differential (c != 0) is not q-homogeneous, so its blocks are
-        keyed by h2 alone and their homology is recorded at q2 = 0.
-        """
-        blocks: dict = {}
-        for gen in self.generators():
-            g = self.gen_grading(*gen)
-            blocks.setdefault((g.h2, g.q2 if self.c == 0 else 0), []).append(gen)
-        return blocks
+        """Generators by block, as `graded_blocks` keys them for this c."""
+        gradings = ((gen, self.gen_grading(*gen)) for gen in self.generators())
+        return graded_blocks(gradings, self.c == 0)
 
     def homology_dims(self) -> DimTable:
-        """Homology dimensions per block of `blocks` (for c != 0 at q2 = 0)."""
-        blocks = self.blocks()
-        ranks = {
-            key: len(row_reduce([self.differential(g) for g in gens]))
-            for key, gens in blocks.items()
-        }
-        out = DimTable()
-        for (h2, q2), gens in blocks.items():
-            dim = len(gens) - ranks[(h2, q2)] - ranks.get((h2 - 2, q2), 0)
-            if dim:
-                out.add(Grading(h2, q2), dim)
-        return out
+        """Homology dimensions per block (for c != 0 at q2 = 0)."""
+        return block_homology_dims(self.blocks(), self.differential)
 
     def homology_basis(self, keys=None) -> dict:
         """Per (h2,q2) block: (cycle representatives, coordinate echelon).
@@ -371,9 +354,7 @@ class TrackedReduction:
     order tabulates p on every generator, and `project` is a sparse sum over
     that table.  `include` memoizes iota on each basis vector it meets.  Both
     the table and the memo belong to one log length and are rebuilt once a
-    later elimination grows the log.  A pivot_filter restricts which entries
-    may be eliminated (used to steer Reidemeister retracts onto a
-    distinguished resolution).
+    later elimination grows the log.
 
     `q2s`, a collection of doubled quantum degrees, reduces only the
     generators of those degrees, kept in `cube.generators()` order.  With
@@ -384,7 +365,7 @@ class TrackedReduction:
     (c != 0) is not q-homogeneous, and `q2s` with it raises ValueError.
     """
 
-    def __init__(self, cube: Cube, pivot_filter=None, q2s=None):
+    def __init__(self, cube: Cube, q2s=None):
         if q2s is not None and cube.c != 0:
             raise ValueError("a q2-restricted reduction needs c = 0")
         self.cube = cube
@@ -401,7 +382,6 @@ class TrackedReduction:
                 for t, v in row.items():
                     self.d_in.setdefault(t, {})[g] = v
         self.alive = set(self.gens)
-        self.pivot_filter = pivot_filter
         self.log: list = []  # (s, t, lam, out_row, in_col)
         self._maps_at = 0  # log length the projection table and inclusion memo belong to
         self._proj: dict = {}  # removed generator -> p(e_g)
@@ -410,11 +390,7 @@ class TrackedReduction:
     # -- elimination --------------------------------------------------------
 
     def _candidate_ok(self, s, t) -> bool:
-        if s not in self.alive or t not in self.alive:
-            return False
-        if self.pivot_filter and not self.pivot_filter(s, t):
-            return False
-        return bool(self.d.get(s, {}).get(t))
+        return s in self.alive and t in self.alive and bool(self.d.get(s, {}).get(t))
 
     def eliminate_all(self) -> int:
         queue = [

@@ -114,6 +114,18 @@ class Window:
         return f"h:[{b(self.h2_lo)},{b(self.h2_hi)}] q:[{b(self.q2_lo)},{b(self.q2_hi)}]"
 
 
+def graded_blocks(gradings: Iterable, graded: bool) -> dict:
+    """Generators by block from (generator, Grading) pairs: (h2, q2) if graded.
+
+    A differential that is not q-homogeneous (c != 0) has blocks keyed by
+    (h2, 0), and their homology is recorded at q2 = 0.
+    """
+    blocks: dict = {}
+    for gen, g in gradings:
+        blocks.setdefault((g.h2, g.q2 if graded else 0), []).append(gen)
+    return blocks
+
+
 def parse_window(text: str) -> Window:
     """Parse 'hLo:hHi,qLo:qHi' with '*' (or empty) for an open bound."""
     parts = text.split(",")

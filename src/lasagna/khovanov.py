@@ -117,18 +117,14 @@ def scan_complex(d: LinkDiagram, spec: FrobeniusSpec = KHOVANOV, simplify: bool 
     return cur
 
 
-def kh_dims(d: LinkDiagram, spec: FrobeniusSpec = KHOVANOV) -> DimTable:
+def kh_dims(d: LinkDiagram) -> DimTable:
     """Classical homology dimensions (scanning pipeline)."""
-    if spec.c != 0:
-        raise ValueError("graded dimensions need the undeformed algebra")
-    return scan_complex(d, spec).homology_dims()
+    return scan_complex(d).homology_dims()
 
 
-def kh_dims_bruteforce(d: LinkDiagram, spec: FrobeniusSpec = KHOVANOV, max_crossings: int = 14) -> DimTable:
+def kh_dims_bruteforce(d: LinkDiagram, max_crossings: int = 14) -> DimTable:
     """Dense full-cube oracle, no simplification (guarded crossing count)."""
-    if spec.c != 0:
-        raise ValueError("graded dimensions need the undeformed algebra")
-    return Cube(d.forget_regions(), spec.c, max_crossings=max_crossings).homology_dims()
+    return Cube(d.forget_regions(), max_crossings=max_crossings).homology_dims()
 
 
 def khr2_reindex(classical: DimTable, writhe: int) -> DimTable:
@@ -137,14 +133,9 @@ def khr2_reindex(classical: DimTable, writhe: int) -> DimTable:
     )
 
 
-def khr2_dims(
-    d: LinkDiagram,
-    window: Optional[Window] = None,
-    spec: FrobeniusSpec = KHOVANOV,
-    bruteforce: bool = False,
-) -> DimTable:
+def khr2_dims(d: LinkDiagram, window: Optional[Window] = None, bruteforce: bool = False) -> DimTable:
     """gl2-normalized homology dims: KhR2^{h,q} = Kh^{-h, q+w} as dimensions."""
-    classical = kh_dims_bruteforce(d) if bruteforce else kh_dims(d, spec)
+    classical = kh_dims_bruteforce(d) if bruteforce else kh_dims(d)
     table = khr2_reindex(classical, d.writhe())
     if window is not None:
         table = table.restrict(window)

@@ -24,6 +24,8 @@ import heapq
 from fractions import Fraction
 from math import gcd, lcm
 
+from .gradings import DimTable, Grading
+
 
 def _sort_key(x) -> tuple:
     return (str(type(x)), repr(x))
@@ -169,6 +171,24 @@ def row_reduce(vectors: list[dict]) -> list[dict]:
         ech.add(vec)
     pivots = ech.pivots
     return [pivots[p] for p in sorted(pivots, key=_sort_key)]
+
+
+def block_homology_dims(blocks: dict, differential) -> DimTable:
+    """Homology dimensions of a differential raising h2 by 2, block by block.
+
+    `blocks` are as `gradings.graded_blocks` keys them and `differential(g)`
+    is g's sparse image.  A block of n generators has dimension
+    n - r(h2, q2) - r(h2 - 2, q2), r being the `row_reduce` rank of the
+    differential out of a block.
+    """
+    ranks = {key: len(row_reduce([row for g in gens if (row := differential(g))]))
+             for key, gens in blocks.items()}
+    out = DimTable()
+    for (h2, q2), gens in blocks.items():
+        dim = len(gens) - ranks[(h2, q2)] - ranks.get((h2 - 2, q2), 0)
+        if dim:
+            out.add(Grading(h2, q2), dim)
+    return out
 
 
 def kernel_basis(entries: dict, cols: list) -> list[dict]:

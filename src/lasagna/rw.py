@@ -60,12 +60,7 @@ def _check_admissible(d: LinkDiagram) -> None:
                 raise AdmissibilityError(f"region {r.region_id}: missing edge {s.edge}")
 
 
-def rw_plus(
-    d: LinkDiagram,
-    window: Window,
-    k_max: int = 3,
-    slope: int = 1,
-) -> RWResult:
+def rw_plus(d: LinkDiagram, window: Window, k_max: int = 3) -> RWResult:
     """Truncated plus-variant homology via full-twist approximation."""
     _check_admissible(d)
     if not d.regions:
@@ -97,7 +92,7 @@ def rw_plus(
         tables.setdefault(k_max, twisted_tilde_table(d, k_max))
     declared_ok = True
     for r in d.regions:
-        win_r, zero = stable_window(r.strand_count, max(k_used, 1), slope)
+        win_r, zero = stable_window(r.strand_count, max(k_used, 1))
         if zero:
             declared_ok = False
         elif win_r is not None and not win_r.contains_window(Window(window.h2_lo, window.h2_hi)):
@@ -133,9 +128,9 @@ def _floor(table: DimTable, window: Window) -> Optional[Grading]:
     return Grading(h_floor, q_floor)
 
 
-def rw_minus(d: LinkDiagram, window: Window, k_max: int = 3, slope: int = 1) -> RWResult:
+def rw_minus(d: LinkDiagram, window: Window, k_max: int = 3) -> RWResult:
     """Dual variant: reflected plus-variant of the mirror diagram."""
-    res = rw_plus(d.mirror(), window.reflect(), k_max, slope)
+    res = rw_plus(d.mirror(), window.reflect(), k_max)
     return RWResult(
         res.table.reflect().restrict(window),
         window,

@@ -225,9 +225,8 @@ def test_deloop_split_equals_composing_with_deloop_maps(spec, monkeypatch):
     """Both summands equal composing with the maps of `deloop_maps`.
 
     Each combo is split twice: as drawn, from fresh cobordisms not known to
-    be normal (shared holders, genus, two dots), which take the
-    cap-and-reduce route, two reductions per term; then reduced, which takes
-    the split of terms and reduces nothing.
+    be normal (shared holders, genus, two dots), each reduced once before it
+    is split; then reduced, which is split as it is and reduces nothing.
     """
     rng = random.Random(5)
     pts = list(range(4))
@@ -258,20 +257,20 @@ def test_deloop_split_equals_composing_with_deloop_maps(spec, monkeypatch):
                 expected = (m.then(out_p, spec), m.then(out_m, spec))
             else:
                 expected = (in_p.then(m, spec), in_m.then(m, spec))
-            for route in ("fallback", "split"):
-                f = m if route == "fallback" else reduce(m, spec)
+            for route in ("reduce", "split"):
+                f = m if route == "reduce" else reduce(m, spec)
                 assert all(cob.normal == (route == "split") for cob in f.terms)
                 del reduced[:]
                 with monkeypatch.context() as mp:
                     mp.setattr(cobcat, "_reduce_cobordism", counting)
                     split = deloop_split(f, side, "c", spec)
                 assert split == expected
-                assert len(reduced) == (2 * len(f.terms) if route == "fallback" else 0)
+                assert len(reduced) == (len(f.terms) if route == "reduce" else 0)
                 assert all(cob.normal for summand in split for cob in summand.terms)
                 if any(summand.terms for summand in split):
                     routes.add(route)
     assert seen == {"alone", "shared", "genus", "disk"}
-    assert routes == {"fallback", "split"}
+    assert routes == {"reduce", "split"}
 
 
 def test_domain_mismatch_raises():

@@ -4,13 +4,13 @@ import pytest
 
 from lasagna import catalog
 from lasagna.cobmaps import (
-    Movie,
     R1Retract,
     R2Retract,
     birth_diagram,
     birth_map,
     block_ranks,
     coev_map,
+    death_diagram,
     death_map,
     dot_map,
     homology_matrix,
@@ -19,6 +19,7 @@ from lasagna.cobmaps import (
     reduction_equivalence,
     saddle_diagram,
     saddle_map,
+    swap_map,
     symmetrizer_image_dims,
 )
 from lasagna.densecube import Cube, identity_map
@@ -130,10 +131,12 @@ def test_saddle_merge_two_unknots():
 
 
 def _r2_pokes():
-    # a free loop poked across a trefoil strand (the lanes lie on two circles
-    # in every state), and the two edges entering one trefoil crossing: in
-    # every state where that crossing joins their heads they lie on one
-    # circle, so the lane surgery splits it on the way in and merges it back
+    # two free loops poked across each other, a free loop poked across a
+    # trefoil strand (in both the lanes lie on two circles in every state),
+    # and the two edges entering one trefoil crossing: in every state where
+    # that crossing joins their heads they lie on one circle, so the lane
+    # surgery splits it on the way in and merges it back
+    yield catalog.unlink(2), "a0", "a1"
     d = birth_diagram(catalog.trefoil_right(), "c")
     yield d, "c", "e1"
     d = catalog.trefoil_right()
@@ -163,25 +166,6 @@ def test_r1_retracts_are_sdr():
             inc, prj = r.include(), r.project()
             assert inc.is_chain_map() and prj.is_chain_map()
             assert inc.compose(prj).entries == identity_map(Cube(d, c)).entries
-
-
-def test_empty_movie_is_identity():
-    d = catalog.hopf_positive()
-    f = Movie(d).composite()
-    assert f.entries == identity_map(Cube(d)).entries
-
-
-def test_movie_r2_then_inverse_is_homology_iso():
-    d = catalog.unlink(2)
-    m = Movie(d)
-    m.r2_include("a0", "a1")
-    big, proj, new = r2_poke(d, "a0", "a1")
-    assert m.current.to_json_obj() == big.to_json_obj()
-    m.r2_project(d, proj, new)
-    f = m.composite()
-    ranks = _nonzero_ranks(f)
-    expected = {(g.h2, g.q2): v for g, v in kh_dims(d).items()}
-    assert ranks == expected
 
 
 def test_r3_reduction_equivalence_iso():
@@ -261,7 +245,6 @@ def test_dot_map_bidegree():
 
 
 def test_swap_map_split_and_nonsplit():
-    from lasagna.cobmaps import swap_map
     from lasagna.catalog import encircle
 
     # split: honest transposition on homology
@@ -278,15 +261,17 @@ def test_swap_map_split_and_nonsplit():
 
 
 def test_movie_with_coev_and_swap():
-    d = catalog.unknot()
+    d0 = Cube(catalog.unknot())
+    d1 = Cube(birth_diagram(birth_diagram(d0.diagram, "c1"), "c2"))
+    d2 = Cube(saddle_diagram(d1.diagram, "c1", "c2"))
+    d3 = Cube(death_diagram(d2.diagram, "c1"))
     f = (
-        Movie(d)
-        .coev("c1", "c2", dotted=True)
-        .swap("c1", "c2")
-        .saddle("c1", "c2")
-        .death("c1")
-        .composite()
+        coev_map(d0, d1, "c1", "c2", dotted=True)
+        .compose(swap_map(d1, ["c1"], ["c2"]))
+        .compose(saddle_map(d1, d2, "c1", "c2"))
+        .compose(death_map(d2, d3, "c1"))
     )
+    assert f.src is d0 and f.dst is d3
     assert f.is_chain_map()
     # dotted coev then merge gives x*x = 0, so the composite vanishes
     assert not f.entries

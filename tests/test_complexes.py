@@ -24,7 +24,7 @@ from lasagna.complexes import (
     planar_tensor,
     tangle_gluing,
 )
-from lasagna.gradings import DimTable, Grading, Window
+from lasagna.gradings import DimTable, Grading
 from lasagna.khovanov import kh_dims_bruteforce, scan_complex
 
 
@@ -142,23 +142,6 @@ def test_planar_tensor_associative_dims():
     left = planar_tensor(planar_tensor(cs[0], cs[1]), cs[2])
     right = planar_tensor(cs[0], planar_tensor(cs[1], cs[2]))
     assert left.homology_dims() == right.homology_dims()
-
-
-def test_truncation_window_guard():
-    c = scan_complex(catalog.unknot())
-    c.truncation = Window(h2_lo=-4, h2_hi=4)
-    assert c.homology_dims(Window(h2_lo=-2, h2_hi=2)) == DimTable(
-        {(0, 2): 1, (0, -2): 1}
-    )
-    with pytest.raises(ComplexError, match="slack"):
-        c.homology_dims(Window(h2_lo=-4, h2_hi=4))
-
-
-def test_pivot_policies_agree():
-    for d in (catalog.trefoil_right(), catalog.figure_eight()):
-        a = scan_complex(d, simplify=False).simplify("minfill").homology_dims()
-        b = scan_complex(d, simplify=False).simplify("ordered").homology_dims()
-        assert a == b
 
 
 def test_disjoint_eliminations_commute():

@@ -3,7 +3,6 @@ from lasagna.gradings import DimTable, Window
 from lasagna.projector import (
     approximate_projector,
     stable_window,
-    stabilization_check,
     twisted_tilde_table,
 )
 
@@ -47,28 +46,6 @@ def test_twisted_tilde_top_degree_anchor():
         for q2 in range(-14, -4, 2):
             assert t[(0, q2)] == 0
         assert all(g.h2 >= 0 for g in t)
-
-
-def test_stabilization_check_belt():
-    d = catalog.belt_link(2)
-    w = Window(h2_lo=-2, h2_hi=0, q2_lo=-8, q2_hi=0)
-    assert stabilization_check(d, "1", 2, w)
-
-
-def test_stabilization_check_negative_control():
-    # a window reaching far above the trusted cut can disagree
-    d = catalog.belt_link(2)
-    wide = Window(h2_lo=0, h2_hi=12, q2_lo=-20, q2_hi=20)
-    ok_narrow = stabilization_check(d, "1", 1, Window(h2_lo=0, h2_hi=0, q2_lo=-8, q2_hi=0))
-    assert ok_narrow
-    # k=1 vs k=2 differ once h=1 classes are in range
-    assert not stabilization_check(d, "1", 1, Window(h2_lo=0, h2_hi=2, q2_lo=-8, q2_hi=0))
-    assert isinstance(stabilization_check(d, "1", 2, wide), bool)
-
-
-def test_stabilization_check_empty_region():
-    d = catalog.empty_surgery(1)
-    assert stabilization_check(d, "1", 1, Window())
 
 
 def test_twisted_tilde_top_degree_four_strands():

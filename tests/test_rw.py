@@ -37,6 +37,29 @@ def test_rw_plus_belt_antiparallel():
     assert all(g.h2 >= 0 for g in res.table)
 
 
+def test_rw_plus_gate_belt():
+    # k = 1 and 2 already agree at h = -1 and 0
+    res = rw_plus(catalog.belt_link(2), Window(h2_lo=-2, h2_hi=0, q2_lo=-8, q2_hi=0), k_max=3)
+    assert res.stabilized == {"1": True}
+    assert res.twists == {"1": 1}
+
+
+def test_rw_plus_gate_negative_control():
+    # at h = 0 alone k = 1 and 2 agree; once the h = 1 classes are in the
+    # window they differ, and with k_max = 2 there is no third level to try
+    d = catalog.belt_link(2)
+    narrow = rw_plus(d, Window(h2_lo=0, h2_hi=0, q2_lo=-8, q2_hi=0), k_max=2)
+    assert narrow.stabilized == {"1": True}
+    assert narrow.twists == {"1": 1}
+    wide = rw_plus(d, Window(h2_lo=0, h2_hi=2, q2_lo=-8, q2_hi=0), k_max=2)
+    assert wide.stabilized == {"1": False}
+
+
+def test_rw_plus_gate_empty_region():
+    res = rw_plus(catalog.empty_surgery(1), Window(), k_max=2)
+    assert res.stabilized == {"1": True}
+
+
 def test_rw_plus_no_regions_recovers_tilde():
     for d in (catalog.trefoil_right(), catalog.hopf_positive(), catalog.unknot()):
         w = Window(h2_lo=-20, h2_hi=20, q2_lo=-40, q2_hi=40)
