@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .diagram import DOWN, UP, Crossing, LinkDiagram, SurgeryRegion
+from .diagram import DOWN, UP, Crossing, LinkDiagram, SurgeryRegion, fresh_name
 
 
 def empty_diagram() -> LinkDiagram:
@@ -143,27 +143,19 @@ def encircle(d: LinkDiagram, region_id: str, up: int, down: int) -> LinkDiagram:
         )
 
     used = set(d.edges)
-
-    def fresh(base):
-        i = 0
-        while f"{base}.{i}" in used:
-            i += 1
-        used.add(f"{base}.{i}")
-        return f"{base}.{i}"
-
     # strand j is cut into 2m pieces: piece 0 keeps the original id and sits
     # outside the belt stack; going upward through the stack the strand meets
     # belt m-1 (outermost) first.
     strand_piece = []
     for j, s in enumerate(reg.strands):
-        pieces = [s.edge] + [fresh(f"{s.edge}^") for _ in range(2 * m - 1)]
+        pieces = [s.edge] + [fresh_name(f"{s.edge}^.", used) for _ in range(2 * m - 1)]
         strand_piece.append(pieces)
     # belt i (i = 0 innermost) is cut into 2n pieces; piece 0 is its west arc.
     belt_piece = []
     belt_sign = []
     for i in range(m):
-        base = fresh(f"B{region_id}.{i}")
-        pieces = [base] + [fresh(f"{base}^") for _ in range(2 * n - 1)] if n else [base]
+        base = fresh_name(f"B{region_id}.{i}.", used)
+        pieces = [base] + [fresh_name(f"{base}^.", used) for _ in range(2 * n - 1)] if n else [base]
         belt_piece.append(pieces)
         belt_sign.append(1 if i < up else -1)
 

@@ -281,7 +281,7 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValueError as exc:  # DiagramError, AdmissibilityError, LasagnaError among them
+    except ValueError as exc:  # DiagramError and LasagnaError among them
         sys.stderr.write(f"error: {exc}\n")
         from .densecube import CapacityError  # only on the error path: a cache hit skips densecube
 

@@ -48,8 +48,7 @@ from .densecube import (
     times_x,
     unit,
 )
-from .diagram import Crossing, LinkDiagram
-from .gradings import DimTable, Grading, Window
+from .diagram import Crossing, LinkDiagram, fresh_name
 from .linalg import Echelon, inverse, row_reduce
 
 
@@ -83,17 +82,13 @@ def saddle_diagram(d: LinkDiagram, e: str, f: str) -> LinkDiagram:
     """Oriented saddle between edges e and f (e == f splits off a circle)."""
     free = set(d.free_loops)
     if e == f:
-        base = "split"
-        i = 0
-        while f"{base}{i}" in d.edges:
-            i += 1
-        return birth_diagram(d, f"{base}{i}")
+        return birth_diagram(d, fresh_name("split", set(d.edges)))
     if e in free and f in free:
         # merging two crossingless circles: one edge survives
-        return _absorb(d, f)
+        return death_diagram(d, f)
     if e in free or f in free:
         # a crossingless circle is absorbed into the other strand
-        return _absorb(d, e if e in free else f)
+        return death_diagram(d, e if e in free else f)
     # cross-join: each edge keeps its tail slot and receives the other's head
     crossings = [list(c.edges) for c in d.crossings]
     swaps = {e: f, f: e}
@@ -107,17 +102,6 @@ def saddle_diagram(d: LinkDiagram, e: str, f: str) -> LinkDiagram:
         d.framing_points,
         d.regions,
         d.orientations,
-    )
-
-
-def _absorb(d: LinkDiagram, gone: str) -> LinkDiagram:
-    orient = {e: t for e, t in d.orientations.items() if e != gone}
-    return LinkDiagram(
-        [e for e in d.edges if e != gone],
-        d.crossings,
-        [(e, w) for e, w in d.framing_points if e != gone],
-        d.regions,
-        orient,
     )
 
 
@@ -292,29 +276,6 @@ def _surgery(ins, outs):
     return comult
 
 
-def _fresh_namer(d: LinkDiagram):
-    """Edge namer for a rewrite of d: base'0, base'1, ..., never reusing a name."""
-    used = set(d.edges)
-
-    def fresh(base):
-        i = 0
-        while f"{base}'{i}" in used:
-            i += 1
-        used.add(f"{base}'{i}")
-        return f"{base}'{i}"
-
-    return fresh
-
-
-def _head_slots(d: LinkDiagram) -> dict:
-    """Edge -> (crossing index, slot) of every slot where an edge ends."""
-    heads = {}
-    for ci, c in enumerate(d.crossings):
-        heads[c.edges[0]] = (ci, 0)
-        heads[c.edges[3 if c.sign == 1 else 1]] = (ci, 3 if c.sign == 1 else 1)
-    return heads
-
-
 class R2Retract:
     """Explicit strong deformation retract data for one R2 poke.
 
@@ -422,14 +383,14 @@ def r2_poke(d: LinkDiagram, over_edge: str, under_edge: str):
     """
     if over_edge == under_edge:
         raise ValueError("poke needs two distinct edges")
-    fresh = _fresh_namer(d)
+    used = set(d.edges)
     a, b = over_edge, under_edge
-    heads = _head_slots(d)
-    a_m = fresh(a)
-    b_m = fresh(b)
+    heads = d.head_slots()
+    a_m = fresh_name(f"{a}'", used)
+    b_m = fresh_name(f"{b}'", used)
     # free loops close back onto their original id; open strands get a top stub
-    a2 = fresh(a) if a in heads else a
-    b2 = fresh(b) if b in heads else b
+    a2 = fresh_name(f"{a}'", used) if a in heads else a
+    b2 = fresh_name(f"{b}'", used) if b in heads else b
     crossings = [list(c.edges) for c in d.crossings]
     for old, new in ((a, a2), (b, b2)):
         if old in heads and new != old:
@@ -530,20 +491,6 @@ def _belt_circle_indices(circles: list, groups: list) -> Optional[list[int]]:
     return idx if len(set(idx)) == len(idx) else None
 
 
-def swap_map(cube: Cube, group_a: list[str], group_b: list[str]) -> ChainMap:
-    """Transposition of two parallel belt circles.
-
-    Labels are transported along the crossed-tube cobordism whenever both
-    belts are honest circles of the resolution; states where a belt merges
-    into the strands are fixed.  The result is verified to commute with the
-    differential (it does for parallel belts around a common bundle).
-    """
-    f = _permutation_chain_map(cube, [group_a, group_b], (1, 0))
-    if not f.is_chain_map():
-        raise ValueError("belt swap is not a chain map for this configuration")
-    return f
-
-
 class _Symmetrizer:
     """Average of all belt permutations per region, on chains.
 
@@ -587,34 +534,17 @@ class _Symmetrizer:
         return {k: self.weight * v for k, v in out.items()}
 
 
-def symmetrizer_image_dims(
-    cube: Cube, belt_edges: list[str], window: Optional[Window] = None
-) -> DimTable:
-    """Image dimensions of the projector (1/k!) sum over belt permutations.
-
-    The belts must be split circles (crossingless free loops); each
-    permutation acts by shuffling their tensor factors.
-    """
-    for circles in cube.circles:
-        if len({_circle_index(circles, e) for e in belt_edges}) != len(belt_edges):
-            raise ValueError("belts are not split circles in some state")
-    H = cube.homology_basis()
-    H_win = {key: b for key, b in H.items() if window is None or window.contains(Grading(*key))}
-    sym = _Symmetrizer(cube, [[[e] for e in belt_edges]])
-    return DimTable(block_ranks(homology_matrix(sym.apply, H_win, H)))
-
-
 def r1_kink(d: LinkDiagram, edge: str, sign: int):
     """Add a kink of the given sign on `edge` (a Reidemeister I move).
 
     Returns (new_diagram, edge_projection, new_crossing_index).  The loop
     piece closes on itself in one resolution, forming the small circle.
     """
-    fresh = _fresh_namer(d)
+    used = set(d.edges)
     e = edge
-    heads = _head_slots(d)
-    e_m = fresh(e)
-    e2 = fresh(e) if e in heads else e
+    heads = d.head_slots()
+    e_m = fresh_name(f"{e}'", used)
+    e2 = fresh_name(f"{e}'", used) if e in heads else e
     crossings = [list(c.edges) for c in d.crossings]
     if e in heads and e2 != e:
         ci, slot = heads[e]

@@ -108,23 +108,6 @@ class BigradedComplex:
     def generators(self) -> list[int]:
         return sorted(self.gens)
 
-    # -- verification --------------------------------------------------------
-
-    def verify_d_squared(self) -> bool:
-        for u in self.gens:
-            acc: dict[int, MorphismCombo] = {}
-            for v, f in self.d.get(u, {}).items():
-                for w, g in self.d.get(v, {}).items():
-                    h = f.then(g, self.spec)
-                    if w in acc:
-                        acc[w] = acc[w] + h
-                    else:
-                        acc[w] = h
-            for w, m in acc.items():
-                if not m.is_zero():
-                    return False
-        return True
-
     # -- delooping and elimination --------------------------------------------
 
     def deloop_generator(self, gid: int) -> tuple[int, int]:
@@ -239,13 +222,6 @@ class BigradedComplex:
                 raise ComplexError("Euler characteristic needs integral h")
             out[g.q2] = out.get(g.q2, 0) + (-1) ** (g.h2 // 2)
         return {q: c for q, c in out.items() if c}
-
-    # -- structural operations ---------------------------------------------------
-
-    def shift(self, dh2: int, dq2: int) -> "BigradedComplex":
-        c = self.copy()
-        c.gens = {gid: (g.shift(dh2, dq2), t) for gid, (g, t) in self.gens.items()}
-        return c
 
 
 # -- gluing machinery -------------------------------------------------------

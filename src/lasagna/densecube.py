@@ -266,11 +266,10 @@ def _all_labels(k: int) -> list:
 class ChainMap:
     """Sparse chain map between two cubes, generator -> {generator: coeff}."""
 
-    def __init__(self, src: Cube, dst: Cube, entries: dict, h2_shift: int = 0):
+    def __init__(self, src: Cube, dst: Cube, entries: dict):
         self.src = src
         self.dst = dst
         self.entries = entries  # gen -> {gen: coefficient}, int or Fraction
-        self.h2_shift = h2_shift
 
     def apply(self, vec: dict) -> dict:
         out: dict = {}
@@ -298,7 +297,7 @@ class ChainMap:
                         acc.pop(tgt, None)
             if acc:
                 entries[g] = acc
-        return ChainMap(self.src, then.dst, entries, self.h2_shift + then.h2_shift)
+        return ChainMap(self.src, then.dst, entries)
 
     def is_chain_map(self) -> bool:
         """Check commutation with the differentials on every generator."""
@@ -315,15 +314,6 @@ class ChainMap:
                 return False
         return True
 
-    def bidegree_shifts(self) -> set[tuple[int, int]]:
-        shifts = set()
-        for g, row in self.entries.items():
-            gg = self.src.gen_grading(*g)
-            for tgt in row:
-                tg = self.dst.gen_grading(*tgt)
-                shifts.add((tg.h2 - gg.h2, tg.q2 - gg.q2))
-        return shifts
-
 
 def _acc(d: dict, k, v) -> None:
     nv = d.get(k, 0) + v
@@ -331,10 +321,6 @@ def _acc(d: dict, k, v) -> None:
         d[k] = nv
     else:
         d.pop(k, None)
-
-
-def identity_map(cube: Cube) -> ChainMap:
-    return ChainMap(cube, cube, {g: {g: 1} for g in cube.generators()})
 
 
 class TrackedReduction:

@@ -103,6 +103,16 @@ class SurgeryRegion(_Value):
         return sum(1 if s.direction == UP else -1 for s in self.strands)
 
 
+def fresh_name(prefix: str, used: set[str]) -> str:
+    """The first of prefix0, prefix1, ... not in `used`, which it joins."""
+    i = 0
+    while f"{prefix}{i}" in used:
+        i += 1
+    name = f"{prefix}{i}"
+    used.add(name)
+    return name
+
+
 class LinkDiagram:
     """Immutable validated planar diagram; all transforms return new values."""
 
@@ -226,6 +236,15 @@ class LinkDiagram:
     def writhe(self) -> int:
         return sum(c.sign for c in self.crossings) + sum(w for _, w in self.framing_points)
 
+    def head_slots(self) -> dict[str, tuple[int, int]]:
+        """Edge -> (crossing index, slot) of the slot where the edge ends."""
+        heads = {}
+        for ci, c in enumerate(self.crossings):
+            slot = 3 if c.sign == 1 else 1
+            heads[c.edges[0]] = (ci, 0)
+            heads[c.edges[slot]] = (ci, slot)
+        return heads
+
     # -- transforms ---------------------------------------------------------
 
     def mirror(self) -> "LinkDiagram":
@@ -251,14 +270,6 @@ class LinkDiagram:
             self.orientations,
         )
 
-    def _fresh(self, base: str, used: set[str]) -> str:
-        i = 0
-        while f"{base}#{i}" in used:
-            i += 1
-        name = f"{base}#{i}"
-        used.add(name)
-        return name
-
     def insert_full_twists(self, region_id: str, k: int) -> "LinkDiagram":
         """Replace region `region_id` by k positive full twists on its strands.
 
@@ -280,11 +291,7 @@ class LinkDiagram:
         used = set(self.edges)
         free = set(self.free_loops)
         # Head slots of each transit edge, so the top stub can be rewired.
-        head_slot: dict[str, tuple[int, int]] = {}
-        for ci, c in enumerate(self.crossings):
-            e0, e1, e2, e3 = c.edges
-            head_slot[e0] = (ci, 0)
-            head_slot[e3 if c.sign == 1 else e1] = (ci, 3 if c.sign == 1 else 1)
+        heads = self.head_slots()
 
         # Current segment and direction at each braid position.
         cur = [s.edge for s in reg.strands]
@@ -296,8 +303,8 @@ class LinkDiagram:
         def braid_generator(p: int) -> None:
             a, b = cur[p], cur[p + 1]
             da, db = strand_dir[p], strand_dir[p + 1]
-            c_seg = self._fresh("tw", used)
-            d_seg = self._fresh("tw", used)
+            c_seg = fresh_name("tw#", used)
+            d_seg = fresh_name("tw#", used)
             new_orient[c_seg] = UP if db == 1 else DOWN
             new_orient[d_seg] = UP if da == 1 else DOWN
             # Left segment goes over: over-path a--d, under-path b--c.
@@ -332,17 +339,17 @@ class LinkDiagram:
             elif s.direction == UP:
                 if top == e:
                     continue  # strand untouched by any crossing
-                stub = self._fresh(e, used)
+                stub = fresh_name(f"{e}#", used)
                 new_orient[stub] = self.orientations[e]
                 subst[top] = stub
-                ci, slot = head_slot[e]
+                ci, slot = heads[e]
                 crossing_rewires.append((ci, slot, stub))
             else:
                 # Downward strand: original id belongs above the braid.  The
                 # braid consumed `e` at the bottom; rename that bottom piece.
                 renamed = []
                 done = False
-                stub = self._fresh(e, used)
+                stub = fresh_name(f"{e}#", used)
                 for c in new_crossings:
                     if not done and e in c.edges:
                         renamed.append(
@@ -358,7 +365,7 @@ class LinkDiagram:
                 new_crossings = renamed
                 new_orient[stub] = self.orientations[e]
                 subst[top] = e
-                ci, slot = head_slot[e]
+                ci, slot = heads[e]
                 crossing_rewires.append((ci, slot, stub))
 
         new_crossings = [
@@ -396,12 +403,12 @@ class LinkDiagram:
         new_strands = list(reg.strands)
         orient = dict(self.orientations)
         for _ in range(up):
-            e = self._fresh(f"belt{region_id}", used)
+            e = fresh_name(f"belt{region_id}#", used)
             new_edges.append(e)
             new_strands.append(RegionStrand(e, UP))
             orient[e] = UP
         for _ in range(down):
-            e = self._fresh(f"belt{region_id}", used)
+            e = fresh_name(f"belt{region_id}#", used)
             new_edges.append(e)
             new_strands.append(RegionStrand(e, DOWN))
             orient[e] = DOWN
@@ -411,36 +418,6 @@ class LinkDiagram:
         )
         return LinkDiagram(
             list(self.edges) + new_edges, self.crossings, self.framing_points, regions, orient
-        )
-
-    def relabeled(self, prefix: str) -> "LinkDiagram":
-        m = {e: f"{prefix}{e}" for e in self.edges}
-        return LinkDiagram(
-            [m[e] for e in self.edges],
-            [Crossing(tuple(m[x] for x in c.edges), c.sign) for c in self.crossings],
-            [(m[e], w) for e, w in self.framing_points],
-            [
-                SurgeryRegion(
-                    f"{prefix}{r.region_id}",
-                    tuple(RegionStrand(m[s.edge], s.direction) for s in r.strands),
-                )
-                for r in self.regions
-            ],
-            {m[e]: t for e, t in self.orientations.items()},
-        )
-
-    def disjoint_union(self, other: "LinkDiagram") -> "LinkDiagram":
-        a, b = self, other
-        if set(a.edges) & set(b.edges) or {r.region_id for r in a.regions} & {
-            r.region_id for r in b.regions
-        }:
-            b = b.relabeled("r.")
-        return LinkDiagram(
-            list(a.edges) + list(b.edges),
-            list(a.crossings) + list(b.crossings),
-            list(a.framing_points) + list(b.framing_points),
-            list(a.regions) + list(b.regions),
-            {**a.orientations, **b.orientations},
         )
 
     # -- serialization -------------------------------------------------------

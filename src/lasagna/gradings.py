@@ -93,12 +93,6 @@ class Window:
             and hi_ok(self.q2_hi, other.q2_hi)
         )
 
-    def shift(self, dh2: int, dq2: int) -> "Window":
-        def s(v, d):
-            return None if v is None else v + d
-
-        return Window(s(self.h2_lo, dh2), s(self.h2_hi, dh2), s(self.q2_lo, dq2), s(self.q2_hi, dq2))
-
     def reflect(self) -> "Window":
         """The window of (-h,-q) for (h,q) in self."""
 

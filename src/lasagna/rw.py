@@ -24,10 +24,6 @@ from .khovanov import khr2_dims, tilde_renormalize
 from .projector import stable_window, twist_all_regions, twisted_tilde_table
 
 
-class AdmissibilityError(ValueError):
-    pass
-
-
 @dataclass
 class RWResult:
     table: DimTable
@@ -51,18 +47,8 @@ class RWResult:
         }
 
 
-def _check_admissible(d: LinkDiagram) -> None:
-    # the diagram validator enforces the combinatorial invariants; here we
-    # only insist the object is a closed diagram with region markers intact
-    for r in d.regions:
-        for s in r.strands:
-            if s.edge not in d.edges:
-                raise AdmissibilityError(f"region {r.region_id}: missing edge {s.edge}")
-
-
 def rw_plus(d: LinkDiagram, window: Window, k_max: int = 3) -> RWResult:
     """Truncated plus-variant homology via full-twist approximation."""
-    _check_admissible(d)
     if not d.regions:
         w = d.writhe()
         table = tilde_renormalize(khr2_dims(d), w)

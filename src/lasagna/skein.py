@@ -15,7 +15,8 @@ transition in the colimit direction is the linear dual of the classical
 annulus-annihilation map from stage r+1 down to stage r (merge the newest
 belt pair by a saddle, dot, kill the resulting circle).  Reported colimit
 dimensions are the ranks of the last transition, flagged stable when the
-previous transition already had the same rank.
+previous transition already had the same rank; only these two transitions
+are built.
 
 The belt-permutation action and its symmetrizer live in `cobmaps`, which
 owns them; every stage builds one transposition map per pair of belts of a
@@ -51,7 +52,6 @@ from .cobmaps import (
 from .densecube import CapacityError, Cube
 from .diagram import LinkDiagram
 from .gradings import DimTable, Grading, Window
-from .linalg import row_reduce
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def transition_down(
         nonlocal composite
         if composite is None and keys is not None:
             entries = {g: row for g, row in f.entries.items() if _block_key(f.src, g) in keys}
-            f = ChainMap(f.src, f.dst, entries, f.h2_shift)
+            f = ChainMap(f.src, f.dst, entries)
         composite = f if composite is None else composite.compose(f)
 
     for reg_id, (grp_up, grp_down) in hi.newest_pair.items():
@@ -246,9 +246,10 @@ def s02_dims(
         H_win = {key: b for key, b in H.items() if window.contains(_classical_to_global(*key, st))}
         ranks = block_ranks(homology_matrix(sym.apply, H_win, H))
         stage_tables.append(DimTable({_classical_to_global(*k, st): v for k, v in ranks.items()}))
-    # transitions down: M[r]: H(stage r+1) -> H(stage r), symmetrized
-    drop = _transition_q2_drop(spec)
-    mats = [_transition_matrix(spec, stages, syms, Hs, r) for r in range(r_max)]
+    # only the two transitions read are built: M[r]: H(stage r+1) -> H(stage r),
+    # symmetrized, for r = r_max-2 (the flags) and r = r_max-1 (the table)
+    prev_ranks = block_ranks(_transition_matrix(spec, stages, syms, Hs, r_max - 2))
+    last_ranks = block_ranks(_transition_matrix(spec, stages, syms, Hs, r_max - 1))
     table = DimTable()
     stable = {}
     gradings = set()
@@ -258,8 +259,8 @@ def s02_dims(
     for g in sorted(gradings):
         if not window.contains(g):
             continue
-        last = _composite_rank(g, stages, Hs, mats, drop, r_max - 1, r_max)
-        prev = _composite_rank(g, stages, Hs, mats, drop, r_max - 2, r_max - 1)
+        last = last_ranks.get(_global_to_classical(g, stages[r_max]), 0)
+        prev = prev_ranks.get(_global_to_classical(g, stages[r_max - 1]), 0)
         if last:
             table.add(g, last)
         # a class that could not exist before stage r_max-1 is fresh, not
@@ -286,38 +287,6 @@ def _transition_matrix(spec, stages, syms, Hs, r, keys=None) -> dict:
         lambda v: syms[r].apply(F.apply(syms[r + 1].apply(v))), Hs[r + 1], Hs[r],
         (0, _transition_q2_drop(spec)),
     )
-
-
-def _composite_rank(g, stages, Hs, mats, drop, r_lo, r_hi) -> int:
-    """Rank at global grading g of the colimit map W_{r_lo} -> W_{r_hi}.
-
-    Equals the rank of the composed symmetrized annihilation matrices from
-    stage r_hi down to r_lo, restricted to the block of g; each step moves
-    classical q2 by `drop`.
-    """
-    key = _global_to_classical(g, stages[r_hi])
-    if key not in Hs[r_hi] or not Hs[r_hi][key][0]:
-        return 0
-    dim_hi = len(Hs[r_hi][key][0])
-    cols = [{j: 1} for j in range(dim_hi)]
-    cur_key = key
-    for r in range(r_hi - 1, r_lo - 1, -1):
-        block = mats[r].get(cur_key)
-        tgt_key = (cur_key[0], cur_key[1] + drop)
-        tgt_dim = len(Hs[r].get(tgt_key, ([], None))[0])
-        new_cols = []
-        for c in cols:
-            acc = [0] * tgt_dim
-            for src_i, v in c.items():
-                if block is None:
-                    continue
-                col = block[src_i]
-                for k in range(tgt_dim):
-                    acc[k] += v * col[k]
-            new_cols.append({k: x for k, x in enumerate(acc) if x})
-        cols = new_cols
-        cur_key = tgt_key
-    return len(row_reduce(cols))
 
 
 @dataclass

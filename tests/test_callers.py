@@ -1,0 +1,73 @@
+"""Every module-level function and class of the package has a caller.
+
+A name counts as called when it appears in `src/lasagna` outside its own
+definition (as a name, an attribute or a string constant, which covers the
+lazy exports of `lasagna/__init__.py`), or anywhere in `perfbench/*.py`,
+whose tracer wraps functions by name.  `catalog` is exempt: it builds the
+diagrams the tests and fixtures use; so are dunders, which Python calls.
+Anything else kept without a caller sits on ALLOWED with its reason.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "lasagna"
+
+ALLOWED = {
+    "eval_closed_surface": "oracle: closed-surface traces of the cobordism category",
+    "deloop_maps": "oracle: the delooping isomorphism checked in the tests",
+    "R1Retract": "reserved for the honest isotopy movie of the colimit transitions",
+    "R2Retract": "reserved for the honest isotopy movie of the colimit transitions",
+    "r1_kink": "reserved for the honest isotopy movie of the colimit transitions",
+    "r2_poke": "reserved for the honest isotopy movie of the colimit transitions",
+    "birth_map": "Morse move completing the dense model's elementary cobordisms",
+    "coev_map": "Morse move completing the dense model's elementary cobordisms",
+    "rw_minus": "the paper's minus variant of Rozansky-Willis homology",
+    "rw_tensor": "the paper's tensor rule over disjoint manifold components",
+}
+EXEMPT_MODULES = {"catalog"}
+
+
+def _mentions(tree: ast.AST) -> Counter:
+    """How often each name, attribute and string constant occurs in tree."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out[node.value] += 1
+    return out
+
+
+def _uncalled(allowed) -> list:
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
+    mentions = {mod: _mentions(tree) for mod, tree in trees.items()}
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    missing = []
+    for mod, tree in trees.items():
+        if mod in EXEMPT_MODULES:
+            continue
+        for node in tree.body:
+            name = getattr(node, "name", "")
+            if not isinstance(node, defs) or name in allowed or name.startswith("__"):
+                continue
+            outside = mentions[mod][name] - _mentions(node)[name]
+            named = outside or any(seen[name] for other, seen in mentions.items() if other != mod)
+            if not named and not re.search(rf"\b{re.escape(name)}\b", bench):
+                missing.append(f"{mod}.{name}")
+    return missing
+
+
+def test_every_definition_has_a_caller():
+    assert _uncalled(ALLOWED) == []
+
+
+def test_allowlist_names_only_definitions_without_callers():
+    # an allowlisted name that gains a caller, or no longer exists, leaves the list
+    assert sorted(name.split(".")[1] for name in _uncalled(())) == sorted(ALLOWED)

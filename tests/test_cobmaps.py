@@ -6,6 +6,8 @@ from lasagna import catalog
 from lasagna.cobmaps import (
     R1Retract,
     R2Retract,
+    _permutation_chain_map,
+    _Symmetrizer,
     birth_diagram,
     birth_map,
     block_ranks,
@@ -19,12 +21,12 @@ from lasagna.cobmaps import (
     reduction_equivalence,
     saddle_diagram,
     saddle_map,
-    swap_map,
-    symmetrizer_image_dims,
 )
-from lasagna.densecube import Cube, identity_map
+from lasagna.densecube import Cube
 from lasagna.gradings import DimTable, Window
 from lasagna.khovanov import kh_dims
+
+from helpers import bidegree_shifts, identity_map
 
 
 def _nonzero_ranks(f):
@@ -58,7 +60,7 @@ def test_birth_into_empty_hits_unit():
     assert coeff == 1
     # classical label "1" sits at classical q=+1, i.e. the gl2 class at -1
     assert dst.gen_grading(*tgt).q2 == 2
-    assert b.bidegree_shifts() == {(0, 2)}
+    assert bidegree_shifts(b) == {(0, 2)}
 
 
 # the dense maps run at c = 0 and in the Lee deformation c = 1, where the
@@ -92,9 +94,9 @@ def test_coev_and_dotted_coev_formulas():
         gen = (0, (0,))
         assert plain.entries[gen] == {(0, (0, 0, 1)): 1, (0, (0, 1, 0)): 1}
         assert dotted.entries[gen] == {(0, (0, 1, 1)): 1, **({(0, (0, 0, 0)): c} if c else {})}
-        assert plain.bidegree_shifts() == {(0, 0)}
+        assert bidegree_shifts(plain) == {(0, 0)}
         # a c-term sits 8 above its map's degree in doubled q: c is x.x
-        assert dotted.bidegree_shifts() == ({(0, -4), (0, 4)} if c else {(0, -4)})
+        assert bidegree_shifts(dotted) == ({(0, -4), (0, 4)} if c else {(0, -4)})
 
 
 def test_saddle_commutes_and_handleslide_decomposition():
@@ -154,7 +156,7 @@ def test_r2_retract_is_sdr():
             assert inc.compose(prj).entries == identity_map(Cube(d, c)).entries
             # the lane surgery's c-terms (x(x)x -> c 1 merging, x -> c 1(x)1
             # splitting) sit 8 above in doubled q
-            assert inc.bidegree_shifts() == ({(0, 0), (0, 8)} if c else {(0, 0)})
+            assert bidegree_shifts(inc) == ({(0, 0), (0, 8)} if c else {(0, 0)})
 
 
 def test_r1_retracts_are_sdr():
@@ -204,7 +206,9 @@ def test_homology_matrix_rejects_image_outside_target():
 def test_symmetrizer_identity_for_single_belt():
     d = catalog.unlink(2)
     cube = Cube(d)
-    dims = symmetrizer_image_dims(cube, ["a0"])
+    H = cube.homology_basis()
+    sym = _Symmetrizer(cube, [[["a0"]]])
+    dims = DimTable(block_ranks(homology_matrix(sym.apply, H, H)))
     full = kh_dims(d)
     assert dims == full
 
@@ -212,7 +216,10 @@ def test_symmetrizer_identity_for_single_belt():
 def test_symmetrizer_two_split_belts_symmetric_square():
     # Sym^2 on (Q[x]/x^2)^(x)2: dims 1,1,1 at q = -2, 0, 2
     d = catalog.unlink(2)
-    dims = symmetrizer_image_dims(Cube(d), ["a0", "a1"])
+    cube = Cube(d)
+    H = cube.homology_basis()
+    sym = _Symmetrizer(cube, [[["a0"], ["a1"]]])
+    dims = DimTable(block_ranks(homology_matrix(sym.apply, H, H)))
     assert dims == DimTable({(0, -4): 1, (0, 0): 1, (0, 4): 1})
 
 
@@ -220,17 +227,12 @@ def test_symmetrizer_idempotent():
     # averaging twice changes nothing: image dims of P equal image dims of
     # P restricted to its own image, checked via a third split circle
     d = catalog.unlink(3)
-    dims = symmetrizer_image_dims(Cube(d), ["a0", "a1", "a2"])
+    cube = Cube(d)
+    H = cube.homology_basis()
+    sym = _Symmetrizer(cube, [[["a0"], ["a1"], ["a2"]]])
+    dims = DimTable(block_ranks(homology_matrix(sym.apply, H, H)))
     # Sym^3 of V: dims 1 at q = -3,-1,1,3
     assert dims == DimTable({(0, -6): 1, (0, -2): 1, (0, 2): 1, (0, 6): 1})
-
-
-def test_symmetrizer_rejects_missing_or_shared_belts():
-    with pytest.raises(ValueError, match="not in any circle"):
-        symmetrizer_image_dims(Cube(catalog.unlink(2)), ["a0", "zz"])
-    # the Hopf link's two components share a circle in the mixed states
-    with pytest.raises(ValueError, match="not split"):
-        symmetrizer_image_dims(Cube(catalog.hopf_positive()), ["s0", "e2"])
 
 
 def test_dot_map_bidegree():
@@ -241,7 +243,7 @@ def test_dot_map_bidegree():
         assert f.entries[(0, (0,))] == {(0, (1,)): 1}
         assert f.entries.get((0, (1,)), {}) == ({(0, (0,)): c} if c else {})
         # classical degree -2; the c-term x.x = c sits 8 above in doubled q
-        assert f.bidegree_shifts() == ({(0, -4), (0, 4)} if c else {(0, -4)})
+        assert bidegree_shifts(f) == ({(0, -4), (0, 4)} if c else {(0, -4)})
 
 
 def test_swap_map_split_and_nonsplit():
@@ -249,14 +251,16 @@ def test_swap_map_split_and_nonsplit():
 
     # split: honest transposition on homology
     cube = Cube(catalog.unlink(2))
-    f = swap_map(cube, ["a0"], ["a1"])
+    f = _permutation_chain_map(cube, [["a0"], ["a1"]], (1, 0))
+    assert f.is_chain_map()
     assert f.entries[(0, (0, 1))] == {(0, (1, 0)): Fraction(1)}
     # involution
     assert f.compose(f).entries == identity_map(cube).entries
     # non-split: two belts around the 2-strand bundle
     stage, groups = encircle(catalog.belt_link(2), "1", 2, 0)
     cube2 = Cube(stage)
-    g = swap_map(cube2, groups[0], groups[1])
+    g = _permutation_chain_map(cube2, [groups[0], groups[1]], (1, 0))
+    assert g.is_chain_map()
     assert g.compose(g).entries == identity_map(cube2).entries
 
 
@@ -265,9 +269,11 @@ def test_movie_with_coev_and_swap():
     d1 = Cube(birth_diagram(birth_diagram(d0.diagram, "c1"), "c2"))
     d2 = Cube(saddle_diagram(d1.diagram, "c1", "c2"))
     d3 = Cube(death_diagram(d2.diagram, "c1"))
+    swap = _permutation_chain_map(d1, [["c1"], ["c2"]], (1, 0))
+    assert swap.is_chain_map()
     f = (
         coev_map(d0, d1, "c1", "c2", dotted=True)
-        .compose(swap_map(d1, ["c1"], ["c2"]))
+        .compose(swap)
         .compose(saddle_map(d1, d2, "c1", "c2"))
         .compose(death_map(d2, d3, "c1"))
     )

@@ -19,6 +19,8 @@ from lasagna.diagram import (
     parse_diagram,
 )
 
+from helpers import disjoint_union
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
@@ -167,7 +169,7 @@ def test_transit_counts_after_add_belts():
 
 
 def test_disjoint_union():
-    d = catalog.belt_link(2).disjoint_union(catalog.belt_link(2))
+    d = disjoint_union(catalog.belt_link(2), catalog.belt_link(2))
     assert d.component_count == 4
     assert len(d.regions) == 2
 

@@ -13,6 +13,8 @@ from lasagna.khovanov import (
 )
 from lasagna.lee import lee_total_dim
 
+from helpers import disjoint_union
+
 # frozen classical tables ((h, q) undoubled): published values
 UNKNOT = {(0, -1): 1, (0, 1): 1}
 HOPF_POS = {(0, 0): 1, (0, 2): 1, (2, 4): 1, (2, 6): 1}
@@ -118,7 +120,7 @@ def test_reidemeister_1_framing_trade():
 def test_disjoint_union_tensor():
     d1 = catalog.trefoil_right()
     d2 = catalog.hopf_positive()
-    both = d1.disjoint_union(d2)
+    both = disjoint_union(d1, d2)
     assert kh_dims(both) == kh_dims(d1).convolve(kh_dims(d2))
 
 

@@ -160,12 +160,8 @@ def test_capping_requires_belt_link():
 def test_transition_one_step_ranks_injective():
     # rank of each one-step symmetrized transition equals the source stage
     # dims inside the window: the maps are injective there
-    from lasagna.skein import (
-        _composite_rank,
-        _Symmetrizer,
-        _transition_matrix,
-        _transition_q2_drop,
-    )
+    from lasagna.cobmaps import block_ranks
+    from lasagna.skein import _global_to_classical, _Symmetrizer, _transition_matrix
 
     spec = HandlebodySpec(catalog.empty_surgery(1), (0,))
     window = Window(h2_lo=0, h2_hi=0, q2_lo=-8, q2_hi=0)
@@ -173,11 +169,22 @@ def test_transition_one_step_ranks_injective():
     stages = [build_stage(spec, r) for r in range(4)]
     syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
     Hs = [st.cube.homology_basis() for st in stages]
-    mats = [_transition_matrix(spec, stages, syms, Hs, r) for r in range(3)]
     for r in range(3):
+        ranks = block_ranks(_transition_matrix(spec, stages, syms, Hs, r))
         for g, dim in res.stages[r].items():
-            rank = _composite_rank(g, stages, Hs, mats, _transition_q2_drop(spec), r, r + 1)
-            assert rank == dim, (r, str(g))
+            assert ranks.get(_global_to_classical(g, stages[r + 1]), 0) == dim, (r, str(g))
+
+
+def test_colimit_builds_only_the_two_transitions_it_reads(monkeypatch):
+    from lasagna import skein
+
+    calls = []
+    real = skein.transition_down
+    monkeypatch.setattr(skein, "transition_down", lambda *a: calls.append(a[1].r) or real(*a))
+    res = s02_dims(HandlebodySpec(catalog.empty_surgery(1), (0,)), Window(), r_max=3)
+    assert calls == [2, 3]  # the stage r+1 -> r maps for r = r_max-2 and r_max-1
+    assert res.table == DimTable({(0, q2): 1 for q2 in range(0, -17, -4)})
+    assert res.stable == {Grading(0, q2): True for q2 in range(0, -25, -4)}
 
 
 @pytest.mark.parametrize(
