@@ -90,15 +90,6 @@ class BigradedComplex:
     def entry(self, s: int, t: int) -> Optional[MorphismCombo]:
         return self.d.get(s, {}).get(t)
 
-    def copy(self) -> "BigradedComplex":
-        c = BigradedComplex(self.spec)
-        c.gens = dict(self.gens)
-        c.d = {s: dict(row) for s, row in self.d.items()}
-        c.d_in = {t: set(srcs) for t, srcs in self.d_in.items()}
-        c.pivots = set(self.pivots)
-        c._next = self._next
-        return c
-
     @staticmethod
     def unit(spec: FrobeniusSpec = KHOVANOV) -> "BigradedComplex":
         c = BigradedComplex(spec)

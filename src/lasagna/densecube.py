@@ -12,7 +12,7 @@ The structure maps of V are written once, here: `mult` (m), `comult`
 (Delta), `counit` (eps), `unit` (eta) and `times_x` (x.), each on the labels
 of the circles it touches.  `match_circles` pairs two states' circles and
 `carry` keeps every untouched circle's label.  The cube differential and
-every chain map of `cobmaps` are built on these.
+the Morse maps of `cobmaps` are built on these.
 
 No simplification happens here: this is the reference computation that the
 scanning pipeline is checked against.  Gradings in the public containers are

@@ -437,12 +437,56 @@ class LinkDiagram:
             "orientations": dict(self.orientations),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=1)
+
+def check_planar(d: LinkDiagram) -> None:
+    """Raise DiagramError unless the crossings' slot orders embed in the plane.
+
+    A face is traced by arriving at a crossing slot along an edge and leaving
+    by the next slot counterclockwise.  By Euler's formula a connected piece
+    of the crossing graph with n crossings (4-valent, so 2n edges) traces at
+    most n + 2 faces, and exactly n + 2 when it is planar.
+    """
+    ends: dict[str, list] = {}
+    for ci, c in enumerate(d.crossings):
+        for slot, e in enumerate(c.edges):
+            ends.setdefault(e, []).append((ci, slot))
+    other = {}
+    piece = list(range(len(d.crossings)))  # union-find; a root is its piece's lowest crossing
+
+    def find(x):
+        while piece[x] != x:
+            piece[x] = piece[piece[x]]
+            x = piece[x]
+        return x
+
+    for a, b in ends.values():
+        other[a], other[b] = b, a
+        ra, rb = find(a[0]), find(b[0])
+        piece[max(ra, rb)] = min(ra, rb)
+    size: dict[int, int] = {}
+    for ci in range(len(d.crossings)):
+        root = find(ci)
+        size[root] = size.get(root, 0) + 1
+    faces = dict.fromkeys(size, 0)
+    seen = set()
+    for dart in other:
+        if dart in seen:
+            continue
+        faces[find(dart[0])] += 1
+        while dart not in seen:
+            seen.add(dart)
+            ci, slot = other[dart]
+            dart = (ci, (slot + 1) % 4)
+    for root, n in size.items():
+        if faces[root] != n + 2:
+            raise DiagramError(
+                f"not planar: the piece of crossing {root} ({n} crossings) "
+                f"traces {faces[root]} faces, a planar one {n + 2}"
+            )
 
 
 def parse_diagram(text: str) -> LinkDiagram:
-    """Parse and validate a diagram from its JSON file contents."""
+    """Parse and validate a diagram from its JSON file contents; it must be planar."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -485,4 +529,6 @@ def parse_diagram(text: str) -> LinkDiagram:
     orientations = obj["orientations"]
     if not isinstance(orientations, dict):
         raise DiagramError("'orientations' must map edges to direction tags")
-    return LinkDiagram(edges, crossings, fps, regions, orientations)
+    d = LinkDiagram(edges, crossings, fps, regions, orientations)
+    check_planar(d)
+    return d

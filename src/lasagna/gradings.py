@@ -8,7 +8,6 @@ integral and as ``p/2`` otherwise.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -217,6 +216,3 @@ class DimTable:
             {"h": format_half(g.h2), "q": format_half(g.q2), "dim": str(v)}
             for g, v in self.items()
         ]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())

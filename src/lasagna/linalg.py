@@ -155,9 +155,6 @@ class Echelon:
     def contains(self, vec: dict) -> bool:
         return not _untagged(self.reduce(vec))
 
-    def rank(self) -> int:
-        return len(self._rows)
-
 
 def row_reduce(vectors: list[dict]) -> list[dict]:
     """Gaussian elimination of a list of sparse vectors (dict key->coefficient).

@@ -5,8 +5,15 @@ rows, a diagram's edges), so the package itself carries none of them.
 """
 
 from lasagna.complexes import BigradedComplex
-from lasagna.densecube import ChainMap, Cube
-from lasagna.diagram import Crossing, LinkDiagram, RegionStrand, SurgeryRegion
+from lasagna.densecube import ChainMap, Cube, TrackedReduction
+from lasagna.diagram import (
+    Crossing,
+    LinkDiagram,
+    RegionStrand,
+    SurgeryRegion,
+    check_planar,
+    fresh_name,
+)
 
 
 def verify_d_squared(c: BigradedComplex) -> bool:
@@ -20,6 +27,27 @@ def verify_d_squared(c: BigradedComplex) -> bool:
         if any(not m.is_zero() for m in acc.values()):
             return False
     return True
+
+
+def copied(c: BigradedComplex) -> BigradedComplex:
+    """An independent copy of a complex, to compare a later state against."""
+    out = BigradedComplex(c.spec)
+    out.gens = dict(c.gens)
+    out.d = {s: dict(row) for s, row in c.d.items()}
+    out.d_in = {t: set(srcs) for t, srcs in c.d_in.items()}
+    out.pivots = set(c.pivots)
+    out._next = c._next
+    return out
+
+
+def full_reduction(cube: Cube, q2s=None) -> TrackedReduction:
+    """Reduce the cube to a zero-differential model (only in `q2s`, if given; c = 0)."""
+    tr = TrackedReduction(cube, q2s=q2s)
+    tr.eliminate_all()
+    for g in tr.alive:
+        if tr.d.get(g):
+            raise AssertionError("full reduction left a nonzero differential")
+    return tr
 
 
 def bidegree_shifts(f: ChainMap) -> set[tuple[int, int]]:
@@ -68,3 +96,61 @@ def disjoint_union(a: LinkDiagram, b: LinkDiagram) -> LinkDiagram:
         list(a.regions) + list(b.regions),
         {**a.orientations, **b.orientations},
     )
+
+
+def r2_poke(d: LinkDiagram, over_edge: str, under_edge: str) -> LinkDiagram:
+    """Poke `over_edge` across `under_edge` (an R2 move adding 2 crossings).
+
+    Raises ValueError when the result is not planar: the two edges do not
+    bound one face with orientations the poke can follow.
+    """
+    if over_edge == under_edge:
+        raise ValueError("poke needs two distinct edges")
+    used = set(d.edges)
+    a, b = over_edge, under_edge
+    heads = d.head_slots()
+    a_m = fresh_name(f"{a}'", used)
+    b_m = fresh_name(f"{b}'", used)
+    # free loops close back onto their original id; open strands get a top stub
+    a2 = fresh_name(f"{a}'", used) if a in heads else a
+    b2 = fresh_name(f"{b}'", used) if b in heads else b
+    crossings = [list(c.edges) for c in d.crossings]
+    for old, new in ((a, a2), (b, b2)):
+        if old in heads and new != old:
+            ci, slot = heads[old]
+            crossings[ci][slot] = new
+    # X1: a runs west->east over b (south->north): ccw from under-in (south)
+    x1 = Crossing((b, a_m, b_m, a), 1)
+    # X2: a returns east->west over b: under-in at south is b_m
+    x2 = Crossing((b_m, a_m, b2, a2), -1)
+    new_crossings = [Crossing(tuple(c), x.sign) for c, x in zip(crossings, d.crossings)]
+    edges = list(d.edges) + [x for x in (a_m, a2, b_m, b2) if x not in d.edges]
+    orient = dict(d.orientations)
+    for x, base in ((a_m, a), (a2, a), (b_m, b), (b2, b)):
+        orient[x] = d.orientations[base]
+    big = LinkDiagram(edges, new_crossings + [x1, x2], d.framing_points, d.regions, orient)
+    check_planar(big)
+    return big
+
+
+def r1_kink(d: LinkDiagram, edge: str, sign: int) -> LinkDiagram:
+    """Add a kink of the given sign on `edge` (a Reidemeister I move)."""
+    used = set(d.edges)
+    e = edge
+    heads = d.head_slots()
+    e_m = fresh_name(f"{e}'", used)
+    e2 = fresh_name(f"{e}'", used) if e in heads else e
+    crossings = [list(c.edges) for c in d.crossings]
+    if e in heads and e2 != e:
+        ci, slot = heads[e]
+        crossings[ci][slot] = e2
+    if sign == 1:
+        x = Crossing((e, e2, e_m, e_m), 1)
+    else:
+        x = Crossing((e, e_m, e_m, e2), -1)
+    new_crossings = [Crossing(tuple(c), s.sign) for c, s in zip(crossings, d.crossings)] + [x]
+    edges = list(d.edges) + [p for p in (e_m, e2) if p not in d.edges]
+    orient = dict(d.orientations)
+    orient[e_m] = d.orientations[e]
+    orient[e2] = d.orientations[e]
+    return LinkDiagram(edges, new_crossings, d.framing_points, d.regions, orient)

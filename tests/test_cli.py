@@ -126,6 +126,18 @@ def test_input_error_exit_code(tmp_path):
     assert missing.returncode == 2
 
 
+def test_non_planar_input_exit_code(tmp_path):
+    # an R2 poke of the Hopf link across edges that share no face: the
+    # crossings' slot orders embed in no plane, an input error, not a traceback
+    path = os.path.join(FIXTURES, "invalid", "nonplanar_hopf_poke.json")
+    out = run_cli(["kh", path, "--no-cache"], tmp_path)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == (
+        "error: not planar: the piece of crossing 0 (4 crossings) traces 4 faces, a planar one 6\n"
+    )
+
+
 def test_capacity_limit_exit_code(tmp_path):
     # belt2 at r=2 needs a 16-crossing dense cube, over the 14-crossing guard
     out = run_cli(["lasagna", fixture("belt2.json"), "--r-max", "2", "--no-cache"], tmp_path)

@@ -4,20 +4,15 @@ import pytest
 
 from lasagna import catalog
 from lasagna.cobmaps import (
-    R1Retract,
-    R2Retract,
     _permutation_chain_map,
     _Symmetrizer,
     birth_diagram,
     birth_map,
     block_ranks,
-    coev_map,
     death_diagram,
     death_map,
     dot_map,
     homology_matrix,
-    r1_kink,
-    r2_poke,
     reduction_equivalence,
     saddle_diagram,
     saddle_map,
@@ -81,24 +76,6 @@ def test_dotted_birth_then_death_is_identity():
         assert composite.entries == identity_map(c1).entries
 
 
-def test_coev_and_dotted_coev_formulas():
-    for c in C_VALUES:
-        src = Cube(catalog.unknot(), c)
-        d2 = birth_diagram(birth_diagram(catalog.unknot(), "c1"), "c2")
-        dst = Cube(d2, c)
-        plain = coev_map(src, dst, "c1", "c2", dotted=False)
-        dotted = coev_map(src, dst, "c1", "c2", dotted=True)
-        assert plain.is_chain_map() and dotted.is_chain_map()
-        # on the generator labeled 1: plain hits 1(x)x + x(x)1, dotted hits
-        # x(x)x + c 1(x)1
-        gen = (0, (0,))
-        assert plain.entries[gen] == {(0, (0, 0, 1)): 1, (0, (0, 1, 0)): 1}
-        assert dotted.entries[gen] == {(0, (0, 1, 1)): 1, **({(0, (0, 0, 0)): c} if c else {})}
-        assert bidegree_shifts(plain) == {(0, 0)}
-        # a c-term sits 8 above its map's degree in doubled q: c is x.x
-        assert bidegree_shifts(dotted) == ({(0, -4), (0, 4)} if c else {(0, -4)})
-
-
 def test_saddle_commutes_and_handleslide_decomposition():
     # splitting a circle off a trefoil strand equals
     # (birth)(x)(dot on the strand) + (dotted birth)(x)1
@@ -130,44 +107,6 @@ def test_saddle_merge_two_unknots():
             assert m.entries[(0, (1, 1))] == {(0, (0,)): c}
         else:
             assert (0, (1, 1)) not in m.entries
-
-
-def _r2_pokes():
-    # two free loops poked across each other, a free loop poked across a
-    # trefoil strand (in both the lanes lie on two circles in every state),
-    # and the two edges entering one trefoil crossing: in every state where
-    # that crossing joins their heads they lie on one circle, so the lane
-    # surgery splits it on the way in and merges it back
-    yield catalog.unlink(2), "a0", "a1"
-    d = birth_diagram(catalog.trefoil_right(), "c")
-    yield d, "c", "e1"
-    d = catalog.trefoil_right()
-    x = d.crossings[0]
-    yield d, x.edges[0], x.edges[3 if x.sign == 1 else 1]
-
-
-def test_r2_retract_is_sdr():
-    for c in C_VALUES:
-        for d, a, b in _r2_pokes():
-            big, proj, new = r2_poke(d, a, b)
-            r = R2Retract(Cube(big, c), Cube(d, c), proj, new)
-            inc, prj = r.include(), r.project()
-            assert inc.is_chain_map() and prj.is_chain_map()
-            assert inc.compose(prj).entries == identity_map(Cube(d, c)).entries
-            # the lane surgery's c-terms (x(x)x -> c 1 merging, x -> c 1(x)1
-            # splitting) sit 8 above in doubled q
-            assert bidegree_shifts(inc) == ({(0, 0), (0, 8)} if c else {(0, 0)})
-
-
-def test_r1_retracts_are_sdr():
-    for c in C_VALUES:
-        d = catalog.hopf_positive()
-        for sign in (1, -1):
-            big, proj, new = r1_kink(d, "s0", sign)
-            r = R1Retract(Cube(big, c), Cube(d, c), proj, new)
-            inc, prj = r.include(), r.project()
-            assert inc.is_chain_map() and prj.is_chain_map()
-            assert inc.compose(prj).entries == identity_map(Cube(d, c)).entries
 
 
 def test_r3_reduction_equivalence_iso():
@@ -264,23 +203,34 @@ def test_swap_map_split_and_nonsplit():
     assert g.compose(g).entries == identity_map(cube2).entries
 
 
-def test_movie_with_coev_and_swap():
+def test_movie_with_dotted_births_and_swap():
     d0 = Cube(catalog.unknot())
-    d1 = Cube(birth_diagram(birth_diagram(d0.diagram, "c1"), "c2"))
+    half = Cube(birth_diagram(d0.diagram, "c1"))
+    d1 = Cube(birth_diagram(half.diagram, "c2"))
     d2 = Cube(saddle_diagram(d1.diagram, "c1", "c2"))
     d3 = Cube(death_diagram(d2.diagram, "c1"))
     swap = _permutation_chain_map(d1, [["c1"], ["c2"]], (1, 0))
     assert swap.is_chain_map()
+    births = birth_map(d0, half, "c1").compose(birth_map(half, d1, "c2"))
+    # a dotted birth is a birth followed by a dot
+    dotted = births.compose(dot_map(d1, "c1")).compose(dot_map(d1, "c2"))
     f = (
-        coev_map(d0, d1, "c1", "c2", dotted=True)
-        .compose(swap)
+        dotted.compose(swap)
         .compose(saddle_map(d1, d2, "c1", "c2"))
         .compose(death_map(d2, d3, "c1"))
     )
     assert f.src is d0 and f.dst is d3
     assert f.is_chain_map()
-    # dotted coev then merge gives x*x = 0, so the composite vanishes
+    # two dotted circles merge to x*x = 0, so the composite vanishes
     assert not f.entries
+    # one dot: the swap carries it from c1 to c2, where the death reads eps(x) = 1
+    back = Cube(death_diagram(d1.diagram, "c2"))
+    one = births.compose(dot_map(d1, "c1"))
+    kill = death_map(d1, back, "c2")
+    assert not one.compose(kill).entries
+    moved = one.compose(swap).compose(kill)
+    assert moved.is_chain_map()
+    assert moved.entries == birth_map(d0, back, "c1").entries
 
 
 def _belt_link_2_stage_1():

@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from lasagna import catalog
-from lasagna.cobmaps import birth_diagram, full_reduction, saddle_diagram
+from lasagna.cobmaps import birth_diagram, saddle_diagram
 from lasagna.densecube import Cube, TrackedReduction, comult, counit, mult, times_x, unit
 from lasagna.lee import _trace_component
 from lasagna.skein import HandlebodySpec, build_stage
+
+from helpers import full_reduction
 
 
 @pytest.mark.parametrize("c", [Fraction(0), Fraction(1), Fraction(5, 2)])

@@ -16,6 +16,7 @@ from lasagna.diagram import (
     LinkDiagram,
     RegionStrand,
     SurgeryRegion,
+    check_planar,
     parse_diagram,
 )
 
@@ -44,7 +45,7 @@ def test_hopf_from_parse_roundtrip():
     d = catalog.hopf_positive()
     assert d.component_count == 2
     assert d.writhe() == 2
-    d2 = parse_diagram(d.to_json())
+    d2 = parse_diagram(json.dumps(d.to_json_obj()))
     assert d2.to_json_obj() == d.to_json_obj()
 
 
@@ -65,13 +66,18 @@ def test_parse_errors_have_locations():
         parse_diagram(json.dumps(bad))
     dangling = {
         "edges": ["a", "b", "c"],
-        "crossings": [{"e": ["a", "b", "a", "b"], "sign": 1}],
+        "crossings": [{"e": ["a", "a", "b", "b"], "sign": 1}],
         "framing_points": [],
         "regions": [],
         "orientations": {"a": "up", "b": "up", "c": "up"},
     }
-    d = parse_diagram(json.dumps(dangling))  # c is a free loop: fine
+    d = parse_diagram(json.dumps(dangling))  # a kink; c is a free loop: fine
     assert "c" in d.free_loops
+    # each strand closing across the crossing onto its own other end: the two
+    # loops meet once more in any plane
+    dangling["crossings"] = [{"e": ["a", "b", "a", "b"], "sign": 1}]
+    with pytest.raises(DiagramError, match="not planar: the piece of crossing 0"):
+        parse_diagram(json.dumps(dangling))
     with pytest.raises(DiagramError, match="half-integer"):
         parse_diagram(json.dumps({
             "edges": ["a"], "crossings": [], "framing_points": [["a", 1.5]],
@@ -274,9 +280,22 @@ def test_fixture_round_trip(name):
         text = fh.read()
     d = parse_diagram(text)
     assert d.to_json_obj() == json.loads(text)
-    again = parse_diagram(d.to_json())
+    again = parse_diagram(json.dumps(d.to_json_obj()))
     assert again.crossings == d.crossings and again.regions == d.regions
     assert again.to_json_obj() == d.to_json_obj()
+
+
+def test_planarity_accepts_catalog_and_cable_diagrams():
+    from lasagna.projector import twist_all_regions
+
+    for d in (
+        catalog.torus_link(4, 4),
+        twist_all_regions(catalog.belt_link(4), 3),  # 36 crossings
+        disjoint_union(catalog.trefoil_right(), catalog.figure_eight()),
+    ):
+        check_planar(d)
+    for r in (1, 2, 3):  # the colimit's stage cables of belt_link(2)
+        check_planar(catalog.encircle(catalog.belt_link(2), "1", r, r)[0])
 
 
 def test_package_names_resolve():

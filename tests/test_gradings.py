@@ -51,7 +51,7 @@ def test_parse_window():
 
 def test_dimtable_tsv_and_json_roundtrip():
     t = DimTable({Grading(0, -2): 1, Grading(1, -3): 2})
-    data = json.loads(t.to_json())
+    data = json.loads(json.dumps(t.to_json_obj()))
     assert {"h": "0", "q": "-1", "dim": "1"} in data
 
 

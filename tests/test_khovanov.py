@@ -13,7 +13,7 @@ from lasagna.khovanov import (
 )
 from lasagna.lee import lee_total_dim
 
-from helpers import disjoint_union
+from helpers import disjoint_union, r2_poke
 
 # frozen classical tables ((h, q) undoubled): published values
 UNKNOT = {(0, -1): 1, (0, 1): 1}
@@ -169,9 +169,28 @@ def test_torus_3_3_consistency():
 
 def test_single_r2_move_invariance():
     # khr2 dims across diagram pairs related by exactly one R2 poke
-    from lasagna.cobmaps import r2_poke
-
     for d in (catalog.trefoil_right(), catalog.figure_eight()):
         edges = list(d.edges)[:2]
-        poked, _, _ = r2_poke(d, edges[0], edges[1])
+        poked = r2_poke(d, edges[0], edges[1])
         assert khr2_dims(poked) == khr2_dims(d)
+
+
+def test_every_planar_r2_poke_is_invariant():
+    # every ordered edge pair: a pair the poke cannot cross planarly raises,
+    # and each accepted poke keeps the homology of the scan
+    accepted = rejected = 0
+    for d in (catalog.hopf_positive(), catalog.trefoil_right(), catalog.trefoil_left(),
+              catalog.figure_eight()):
+        dims = khr2_dims(d)
+        for a in d.edges:
+            for b in d.edges:
+                if a == b:
+                    continue
+                try:
+                    poked = r2_poke(d, a, b)
+                except ValueError:
+                    rejected += 1
+                    continue
+                accepted += 1
+                assert khr2_dims(poked) == dims, (a, b)
+    assert (accepted, rejected) == (16, 112)

@@ -5,6 +5,8 @@ from lasagna.gradings import DimTable, Grading, Window
 from lasagna.khovanov import khr2_dims, tilde_renormalize
 from lasagna.rw import RWResult, rw_minus, rw_plus, rw_tensor
 
+from helpers import r1_kink, r2_poke
+
 BELT_WINDOW = Window(h2_lo=-4, h2_hi=2, q2_lo=-12, q2_hi=0)
 
 
@@ -120,17 +122,15 @@ def test_rw_invariance_admissible_pairs():
     # curated pairs of admissible diagrams related by moves away from the
     # surgery region: an R2 poke between the two transit strands, and a
     # kink traded against a framing point
-    from lasagna.cobmaps import r1_kink, r2_poke
-
     window = Window(h2_lo=-2, h2_hi=2, q2_lo=-8, q2_hi=4)
     for base in (catalog.belt_link(2), catalog.belt_link(1, 1)):
         strands = [s.edge for s in base.region("1").strands]
-        poked, _, _ = r2_poke(base, strands[0], strands[1])
+        poked = r2_poke(base, strands[0], strands[1])
         res_base = rw_plus(base, window, k_max=3)
         res_poked = rw_plus(poked, window, k_max=3)
         assert res_base.table == res_poked.table, base.to_json_obj()
     base = catalog.belt_link(2)
-    kinked, _, _ = r1_kink(base, base.region("1").strands[0].edge, 1)
+    kinked = r1_kink(base, base.region("1").strands[0].edge, 1)
     traded = kinked.add_framing_points([(kinked.region("1").strands[0].edge, -1)])
     res = rw_plus(traded, window, k_max=3)
     assert res.table == rw_plus(base, window, k_max=3).table

@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 from lasagna import catalog
-from lasagna.cobmaps import full_reduction, homology_matrix
+from lasagna.cobmaps import homology_matrix
 from lasagna.densecube import Cube
 from lasagna.khovanov import scan_complex
 from lasagna.linalg import inverse
 from lasagna.skein import HandlebodySpec, _Symmetrizer, _transition_matrix, build_stage
+
+from helpers import full_reduction
 
 
 def _types(values) -> set:
