@@ -332,10 +332,6 @@ class MorphismCombo:
     def from_cobordism(cob: Cobordism, coeff=1) -> "MorphismCombo":
         return MorphismCombo(cob.source, cob.target, {cob: coeff})
 
-    @staticmethod
-    def zero(source: FlatTangle, target: FlatTangle) -> "MorphismCombo":
-        return MorphismCombo(source, target)
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -140,15 +140,18 @@ class CapacityError(ValueError):
     """A guard on the size of a computation refused its input."""
 
 
+MAX_CROSSINGS = 14  # the dense cube holds every one of the 2^n states
+
+
 class Cube:
     """Full cube of resolutions of a diagram over Q[x]/(x^2-c)."""
 
-    def __init__(self, d: LinkDiagram, c: Fraction = Fraction(0), max_crossings: int = 14):
+    def __init__(self, d: LinkDiagram, c: Fraction = Fraction(0)):
         if d.regions:
             raise ValueError("cube of resolutions requires a diagram without surgery regions")
-        if len(d.crossings) > max_crossings:
+        if len(d.crossings) > MAX_CROSSINGS:
             raise CapacityError(
-                f"dense cube guard: {len(d.crossings)} crossings exceeds {max_crossings}"
+                f"dense cube guard: {len(d.crossings)} crossings exceeds {MAX_CROSSINGS}"
             )
         self.diagram = d
         self.c = Fraction(c)
@@ -222,17 +225,16 @@ class Cube:
         """Homology dimensions per block (for c != 0 at q2 = 0)."""
         return block_homology_dims(self.blocks(), self.differential)
 
-    def homology_basis(self, keys=None) -> dict:
+    def homology_basis(self, keep=None) -> dict:
         """Per (h2,q2) block: (cycle representatives, coordinate echelon).
 
         The echelon holds the block's image untagged and the representatives
         tagged with their index, so its `coordinates` of a cycle are the
         cycle's homology coordinates.  A cycle is a representative exactly
         when it enlarges the span of the image and the earlier ones.
-        Requires c=0.  `keys`, a collection of (h2, q2), builds only those
-        blocks (each one reads its own differentials and those of
-        (h2-2, q2)); the result equals the full basis on them, and a key
-        without generators is left out as there.
+        Requires c=0.  `keep`, a predicate on (h2, q2), builds only the
+        blocks it accepts (each one reads its own differentials and those of
+        (h2-2, q2)); the result equals the full basis on them.
         """
         if self.c != 0:
             raise ValueError("graded homology basis needs c = 0")
@@ -240,7 +242,7 @@ class Cube:
         d = cache(self.differential)  # each generator's differential once per call
         data: dict = {}
         for key, gens in blocks.items():
-            if keys is not None and key not in keys:
+            if keep is not None and not keep(key):
                 continue
             entries = {}
             for g in gens:

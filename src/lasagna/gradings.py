@@ -155,9 +155,6 @@ class DimTable:
         if v:
             self._d[g] = self._d.get(g, 0) + v
 
-    def get(self, g: Grading) -> int:
-        return self._d.get(g, 0)
-
     def __getitem__(self, g) -> int:
         if not isinstance(g, Grading):
             g = Grading(*g)

@@ -122,9 +122,9 @@ def kh_dims(d: LinkDiagram) -> DimTable:
     return scan_complex(d).homology_dims()
 
 
-def kh_dims_bruteforce(d: LinkDiagram, max_crossings: int = 14) -> DimTable:
+def kh_dims_bruteforce(d: LinkDiagram) -> DimTable:
     """Dense full-cube oracle, no simplification (guarded crossing count)."""
-    return Cube(d.forget_regions(), max_crossings=max_crossings).homology_dims()
+    return Cube(d.forget_regions()).homology_dims()
 
 
 def khr2_reindex(classical: DimTable, writhe: int) -> DimTable:

@@ -152,9 +152,6 @@ class Echelon:
             return None
         return {k.label: val for k, val in v.items()}
 
-    def contains(self, vec: dict) -> bool:
-        return not _untagged(self.reduce(vec))
-
 
 def row_reduce(vectors: list[dict]) -> list[dict]:
     """Gaussian elimination of a list of sparse vectors (dict key->coefficient).

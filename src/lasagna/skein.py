@@ -16,7 +16,10 @@ annulus-annihilation map from stage r+1 down to stage r (merge the newest
 belt pair by a saddle, dot, kill the resulting circle).  Reported colimit
 dimensions are the ranks of the last transition, flagged stable when the
 previous transition already had the same rank; only these two transitions
-are built.
+are built.  The window decides which blocks are built at all: every stage's
+homology basis and every transition's source generators are restricted to
+the classical blocks whose global grading lies in it, which is exact since
+with c = 0 every map here is q-homogeneous and keeps the global grading.
 
 The belt-permutation action and its symmetrizer live in `cobmaps`, which
 owns them; every stage builds one transposition map per pair of belts of a
@@ -24,8 +27,9 @@ region, checks each of them to be a chain map, and averages through the
 Jucys-Murphy factorization.  Matrices on homology come from
 `cobmaps.homology_matrix`.
 
-Desk-scale guard: one handlebody component, few regions, small cables; the
-boundary link's transit strands must be crossingless circles.
+Desk-scale guard: one handlebody component, few regions, at most MAX_BELTS
+belts per stage cable; the boundary link's transit strands must be
+crossingless circles.
 """
 
 from __future__ import annotations
@@ -52,6 +56,8 @@ from .cobmaps import (
 from .densecube import CapacityError, Cube
 from .diagram import LinkDiagram
 from .gradings import DimTable, Grading, Window
+
+MAX_BELTS = 8  # belts in one stage cable
 
 
 @dataclass(frozen=True)
@@ -105,7 +111,7 @@ def _two_divisible(d: LinkDiagram) -> bool:
     return all(r.signed_transit % 2 == 0 for r in d.regions)
 
 
-def build_stage(spec: HandlebodySpec, r: int, guard_strands: int = 8) -> ColimitStage:
+def build_stage(spec: HandlebodySpec, r: int) -> ColimitStage:
     d = spec.boundary
     n = spec.normalized_offset()
     total = 0
@@ -121,10 +127,9 @@ def build_stage(spec: HandlebodySpec, r: int, guard_strands: int = 8) -> Colimit
         if r > 0:
             # newest pair: outermost up-belt and innermost down-belt
             newest[reg.region_id] = (groups[a - 1], groups[a])
-    if total > guard_strands:
+    if total > MAX_BELTS:
         raise StageCapacityError(
-            f"stage cable of {total} belts exceeds the desk-scale guard "
-            f"({guard_strands}); pass a larger guard to opt in"
+            f"stage cable of {total} belts exceeds the desk-scale guard ({MAX_BELTS})"
         )
     assert not stage.regions
     norm = sum(abs(x) for x in n) + 2 * r * len(d.regions)
@@ -141,16 +146,13 @@ def _classical_to_global(h2: int, q2: int, stage: ColimitStage) -> Grading:
     return Grading(-h2, q2 - 2 * w + stage.q2_shift)
 
 
-def transition_down(
-    spec: HandlebodySpec, hi: ColimitStage, lo: ColimitStage, keys=None
-) -> ChainMap:
-    """Classical annulus-annihilation map C(stage r+1) -> C(stage r).
+def transition_down(spec: HandlebodySpec, hi: ColimitStage, lo: ColimitStage, keys) -> ChainMap:
+    """Classical annulus-annihilation map C(stage r+1) -> C(stage r), on the
+    source generators in `keys`, a collection of classical (h2, q2) blocks.
 
     Merge each region's newest belt pair with a saddle, dot the merged
     circle, and kill it; if the intermediate circle still crosses strands,
-    the identification with the lower stage goes through the reduced models.
-    `keys`, a collection of classical (h2, q2) of the upper stage, keeps
-    only the source generators in those blocks; the reduced models are then
+    the identification with the lower stage goes through the reduced models,
     built only in the quantum degrees the restricted map reaches.  Exact
     for c = 0, where every step is q-homogeneous: the entries equal the full
     map's on those generators.
@@ -161,10 +163,11 @@ def transition_down(
 
     def push(f: ChainMap):
         nonlocal composite
-        if composite is None and keys is not None:
+        if composite is None:
             entries = {g: row for g, row in f.entries.items() if _block_key(f.src, g) in keys}
-            f = ChainMap(f.src, f.dst, entries)
-        composite = f if composite is None else composite.compose(f)
+            composite = ChainMap(f.src, f.dst, entries)
+        else:
+            composite = composite.compose(f)
 
     for reg_id, (grp_up, grp_down) in hi.newest_pair.items():
         e_up, e_down = grp_up[0], grp_down[0]
@@ -184,9 +187,7 @@ def transition_down(
             # the reduced models to the split configuration, then kill it
             split = birth_diagram(lo.diagram, "annih")
             cube_split = Cube(split)
-            q2s = None
-            if keys is not None:
-                q2s = {cur_cube.gen_grading(*t).q2 for row in composite.entries.values() for t in row}
+            q2s = {cur_cube.gen_grading(*t).q2 for row in composite.entries.values() for t in row}
             push(reduction_equivalence(cur_cube, cube_split, q2s))
             push(death_map(cube_split, lo.cube, "annih"))
             cur_diagram, cur_cube = lo.diagram, lo.cube
@@ -222,12 +223,22 @@ def _rename_map(src: Cube, dst: Cube) -> ChainMap:
     return ChainMap(src, dst, entries)
 
 
-def s02_dims(
-    spec: HandlebodySpec,
-    window: Window,
-    r_max: int = 3,
-    guard_strands: int = 8,
-) -> LasagnaResult:
+def _window_stages(spec: HandlebodySpec, window: Window, r_max: int) -> tuple[list, list]:
+    """Stages 0 ... r_max, each with its homology basis on the window's blocks.
+
+    A stage's basis holds the classical blocks whose global grading lies in
+    the window.  A transition keeps the global grading, so these are all the
+    blocks the stage tables and the transitions between the stages read.
+    """
+    stages = [build_stage(spec, r) for r in range(r_max + 1)]
+    Hs = [
+        st.cube.homology_basis(lambda key, st=st: window.contains(_classical_to_global(*key, st)))
+        for st in stages
+    ]
+    return stages, Hs
+
+
+def s02_dims(spec: HandlebodySpec, window: Window, r_max: int = 3) -> LasagnaResult:
     """Colimit dimensions of the skein lasagna module at the given offset."""
     d = spec.boundary
     if not d.regions:
@@ -235,16 +246,13 @@ def s02_dims(
     if not _two_divisible(d):
         # the boundary link's class fails 2-divisibility: the module vanishes
         return LasagnaResult(DimTable(), window, [], {}, zero=True)
-    n = spec.normalized_offset()
     if r_max < 2:
         raise LasagnaError("r_max must be at least 2 to report stabilization")
-    stages = [build_stage(spec, r, guard_strands) for r in range(r_max + 1)]
+    stages, Hs = _window_stages(spec, window, r_max)
     syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
-    Hs = [st.cube.homology_basis() for st in stages]
     stage_tables = []
     for st, H, sym in zip(stages, Hs, syms):
-        H_win = {key: b for key, b in H.items() if window.contains(_classical_to_global(*key, st))}
-        ranks = block_ranks(homology_matrix(sym.apply, H_win, H))
+        ranks = block_ranks(homology_matrix(sym.apply, H, H))
         stage_tables.append(DimTable({_classical_to_global(*k, st): v for k, v in ranks.items()}))
     # only the two transitions read are built: M[r]: H(stage r+1) -> H(stage r),
     # symmetrized, for r = r_max-2 (the flags) and r = r_max-1 (the table)
@@ -252,13 +260,7 @@ def s02_dims(
     last_ranks = block_ranks(_transition_matrix(spec, stages, syms, Hs, r_max - 1))
     table = DimTable()
     stable = {}
-    gradings = set()
-    for st, t in zip(stages, stage_tables):
-        for g in t:
-            gradings.add(g)
-    for g in sorted(gradings):
-        if not window.contains(g):
-            continue
+    for g in sorted({g for t in stage_tables for g in t}):
         last = last_ranks.get(_global_to_classical(g, stages[r_max]), 0)
         prev = prev_ranks.get(_global_to_classical(g, stages[r_max - 1]), 0)
         if last:
@@ -270,22 +272,15 @@ def s02_dims(
     return LasagnaResult(table, window, stage_tables, stable)
 
 
-def _transition_q2_drop(spec: HandlebodySpec) -> int:
-    """Classical q2 change of one transition: each region loses a belt pair, q2 -4 each."""
-    return -4 * len(spec.boundary.regions)
+def _transition_matrix(spec, stages, syms, Hs, r) -> dict:
+    """Symmetrized annihilation H(stage r+1) -> H(stage r) on the blocks of Hs[r + 1].
 
-
-def _transition_matrix(spec, stages, syms, Hs, r, keys=None) -> dict:
-    """Symmetrized annihilation H(stage r+1) -> H(stage r), lowering classical q2.
-
-    `keys` restricts the chain map to those stage-(r+1) blocks (see
-    `transition_down`); Hs[r + 1] must then hold only them, since any other
-    block would read the restricted map as zero.
+    Each region loses a belt pair, so classical q2 drops by 4 per region.
     """
-    F = transition_down(spec, stages[r + 1], stages[r], keys)
+    F = transition_down(spec, stages[r + 1], stages[r], Hs[r + 1])
     return homology_matrix(
         lambda v: syms[r].apply(F.apply(syms[r + 1].apply(v))), Hs[r + 1], Hs[r],
-        (0, _transition_q2_drop(spec)),
+        (0, -4 * len(spec.boundary.regions)),
     )
 
 
@@ -293,11 +288,9 @@ def _transition_matrix(spec, stages, syms, Hs, r, keys=None) -> dict:
 class CappingCertificate:
     grading: Grading
     survives: bool
-    stage_checked: int
-    image_nonzero: bool
 
 
-def belt_capping_class(spec: HandlebodySpec, guard_strands: int = 6) -> CappingCertificate:
+def belt_capping_class(spec: HandlebodySpec) -> CappingCertificate:
     """Certify the class of the standard capping at (0, -#strands).
 
     The all-units class of the belt link's stage-0 homology is traced
@@ -305,10 +298,8 @@ def belt_capping_class(spec: HandlebodySpec, guard_strands: int = 6) -> CappingC
     whether its image is nonzero (dually: whether the all-x classical
     coordinate row of the annihilation matrix survives symmetrization).
 
-    It reads two blocks only: key0, the classical block of the grading at
-    stage 0, and src_key = key0 - drop at stage 1, the one block the
-    transition maps into key0.  Homology bases and the transition are built
-    in those blocks alone.  This is exact: the algebra is undeformed
+    Its window is that one grading, so stages 0 and 1 build one block each
+    (see `_window_stages`).  This is exact: the algebra is undeformed
     (c = 0), so the differential, the saddle, dot and death maps, the belt
     permutations and the reduced models are all q-homogeneous, and every
     other block is a direct summand whose data the answer never reads.
@@ -325,24 +316,19 @@ def belt_capping_class(spec: HandlebodySpec, guard_strands: int = 6) -> CappingC
             if s.edge not in free:
                 raise LasagnaError("belt capping expects a standard belt link")
     if not _two_divisible(d):
-        return CappingCertificate(Grading(0, 0), False, 0, False)
+        return CappingCertificate(Grading(0, 0), False)
     ell = sum(r.strand_count for r in d.regions)
     grading = Grading(0, -2 * ell)
-    stages = [build_stage(spec, 0, guard_strands), build_stage(spec, 1, guard_strands)]
+    stages, Hs = _window_stages(spec, Window(0, 0, grading.q2, grading.q2), 1)
     if ell == 0:
-        return CappingCertificate(Grading(0, 0), True, 0, True)
-    # classical block of the target grading in stage 0, and the one stage-1
-    # block the transition maps into it
-    key0 = _global_to_classical(grading, stages[0])
-    src_key = (key0[0], key0[1] - _transition_q2_drop(spec))
-    H0 = stages[0].cube.homology_basis({key0})
-    if not H0.get(key0, ([], None))[0]:
-        return CappingCertificate(grading, False, 1, False)
+        return CappingCertificate(Grading(0, 0), True)
+    if not any(reps for reps, _ech in Hs[0].values()):
+        return CappingCertificate(grading, False)
     syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
-    Hs = [H0, stages[1].cube.homology_basis({src_key})]
-    mats = _transition_matrix(spec, stages, syms, Hs, 0, {src_key})
+    mats = _transition_matrix(spec, stages, syms, Hs, 0)
     # coordinates of the all-x generator class in the stage-0 representatives
+    (block,) = Hs[0]
     all_x = {(0, (1,) * len(stages[0].cube.circles[0])): 1}
-    (allx,) = homology_matrix(lambda v: v, {key0: ([all_x], None)}, Hs[0])[key0]
-    nonzero = any(sum(c * a for c, a in zip(col, allx)) for col in mats.get(src_key, []))
-    return CappingCertificate(grading, nonzero, 1, nonzero)
+    (allx,) = homology_matrix(lambda v: v, {block: ([all_x], None)}, Hs[0])[block]
+    survives = any(sum(c * a for c, a in zip(col, allx)) for cols in mats.values() for col in cols)
+    return CappingCertificate(grading, survives)

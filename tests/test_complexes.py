@@ -261,7 +261,7 @@ def test_invertible_scalar_near_misses():
             [tube(a), tube(b), Component(frozenset({("s", "c"), ("t", "d")}), 0, 0)])), None),
         "two terms": (MorphismCombo.from_cobordism(ident) + MorphismCombo.from_cobordism(
             Cobordism(t, t, [tube(a, dots=1), tube(b), tube("c")])), None),
-        "zero": (MorphismCombo.zero(t, t), None),
+        "zero": (MorphismCombo(t, t), None),
     }
     for name, (m, expected) in cases.items():
         assert m.invertible_scalar() == expected, name

@@ -199,7 +199,7 @@ def test_homology_basis_on_keys_equals_the_full_basis():
         full = cube.homology_basis()
         keys = list(full)
         for chosen in (keys[::3], keys[1::2], [keys[-1], (999, 999)]):
-            part = cube.homology_basis(set(chosen))
+            part = cube.homology_basis(set(chosen).__contains__)
             assert set(part) == set(chosen) & set(full)
             for key, (reps, img) in part.items():
                 assert reps == full[key][0]

@@ -11,7 +11,8 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 PIVOT_DIGEST = "1f3e1953ccc86ba3b3d27b956f2c7498a1457804d6c497e44f67bde9772d6bf7"
 # sha256 of the belt_link(2) stage-1 -> stage-0 transition block (0, 0) and the
 # all-x coordinates at (0, -4) behind the capping certificate; computed on the
-# unrestricted path (every block of both stages), read here from the restricted one
+# unrestricted path (every block of both stages), read here from the one block
+# of each stage that the certificate's one-grading window builds
 CAPPING_DIGEST = "ee25acaf5ebda7c7a29eff5084f4aabc5ff591310a0f7f5510c475e23a7d542a"
 
 SCRIPT = r"""
@@ -55,10 +56,11 @@ r3 = reduction_equivalence(Cube(catalog.braid_closure([1, 2, 1, -1, 2], 3)),
                            Cube(catalog.braid_closure([2, 1, 2, -1, 2], 3)))
 r3_entries = [(g, [(t, str(v)) for t, v in row.items()]) for g, row in r3.entries.items()]
 spec = HandlebodySpec(catalog.belt_link(2), (0,))
-stages = [build_stage(spec, 0, 6), build_stage(spec, 1, 6)]
+stages = [build_stage(spec, 0), build_stage(spec, 1)]
 syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
-Hs = [stages[0].cube.homology_basis({(0, -4)}), stages[1].cube.homology_basis({(0, 0)})]
-block = _transition_matrix(spec, stages, syms, Hs, 0, {(0, 0)})[(0, 0)]
+Hs = [stages[0].cube.homology_basis({(0, -4)}.__contains__),
+      stages[1].cube.homology_basis({(0, 0)}.__contains__)]
+block = _transition_matrix(spec, stages, syms, Hs, 0)[(0, 0)]
 all_x = {(0, (1,) * len(stages[0].cube.circles[0])): 1}
 (allx,) = homology_matrix(lambda v: v, {(0, -4): ([all_x], Hs[0][(0, -4)][1])}, Hs[0])[(0, -4)]
 capping = [[str(c) for c in col] for col in block + [allx]]

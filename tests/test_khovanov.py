@@ -150,7 +150,7 @@ def test_bruteforce_crossing_guard():
     import pytest
 
     with pytest.raises(ValueError, match="guard"):
-        kh_dims_bruteforce(catalog.torus_link(4, 4), max_crossings=10)
+        kh_dims_bruteforce(catalog.torus_link(4, 5))  # 15 crossings
 
 
 def test_cube_with_framing_points():

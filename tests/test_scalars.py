@@ -83,10 +83,11 @@ def test_capping_coordinates_follow_the_convention_strictly():
     """The belt_link(2) transition block and all-x coordinates behind the
     capping certificate: integral coordinates are ints."""
     spec = HandlebodySpec(catalog.belt_link(2), (0,))
-    stages = [build_stage(spec, 0, 6), build_stage(spec, 1, 6)]
+    stages = [build_stage(spec, 0), build_stage(spec, 1)]
     syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
-    Hs = [stages[0].cube.homology_basis({(0, -4)}), stages[1].cube.homology_basis({(0, 0)})]
-    block = _transition_matrix(spec, stages, syms, Hs, 0, {(0, 0)})[(0, 0)]
+    Hs = [stages[0].cube.homology_basis({(0, -4)}.__contains__),
+          stages[1].cube.homology_basis({(0, 0)}.__contains__)]
+    block = _transition_matrix(spec, stages, syms, Hs, 0)[(0, 0)]
     all_x = {(0, (1,) * len(stages[0].cube.circles[0])): 1}
     (allx,) = homology_matrix(lambda v: v, {(0, -4): ([all_x], None)}, Hs[0])[(0, -4)]
     coords = [c for col in block + [allx] for c in col]

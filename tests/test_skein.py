@@ -83,7 +83,7 @@ def test_quantum_shift_bookkeeping_unit():
 def test_guard_rejects_large_cables():
     spec = HandlebodySpec(catalog.empty_surgery(2), (0, 0))
     with pytest.raises(LasagnaError, match="guard"):
-        s02_dims(spec, FIXTURE_WINDOW, r_max=3, guard_strands=6)
+        s02_dims(spec, FIXTURE_WINDOW, r_max=3)
 
 
 def test_two_regions_are_the_tensor_square_of_one():
@@ -95,7 +95,7 @@ def test_two_regions_are_the_tensor_square_of_one():
 
 
 def test_two_regions_at_r3_hit_the_stage_guard():
-    # 2 regions x 3 pairs = 12 belts, over the default 8-belt guard
+    # 2 regions x 3 pairs = 12 belts, over the 8-belt guard
     spec = HandlebodySpec(catalog.empty_surgery(2), (0, 0))
     with pytest.raises(LasagnaError, match="12 belts exceeds the desk-scale guard"):
         s02_dims(spec, Window(), r_max=3)
@@ -103,10 +103,11 @@ def test_two_regions_at_r3_hit_the_stage_guard():
 
 def test_size_guards_raise_capacity_errors():
     spec = HandlebodySpec(catalog.empty_surgery(2), (0, 0))
-    with pytest.raises(CapacityError, match="^stage cable of 4 belts exceeds the desk-scale guard"):
-        build_stage(spec, 1, guard_strands=2)
-    with pytest.raises(CapacityError, match="^dense cube guard: 12 crossings exceeds 10$"):
-        Cube(catalog.torus_link(4, 4), max_crossings=10)
+    belts = r"^stage cable of 12 belts exceeds the desk-scale guard \(8\)$"
+    with pytest.raises(CapacityError, match=belts):
+        build_stage(spec, 3)
+    with pytest.raises(CapacityError, match="^dense cube guard: 15 crossings exceeds 14$"):
+        Cube(catalog.torus_link(4, 5))
 
 
 def test_capping_certificates():
@@ -126,16 +127,22 @@ def test_capping_certificates():
     [(catalog.belt_link(1), 0), (catalog.empty_surgery(1), 1)],
     ids=["belt-link-1-winding", "d2xs2-crossingless"],
 )
-def test_transition_on_keys_is_the_full_transition_restricted(boundary, r):
+def test_transition_on_keys_is_the_full_transition_restricted(boundary, r, monkeypatch):
+    from lasagna import skein
+
     spec = HandlebodySpec(boundary, (0,))
     hi, lo = build_stage(spec, r + 1), build_stage(spec, r)
-    full = transition_down(spec, hi, lo)
 
     def key(g):
         gr = hi.cube.gen_grading(*g)
         return (gr.h2, gr.q2)
 
     keys = sorted({key(g) for g in hi.cube.generators()})
+    # the reference: every block, with the reduced models over all degrees
+    real = skein.reduction_equivalence
+    with monkeypatch.context() as m:
+        m.setattr(skein, "reduction_equivalence", lambda src, dst, q2s: real(src, dst))
+        full = transition_down(spec, hi, lo, set(keys))
     for chosen in [{k} for k in keys] + [set(keys[::2])]:
         part = transition_down(spec, hi, lo, chosen)
         assert part.src is hi.cube and part.dst is lo.cube
@@ -185,6 +192,60 @@ def test_colimit_builds_only_the_two_transitions_it_reads(monkeypatch):
     assert calls == [2, 3]  # the stage r+1 -> r maps for r = r_max-2 and r_max-1
     assert res.table == DimTable({(0, q2): 1 for q2 in range(0, -17, -4)})
     assert res.stable == {Grading(0, q2): True for q2 in range(0, -25, -4)}
+
+
+def _ranked_from_full_bases(spec, window, r_max):
+    """Table, flags and stage dims of `s02_dims`, ranked on every block of every stage."""
+    from lasagna.cobmaps import block_ranks, homology_matrix
+    from lasagna.skein import (
+        _classical_to_global,
+        _global_to_classical,
+        _Symmetrizer,
+        _transition_matrix,
+    )
+
+    stages = [build_stage(spec, r) for r in range(r_max + 1)]
+    syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
+    Hs = [st.cube.homology_basis() for st in stages]
+    stage_dims = []
+    for st, H, sym in zip(stages, Hs, syms):
+        ranks = block_ranks(homology_matrix(sym.apply, H, H))
+        table = DimTable({_classical_to_global(*k, st): v for k, v in ranks.items()})
+        stage_dims.append(table.restrict(window))
+    prev, last = (
+        block_ranks(_transition_matrix(spec, stages, syms, Hs, r)) for r in (r_max - 2, r_max - 1)
+    )
+    table, stable = DimTable(), {}
+    for g in sorted({g for t in stage_dims for g in t}):
+        p = prev.get(_global_to_classical(g, stages[r_max - 1]), 0)
+        q = last.get(_global_to_classical(g, stages[r_max]), 0)
+        table.add(g, q)
+        stable[g] = p == q or (p == 0 and stage_dims[r_max - 2][g] == 0)
+    return table, stable, stage_dims
+
+
+def test_colimit_builds_only_the_window_blocks(monkeypatch):
+    from lasagna import skein
+
+    window = Window(h2_lo=-2, h2_hi=2, q2_lo=-12, q2_hi=0)  # the lasagna-colimit benchmark's
+    columns = []
+    real = skein.homology_matrix
+
+    def counting(apply, H_src, H_dst, shift=(0, 0)):
+        if shift != (0, 0):  # a transition; the stage tables keep the grading
+            columns.append(sum(len(reps) for reps, _ech in H_src.values()))
+        return real(apply, H_src, H_dst, shift)
+
+    monkeypatch.setattr(skein, "homology_matrix", counting)
+    s02_dims(HandlebodySpec(catalog.empty_surgery(1), (2,)), window, r_max=3)
+    assert columns == [42, 93]  # of 64 and 256 representatives on every block
+    monkeypatch.undo()
+    for alpha in (0, 1, 2):
+        spec = HandlebodySpec(catalog.empty_surgery(1), (alpha,))
+        for w in (window, Window()):
+            res = s02_dims(spec, w, r_max=3)
+            reference = _ranked_from_full_bases(spec, w, 3)
+            assert (res.table, res.stable, res.stages) == reference, (alpha, w)
 
 
 @pytest.mark.parametrize(
