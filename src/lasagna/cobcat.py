@@ -1,47 +1,45 @@
-"""Dotted cobordisms between crossingless tangles, linearized over Q.
+"""Dotted cobordisms between crossingless tangles, linearized over Q, kept
+in Bar-Natan's "dots on disks" normal form (D. Bar-Natan, "Fast Khovanov
+homology computations", J. Knot Theory Ramifications 16 (2007) 243-255).
 
 Objects are flat tangles: a perfect matching ("arcs") on a set of boundary
 points plus a set of closed loops.  A cobordism between two flat tangles
-with the same boundary points is recorded by its connected components; a
-component knows which source/target arcs and loops it bounds, its dot count
-and its genus.  Over Q this coarse data determines the morphism up to the
-local relations, which is exactly what evaluation needs.
+with the same boundary points is bounded by their closure circles: each
+loop of either end is a circle, and the arcs of both ends, joined by the
+vertical line at every boundary point, close up into the others.  A circle
+is the set of its nodes ('s'|'t', arc-or-loop key), as
+`_boundary_circle_partition` returns it; `closure_circles` lists them.
 
-Local relations (Frobenius parameter c = value of a twice-dotted component):
-undotted sphere = 0, once-dotted sphere = 1, two dots on a component = c
-times no dots, and neck-cutting, whose closed consequence is that a handle
-may be traded for a dot at the price of a factor 2.  `reduce` applies these
-as rewrite steps; it never hard-codes higher-genus values.
+Local relations (Frobenius algebra Q[x]/(x^2 - c), c = the value of a
+twice-dotted component): undotted sphere = 0, once-dotted sphere = 1, two
+dots = c times no dots, and neck-cutting, a tube = (dot on one side) + (dot
+on the other).  With them every cobordism is a combination of normal
+terms: one genus-0 disk per closure circle, each with at most one dot.  A
+normal term is therefore its set of dotted circles, a frozenset; the
+undotted ones follow from the source and target.  `MorphismCombo.terms`
+maps these dot sets to coefficients.  On a loop-free tangle the identity
+is the empty dot set (each arc's tube is the disk on its closure circle),
+so `invertible_scalar` tests one term; on a tangle with loops the identity
+neck-cuts into two terms per loop and is no scalar entry.  Delooping a
+loop (`deloop_split`) sends each term to the summand that the dot on the
+loop's circle selects, and drops that circle.
 
-Canonical form: a Cobordism stores its components sorted by (smallest
-node key, dots, genus).  A node key is a string in which frozensets list
-their members sorted, so it depends on the node's value only, never on
-hash order or PYTHONHASHSEED.  Equal cobordisms therefore compare and hash
-equal.  Node keys and boundary-circle partitions are memoized per node and
-per node set in bounded LRU caches.  Each Component computes its order key
-and hash once, when built, so sorting and hashing a Cobordism read stored
-values.  A cobordism to which no relation applies is already normal, and
-`reduce` passes it on as the same object.  `FlatTangle.without_loop` skips
-the matching validation: dropping a loop leaves the validated arcs as is.
+Arbitrary surfaces are described by `Component` (boundary nodes, dots,
+genus) and `Cobordism` (source, target, components); `reduce` brings a
+combination of them to normal form.  A connected surface with b boundary
+circles, genus g and d dots is Delta^(b-1)(x^d (2x)^g), or eps of it when
+b = 0: with n = d + g, the sum over subsets S of its circles with
+|S| = n + b - 1 - 2e, e >= 0, of 2^g c^e times the disks dotted on S
+(`_neck_cut`, in closed form).
 
-Normal form: every component has genus 0, at most one dot and exactly one
-boundary circle, so no component is closed.  `reduce` marks each cobordism
-it returns `normal`; the flag only records what is known and is no part of
-the value.  Every entry a scanned complex stores is normal.  A loop node is
-a whole boundary circle, so in a normal term the component holding it is
-the disk {(side, loop)} with e <= 1 dots.  Capping or cupping that disk with
-d dots gives a sphere with e + d dots, worth 1 if e + d = 1 and 0
-otherwise, for c = 0 and c = 1 alike.  Delooping a normal entry therefore
-partitions its terms between the two summands by the disk's dot
-(`deloop_split`): each term loses the disk and keeps its coefficient and its
-other components, still sorted; nothing is reduced.  A term not known to be
-normal is reduced first and then split the same way.
-
-`MorphismCombo.invertible_scalar` recognizes lambda * identity from the
-shape of its single term (one undotted genus-0 component {("s", k),
-("t", k)} per arc or loop k of the source) without building the identity
-cobordism.  Gluing the identity onto a cobordism gives it back unchanged, so
-composing a normal-form combo with lambda * identity is `scale(lambda)`.
+Composing and gluing depend on the tangles only.  f: A -> B then g: B -> C
+glue the disks of (A, B) and of (B, C) into the same connected surface
+whatever the dots, so `_composite` builds that surface once per (A, B, C),
+with maps from each input circle to the component it joins.  A pair of
+terms is then mapped by looking up its dotted circles, and `reduce` expands
+only the components that are not disks.  `complexes.planar_tensor` does the
+same for gluing.  `closure_circles` keeps the circles of the last 256
+tangle pairs, which are those of the current open boundary.
 
 Gradings are bookkept by the complexes that use these morphisms, not here.
 The delooping maps follow the classical Khovanov convention: the circle is
@@ -54,27 +52,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
-from typing import Iterable, Optional
-
-
+from itertools import combinations
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Optional
 @dataclass(frozen=True)
 class FrobeniusSpec:
-    """The deformation parameter: dot^2 = c. Khovanov c=0, Lee c=1."""
+    """The deformation parameter: dot^2 = c. Khovanov c=0, Lee c=1.
 
-    c: Fraction = Fraction(0)
+    An int c keeps integral coefficients ints.
+    """
+
+    c: int | Fraction = 0
 
 
-KHOVANOV = FrobeniusSpec(Fraction(0))
-LEE = FrobeniusSpec(Fraction(1))
+KHOVANOV = FrobeniusSpec(0)
+LEE = FrobeniusSpec(1)
 
 
-class FlatTangle:
-    """A crossingless matching of boundary points plus closed loops."""
+class FlatTangle(tuple):
+    """A crossingless matching of boundary points plus closed loops.
 
-    __slots__ = ("arcs", "loops", "_hash")
+    The pair (arcs, loops) of frozensets: hashing and equality are the
+    tuple's, on the frozensets' cached hashes.
+    """
 
-    def __init__(self, arcs: Iterable, loops: Iterable = ()):
+    __slots__ = ()
+
+    def __new__(cls, arcs: Iterable, loops: Iterable = ()):
         arcs = frozenset(frozenset(a) for a in arcs)
         for a in arcs:
             if len(a) != 2:
@@ -82,9 +86,13 @@ class FlatTangle:
         pts = [p for a in arcs for p in a]
         if len(pts) != len(set(pts)):
             raise ValueError("boundary points must be matched exactly once")
-        object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "loops", frozenset(loops))
-        object.__setattr__(self, "_hash", hash((arcs, frozenset(loops))))
+        return tuple.__new__(cls, (arcs, frozenset(loops)))
+
+    arcs = property(itemgetter(0))
+    loops = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return self.arcs, self.loops
 
     @property
     def points(self) -> frozenset:
@@ -96,169 +104,107 @@ class FlatTangle:
     def without_loop(self, loop) -> "FlatTangle":
         if loop not in self.loops:
             raise ValueError("no such loop")
-        out = object.__new__(FlatTangle)  # self.arcs is already a validated matching
-        out.arcs, out.loops = self.arcs, self.loops - {loop}
-        out._hash = hash((out.arcs, out.loops))
-        return out
+        # self.arcs is already a validated matching
+        return tuple.__new__(FlatTangle, (self.arcs, self.loops - {loop}))
 
     def with_loop(self, loop) -> "FlatTangle":
         return FlatTangle(self.arcs, self.loops | {loop})
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, FlatTangle)
-            and self._hash == other._hash
-            and self.arcs == other.arcs
-            and self.loops == other.loops
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         arcs = sorted(tuple(sorted(a, key=repr)) for a in self.arcs)
         return f"FlatTangle(arcs={arcs}, loops={sorted(self.loops, key=repr)})"
 
 
-EMPTY_TANGLE = FlatTangle((), ())
+class Component(NamedTuple):
+    """A connected surface: boundary nodes ('s'|'t', arc-or-loop key), dots, genus."""
 
-
-def _canon(x) -> str:
-    """A canonical string for an arc/loop key or a node.
-
-    Frozensets list their members sorted, so equal values give equal
-    strings whatever their hash order; `repr` of a frozenset does not.
-    """
-    if isinstance(x, frozenset):
-        return "{" + ",".join(sorted(map(_canon, x))) + "}"
-    if isinstance(x, tuple):
-        return "(" + ",".join(map(_canon, x)) + ")"
-    return repr(x)
-
-
-# Bounded, like the circle-partition memo below: the nodes in use at any time
-# lie on the current open boundary.  Scanning belt_link(4) twisted twice, a
-# scan step uses at most 58 distinct nodes and 167 distinct node sets, and
-# over 99.5% of lookups hit.
-_node_key = lru_cache(maxsize=256)(_canon)
-
-
-class Component:
-    """A connected component: boundary nodes ('s'|'t', arc-or-loop key), dots, genus.
-
-    Immutable; the order key (smallest node key, dots, genus) and the hash
-    are computed once, here.  The components of a cobordism bound disjoint
-    node sets, so only closed components share the empty first key.
-    """
-
-    __slots__ = ("nodes", "dots", "genus", "_key", "_hash")
-
-    def __init__(self, nodes: frozenset, dots: int, genus: int):
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "dots", dots)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "_key", (min(map(_node_key, nodes), default=""), dots, genus))
-        object.__setattr__(self, "_hash", hash((nodes, dots, genus)))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"Component is immutable; cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Component) and self._hash == other._hash
-                                 and self._key == other._key and self.nodes == other.nodes)
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Component(nodes={self.nodes!r}, dots={self.dots!r}, genus={self.genus!r})"
+    nodes: frozenset
+    dots: int
+    genus: int
 
     def euler_characteristic(self) -> int:
         return 2 - 2 * self.genus - len(_boundary_circle_partition(self.nodes))
 
 
-_order_key = attrgetter("_key")
-
-
 class Cobordism:
-    """A connected-component-encoded cobordism between two flat tangles.
+    """A surface from source to target, given by its connected components.
 
-    `normal` is True once `reduce` has found or made it normal; False means
-    not known.  It is no part of the value: equality and hash ignore it.
+    `circles[i]` are the boundary circles of component i; `necks` are the
+    components that are not undotted disks.
     """
 
-    __slots__ = ("source", "target", "comps", "_hash", "normal")
+    __slots__ = ("source", "target", "comps", "circles", "necks")
 
     def __init__(self, source: FlatTangle, target: FlatTangle, comps: Iterable[Component]):
-        comps = tuple(sorted(comps, key=_order_key))
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "comps", comps)
-        object.__setattr__(self, "_hash", hash((source, target, comps)))
-        object.__setattr__(self, "normal", False)
+        comps = tuple(comps)
+        self._set(source, target, comps, [_boundary_circle_partition(c.nodes) for c in comps])
 
     @staticmethod
-    def _normal_sorted(source: FlatTangle, target: FlatTangle, comps: tuple) -> "Cobordism":
-        """A cobordism from components already sorted and in normal form."""
+    def _with_circles(source: FlatTangle, target: FlatTangle, comps, circles) -> "Cobordism":
+        """A cobordism whose components' boundary circles are known already."""
         out = object.__new__(Cobordism)
-        out.source, out.target, out.comps = source, target, comps
-        out._hash = hash((source, target, comps))
-        out.normal = True
+        out._set(source, target, tuple(comps), circles)
         return out
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cobordism)
-            and self.source == other.source
-            and self.target == other.target
-            and self.comps == other.comps
-        )
-
-    def __hash__(self):
-        return self._hash
+    def _set(self, source, target, comps: tuple, circles) -> None:
+        self.source, self.target, self.comps, self.circles = source, target, comps, tuple(circles)
+        self.necks = [i for i, c in enumerate(comps) if c.dots or c.genus or len(circles[i]) != 1]
 
     def __repr__(self):
         return f"Cobordism({self.comps!r})"
 
 
-@lru_cache(maxsize=256)
-def _boundary_circle_partition(nodes: frozenset) -> tuple:
+def _circles(nodes: frozenset) -> tuple:
     """Boundary circles of a set of nodes as node subsets, in no fixed order.
 
     Each loop node is its own circle; arc-cycles alternate source and target
     arcs through shared endpoints (the vertical boundary line at a point p
     connects the source arc at p to the target arc at p).
     """
-    circles = [frozenset([n]) for n in nodes if not isinstance(n[1], frozenset)]
-    arc_at = {"s": {}, "t": {}}
-    for side, k in nodes:
-        if isinstance(k, frozenset):
+    circles, s_at, t_at = [], {}, {}
+    for node in nodes:
+        side, k = node
+        if type(k) is frozenset:
+            at = s_at if side == "s" else t_at
             for p in k:
-                arc_at[side][p] = k
-    if arc_at["s"].keys() != arc_at["t"].keys():
+                at[p] = k
+        else:
+            circles.append(frozenset((node,)))
+    if s_at.keys() != t_at.keys():
         raise ValueError("component boundary points do not match on both sides")
-    seen_arcs = set()
-    for a in set(arc_at["s"].values()):
-        if a in seen_arcs:
+    seen = set()
+    for p, a in s_at.items():
+        if a in seen:
             continue
         members = []
-        side, arc, entry = "s", a, next(iter(a))  # on arc a, entered at this point
-        while True:
-            members.append((side, arc))
-            if side == "s":
-                seen_arcs.add(arc)
-            p, q = arc
-            exit_pt = q if p == entry else p
-            side = "t" if side == "s" else "s"
-            arc, entry = arc_at[side][exit_pt], exit_pt
-            if side == "s" and arc == a:
+        arc = a
+        while True:  # on the source arc `arc`, entered at p
+            seen.add(arc)
+            x, y = arc
+            p = y if x == p else x
+            t = t_at[p]
+            members += (("s", arc), ("t", t))
+            x, y = t
+            p = y if x == p else x
+            arc = s_at[p]
+            if arc is a:
                 break
         circles.append(frozenset(members))
     if len(circles) == 1:
         return (nodes,)
     return tuple(circles)
+
+
+# Bounded: it serves the components of the surfaces in use, which lie on the
+# current open boundary.
+_boundary_circle_partition = lru_cache(maxsize=256)(_circles)
+
+
+@lru_cache(maxsize=256)
+def closure_circles(source: FlatTangle, target: FlatTangle) -> tuple:
+    """The boundary circles of every cobordism from source to target."""
+    nodes = [("s", k) for k in source.keys()] + [("t", k) for k in target.keys()]
+    return _circles(frozenset(nodes))
 
 
 def _glued_component(nodes: frozenset, dots: int, chi: int) -> Component:
@@ -268,6 +214,23 @@ def _glued_component(nodes: frozenset, dots: int, chi: int) -> Component:
     if genus2 % 2 or genus2 < 0:
         raise AssertionError("non-surface gluing of cobordisms")
     return Component(nodes, dots, genus2 // 2)
+
+
+def _roots(n: int, joins: Iterable[tuple[int, int]]) -> list[int]:
+    """The root of each of range(n) once the pairs in `joins` are merged."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in joins:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return [find(i) for i in range(n)]
 
 
 def identity_cobordism(t: FlatTangle) -> Cobordism:
@@ -303,9 +266,11 @@ def elementary_saddle(source: FlatTangle, target: FlatTangle, moved_keys_s, move
 
 
 class MorphismCombo:
-    """Finite Q-linear combination of cobordisms with common source/target.
+    """Finite Q-linear combination of normal terms with common source/target.
 
-    Coefficients are ints until a division makes them non-integral.
+    `terms` maps a dot set (the frozenset of dotted closure circles) to its
+    coefficient.  Coefficients are ints until a division makes them
+    non-integral.
     """
 
     __slots__ = ("source", "target", "terms")
@@ -313,24 +278,29 @@ class MorphismCombo:
     def __init__(self, source: FlatTangle, target: FlatTangle, terms: Optional[dict] = None):
         self.source = source
         self.target = target
-        self.terms: dict[Cobordism, int | Fraction] = {}
+        self.terms: dict[frozenset, int | Fraction] = {}
         if terms:
-            for cob, coeff in terms.items():
-                self._add_term(cob, coeff)
+            for dots, coeff in terms.items():
+                self._add_term(dots, coeff)
 
-    def _add_term(self, cob: Cobordism, coeff) -> None:
+    def _add_term(self, dots: frozenset, coeff) -> None:
         if not coeff:
             return
-        cur = self.terms.get(cob)
+        cur = self.terms.get(dots)
         cur = coeff if cur is None else cur + coeff
         if cur:
-            self.terms[cob] = cur
+            self.terms[dots] = cur
         else:
-            del self.terms[cob]
+            del self.terms[dots]
 
     @staticmethod
     def from_cobordism(cob: Cobordism, coeff=1) -> "MorphismCombo":
-        return MorphismCombo(cob.source, cob.target, {cob: coeff})
+        """A cobordism already in normal form: every component a disk with at most one dot."""
+        pieces = list(zip(cob.comps, cob.circles))
+        if any(c.genus or c.dots > 1 or len(circles) != 1 for c, circles in pieces):
+            raise ValueError("cobordism not in normal form; reduce it")
+        dots = frozenset(circles[0] for c, circles in pieces if c.dots)
+        return MorphismCombo(cob.source, cob.target, {dots: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -339,8 +309,8 @@ class MorphismCombo:
         if self.source != other.source or self.target != other.target:
             raise ValueError("cannot add morphisms with different endpoints")
         out = MorphismCombo(self.source, self.target, dict(self.terms))
-        for cob, coeff in other.terms.items():
-            out._add_term(cob, coeff)
+        for dots, coeff in other.terms.items():
+            out._add_term(dots, coeff)
         return out
 
     def __neg__(self) -> "MorphismCombo":
@@ -365,181 +335,164 @@ class MorphismCombo:
     def __repr__(self):
         return f"MorphismCombo({len(self.terms)} terms {self.source}->{self.target})"
 
-    def then(self, other: "MorphismCombo", spec: FrobeniusSpec) -> "MorphismCombo":
-        """Vertical composition self followed by other, reduced."""
+    def then(self, other: "MorphismCombo", spec: FrobeniusSpec, memo: Optional[dict] = None) -> "MorphismCombo":
+        """Vertical composition self followed by other, in normal form.
+
+        The composite surface of (source, middle, target) is looked up in
+        `memo`, a dict the caller keeps across compositions (one `simplify`
+        shares one), and built there on a miss; without one it serves this
+        call.
+        """
         if self.target != other.source:
             raise ValueError("composition endpoint mismatch")
-        out = MorphismCombo(self.source, other.target)
+        memo = {} if memo is None else memo
+        key = (self.source, self.target, other.target)
+        if key not in memo:
+            memo[key] = _composite(*key)
+        cob, lower, upper = memo[key]
+        raw = []
         for f, a in self.terms.items():
+            dots_f = [lower[x] for x in f]
             for g, b in other.terms.items():
-                cob = _compose_cobordisms(f, g)
-                out._add_term(cob, a * b)
-        return reduce(out, spec)
+                raw.append((dots_f + [upper[y] for y in g], a * b))
+        return reduce(cob, raw, spec)
 
     def as_scalar(self) -> int | Fraction:
         """The coefficient of the empty cobordism, for empty endpoints."""
         if self.source.keys() or self.target.keys():
             raise ValueError("scalar extraction needs empty source and target")
-        if not self.terms:
-            return 0
-        [(cob, coeff)] = self.terms.items()
-        if cob.comps:
-            raise ValueError("combo not reduced to a scalar")
-        return coeff
+        return self.terms.get(frozenset(), 0)
 
     def invertible_scalar(self) -> Optional[int | Fraction]:
-        """If self is lambda * identity (same tangle, lambda != 0), return lambda.
+        """If self is lambda * identity (same loop-free tangle, lambda != 0), return lambda.
 
-        Tested on the shape of the single term: one undotted genus-0
-        component {("s", k), ("t", k)} per arc or loop k of the source.
+        On a loop-free tangle the identity is the empty dot set.
         """
-        if len(self.terms) != 1 or self.source != self.target:
+        if len(self.terms) != 1 or self.source.loops or self.source != self.target:
             return None
-        [(cob, coeff)] = self.terms.items()
-        src = self.source
-        if len(cob.comps) != len(src.arcs) + len(src.loops):
-            return None
-        seen = set()
-        for c in cob.comps:
-            if c.dots or c.genus or len(c.nodes) != 2:
-                return None
-            (_, k), (_, k2) = c.nodes
-            if k != k2 or k in seen or not (k in src.arcs or k in src.loops):
-                return None
-            seen.add(k)
-        return coeff
+        [(dots, coeff)] = self.terms.items()
+        return None if dots else coeff
 
 
-def _compose_cobordisms(f: Cobordism, g: Cobordism) -> Cobordism:
-    if f.target != g.source:
-        raise ValueError("cobordism composition endpoint mismatch")
-    # union-find over the components of f then g, glued along middle arcs/loops
-    pieces = f.comps + g.comps
-    parent = list(range(len(pieces)))
+def _composite(a: FlatTangle, b: FlatTangle, c: FlatTangle) -> tuple:
+    """The undotted normal term a -> b followed by the undotted one b -> c.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    below = {k: i for i, c in enumerate(f.comps) for side, k in c.nodes if side == "t"}
-    for j, c in enumerate(g.comps, len(f.comps)):
-        for side, k in c.nodes:
-            if side == "s":
-                ra, rb = find(below[k]), find(j)
-                if ra != rb:
-                    parent[ra] = rb
-
-    groups: dict[int, list] = {}
-    for idx in range(len(pieces)):
-        groups.setdefault(find(idx), []).append(idx)
-
-    n_f = len(f.comps)
+    Returns the composite surface and maps from the closure circles of
+    (a, b) and of (b, c) to the index of the component each one joins.  Its
+    disks meet along the middle arcs and loops; a middle arc is an
+    interval and lowers chi by one, a middle loop is a circle and does not.
+    Each closure circle of (a, c) bounds the component holding its nodes.
+    """
+    lower, upper = closure_circles(a, b), closure_circles(b, c)
+    n = len(lower)
+    below = {k: i for i, circle in enumerate(lower) for side, k in circle if side == "t"}
+    roots = _roots(n + len(upper), [(below[k], j) for j, circle in enumerate(upper, n)
+                                    for side, k in circle if side == "s"])
+    chi: dict[int, int] = {}
+    holder = {}  # outer node -> root of its component
+    for i, circle in enumerate(lower + upper):
+        root, outer = roots[i], "s" if i < n else "t"
+        chi[root] = chi.get(root, 0) + 1
+        for node in circle:
+            if node[0] == outer:
+                holder[node] = root
+            elif outer == "s" and type(node[1]) is frozenset:
+                chi[root] -= 1  # glued along a middle arc
+    bounds: dict[int, list] = {root: [] for root in chi}
+    for circle in closure_circles(a, c):
+        bounds[holder[next(iter(circle))]].append(circle)
+    index = {root: j for j, root in enumerate(chi)}
     comps = []
-    for idxs in groups.values():
-        nodes = []
-        chi = 0
-        dots = 0
-        for i in idxs:
-            c = pieces[i]
-            chi += c.euler_characteristic()
-            dots += c.dots
-            outer = "s" if i < n_f else "t"
-            for node in c.nodes:
-                if node[0] == outer:
-                    nodes.append(node)
-                elif outer == "s" and isinstance(node[1], frozenset):
-                    chi -= 1  # glued along a middle arc
-        comps.append(_glued_component(frozenset(nodes), dots, chi))
-    return Cobordism(f.source, g.target, comps)
+    for root, circles in bounds.items():
+        genus2 = 2 - len(circles) - chi[root]
+        if genus2 % 2 or genus2 < 0:
+            raise AssertionError("non-surface composition of cobordisms")
+        comps.append(Component(frozenset().union(*circles), 0, genus2 // 2))
+    where = [index[root] for root in roots]
+    cob = Cobordism._with_circles(a, c, comps, [tuple(x) for x in bounds.values()])
+    return cob, dict(zip(lower, where[:n])), dict(zip(upper, where[n:]))
 
 
-def reduce(m: MorphismCombo, spec: FrobeniusSpec) -> MorphismCombo:
-    """Apply the local relations until every term is in normal form."""
-    out = MorphismCombo(m.source, m.target)
-    for cob, coeff in m.terms.items():
-        for cob2, coeff2 in _reduce_cobordism(cob, spec):
-            out._add_term(cob2, coeff * coeff2)
+@lru_cache(maxsize=256)
+def _neck_cut(b: int, genus: int, dots: int, c) -> tuple:
+    """Normal form of one connected surface with b boundary circles:
+    ((indices of the dotted circles, coefficient), ...).
+
+    In Q[x]/(x^2 - c), where Delta(1) = 1 (x) x + x (x) 1 and a handle is 2x,
+    the surface is Delta^(b-1)(x^dots (2x)^genus), or eps of it if b = 0.
+    With n = dots + genus that is the sum over subsets S of the circles with
+    |S| = n + b - 1 - 2e, e >= 0, of 2^genus c^e x^S.
+    """
+    n = dots + genus
+    out = []
+    for k in range(min(n + b - 1, b), -1, -1):
+        e, odd = divmod(n + b - 1 - k, 2)
+        weight = 0 if odd else 2 ** genus * c ** e
+        if weight:
+            out.extend((s, weight) for s in combinations(range(b), k))
+    return tuple(out)
+
+
+def reduce(cob: Cobordism, raw: Iterable[tuple[Iterable[int], int | Fraction]], spec: FrobeniusSpec) -> MorphismCombo:
+    """The normal form of sum coeff * (cob with `added` dots), over (added, coeff) in raw.
+
+    `added` lists a component index once for each dot it adds there.
+    """
+    out = MorphismCombo(cob.source, cob.target)
+    for added, coeff in raw:
+        for dots, w in _normal_terms(cob, added, coeff, spec.c):
+            out._add_term(dots, w)
     return out
 
 
-def _reduce_cobordism(cob: Cobordism, spec: FrobeniusSpec):
-    """Normal-form expansion of a single cobordism: list of (cobordism, coeff)."""
-    pending = [(cob.comps, 1)]
-    done = []
-    while pending:
-        comps, coeff = pending.pop()
-        for i, c in enumerate(comps):
-            if c.genus > 0:
-                # neck-cutting along a handle: two (equal) terms, one dot each
-                rest = comps[:i] + comps[i + 1 :]
-                cut = Component(c.nodes, c.dots + 1, c.genus - 1)
-                pending.append((rest + (cut,), coeff))
-                pending.append((rest + (cut,), coeff))
-                break
-            circles = _boundary_circle_partition(c.nodes)
-            if len(circles) >= 2:
-                # neck-cutting along a separating curve: split off the first
-                # boundary circle as a disk, dot on either side
-                first = min(circles, key=lambda s: min(map(_node_key, s)))
-                rest_nodes = c.nodes - first
-                rest = comps[:i] + comps[i + 1 :]
-                pending.append(
-                    (rest + (Component(first, 1, 0), Component(rest_nodes, c.dots, 0)), coeff)
-                )
-                pending.append(
-                    (rest + (Component(first, 0, 0), Component(rest_nodes, c.dots + 1, 0)), coeff)
-                )
-                break
-            if c.dots >= 2:
-                if spec.c != 0:
-                    rest = comps[:i] + comps[i + 1 :]
-                    pending.append(
-                        (rest + (Component(c.nodes, c.dots - 2, 0),), coeff * spec.c)
-                    )
-                break
-            if not c.nodes:
-                # closed genus-0 component: sphere relations
-                rest = comps[:i] + comps[i + 1 :]
-                if c.dots == 1:
-                    pending.append((rest, coeff))
-                # undotted sphere = 0: drop the term entirely
-                break
+def _normal_terms(cob: Cobordism, added: Iterable[int], coeff, c) -> list:
+    """The terms (dot set, coefficient) of coeff * (cob with `added` dots).
+
+    An undotted disk is dotted when it gets an odd number of dots, times c
+    per pair (x^2 = c); every other component goes through `_neck_cut`, and
+    the result is the product over the components.
+    """
+    comps, circles, necks = cob.comps, cob.circles, cob.necks
+    odd: set[int] = set()  # disks with an odd number of added dots
+    extra: dict[int, int] = {}  # dots added to the other components
+    for i in added:
+        if i in necks:
+            extra[i] = extra.get(i, 0) + 1
+        elif i in odd:
+            odd.remove(i)
+            coeff *= c
         else:
-            if comps is cob.comps:  # no relation applied: cob is already normal
-                cob.normal = True
-                return [(cob, 1)]
-            out = Cobordism(cob.source, cob.target, comps)
-            out.normal = True
-            done.append((out, coeff))
-    return done
+            odd.add(i)
+    if not coeff:
+        return []
+    terms = [([circles[i][0] for i in odd], coeff)]
+    for i in necks:
+        cut = _neck_cut(len(circles[i]), comps[i].genus, comps[i].dots + extra.get(i, 0), c)
+        terms = [(d + [circles[i][j] for j in s], w * v) for d, w in terms for s, v in cut]
+    return [(frozenset(d), w) for d, w in terms]
 
 
-def deloop_split(m: MorphismCombo, side: str, loop, spec: FrobeniusSpec) -> tuple:
-    """The plus and minus summands of delooping `loop` on one end of m, reduced.
+def deloop_split(m: MorphismCombo, side: str, loop) -> tuple:
+    """The plus and minus summands of delooping `loop` on one end of m.
 
     Side "t" caps the loop after m: plus = m then dotted cap, minus = m then
     plain cap.  Side "s" cups it before m: plus = plain cup then m, minus =
     dotted cup then m.  Equals composing with the maps of `deloop_maps`.
-    A term not known to be normal is reduced first; every normal term then
-    goes to the one summand its disk's dot selects (see the module docstring).
+    The loop's circle bounds a disk with e <= 1 dots in every term; a cap or
+    cup with d dots closes it into a sphere with e + d dots, worth 1 if
+    e + d = 1 and 0 otherwise, for every c.  So each term goes to the one
+    summand its dot on that circle selects, and loses that circle only.
     """
-    node = (side, loop)
+    circle = frozenset({(side, loop)})
     src = m.source.without_loop(loop) if side == "s" else m.source
     tgt = m.target.without_loop(loop) if side == "t" else m.target
     plus, minus = MorphismCombo(src, tgt), MorphismCombo(src, tgt)
-    # the summand reached by adding 0 dots, then by adding 1
-    by_dots = (minus, plus) if side == "t" else (plus, minus)
-    for cob, coeff in m.terms.items():
-        for normal, coeff2 in [(cob, 1)] if cob.normal else _reduce_cobordism(cob, spec):
-            comps = normal.comps
-            for i, c in enumerate(comps):
-                if node in c.nodes:
-                    rest = comps[:i] + comps[i + 1:]
-                    by_dots[1 - c.dots]._add_term(
-                        Cobordism._normal_sorted(src, tgt, rest), coeff * coeff2)
-                    break
+    dotted, undotted = (minus, plus) if side == "t" else (plus, minus)
+    for dots, coeff in m.terms.items():
+        if circle in dots:
+            dotted.terms[dots - {circle}] = coeff
+        else:
+            undotted.terms[dots] = coeff
     return plus, minus
 
 
@@ -548,11 +501,12 @@ def deloop_maps(t: FlatTangle, loop, spec: FrobeniusSpec):
 
     Returns ((out_plus, in_plus), (out_minus, in_minus)) where the plus
     summand carries quantum shift +1: out_plus is the dotted cap, in_plus
-    the plain cup, out_minus the plain cap, in_minus the dotted cup.
+    the plain cup, out_minus the plain cap, in_minus the dotted cup.  Other
+    loops of t make tubes, which `reduce` neck-cuts.
     """
-    out_plus = MorphismCombo.from_cobordism(cap(t, loop, dotted=True))
-    out_minus = MorphismCombo.from_cobordism(cap(t, loop, dotted=False))
     base = t.without_loop(loop)
-    in_plus = MorphismCombo.from_cobordism(cup(base, loop, dotted=False))
-    in_minus = MorphismCombo.from_cobordism(cup(base, loop, dotted=True))
+    out_plus, out_minus, in_plus, in_minus = (
+        reduce(cob, [((), 1)], spec)
+        for cob in (cap(t, loop, True), cap(t, loop), cup(base, loop), cup(base, loop, True))
+    )
     return (out_plus, in_plus), (out_minus, in_minus)

@@ -42,7 +42,7 @@ from .densecube import (
     times_x,
     unit,
 )
-from .diagram import Crossing, LinkDiagram, fresh_name
+from .diagram import Crossing, DiagramError, LinkDiagram, check_planar, fresh_name
 from .linalg import Echelon, inverse, row_reduce
 
 
@@ -73,7 +73,13 @@ def death_diagram(d: LinkDiagram, edge: str) -> LinkDiagram:
 
 
 def saddle_diagram(d: LinkDiagram, e: str, f: str) -> LinkDiagram:
-    """Oriented saddle between edges e and f (e == f splits off a circle)."""
+    """Oriented saddle between edges e and f (e == f splits off a circle).
+
+    Between two crossing edges the saddle is a band in the plane, so the
+    cross-joined diagram must embed in the plane (`check_planar`); for any
+    other pair the saddle would neither split nor merge the circles it
+    meets, and LasagnaError (an input error) is raised.
+    """
     free = set(d.free_loops)
     if e == f:
         return birth_diagram(d, fresh_name("split", set(d.edges)))
@@ -90,13 +96,18 @@ def saddle_diagram(d: LinkDiagram, e: str, f: str) -> LinkDiagram:
         for slot in (0, 3 if c.sign == 1 else 1):  # head slots
             if c.edges[slot] in swaps:
                 crossings[ci][slot] = swaps[c.edges[slot]]
-    return LinkDiagram(
+    out = LinkDiagram(
         d.edges,
         [Crossing(tuple(c), x.sign) for c, x in zip(crossings, d.crossings)],
         d.framing_points,
         d.regions,
         d.orientations,
     )
+    try:
+        check_planar(out)
+    except DiagramError as err:
+        raise LasagnaError(f"saddle between {e!r} and {f!r} is not a planar band: {err}") from None
+    return out
 
 
 # -- per-state maps from the Frobenius structure --------------------------------

@@ -9,23 +9,30 @@ entries) and the rank computations extracting homology dimensions.
 
 Gluing identifies boundary points in pairs.  Loops created by a closing arc
 chain are named by the frozenset of constituent arcs, so gluing a
-generator's tangle and gluing a differential entry's cobordism agree on the
-nose.  `planar_tensor` glues each distinct pair of factor tangles once and
-keeps the glued tangle, keymap and joined source arcs for that call only;
-every entry between two generators glues its components against the cached
-gluings of its two ends, never re-gluing a tangle.
+generator's tangle and gluing a differential entry agree on the nose.
+`planar_tensor` glues each distinct pair of factor tangles once and keeps
+the glued tangle, keymap and joined source arcs for that call only.
 
-A glued and reduced term depends only on the factor cobordism, the other
-factor's tangle and which factor the cobordism belongs to: those fix both
-glued ends and the identity it is tensored with.  `planar_tensor` keeps
-that normal form, keyed by (cobordism, other tangle, side), for the
-duration of one call, and applies the coefficient and the Koszul sign
-outside the memo.
+Every stored entry is in the dot-set normal form of `cobcat` (Bar-Natan,
+"Fast Khovanov homology computations", 2007).  Which surface an entry's
+terms glue into depends only on the factor entry's source and target, the
+other factor's tangle and which factor the entry belongs to: those fix the
+disks, the identity tensored on, and both glued ends.  `planar_tensor`
+glues only the pieces a glued pair touches, plus the identity's tubes on
+loops: every other disk keeps its circle and its dot.  Those pieces and the
+call's pairs fix the glued part (`glue_cobordism`), so keys with the same
+pieces share one, built once per call.  A term is then mapped by looking up
+its dotted circles in the map from the touched circles to the glued
+components, which are neck-cut where they are not disks
+(`cobcat._normal_terms`), once per dot set and glued part.  The Koszul sign
+and the coefficient ride on the term, and an entry's ends are its
+generators' tangles.
 
-Every stored entry is in normal form (see `cobcat`): gluing, delooping and
-elimination each return reduced morphisms.  Delooping a generator splits
-each incoming and outgoing entry once into its plus and minus summands
-(`cobcat.deloop_split`), which for a normal entry partitions its terms.
+Elimination composes through `MorphismCombo.then`, whose composite surfaces
+of (source, middle, target) tangles `simplify` keeps in `composites` until
+it returns: a scan step composes tangles of its own.  Delooping a generator
+splits each incoming and outgoing entry into its plus and minus summands
+(`cobcat.deloop_split`), a partition of its terms.
 """
 
 from __future__ import annotations
@@ -34,12 +41,15 @@ from typing import Optional
 
 from .cobcat import (
     Cobordism,
+    Component,
     FlatTangle,
     FrobeniusSpec,
     KHOVANOV,
     MorphismCombo,
     _glued_component,
-    _reduce_cobordism,
+    _normal_terms,
+    _roots,
+    closure_circles,
     deloop_split,
     identity_cobordism,
 )
@@ -58,6 +68,7 @@ class BigradedComplex:
         self.d: dict[int, dict[int, MorphismCombo]] = {}
         self.d_in: dict[int, set[int]] = {}
         self.pivots: set[tuple[int, int]] = set()  # entries s -> t that are lambda * identity
+        self.composites: dict = {}  # (a, b, c) tangles -> their composite surface, see `then`
         self._next = 0
 
     # -- construction -------------------------------------------------------
@@ -117,11 +128,11 @@ class BigradedComplex:
         self._drop_generator(gid)
         # the q+1 summand: dotted cap out, plain cup in; the q-1 summand the reverse
         for u, f in ins:
-            plus, minus = deloop_split(f, "t", loop, self.spec)
+            plus, minus = deloop_split(f, "t", loop)
             self.set_entry(u, g_p, plus)
             self.set_entry(u, g_m, minus)
         for v, f in outs:
-            plus, minus = deloop_split(f, "s", loop, self.spec)
+            plus, minus = deloop_split(f, "s", loop)
             self.set_entry(g_p, v, plus)
             self.set_entry(g_m, v, minus)
         return g_p, g_m
@@ -151,7 +162,7 @@ class BigradedComplex:
         self._drop_generator(t)
         for u, a in ins:
             for v, b in outs:
-                corr = a.then(b, self.spec)
+                corr = a.then(b, self.spec, self.composites)
                 old = self.entry(u, v)
                 self.set_entry(u, v, old + corr if old else corr)
 
@@ -184,6 +195,7 @@ class BigradedComplex:
 
         while self.pivots:
             self.gaussian_eliminate(*min(self.pivots, key=cost))
+        self.composites.clear()
         return self
 
     # -- homology --------------------------------------------------------------
@@ -221,9 +233,10 @@ class BigradedComplex:
 def glue_tangle(t: FlatTangle, pairs: list[tuple]) -> tuple[FlatTangle, dict]:
     """Identify boundary points of t in pairs.
 
-    Returns the glued tangle and a key map old arc/loop -> new arc or loop.
-    A chain of arcs closing up becomes a loop named ('loop', frozenset of
-    original arcs merged into it), deterministically.
+    Returns the glued tangle and a key map old arc -> new arc or loop, for
+    the arcs gluing changes; every other key stays.  A chain of arcs closing
+    up becomes a loop named ('loop', frozenset of original arcs merged into
+    it), deterministically.
     """
     arcs = set(t.arcs)
     loops = set(t.loops)
@@ -232,7 +245,7 @@ def glue_tangle(t: FlatTangle, pairs: list[tuple]) -> tuple[FlatTangle, dict]:
         for p in a:
             arc_at[p] = a
     origin: dict = {a: frozenset([a]) for a in arcs}  # current arc -> original arcs
-    keymap: dict = {k: k for k in list(arcs) + list(loops)}
+    keymap: dict = {}
 
     def remap(olds, new):
         for o in olds:
@@ -280,53 +293,48 @@ def tangle_gluing(t: FlatTangle, pairs: list[tuple]) -> tuple:
     return glued, keymap, [(("s", arc_at[p]), ("s", arc_at[q])) for p, q in pairs]
 
 
-def glue_cobordism(comps: tuple, src: tuple, tgt: tuple) -> Cobordism:
+def glue_cobordism(comps: tuple, src: tuple, tgt: tuple) -> tuple[Cobordism, list[int]]:
     """Self-glue a disjoint union of components between the tangles glued as src and tgt.
 
     `src` and `tgt` come from `tangle_gluing` with the same pairs.  The
     vertical boundary line at a point joins its source and target arcs, so
     source arcs decide which components merge; each glued pair is one
     interval, lowering chi by one.  A component no pair touches is kept.
+    Returns the glued cobordism and, per input component, the index of the
+    glued component holding it.
     """
     src_tangle, src_map, joins = src
     tgt_tangle, tgt_map, _ = tgt
-    comp_of = {node: i for i, c in enumerate(comps) for node in c.nodes}
-    parent = list(range(len(comps)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for na, nb in joins:
-        ra, rb = find(comp_of[na]), find(comp_of[nb])
-        if ra != rb:
-            parent[ra] = rb
+    ends = {node for join in joins for node in join}
+    comp_of = {node: i for i, c in enumerate(comps) for node in ends.intersection(c.nodes)}
+    roots = _roots(len(comps), [(comp_of[na], comp_of[nb]) for na, nb in joins])
     counts: dict[int, int] = {}
     for na, _ in joins:
-        root = find(comp_of[na])
+        root = roots[comp_of[na]]
         counts[root] = counts.get(root, 0) + 1
     groups: dict[int, list[int]] = {}
-    for i in range(len(comps)):
-        groups.setdefault(find(i), []).append(i)
+    for i, root in enumerate(roots):
+        groups.setdefault(root, []).append(i)
+    renamed = {("s", k): ("s", v) for k, v in src_map.items()}
+    renamed.update({("t", k): ("t", v) for k, v in tgt_map.items()})
 
-    out = []
+    out, where = [], [0] * len(comps)
     for root, idxs in groups.items():
+        for i in idxs:
+            where[i] = len(out)
         if root not in counts:
             out.append(comps[root])
             continue
-        nodes = set()
-        chi = -counts[root]
-        dots = 0
+        nodes, chi, dots = set(), -counts[root], 0
         for i in idxs:
-            c = comps[i]
-            chi += c.euler_characteristic()
-            dots += c.dots
-            for side, k in c.nodes:
-                nodes.add((side, (src_map if side == "s" else tgt_map)[k]))
+            nodes |= comps[i].nodes
+            chi += comps[i].euler_characteristic()
+            dots += comps[i].dots
+        stale = nodes.intersection(renamed)
+        nodes -= stale
+        nodes.update([renamed[n] for n in stale])
         out.append(_glued_component(frozenset(nodes), dots, chi))
-    return Cobordism(src_tangle, tgt_tangle, out)
+    return Cobordism(src_tangle, tgt_tangle, out), where
 
 
 def _disjoint_tangle(a: FlatTangle, b: FlatTangle) -> FlatTangle:
@@ -349,43 +357,67 @@ def planar_tensor(
     out = BigradedComplex(a.spec)
     pairs = list(gluing or [])
     gluings: dict = {}  # (tangle of a, tangle of b) -> tangle_gluing of their union
-    ends: dict[tuple[int, int], tuple[int, tuple]] = {}  # (ga, gb) -> (generator, gluing)
+    ends: dict[tuple[int, int], int] = {}  # (ga, gb) -> generator
     for ga in a.generators():
         gr_a, t_a = a.gens[ga]
         for gb in b.generators():
             gr_b, t_b = b.gens[gb]
             if (t_a, t_b) not in gluings:
                 gluings[(t_a, t_b)] = tangle_gluing(_disjoint_tangle(t_a, t_b), pairs)
-            glued = gluings[(t_a, t_b)]
-            ends[(ga, gb)] = (out.add_generator(gr_a + gr_b, glued[0]), glued)
-    ids_a = {ga: identity_cobordism(t).comps for ga, (_, t) in a.gens.items()}
-    ids_b = {gb: identity_cobordism(t).comps for gb, (_, t) in b.gens.items()}
-    memo: dict = {}  # (factor cobordism, other tangle, side) -> its glued normal form
+            ends[(ga, gb)] = out.add_generator(gr_a + gr_b, gluings[(t_a, t_b)][0])
+    glued_points = {p for pair in pairs for p in pair}
 
-    def glue_term(cob, other, side, ids):
-        key = (cob, other, side)
+    def changed(t):
+        # the identity's tubes that the gluing joins, on glued arcs, and that
+        # neck-cut, on loops; every other tube is an undotted disk no term dots
+        arcs = [a for a in t.arcs if not glued_points.isdisjoint(a)]
+        return identity_cobordism(FlatTangle(arcs, t.loops)).comps
+
+    ids = {t: changed(t) for c in (a, b) for _, t in c.gens.values()}
+    memo: dict = {}  # (factor source, factor target, other tangle, side) -> glued part
+    shapes: dict = {}  # touched pieces -> (glued part, piece -> its component, by dot set)
+
+    def glued(m, other, side):
+        key = (m.source, m.target, other, side)
         if key not in memo:
-            pair_s, pair_t = (cob.source, other), (cob.target, other)
+            pair_s, pair_t = (m.source, other), (m.target, other)
             if side == "b":
                 pair_s, pair_t = pair_s[::-1], pair_t[::-1]
-            memo[key] = _reduce_cobordism(
-                glue_cobordism(cob.comps + ids, gluings[pair_s], gluings[pair_t]), out.spec)
+            src, tgt = gluings[pair_s], gluings[pair_t]
+            joined = {node for join in src[2] for node in join}
+            # a disk no pair touches keeps its circle, and its dot, unchanged
+            disks = [Component(x, 0, 0) for x in closure_circles(m.source, m.target)
+                     if not joined.isdisjoint(x)]
+            pieces = tuple(disks) + ids[other]
+            shape = frozenset(pieces)
+            if shape not in shapes:
+                cob, where = glue_cobordism(pieces, src, tgt)
+                shapes[shape] = cob, {c.nodes: i for c, i in zip(pieces, where)}, {}
+            memo[key] = shapes[shape]
         return memo[key]
 
-    for (ga, gb), (gid, src) in ends.items():
+    def glue_term(cob, where, dots):
+        """The normal terms of one factor term glued into cob, for coefficient 1."""
+        added = [where[x] for x in dots if x in where]
+        kept = [x for x in dots if x not in where]
+        return [(d.union(kept), w) for d, w in _normal_terms(cob, added, 1, out.spec.c)]
+
+    for (ga, gb), gid in ends.items():
         gr_a, t_a = a.gens[ga]
         t_b = b.gens[gb][1]
         if gr_a.h2 % 2:
             raise ComplexError("Koszul sign needs integral h on the left factor")
         # d_a (x) id, then (-1)^h id (x) d_b
         sign = -1 if (gr_a.h2 // 2) % 2 else 1
-        moves = [((ta, gb), m, 1, t_b, "a", ids_b[gb]) for ta, m in a.d[ga].items()]
-        moves += [((ga, tb), m, sign, t_a, "b", ids_a[ga]) for tb, m in b.d[gb].items()]
-        for pair, m, sgn, other, side, ids in moves:
-            tgt_id, tgt = ends[pair]
-            entry = MorphismCombo(src[0], tgt[0])
-            for cob, v in m.terms.items():
-                for normal, w in glue_term(cob, other, side, ids):
+        moves = [((ta, gb), m, 1, t_b, "a") for ta, m in a.d[ga].items()]
+        moves += [((ga, tb), m, sign, t_a, "b") for tb, m in b.d[gb].items()]
+        for pair, m, sgn, other, side in moves:
+            cob, where, by_dots = glued(m, other, side)
+            entry = MorphismCombo(out.gens[gid][1], out.gens[ends[pair]][1])
+            for dots, v in m.terms.items():
+                if dots not in by_dots:
+                    by_dots[dots] = glue_term(cob, where, dots)
+                for normal, w in by_dots[dots]:
                     entry._add_term(normal, sgn * v * w)
-            out.set_entry(gid, tgt_id, entry)
+            out.set_entry(gid, ends[pair], entry)
     return out

@@ -146,7 +146,7 @@ def _classical_to_global(h2: int, q2: int, stage: ColimitStage) -> Grading:
     return Grading(-h2, q2 - 2 * w + stage.q2_shift)
 
 
-def transition_down(spec: HandlebodySpec, hi: ColimitStage, lo: ColimitStage, keys) -> ChainMap:
+def transition_down(hi: ColimitStage, lo: ColimitStage, keys) -> ChainMap:
     """Classical annulus-annihilation map C(stage r+1) -> C(stage r), on the
     source generators in `keys`, a collection of classical (h2, q2) blocks.
 
@@ -277,7 +277,7 @@ def _transition_matrix(spec, stages, syms, Hs, r) -> dict:
 
     Each region loses a belt pair, so classical q2 drops by 4 per region.
     """
-    F = transition_down(spec, stages[r + 1], stages[r], Hs[r + 1])
+    F = transition_down(stages[r + 1], stages[r], Hs[r + 1])
     return homology_matrix(
         lambda v: syms[r].apply(F.apply(syms[r + 1].apply(v))), Hs[r + 1], Hs[r],
         (0, -4 * len(spec.boundary.regions)),

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -13,9 +15,9 @@ from lasagna.cobcat import (
     FlatTangle,
     FrobeniusSpec,
     MorphismCombo,
-    _canon,
-    _reduce_cobordism,
+    _neck_cut,
     cap,
+    closure_circles,
     cup,
     deloop_maps,
     deloop_split,
@@ -23,7 +25,7 @@ from lasagna.cobcat import (
     identity_cobordism,
     reduce,
 )
-from lasagna.lee import ClosedSurface, eval_closed_surface
+from lasagna.lee import ClosedSurface, _trace_component, eval_closed_surface
 
 
 def circle(tag="c"):
@@ -79,14 +81,14 @@ def test_closed_torus_evaluates_to_two_for_any_c():
     for spec in (KHOVANOV, LEE, FrobeniusSpec(Fraction(7, 3))):
         # build a torus: cup, then a handle via pants pair, then cap.
         t = circle()
-        pants_split = MorphismCombo.from_cobordism(
+        pants_split = reduce(
             Cobordism(t, FlatTangle((), ["c", "d"]),
-                      [Component(frozenset({("s", "c"), ("t", "c"), ("t", "d")}), 0, 0)])
-        )
-        pants_merge = MorphismCombo.from_cobordism(
+                      [Component(frozenset({("s", "c"), ("t", "c"), ("t", "d")}), 0, 0)]),
+            [((), 1)], spec)
+        pants_merge = reduce(
             Cobordism(FlatTangle((), ["c", "d"]), t,
-                      [Component(frozenset({("s", "c"), ("s", "d"), ("t", "c")}), 0, 0)])
-        )
+                      [Component(frozenset({("s", "c"), ("s", "d"), ("t", "c")}), 0, 0)]),
+            [((), 1)], spec)
         torus = cup_m().then(pants_split, spec).then(pants_merge, spec).then(cap_m(), spec)
         assert torus.as_scalar() == 2, spec
 
@@ -103,23 +105,43 @@ def test_reduce_matches_lee_oracle_on_random_closed_surfaces():
                 FlatTangle(()),
                 [Component(frozenset(), d, g) for g, d in comps],
             )
-            val = reduce(MorphismCombo.from_cobordism(cob), spec).as_scalar()
+            val = reduce(cob, [((), 1)], spec).as_scalar()
             oracle = eval_closed_surface(ClosedSurface(comps, spec.c))
             assert val == oracle, (comps, spec)
 
 
 def test_reduce_idempotent():
+    """Each term of a normal form, drawn as its disks, reduces to itself."""
     rng = random.Random(11)
+    pts = list(range(4))
     for _ in range(25):
-        comps = [
-            Component(frozenset(), rng.randint(0, 3), rng.randint(0, 2))
-            for _ in range(rng.randint(1, 3))
-        ]
-        cob = Cobordism(FlatTangle(()), FlatTangle(()), comps)
-        m = MorphismCombo.from_cobordism(cob, Fraction(rng.randint(-3, 3), 1))
-        once = reduce(m, KHOVANOV)
-        twice = reduce(once, KHOVANOV)
+        a = _random_flat_tangles(rng, pts)
+        b = _random_flat_tangles(rng, pts).with_loop("c")
+        once = reduce(_random_cobordism(rng, a, b, "t"), [((), Fraction(rng.randint(-3, 3)))], KHOVANOV)
+        twice = MorphismCombo(a, b)
+        for dots, coeff in once.terms.items():
+            disks = [Component(x, int(x in dots), 0) for x in closure_circles(a, b)]
+            twice = twice + reduce(Cobordism(a, b, disks), [((), coeff)], KHOVANOV)
         assert once == twice
+
+
+@pytest.mark.parametrize("spec", [KHOVANOV, LEE], ids=["c=0", "c=1"])
+def test_reduce_adds_dots_like_dotted_components(spec):
+    """Each (added, coeff) of raw equals reducing the cobordism with those dots drawn on."""
+    rng = random.Random(11)
+    pts = list(range(4))
+    for _ in range(40):
+        a = _random_flat_tangles(rng, pts)
+        b = _random_flat_tangles(rng, pts).with_loop("c")
+        cob = _random_cobordism(rng, a, b, "t")
+        raw = [([rng.randrange(len(cob.comps)) for _ in range(rng.randint(0, 3))],
+                rng.choice([1, -2, Fraction(1, 3)])) for _ in range(rng.randint(1, 3))]
+        expected = MorphismCombo(a, b)
+        for added, coeff in raw:
+            comps = [Component(c.nodes, c.dots + added.count(i), c.genus)
+                     for i, c in enumerate(cob.comps)]
+            expected = expected + reduce(Cobordism(a, b, comps), [((), coeff)], spec)
+        assert reduce(cob, raw, spec) == expected
 
 
 def test_deloop_identities():
@@ -132,9 +154,7 @@ def test_deloop_identities():
         assert in_m.then(out_p, spec).as_scalar() == 0
         # in.out summed is the identity tube (neck-cutting), in normal form
         total = out_p.then(in_p, spec) + out_m.then(in_m, spec)
-        assert total == reduce(
-            MorphismCombo.from_cobordism(identity_cobordism(t)), spec
-        )
+        assert total == reduce(identity_cobordism(t), [((), 1)], spec)
         assert len(total.terms) == 2
 
 
@@ -221,23 +241,15 @@ def _random_cobordism(rng, source, target, loop_side):
 
 
 @pytest.mark.parametrize("spec", [KHOVANOV, LEE], ids=["c=0", "c=1"])
-def test_deloop_split_equals_composing_with_deloop_maps(spec, monkeypatch):
+def test_deloop_split_equals_composing_with_deloop_maps(spec):
     """Both summands equal composing with the maps of `deloop_maps`.
 
-    Each combo is split twice: as drawn, from fresh cobordisms not known to
-    be normal (shared holders, genus, two dots), each reduced once before it
-    is split; then reduced, which is split as it is and reduces nothing.
+    Each combo is the normal form of random surfaces (the loop's circle on
+    a component of its own or shared, with genus or two dots), then split.
     """
     rng = random.Random(5)
     pts = list(range(4))
-    reduced = []
-    reduce_cobordism = cobcat._reduce_cobordism
-
-    def counting(cob, spec):
-        reduced.append(cob)
-        return reduce_cobordism(cob, spec)
-
-    seen, routes = set(), set()
+    seen, split_terms = set(), 0
     for _ in range(60):
         a = _random_flat_tangles(rng, pts)
         b = _random_flat_tangles(rng, pts)
@@ -248,7 +260,7 @@ def test_deloop_split_equals_composing_with_deloop_maps(spec, monkeypatch):
             m = MorphismCombo(src, tgt)
             for _ in range(rng.randint(1, 3)):
                 cob = _random_cobordism(rng, src, tgt, side)
-                m = m + MorphismCombo.from_cobordism(cob, rng.choice([1, -2, Fraction(1, 3)]))
+                m = m + reduce(cob, [((), rng.choice([1, -2, Fraction(1, 3)]))], spec)
                 holder = next(c for c in cob.comps if (side, "c") in c.nodes)
                 seen.add("alone" if len(holder.nodes) == 1 else "shared")
                 seen.add("genus" if holder.genus else "disk")
@@ -257,20 +269,11 @@ def test_deloop_split_equals_composing_with_deloop_maps(spec, monkeypatch):
                 expected = (m.then(out_p, spec), m.then(out_m, spec))
             else:
                 expected = (in_p.then(m, spec), in_m.then(m, spec))
-            for route in ("reduce", "split"):
-                f = m if route == "reduce" else reduce(m, spec)
-                assert all(cob.normal == (route == "split") for cob in f.terms)
-                del reduced[:]
-                with monkeypatch.context() as mp:
-                    mp.setattr(cobcat, "_reduce_cobordism", counting)
-                    split = deloop_split(f, side, "c", spec)
-                assert split == expected
-                assert len(reduced) == (len(f.terms) if route == "reduce" else 0)
-                assert all(cob.normal for summand in split for cob in summand.terms)
-                if any(summand.terms for summand in split):
-                    routes.add(route)
+            split = deloop_split(m, side, "c")
+            assert split == expected
+            split_terms += sum(len(summand.terms) for summand in split)
     assert seen == {"alone", "shared", "genus", "disk"}
-    assert routes == {"reduce", "split"}
+    assert split_terms > 50
 
 
 def test_domain_mismatch_raises():
@@ -325,19 +328,11 @@ def test_component_matches_frozen_dataclass_reference():
             nd, ng = c.dots + rng.randint(0, 1), c.genus + rng.randint(0, 1)
             assert (c == Component(c.nodes, nd, ng)) == (r == _ReferenceComponent(r.nodes, nd, ng))
             assert c == Component(frozenset(c.nodes), c.dots, c.genus)
-        shuffled = list(comps)
-        rng.shuffle(shuffled)
-        cob = Cobordism(FlatTangle(()), FlatTangle(()), shuffled)
-        ordered = sorted(refs, key=lambda r: (min(map(_canon, r.nodes), default=""),
-                                               r.dots, r.genus))
-        assert [(c.nodes, c.dots, c.genus) for c in cob.comps] == [
-            (r.nodes, r.dots, r.genus) for r in ordered]
-        assert hash(cob) == hash(Cobordism(FlatTangle(()), FlatTangle(()), reversed(comps)))
 
 
 def test_component_is_immutable():
     c = Component(frozenset({("s", "c")}), 1, 0)
-    for name in ("nodes", "dots", "genus", "_key", "_hash", "other"):
+    for name in ("nodes", "dots", "genus", "other"):
         with pytest.raises(AttributeError):
             setattr(c, name, 2)
         with pytest.raises(AttributeError):
@@ -348,22 +343,64 @@ def test_component_is_immutable():
 
 @pytest.mark.parametrize("spec", [KHOVANOV, LEE], ids=["c=0", "c=1"])
 def test_reduce_returns_normal_cobordism_itself(spec):
+    """A normal cobordism reduces to its own dot set, which `from_cobordism`
+    reads without reducing; any other surface `from_cobordism` rejects."""
     rng = random.Random(23)
     pts = list(range(4))
-    normal = 0
+    rejected = 0
     for _ in range(80):
         a = _random_flat_tangles(rng, pts)
         b = _random_flat_tangles(rng, pts).with_loop("c")
         raw = _random_cobordism(rng, a, b, "t")
-        for cob, _coeff in reduce(MorphismCombo.from_cobordism(raw), spec).terms.items():
-            [(same, coeff)] = _reduce_cobordism(cob, spec)
-            assert same is cob and coeff == 1
-            normal += 1
-        ident = identity_cobordism(a)  # loop-free: every tube bounds one circle
-        assert _reduce_cobordism(ident, spec)[0][0] is ident
-        if any(c.genus or c.dots >= 2 for c in raw.comps):
-            assert all(out is not raw for out, _ in _reduce_cobordism(raw, spec))
-    assert normal >= 20
+        if any(c.genus or c.dots > 1 or len(circles) > 1 for c, circles in zip(raw.comps, raw.circles)):
+            with pytest.raises(ValueError, match="normal form"):
+                MorphismCombo.from_cobordism(raw)
+            rejected += 1
+        for dots, coeff in reduce(raw, [((), 1)], spec).terms.items():
+            disks = Cobordism(a, b, [Component(x, int(x in dots), 0) for x in closure_circles(a, b)])
+            assert reduce(disks, [((), coeff)], spec).terms == {dots: coeff}
+            assert MorphismCombo.from_cobordism(disks, coeff).terms == {dots: coeff}
+    assert rejected >= 20
+
+
+def _neck_cut_stepwise(circles, genus, dots, c):
+    """One relation at a time, as {dotted circles: coefficient}: a handle is
+    two terms with one more dot each, a surface with two or more circles is
+    cut off its first one as a disk with a dot on either side, two dots are
+    c, a dotted sphere is 1 and an undotted one 0."""
+    out = {}
+    pending = [((), tuple(circles), genus, dots, 1)]  # (dotted disks cut off, circles left, genus, dots, coeff)
+    while pending:
+        done, rest, g, d, w = pending.pop()
+        if g:
+            pending += [(done, rest, g - 1, d + 1, w)] * 2
+        elif len(rest) >= 2:
+            pending += [(done + rest[:1], rest[1:], 0, d, w), (done, rest[1:], 0, d + 1, w)]
+        elif d >= 2:
+            pending.append((done, rest, 0, d - 2, w * c))
+        elif rest or d:
+            key = frozenset(done + rest[:d])
+            out[key] = out.get(key, 0) + w
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("c", [0, 1])
+def test_neck_cut_matches_stepwise_neck_cutting(c):
+    for b in range(5):
+        for genus in range(3):
+            for dots in range(4):
+                closed_form = {}
+                for s, w in _neck_cut(b, genus, dots, c):
+                    closed_form[frozenset(s)] = closed_form.get(frozenset(s), 0) + w
+                assert closed_form == _neck_cut_stepwise(range(b), genus, dots, c), (b, genus, dots)
+
+
+@pytest.mark.parametrize("c", [0, 1, Fraction(7, 3)])
+def test_neck_cut_of_a_closed_surface_is_its_trace(c):
+    for genus in range(4):
+        for dots in range(5):
+            [(dotted, value)] = _neck_cut(0, genus, dots, c) or [((), 0)]
+            assert dotted == () and value == _trace_component(genus, dots, Fraction(c))
 
 
 def test_without_loop_equals_rebuilt_tangle():
@@ -379,5 +416,6 @@ def test_without_loop_equals_rebuilt_tangle():
         assert out == ref and hash(out) == hash(ref) and repr(out) == repr(ref)
         assert out.arcs == t.arcs and loop not in out.loops
         assert {ref: 1}[out] == 1
+        assert copy.deepcopy(out) == out == pickle.loads(pickle.dumps(out))
         with pytest.raises(ValueError, match="no such loop"):
             out.without_loop(loop)

@@ -4,6 +4,7 @@ import pytest
 
 from lasagna import catalog
 from lasagna.cobmaps import (
+    LasagnaError,
     _permutation_chain_map,
     _Symmetrizer,
     birth_diagram,
@@ -107,6 +108,29 @@ def test_saddle_merge_two_unknots():
             assert m.entries[(0, (1, 1))] == {(0, (0,)): c}
         else:
             assert (0, (1, 1)) not in m.entries
+
+
+def test_saddle_diagram_rejects_a_band_that_is_not_planar():
+    d = catalog.trefoil_right()
+    x = d.crossings[0]
+    # the two ends of the under-strand: saddle_map on this cross-join failed
+    # with AssertionError('saddle did not split')
+    with pytest.raises(LasagnaError, match="not a planar band"):
+        saddle_diagram(d, x.edges[0], x.edges[2])
+    # the belt pairs the colimit transitions merge, crossed and free
+    from lasagna.skein import HandlebodySpec, build_stage
+
+    cross_joins = 0
+    for spec, r in [(HandlebodySpec(catalog.belt_link(1), (0,)), 1),
+                    (HandlebodySpec(catalog.belt_link(1), (0,)), 2),
+                    (HandlebodySpec(catalog.belt_link(2), (0,)), 1),
+                    (HandlebodySpec(catalog.empty_surgery(1), (0,)), 2)]:
+        st = build_stage(spec, r)
+        for up, down in st.newest_pair.values():
+            d2 = saddle_diagram(st.diagram, up[0], down[0])
+            saddle_map(st.cube, Cube(d2), up[0], down[0])
+            cross_joins += up[0] in d2.edges and down[0] in d2.edges
+    assert cross_joins >= 2
 
 
 def test_r3_reduction_equivalence_iso():

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 from lasagna import catalog, parse_diagram
-from lasagna.cobcat import KHOVANOV, LEE, Component, Cobordism, FlatTangle, FrobeniusSpec, MorphismCombo, reduce
+from lasagna.cobcat import KHOVANOV, LEE, Component, Cobordism, FlatTangle, FrobeniusSpec, reduce
 from lasagna.densecube import Cube
 from lasagna.khovanov import scan_complex
 from lasagna.lee import ClosedSurface, eval_closed_surface, lee_total_dim
@@ -42,7 +42,7 @@ def test_matches_cobcat_reduction():
             FlatTangle(()), FlatTangle(()),
             [Component(frozenset(), dots, genus) for genus, dots in comps],
         )
-        via_cobcat = reduce(MorphismCombo.from_cobordism(cob), FrobeniusSpec(c)).as_scalar()
+        via_cobcat = reduce(cob, [((), 1)], FrobeniusSpec(c)).as_scalar()
         via_trace = eval_closed_surface(ClosedSurface(comps, c))
         assert via_cobcat == via_trace, (comps, c)
 

@@ -142,9 +142,9 @@ def test_transition_on_keys_is_the_full_transition_restricted(boundary, r, monke
     real = skein.reduction_equivalence
     with monkeypatch.context() as m:
         m.setattr(skein, "reduction_equivalence", lambda src, dst, q2s: real(src, dst))
-        full = transition_down(spec, hi, lo, set(keys))
+        full = transition_down(hi, lo, set(keys))
     for chosen in [{k} for k in keys] + [set(keys[::2])]:
-        part = transition_down(spec, hi, lo, chosen)
+        part = transition_down(hi, lo, chosen)
         assert part.src is hi.cube and part.dst is lo.cube
         assert part.entries == {g: row for g, row in full.entries.items() if key(g) in chosen}
 
@@ -187,7 +187,7 @@ def test_colimit_builds_only_the_two_transitions_it_reads(monkeypatch):
 
     calls = []
     real = skein.transition_down
-    monkeypatch.setattr(skein, "transition_down", lambda *a: calls.append(a[1].r) or real(*a))
+    monkeypatch.setattr(skein, "transition_down", lambda *a: calls.append(a[0].r) or real(*a))
     res = s02_dims(HandlebodySpec(catalog.empty_surgery(1), (0,)), Window(), r_max=3)
     assert calls == [2, 3]  # the stage r+1 -> r maps for r = r_max-2 and r_max-1
     assert res.table == DimTable({(0, q2): 1 for q2 in range(0, -17, -4)})
