@@ -28,9 +28,10 @@ components, which are neck-cut where they are not disks
 and the coefficient ride on the term, and an entry's ends are its
 generators' tangles.
 
-Elimination composes through `MorphismCombo.then`, whose composite surfaces
-of (source, middle, target) tangles `simplify` keeps in `composites` until
-it returns: a scan step composes tangles of its own.  Delooping a generator
+Elimination composes through `MorphismCombo.then`, which builds the
+composite surface of each (source, middle, target) tangle triple once
+(`cobcat._composite`); `simplify` drops them when it returns, as a scan
+step composes tangles of its own.  Delooping a generator
 splits each incoming and outgoing entry into its plus and minus summands
 (`cobcat.deloop_split`), a partition of its terms.
 """
@@ -46,6 +47,7 @@ from .cobcat import (
     FrobeniusSpec,
     KHOVANOV,
     MorphismCombo,
+    _composite,
     _glued_component,
     _normal_terms,
     _roots,
@@ -68,7 +70,6 @@ class BigradedComplex:
         self.d: dict[int, dict[int, MorphismCombo]] = {}
         self.d_in: dict[int, set[int]] = {}
         self.pivots: set[tuple[int, int]] = set()  # entries s -> t that are lambda * identity
-        self.composites: dict = {}  # (a, b, c) tangles -> their composite surface, see `then`
         self._next = 0
 
     # -- construction -------------------------------------------------------
@@ -162,7 +163,7 @@ class BigradedComplex:
         self._drop_generator(t)
         for u, a in ins:
             for v, b in outs:
-                corr = a.then(b, self.spec, self.composites)
+                corr = a.then(b, self.spec)
                 old = self.entry(u, v)
                 self.set_entry(u, v, old + corr if old else corr)
 
@@ -195,7 +196,8 @@ class BigradedComplex:
 
         while self.pivots:
             self.gaussian_eliminate(*min(self.pivots, key=cost))
-        self.composites.clear()
+        # kept across tasks, composites raise rw-twist's peak RSS by 3 MB
+        _composite.cache_clear()
         return self
 
     # -- homology --------------------------------------------------------------
@@ -373,7 +375,7 @@ def planar_tensor(
         arcs = [a for a in t.arcs if not glued_points.isdisjoint(a)]
         return identity_cobordism(FlatTangle(arcs, t.loops)).comps
 
-    ids = {t: changed(t) for c in (a, b) for _, t in c.gens.values()}
+    ids = {t: changed(t) for t in {t for c in (a, b) for _, t in c.gens.values()}}
     memo: dict = {}  # (factor source, factor target, other tangle, side) -> glued part
     shapes: dict = {}  # touched pieces -> (glued part, piece -> its component, by dot set)
 
@@ -392,6 +394,7 @@ def planar_tensor(
             shape = frozenset(pieces)
             if shape not in shapes:
                 cob, where = glue_cobordism(pieces, src, tgt)
+                cob.source = cob.target = None  # keys with these pieces differ in their ends
                 shapes[shape] = cob, {c.nodes: i for c, i in zip(pieces, where)}, {}
             memo[key] = shapes[shape]
         return memo[key]

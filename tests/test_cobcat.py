@@ -341,6 +341,18 @@ def test_component_is_immutable():
     assert c == Component(frozenset({("s", "c")}), 1, 0)
 
 
+def test_tangles_and_components_have_no_order():
+    """Tuple order would compare their frozensets by inclusion, which is no total order."""
+    small, big = FlatTangle([(0, 1)]), FlatTangle([(0, 1)], ["o"])
+    comp = Component(frozenset({("s", "o")}), 0, 0)
+    for x, y in ((small, big), (comp, comp)):
+        for compare in (x.__lt__, x.__le__, x.__gt__, x.__ge__):
+            with pytest.raises(TypeError):
+                compare(y)
+    with pytest.raises(TypeError):
+        sorted([big, small])
+
+
 @pytest.mark.parametrize("spec", [KHOVANOV, LEE], ids=["c=0", "c=1"])
 def test_reduce_returns_normal_cobordism_itself(spec):
     """A normal cobordism reduces to its own dot set, which `from_cobordism`
