@@ -32,14 +32,18 @@ b = 0: with n = d + g, the sum over subsets S of its circles with
 |S| = n + b - 1 - 2e, e >= 0, of 2^g c^e times the disks dotted on S
 (`_neck_cut`, in closed form).
 
-Composing and gluing depend on the tangles only.  f: A -> B then g: B -> C
-glue the disks of (A, B) and of (B, C) into the same connected surface
+Composing is gluing, and one routine does it: `glue` joins connected
+surfaces along intervals and circles, adds up their Euler characteristics
+and reads off each genus.  Composing depends on the tangles only.  f: A ->
+B then g: B -> C glue the disks of (A, B) and of (B, C) along the middle
+tangle B, an interval per arc and a circle per loop, into the same surface
 whatever the dots, so `_composite` builds that surface once per (A, B, C),
 with maps from each input circle to the component it joins.  A pair of
 terms is then mapped by looking up its dotted circles, and `reduce` expands
-only the components that are not disks.  `complexes.planar_tensor` does the
-same for gluing.  `closure_circles` keeps the circles of the last 256
-tangle pairs, which are those of the current open boundary.
+only the components that are not disks.  `complexes.glue_cobordism` glues
+a tensor's surfaces through `glue` too, along an interval per glued pair of
+points.  `closure_circles` keeps the circles of the last 256 tangle pairs,
+which are those of the current open boundary.
 
 Gradings are bookkept by the complexes that use these morphisms, not here.
 The delooping maps follow the classical Khovanov convention: the circle is
@@ -214,18 +218,17 @@ def closure_circles(source: FlatTangle, target: FlatTangle) -> tuple:
     return _circles(frozenset(nodes))
 
 
-def _glued_component(nodes: frozenset, dots: int, chi: int) -> Component:
-    """The connected surface with these boundary nodes, dots and Euler characteristic."""
-    circles = _boundary_circle_partition(nodes)
-    genus2 = 2 - len(circles) - chi
-    if genus2 % 2 or genus2 < 0:
-        raise AssertionError("non-surface gluing of cobordisms")
-    return Component(nodes, dots, genus2 // 2)
+def glue(pieces, joins) -> tuple[Cobordism, list[int]]:
+    """Glue connected surfaces into one surface with no ends.
 
-
-def _roots(n: int, joins: Iterable[tuple[int, int]]) -> list[int]:
-    """The root of each of range(n) once the pairs in `joins` are merged."""
-    parent = list(range(n))
+    Each piece is (boundary nodes left after gluing, dots, chi); each join
+    (i, j, lost) glues pieces i and j along an interval (lost = 1) or a
+    circle (lost = 0), lowering chi by `lost`.  A glued component adds up
+    the nodes, dots and chi of its pieces, and its genus follows from chi
+    and its boundary circles.  Returns the glued surface and, per piece,
+    the index of the component holding it.
+    """
+    parent = list(range(len(pieces)))
 
     def find(x):
         while parent[x] != x:
@@ -233,11 +236,26 @@ def _roots(n: int, joins: Iterable[tuple[int, int]]) -> list[int]:
             x = parent[x]
         return x
 
-    for a, b in joins:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return [find(i) for i in range(n)]
+    for i, j, _ in joins:
+        parent[find(i)] = find(j)
+    members: dict[int, list[int]] = {}
+    for i in range(len(pieces)):
+        members.setdefault(find(i), []).append(i)
+    lost = dict.fromkeys(members, 0)
+    for i, _, n in joins:
+        lost[find(i)] += n
+    comps, circles, where = [], [], [0] * len(pieces)
+    for root, idxs in members.items():
+        for i in idxs:
+            where[i] = len(comps)
+        nodes = frozenset().union(*[pieces[i][0] for i in idxs])
+        bounds = _boundary_circle_partition(nodes)
+        genus2 = 2 - len(bounds) + lost[root] - sum(pieces[i][2] for i in idxs)
+        if genus2 % 2 or genus2 < 0:
+            raise AssertionError("non-surface gluing of cobordisms")
+        comps.append(Component(nodes, sum(pieces[i][1] for i in idxs), genus2 // 2))
+        circles.append(bounds)
+    return Cobordism._with_circles(None, None, comps, circles), where
 
 
 def identity_cobordism(t: FlatTangle) -> Cobordism:
@@ -376,40 +394,20 @@ class MorphismCombo:
 def _composite(a: FlatTangle, b: FlatTangle, c: FlatTangle) -> tuple:
     """The undotted normal term a -> b followed by the undotted one b -> c.
 
-    Returns the composite surface and maps from the closure circles of
-    (a, b) and of (b, c) to the index of the component each one joins.  Its
-    disks meet along the middle arcs and loops; a middle arc is an
-    interval and lowers chi by one, a middle loop is a circle and does not.
-    Each closure circle of (a, c) bounds the component holding its nodes.
+    Their disks, with their outer nodes only, glue along the middle tangle
+    b: each middle arc is an interval and each middle loop a circle.
+    Returns the composite surface from a to c and maps from the closure
+    circles of (a, b) and of (b, c) to the index of the component each one joins.
     """
     lower, upper = closure_circles(a, b), closure_circles(b, c)
-    n = len(lower)
     below = {k: i for i, circle in enumerate(lower) for side, k in circle if side == "t"}
-    roots = _roots(n + len(upper), [(below[k], j) for j, circle in enumerate(upper, n)
-                                    for side, k in circle if side == "s"])
-    chi: dict[int, int] = {}
-    holder = {}  # outer node -> root of its component
-    for i, circle in enumerate(lower + upper):
-        root, outer = roots[i], "s" if i < n else "t"
-        chi[root] = chi.get(root, 0) + 1
-        for node in circle:
-            if node[0] == outer:
-                holder[node] = root
-            elif outer == "s" and type(node[1]) is frozenset:
-                chi[root] -= 1  # glued along a middle arc
-    bounds: dict[int, list] = {root: [] for root in chi}
-    for circle in closure_circles(a, c):
-        bounds[holder[next(iter(circle))]].append(circle)
-    index = {root: j for j, root in enumerate(chi)}
-    comps = []
-    for root, circles in bounds.items():
-        genus2 = 2 - len(circles) - chi[root]
-        if genus2 % 2 or genus2 < 0:
-            raise AssertionError("non-surface composition of cobordisms")
-        comps.append(Component(frozenset().union(*circles), 0, genus2 // 2))
-    where = [index[root] for root in roots]
-    cob = Cobordism._with_circles(a, c, comps, [tuple(x) for x in bounds.values()])
-    return cob, dict(zip(lower, where[:n])), dict(zip(upper, where[n:]))
+    pieces = [(frozenset(x for x in circle if x[0] == "s"), 0, 1) for circle in lower]
+    pieces += [(frozenset(x for x in circle if x[0] == "t"), 0, 1) for circle in upper]
+    joins = [(below[k], j, int(type(k) is frozenset))
+             for j, circle in enumerate(upper, len(lower)) for side, k in circle if side == "s"]
+    cob, where = glue(pieces, joins)
+    cob.source, cob.target = a, c
+    return cob, dict(zip(lower, where)), dict(zip(upper, where[len(lower):]))
 
 
 @lru_cache(maxsize=256)

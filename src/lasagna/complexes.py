@@ -20,20 +20,23 @@ other factor's tangle and which factor the entry belongs to: those fix the
 disks, the identity tensored on, and both glued ends.  `planar_tensor`
 glues only the pieces a glued pair touches, plus the identity's tubes on
 loops: every other disk keeps its circle and its dot.  Those pieces and the
-call's pairs fix the glued part (`glue_cobordism`), so keys with the same
-pieces share one, built once per call.  A term is then mapped by looking up
-its dotted circles in the map from the touched circles to the glued
-components, which are neck-cut where they are not disks
+call's pairs fix the glued part, so keys with the same pieces share one,
+built once per call.  `glue_cobordism` renames the pieces' nodes through
+the tangle keymaps and glues them along an interval per glued pair through
+`cobcat.glue`, the routine composition uses too; the glued part has no
+ends, since the keys sharing it have their own.  A term is then mapped by
+looking up its dotted circles in the map from the touched circles to the
+glued components, which are neck-cut where they are not disks
 (`cobcat._normal_terms`), once per dot set and glued part.  The Koszul sign
 and the coefficient ride on the term, and an entry's ends are its
 generators' tangles.
 
-Elimination composes through `MorphismCombo.then`, which builds the
+Elimination composes through `MorphismCombo.then`, which glues the
 composite surface of each (source, middle, target) tangle triple once
-(`cobcat._composite`); `simplify` drops them when it returns, as a scan
-step composes tangles of its own.  Delooping a generator
-splits each incoming and outgoing entry into its plus and minus summands
-(`cobcat.deloop_split`), a partition of its terms.
+along the middle tangle (`cobcat._composite`); `simplify` drops them when
+it returns, as a scan step composes tangles of its own.  Delooping a
+generator splits each incoming and outgoing entry into its plus and minus
+summands (`cobcat.deloop_split`), a partition of its terms.
 """
 
 from __future__ import annotations
@@ -48,11 +51,10 @@ from .cobcat import (
     KHOVANOV,
     MorphismCombo,
     _composite,
-    _glued_component,
     _normal_terms,
-    _roots,
     closure_circles,
     deloop_split,
+    glue,
     identity_cobordism,
 )
 from .gradings import DimTable, Grading, graded_blocks
@@ -220,14 +222,6 @@ class BigradedComplex:
         gradings = ((gid, g) for gid, (g, _) in self.gens.items())
         return block_homology_dims(graded_blocks(gradings, self.spec.c == 0), row)
 
-    def euler_characteristic(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for g, _ in self.gens.values():
-            if g.h2 % 2:
-                raise ComplexError("Euler characteristic needs integral h")
-            out[g.q2] = out.get(g.q2, 0) + (-1) ** (g.h2 // 2)
-        return {q: c for q, c in out.items() if c}
-
 
 # -- gluing machinery -------------------------------------------------------
 
@@ -298,51 +292,27 @@ def tangle_gluing(t: FlatTangle, pairs: list[tuple]) -> tuple:
 def glue_cobordism(comps: tuple, src: tuple, tgt: tuple) -> tuple[Cobordism, list[int]]:
     """Self-glue a disjoint union of components between the tangles glued as src and tgt.
 
-    `src` and `tgt` come from `tangle_gluing` with the same pairs.  The
-    vertical boundary line at a point joins its source and target arcs, so
-    source arcs decide which components merge; each glued pair is one
-    interval, lowering chi by one.  A component no pair touches is kept.
-    Returns the glued cobordism and, per input component, the index of the
-    glued component holding it.
+    `src` and `tgt` come from `tangle_gluing` with the same pairs.  Nodes
+    are renamed through both keymaps.  The vertical boundary line at a
+    point joins its source and target arcs, so each glued pair glues the
+    components of its two source arcs along an interval (`cobcat.glue`).
+    Returns the glued surface, with no ends, and, per input component, the
+    index of the glued component holding it.
     """
-    src_tangle, src_map, joins = src
-    tgt_tangle, tgt_map, _ = tgt
-    ends = {node for join in joins for node in join}
-    comp_of = {node: i for i, c in enumerate(comps) for node in ends.intersection(c.nodes)}
-    roots = _roots(len(comps), [(comp_of[na], comp_of[nb]) for na, nb in joins])
-    counts: dict[int, int] = {}
-    for na, _ in joins:
-        root = roots[comp_of[na]]
-        counts[root] = counts.get(root, 0) + 1
-    groups: dict[int, list[int]] = {}
-    for i, root in enumerate(roots):
-        groups.setdefault(root, []).append(i)
+    _, src_map, joins = src
     renamed = {("s", k): ("s", v) for k, v in src_map.items()}
-    renamed.update({("t", k): ("t", v) for k, v in tgt_map.items()})
-
-    out, where = [], [0] * len(comps)
-    for root, idxs in groups.items():
-        for i in idxs:
-            where[i] = len(out)
-        if root not in counts:
-            out.append(comps[root])
-            continue
-        nodes, chi, dots = set(), -counts[root], 0
-        for i in idxs:
-            nodes |= comps[i].nodes
-            chi += comps[i].euler_characteristic()
-            dots += comps[i].dots
-        stale = nodes.intersection(renamed)
-        nodes -= stale
-        nodes.update([renamed[n] for n in stale])
-        out.append(_glued_component(frozenset(nodes), dots, chi))
-    return Cobordism(src_tangle, tgt_tangle, out), where
+    renamed.update({("t", k): ("t", v) for k, v in tgt[1].items()})
+    comp_of = {node: i for i, c in enumerate(comps) for node in c.nodes}
+    pieces = [(frozenset([renamed.get(x, x) for x in c.nodes]), c.dots, c.euler_characteristic())
+              for c in comps]
+    return glue(pieces, [(comp_of[na], comp_of[nb], 1) for na, nb in joins])
 
 
 def _disjoint_tangle(a: FlatTangle, b: FlatTangle) -> FlatTangle:
     if a.points & b.points or a.loops & b.loops:
         raise ComplexError("tangles to tensor must have disjoint labels")
-    return FlatTangle(list(a.arcs) + list(b.arcs), list(a.loops) + list(b.loops))
+    # both are validated matchings on disjoint points
+    return tuple.__new__(FlatTangle, (a.arcs | b.arcs, a.loops | b.loops))
 
 
 def planar_tensor(
@@ -394,7 +364,6 @@ def planar_tensor(
             shape = frozenset(pieces)
             if shape not in shapes:
                 cob, where = glue_cobordism(pieces, src, tgt)
-                cob.source = cob.target = None  # keys with these pieces differ in their ends
                 shapes[shape] = cob, {c.nodes: i for c, i in zip(pieces, where)}, {}
             memo[key] = shapes[shape]
         return memo[key]

@@ -162,13 +162,10 @@ def _tensor_pair(a: RWResult, b: RWResult) -> RWResult:
     h2_hi = hi(a.window.h2_hi, b.floor.h2, b.window.h2_hi, a.floor.h2)
     q2_hi = hi(a.window.q2_hi, b.floor.q2, b.window.q2_hi, a.floor.q2)
 
-    def lo(x, y):
-        return None if x is None or y is None else x + y
-
     window = Window(
-        lo(a.window.h2_lo, b.window.h2_lo),
+        _add_bounds(a.window.h2_lo, b.window.h2_lo),
         h2_hi,
-        lo(a.window.q2_lo, b.window.q2_lo),
+        _add_bounds(a.window.q2_lo, b.window.q2_lo),
         q2_hi,
     )
     table = a.table.convolve(b.table).restrict(window)
@@ -186,9 +183,11 @@ def _tensor_pair(a: RWResult, b: RWResult) -> RWResult:
     )
 
 
-def _sum_windows_zero(w1: Window, w2: Window) -> Window:
-    def add(x, y):
-        return None if x is None or y is None else x + y
+def _add_bounds(x, y):
+    """The sum of two window bounds; None (open) if either is open."""
+    return None if x is None or y is None else x + y
 
-    return Window(add(w1.h2_lo, w2.h2_lo), add(w1.h2_hi, w2.h2_hi),
-                  add(w1.q2_lo, w2.q2_lo), add(w1.q2_hi, w2.q2_hi))
+
+def _sum_windows_zero(w1: Window, w2: Window) -> Window:
+    return Window(_add_bounds(w1.h2_lo, w2.h2_lo), _add_bounds(w1.h2_hi, w2.h2_hi),
+                  _add_bounds(w1.q2_lo, w2.q2_lo), _add_bounds(w1.q2_hi, w2.q2_hi))

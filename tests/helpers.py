@@ -40,6 +40,16 @@ def copied(c: BigradedComplex) -> BigradedComplex:
     return out
 
 
+def euler_characteristic(c: BigradedComplex) -> dict[int, int]:
+    """The graded Euler characteristic q2 -> sum of (-1)^h over the generators."""
+    out: dict[int, int] = {}
+    for g, _ in c.gens.values():
+        if g.h2 % 2:
+            raise ValueError("Euler characteristic needs integral h")
+        out[g.q2] = out.get(g.q2, 0) + (-1) ** (g.h2 // 2)
+    return {q: n for q, n in out.items() if n}
+
+
 def full_reduction(cube: Cube, q2s=None) -> TrackedReduction:
     """Reduce the cube to a zero-differential model (only in `q2s`, if given; c = 0)."""
     tr = TrackedReduction(cube, q2s=q2s)

@@ -192,6 +192,85 @@ def test_compose_associative_random():
         assert lhs == rhs
 
 
+def _then_from_scratch(f, g, spec, seen):
+    """f then g, each term pair's surface built from scratch, then reduced.
+
+    A normal term is one disk per closure circle.  The disks of both terms
+    merge where they share a middle node (a key of f.target); a middle arc
+    is an interval and lowers chi by one, a middle loop is a circle and
+    does not, so chi = disks - middle arcs.  Records in `seen` whether a
+    surface had genus or a non-disk component.
+    """
+    a, b, c = f.source, f.target, g.target
+    lower, upper = closure_circles(a, b), closure_circles(b, c)
+    disks = lower + upper
+    parent = list(range(len(disks)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, x in enumerate(lower):
+        for j, y in enumerate(upper, len(lower)):
+            if any(("s", k) in y for side, k in x if side == "t"):
+                parent[find(i)] = find(j)
+    outer = [{n for n in x if n[0] == ("s" if i < len(lower) else "t")} for i, x in enumerate(disks)]
+    roots = {find(i) for i in range(len(disks))}
+    total = MorphismCombo(a, c)
+    for df, cf in f.terms.items():
+        for dg, cg in g.terms.items():
+            dotted = [x in (df if i < len(lower) else dg) for i, x in enumerate(disks)]
+            comps = []
+            for root in roots:
+                members = [i for i in range(len(disks)) if find(i) == root]
+                nodes = frozenset().union(*[outer[i] for i in members])
+                arcs = sum(1 for i in members if i < len(lower)
+                           for side, k in disks[i] if side == "t" and type(k) is frozenset)
+                chi = len(members) - arcs
+                bounds = sum(1 for x in closure_circles(a, c) if x <= nodes)
+                genus2 = 2 - bounds - chi
+                assert genus2 >= 0 and genus2 % 2 == 0
+                dots = sum(dotted[i] for i in members)
+                comps.append(Component(nodes, dots, genus2 // 2))
+                if genus2:
+                    seen.add("genus")
+                if bounds != 1:
+                    seen.add("neck")
+            total = total + reduce(Cobordism(a, c, comps), [((), cf * cg)], spec)
+    return total
+
+
+def _random_terms(rng, source, target):
+    """A combination of 1-3 random dot sets on the closure circles."""
+    circles = closure_circles(source, target)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        dots = frozenset(x for x in circles if rng.random() < 0.3)
+        terms[dots] = rng.choice([1, -2, 3, Fraction(1, 2)])
+    return MorphismCombo(source, target, terms)
+
+
+@pytest.mark.parametrize("spec", [KHOVANOV, LEE], ids=["c=0", "c=1"])
+def test_then_matches_composing_from_scratch(spec):
+    """`then` against the surface glued disk by disk over the middle tangle.
+
+    The middle tangle has 0-2 loops, so spheres, tubes and handles occur.
+    """
+    rng = random.Random(11)
+    pts = list(range(6))
+    seen = set()
+    for _ in range(80):
+        a, b, c = (_random_flat_tangles(rng, pts) for _ in range(3))
+        for loop in range(rng.randint(0, 2)):
+            b = b.with_loop(f"m{loop}")
+        if rng.random() < 0.3:
+            a = a.with_loop("x")
+        f, g = _random_terms(rng, a, b), _random_terms(rng, b, c)
+        assert f.then(g, spec) == _then_from_scratch(f, g, spec, seen)
+    assert seen == {"genus", "neck"}
+
+
 def _connect(a: FlatTangle, b: FlatTangle) -> Cobordism:
     """The cobordism whose components are the connectivity classes of a->b."""
     nodes = [("s", k) for k in a.keys()] + [("t", k) for k in b.keys()]
