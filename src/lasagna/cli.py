@@ -9,6 +9,11 @@ as fractions; --json mirrors the same values as strings.  Exit codes:
 stderr, nothing to stdout or the cache), 2 input error, 3 stabilization
 failure, 4 capacity limit (a size guard such as the dense-cube crossing
 guard refused the input).
+
+Every command runs one request path, `serve`: it keys the request on its
+options but --json, --no-cache and --cache-dir (the diagram as its JSON)
+and the source version, reads the entry from the cache or computes and
+stores it, prints it, and reads the exit code off the entry, hit or miss.
 """
 
 from __future__ import annotations
@@ -49,14 +54,6 @@ def _source_version() -> str:
     return digest.hexdigest()
 
 
-def _cache_key(args, payload: dict) -> str | None:
-    """The cache key of a request, or None under --no-cache (no cache is consulted)."""
-    if args.no_cache:
-        return None
-    blob = json.dumps({**payload, "version": _source_version()}, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def _cache_get(args, key: str | None):
     """The cached entry for key; None under --no-cache or when absent, unreadable or malformed."""
     if key is None:
@@ -70,23 +67,23 @@ def _cache_get(args, key: str | None):
     return entry if _well_formed(entry, args.command) else None
 
 
+# The fields each command reads off its entry, with their types; each "dims" row
+# needs h, q and dim.
+_ENTRY_FIELDS = {
+    "kh": {"dims": list},
+    "oracle": {"dims": list},
+    "rw": {"dims": list, "stabilized": dict, "notes": list},
+    "lasagna": {"dims": list, "stable": dict, "notes": list},
+    "lee": {"total": int},
+}
+
+
 def _well_formed(entry, command: str) -> bool:
     """Whether a cache entry holds the fields its command prints and reads."""
-    if not isinstance(entry, dict):
-        return False
-    if command == "lee":
-        return isinstance(entry.get("total"), int)
-    dims = entry.get("dims")
-    if not isinstance(dims, list):
-        return False
-    for row in dims:
-        if not (isinstance(row, dict) and "h" in row and "q" in row and "dim" in row):
-            return False
-    if command == "rw":
-        return isinstance(entry.get("stabilized"), dict)
-    if command == "lasagna":
-        return isinstance(entry.get("stable"), dict)
-    return True
+    return (isinstance(entry, dict)
+            and all(isinstance(entry.get(f), t) for f, t in _ENTRY_FIELDS[command].items())
+            and all(isinstance(row, dict) and {"h", "q", "dim"} <= row.keys()
+                    for row in entry.get("dims", ())))
 
 
 def _cache_put(args, key: str | None, value: dict) -> None:
@@ -120,11 +117,6 @@ def _emit(result: dict, as_json: bool) -> None:
         sys.stderr.write(note + "\n")
 
 
-def _load_diagram(path: str):
-    with open(path) as fh:
-        return parse_diagram(fh.read())
-
-
 def _window(args):
     from .gradings import Window, parse_window
 
@@ -133,96 +125,64 @@ def _window(args):
     return Window()
 
 
-def cmd_kh(args) -> int:
-    d = _load_diagram(args.diagram)
-    payload = {
-        "cmd": "kh",
-        "diagram": d.to_json_obj(),
-        "window": args.window or "",
-        "oracle": bool(args.oracle),
-    }
-    key = _cache_key(args, payload)
-    cached = _cache_get(args, key)
-    if cached is None:
-        from .khovanov import khr2_dims
+def cmd_kh(args, d) -> dict:
+    from .khovanov import khr2_dims
 
-        table = khr2_dims(d, window=_window(args) if args.window else None,
-                          bruteforce=bool(args.oracle))
-        cached = {"dims": table.to_json_obj()}
-        _cache_put(args, key, cached)
-    _emit(cached, args.json)
-    return 0
+    table = khr2_dims(d, window=_window(args) if args.window else None, bruteforce=args.oracle)
+    return {"dims": table.to_json_obj()}
 
 
-def cmd_rw(args) -> int:
-    d = _load_diagram(args.diagram)
-    payload = {
-        "cmd": "rw",
-        "diagram": d.to_json_obj(),
-        "window": args.window or "",
-        "k_max": args.max_twists,
-    }
-    key = _cache_key(args, payload)
-    cached = _cache_get(args, key)
-    if cached is None:
-        from .rw import rw_plus
-
-        res = rw_plus(d, _window(args), k_max=args.max_twists)
-        cached = res.to_json_obj()
-        cached["notes"] = [
-            f"stabilized[{k}]={'true' if v else 'false'}"
-            for k, v in sorted(res.stabilized.items())
-        ]
-        if res.zero:
-            cached["notes"].append("zero: class is not 2-divisible")
-        _cache_put(args, key, cached)
-    _emit(cached, args.json)
-    if not all(cached.get("stabilized", {}).values()):
-        return 3
-    return 0
+def _flagged_entry(res, field: str, zero_note: str) -> dict:
+    """res as JSON, noting field[key]=true|false per flag of res.field, then zero_note if zero."""
+    entry = res.to_json_obj()
+    entry["notes"] = [f"{field}[{k}]={'true' if v else 'false'}"
+                      for k, v in sorted(getattr(res, field).items())]
+    if res.zero:
+        entry["notes"].append(zero_note)
+    return entry
 
 
-def cmd_lasagna(args) -> int:
-    d = _load_diagram(args.diagram)
+def cmd_rw(args, d) -> dict:
+    from .rw import rw_plus
+
+    res = rw_plus(d, _window(args), k_max=args.max_twists)
+    return _flagged_entry(res, "stabilized", "zero: class is not 2-divisible")
+
+
+def cmd_lasagna(args, d) -> dict:
+    from .skein import HandlebodySpec, s02_dims
+
     offset = tuple(int(x) for x in args.alpha.split(",")) if args.alpha else ()
-    payload = {
-        "cmd": "lasagna",
-        "diagram": d.to_json_obj(),
-        "alpha": list(offset),
-        "window": args.window or "",
-        "r_max": args.r_max,
-    }
-    key = _cache_key(args, payload)
-    cached = _cache_get(args, key)
-    if cached is None:
-        from .skein import HandlebodySpec, s02_dims
-
-        res = s02_dims(HandlebodySpec(d, offset), _window(args), r_max=args.r_max)
-        cached = res.to_json_obj()
-        cached["notes"] = [
-            f"stable[{g}]={'true' if v else 'false'}" for g, v in sorted(res.stable.items())
-        ]
-        if res.zero:
-            cached["notes"].append("zero: boundary class is not 2-divisible")
-        _cache_put(args, key, cached)
-    _emit(cached, args.json)
-    if cached.get("stable") and not all(cached["stable"].values()):
-        return 3
-    return 0
+    res = s02_dims(HandlebodySpec(d, offset), _window(args), r_max=args.r_max)
+    return _flagged_entry(res, "stable", "zero: boundary class is not 2-divisible")
 
 
-def cmd_lee(args) -> int:
-    d = _load_diagram(args.diagram)
-    payload = {"cmd": "lee", "diagram": d.to_json_obj()}
-    key = _cache_key(args, payload)
-    cached = _cache_get(args, key)
-    if cached is None:
-        from .lee import lee_total_dim
+def cmd_lee(args, d) -> dict:
+    from .lee import lee_total_dim
 
-        cached = {"total": lee_total_dim(d.forget_regions())}
-        _cache_put(args, key, cached)
-    _emit(cached, args.json)
-    return 0
+    return {"total": lee_total_dim(d.forget_regions())}
+
+
+# Left out of the cache key: how an answer is shown or stored, and the dispatch.
+_PRESENTATION = ("json", "no_cache", "cache_dir", "func")
+
+
+def serve(args) -> int:
+    """Answer one parsed request; exit 3 if any stabilized or stable flag of its entry is false."""
+    with open(args.diagram) as fh:
+        d = parse_diagram(fh.read())
+    key = None
+    if not args.no_cache:
+        request = {k: v for k, v in vars(args).items() if k not in _PRESENTATION}
+        request.update(diagram=d.to_json_obj(), version=_source_version())
+        key = hashlib.sha256(json.dumps(request, sort_keys=True).encode()).hexdigest()
+    entry = _cache_get(args, key)
+    if entry is None:
+        entry = args.func(args, d)
+        _cache_put(args, key, entry)
+    _emit(entry, args.json)
+    flags = [*entry.get("stabilized", {}).values(), *entry.get("stable", {}).values()]
+    return 0 if all(flags) else 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,7 +240,7 @@ def run(argv) -> int:
     argv = joined
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return serve(args)
     except ValueError as exc:  # DiagramError and LasagnaError among them
         sys.stderr.write(f"error: {exc}\n")
         from .densecube import CapacityError  # only on the error path: a cache hit skips densecube

@@ -469,8 +469,10 @@ def _normal_terms(cob: Cobordism, added: Iterable[int], coeff, c) -> list:
     return [(frozenset(d), w) for d, w in terms]
 
 
-def deloop_split(m: MorphismCombo, side: str, loop) -> tuple:
+def deloop_split(m: MorphismCombo, side: str, loop, base: FlatTangle) -> tuple:
     """The plus and minus summands of delooping `loop` on one end of m.
+
+    `base` is that end without the loop, shared by every entry split there.
 
     Side "t" caps the loop after m: plus = m then dotted cap, minus = m then
     plain cap.  Side "s" cups it before m: plus = plain cup then m, minus =
@@ -481,8 +483,8 @@ def deloop_split(m: MorphismCombo, side: str, loop) -> tuple:
     summand its dot on that circle selects, and loses that circle only.
     """
     circle = frozenset({(side, loop)})
-    src = m.source.without_loop(loop) if side == "s" else m.source
-    tgt = m.target.without_loop(loop) if side == "t" else m.target
+    src = base if side == "s" else m.source
+    tgt = base if side == "t" else m.target
     plus, minus = MorphismCombo(src, tgt), MorphismCombo(src, tgt)
     dotted, undotted = (minus, plus) if side == "t" else (plus, minus)
     for dots, coeff in m.terms.items():

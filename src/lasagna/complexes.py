@@ -131,11 +131,11 @@ class BigradedComplex:
         self._drop_generator(gid)
         # the q+1 summand: dotted cap out, plain cup in; the q-1 summand the reverse
         for u, f in ins:
-            plus, minus = deloop_split(f, "t", loop)
+            plus, minus = deloop_split(f, "t", loop, base)
             self.set_entry(u, g_p, plus)
             self.set_entry(u, g_m, minus)
         for v, f in outs:
-            plus, minus = deloop_split(f, "s", loop)
+            plus, minus = deloop_split(f, "s", loop, base)
             self.set_entry(g_p, v, plus)
             self.set_entry(g_m, v, minus)
         return g_p, g_m

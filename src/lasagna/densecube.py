@@ -26,7 +26,7 @@ from functools import cache
 from itertools import product
 from typing import Iterable
 
-from .diagram import LinkDiagram
+from .diagram import LinkDiagram, edge_classes
 from .gradings import DimTable, Grading, graded_blocks
 from .linalg import Echelon, block_homology_dims, inverse, kernel_basis
 
@@ -109,31 +109,11 @@ def carry(labels, slots, ins, outs, op, c) -> list:
 
 def resolve_circles(d: LinkDiagram, state: int) -> list[frozenset[str]]:
     """Circles of the given resolution, each a frozenset of edge ids."""
-    parent = {e: e for e in d.edges}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
+    pairs = []
     for i, c in enumerate(d.crossings):
         e0, e1, e2, e3 = c.edges
-        if (state >> i) & 1:
-            union(e0, e3)
-            union(e1, e2)
-        else:
-            union(e0, e1)
-            union(e2, e3)
-    groups: dict[str, set[str]] = {}
-    for e in d.edges:
-        groups.setdefault(find(e), set()).add(e)
-    return sorted((frozenset(g) for g in groups.values()), key=min)
+        pairs += [(e0, e3), (e1, e2)] if (state >> i) & 1 else [(e0, e1), (e2, e3)]
+    return edge_classes(d.edges, pairs)
 
 
 class CapacityError(ValueError):

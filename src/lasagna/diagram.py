@@ -113,6 +113,26 @@ def fresh_name(prefix: str, used: set[str]) -> str:
     return name
 
 
+def edge_classes(edges, pairs) -> list[frozenset[str]]:
+    """The classes of edges that the joined pairs make, sorted by smallest edge."""
+    parent = {e: e for e in edges}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    groups: dict[str, set[str]] = {}
+    for e in edges:
+        groups.setdefault(find(e), set()).add(e)
+    return sorted((frozenset(g) for g in groups.values()), key=min)
+
+
 class LinkDiagram:
     """Immutable validated planar diagram; all transforms return new values."""
 
@@ -201,27 +221,9 @@ class LinkDiagram:
         return tuple(e for e in self.edges if e not in at_crossings)
 
     def components(self) -> list[frozenset[str]]:
-        parent = {e: e for e in self.edges}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        for c in self.crossings:
-            e0, e1, e2, e3 = c.edges
-            union(e0, e2)
-            union(e1, e3)
-        groups: dict[str, set[str]] = {}
-        for e in self.edges:
-            groups.setdefault(find(e), set()).add(e)
-        return [frozenset(g) for g in sorted(groups.values(), key=lambda g: min(g))]
+        # a strand goes straight through a crossing: slot 0 to 2, slot 1 to 3
+        return edge_classes(self.edges, ((c.edges[i], c.edges[i + 2])
+                                         for c in self.crossings for i in (0, 1)))
 
     @property
     def component_count(self) -> int:

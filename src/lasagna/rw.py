@@ -68,21 +68,17 @@ def rw_plus(d: LinkDiagram, window: Window, k_max: int = 3) -> RWResult:
     tables = {1: twisted_tilde_table(d, 1)}
     k_used = None
     for k in range(1, k_max):
-        tables.setdefault(k + 1, twisted_tilde_table(d, k + 1))
+        tables[k + 1] = twisted_tilde_table(d, k + 1)
         if tables[k].restrict(window) == tables[k + 1].restrict(window):
             k_used = k
             break
     stabilized = k_used is not None
     if not stabilized:
         k_used = k_max
-        tables.setdefault(k_max, twisted_tilde_table(d, k_max))
-    declared_ok = True
-    for r in d.regions:
-        win_r, zero = stable_window(r.strand_count, max(k_used, 1))
-        if zero:
-            declared_ok = False
-        elif win_r is not None and not win_r.contains_window(Window(window.h2_lo, window.h2_hi)):
-            declared_ok = False
+    h_window = Window(window.h2_lo, window.h2_hi)
+    # every strand count is even here, so each region has a declared window
+    declared_ok = all(stable_window(r.strand_count, k_used)[0].contains_window(h_window)
+                      for r in d.regions)
     table = tables[k_used]
     flags = {r.region_id: bool(stabilized and declared_ok) for r in d.regions}
     w_tw = twist_all_regions(d, k_used).writhe()

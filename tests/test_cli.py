@@ -97,20 +97,43 @@ def test_determinism_and_cache(tmp_path):
     assert any(f.endswith(".json") for f in os.listdir(tmp_path))
 
 
+def test_json_hit_shares_the_text_entry(tmp_path):
+    text = run_cli(["kh", fixture("trefoil.json")], tmp_path)
+    hit = run_cli(["kh", fixture("trefoil.json"), "--json"], tmp_path)
+    assert text.returncode == hit.returncode == 0
+    assert len(list(tmp_path.iterdir())) == 1
+    rows = ["\t".join((r["h"], r["q"], r["dim"])) for r in json.loads(hit.stdout)["dims"]]
+    assert rows == text.stdout.splitlines() != []
+
+
+def test_stabilization_failure_exit_code_on_a_hit(tmp_path):
+    argv = ["rw", fixture("belt2.json"), "--window", "0:1,-4:0", "--max-twists", "2"]
+    miss = run_cli(argv, tmp_path)
+    hit = run_cli(argv, tmp_path)
+    assert len(list(tmp_path.iterdir())) == 1
+    assert miss.returncode == hit.returncode == 3
+    assert (miss.stdout, miss.stderr) == (hit.stdout, hit.stderr)
+    assert hit.stderr == "stabilized[1]=false\n"
+
+
 @pytest.mark.parametrize(
     "argv, corrupt",
     [
         (["kh", "trefoil.json"], "{}"),
         (["kh", "trefoil.json"], "[]"),
         (["lee", "hopf.json"], '{"dims": []}'),
+        (["rw", "belt2.json", "--window", "-1:0,-4:0"], '{"dims": [], "stable": {}}'),
+        (["rw", "belt2.json", "--window", "-1:0,-4:0"],
+         '{"dims": [], "stabilized": {}, "notes": 5}'),
+        (["lasagna", "empty_s1s2.json", "--r-max", "2"], '{"dims": [], "stabilized": {}}'),
     ],
 )
 def test_malformed_cache_entry_is_recomputed(tmp_path, argv, corrupt):
-    cmd, name = argv
-    first = run_cli([cmd, fixture(name)], tmp_path)
+    cmd, name, *options = argv
+    first = run_cli([cmd, fixture(name), *options], tmp_path)
     (entry,) = tmp_path.glob("*.json")
     entry.write_text(corrupt)
-    again = run_cli([cmd, fixture(name)], tmp_path)
+    again = run_cli([cmd, fixture(name), *options], tmp_path)
     assert again.returncode == first.returncode == 0, again.stderr
     assert again.stdout == first.stdout != ""
     assert entry.read_text() != corrupt  # the bad entry was overwritten

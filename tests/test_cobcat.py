@@ -343,12 +343,13 @@ def test_deloop_split_equals_composing_with_deloop_maps(spec):
                 holder = next(c for c in cob.comps if (side, "c") in c.nodes)
                 seen.add("alone" if len(holder.nodes) == 1 else "shared")
                 seen.add("genus" if holder.genus else "disk")
-            (out_p, in_p), (out_m, in_m) = deloop_maps(tgt if side == "t" else src, "c", spec)
+            looped = tgt if side == "t" else src
+            (out_p, in_p), (out_m, in_m) = deloop_maps(looped, "c", spec)
             if side == "t":
                 expected = (m.then(out_p, spec), m.then(out_m, spec))
             else:
                 expected = (in_p.then(m, spec), in_m.then(m, spec))
-            split = deloop_split(m, side, "c")
+            split = deloop_split(m, side, "c", looped.without_loop("c"))
             assert split == expected
             split_terms += sum(len(summand.terms) for summand in split)
     assert seen == {"alone", "shared", "genus", "disk"}

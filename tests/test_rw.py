@@ -1,6 +1,6 @@
 import pytest
 
-from lasagna import catalog
+from lasagna import catalog, rw
 from lasagna.gradings import DimTable, Grading, Window
 from lasagna.khovanov import khr2_dims, tilde_renormalize
 from lasagna.rw import RWResult, rw_minus, rw_plus, rw_tensor
@@ -55,6 +55,16 @@ def test_rw_plus_gate_negative_control():
     assert narrow.twists == {"1": 1}
     wide = rw_plus(d, Window(h2_lo=0, h2_hi=2, q2_lo=-8, q2_hi=0), k_max=2)
     assert wide.stabilized == {"1": False}
+
+
+def test_rw_plus_builds_each_twist_level_once(monkeypatch):
+    # a run that does not stabilize reports level k_max, already built by the loop
+    levels = []
+    real = rw.twisted_tilde_table
+    monkeypatch.setattr(rw, "twisted_tilde_table", lambda d, k: levels.append(k) or real(d, k))
+    res = rw_plus(catalog.belt_link(2), Window(h2_lo=0, h2_hi=2), k_max=2)
+    assert res.stabilized == {"1": False} and res.twists == {"1": 2}
+    assert levels == [1, 2]
 
 
 def test_rw_plus_gate_empty_region():
