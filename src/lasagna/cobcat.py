@@ -225,7 +225,8 @@ def glue(pieces, joins) -> tuple[Cobordism, list[int]]:
     (i, j, lost) glues pieces i and j along an interval (lost = 1) or a
     circle (lost = 0), lowering chi by `lost`.  A glued component adds up
     the nodes, dots and chi of its pieces, and its genus follows from chi
-    and its boundary circles.  Returns the glued surface and, per piece,
+    and its boundary circles.  A piece that no join touches is a component
+    as it is, node set included.  Returns the glued surface and, per piece,
     the index of the component holding it.
     """
     parent = list(range(len(pieces)))
@@ -241,19 +242,25 @@ def glue(pieces, joins) -> tuple[Cobordism, list[int]]:
     members: dict[int, list[int]] = {}
     for i in range(len(pieces)):
         members.setdefault(find(i), []).append(i)
-    lost = dict.fromkeys(members, 0)
+    lost: dict[int, int] = {}  # per component that joins made, the chi they lose
     for i, _, n in joins:
-        lost[find(i)] += n
+        root = find(i)
+        lost[root] = lost.get(root, 0) + n
     comps, circles, where = [], [], [0] * len(pieces)
     for root, idxs in members.items():
         for i in idxs:
             where[i] = len(comps)
-        nodes = frozenset().union(*[pieces[i][0] for i in idxs])
+        if root in lost:
+            nodes = frozenset().union(*[pieces[i][0] for i in idxs])
+            dots = sum(pieces[i][1] for i in idxs)
+            chi = sum(pieces[i][2] for i in idxs) - lost[root]
+        else:  # a single piece, kept as it is
+            nodes, dots, chi = pieces[root]
         bounds = _boundary_circle_partition(nodes)
-        genus2 = 2 - len(bounds) + lost[root] - sum(pieces[i][2] for i in idxs)
+        genus2 = 2 - len(bounds) - chi
         if genus2 % 2 or genus2 < 0:
             raise AssertionError("non-surface gluing of cobordisms")
-        comps.append(Component(nodes, sum(pieces[i][1] for i in idxs), genus2 // 2))
+        comps.append(Component(nodes, dots, genus2 // 2))
         circles.append(bounds)
     return Cobordism._with_circles(None, None, comps, circles), where
 

@@ -41,6 +41,7 @@ summands (`cobcat.deloop_split`), a partition of its terms.
 
 from __future__ import annotations
 
+import heapq
 from typing import Optional
 
 from .cobcat import (
@@ -71,7 +72,9 @@ class BigradedComplex:
         self.gens: dict[int, tuple[Grading, FlatTangle]] = {}
         self.d: dict[int, dict[int, MorphismCombo]] = {}
         self.d_in: dict[int, set[int]] = {}
-        self.pivots: set[tuple[int, int]] = set()  # entries s -> t that are lambda * identity
+        # the entries s -> t that are lambda * identity, indexed both ways
+        self.pivots_from: dict[int, set[int]] = {}  # s -> its pivots' targets
+        self.pivots_to: dict[int, set[int]] = {}  # t -> its pivots' sources
         self._next = 0
 
     # -- construction -------------------------------------------------------
@@ -92,14 +95,24 @@ class BigradedComplex:
         if m.is_zero():
             self.d[s].pop(t, None)
             self.d_in[t].discard(s)
-            self.pivots.discard((s, t))
+            self._unpivot(s, t)
         else:
             self.d[s][t] = m
             self.d_in[t].add(s)
             if m.invertible_scalar() is None:
-                self.pivots.discard((s, t))
+                self._unpivot(s, t)
             else:
-                self.pivots.add((s, t))
+                self.pivots_from.setdefault(s, set()).add(t)
+                self.pivots_to.setdefault(t, set()).add(s)
+
+    def _unpivot(self, s: int, t: int) -> None:
+        if t in self.pivots_from.get(s, ()):
+            self.pivots_from[s].discard(t)
+            self.pivots_to[t].discard(s)
+
+    @property
+    def pivots(self) -> set[tuple[int, int]]:
+        return {(s, t) for s, ts in self.pivots_from.items() for t in ts}
 
     def entry(self, s: int, t: int) -> Optional[MorphismCombo]:
         return self.d.get(s, {}).get(t)
@@ -121,8 +134,11 @@ class BigradedComplex:
         if not tangle.loops:
             raise ComplexError("generator has no loop to remove")
         # repr order: the loop taken first fixes the new generators' ids, and
-        # pivot choices depend on those
-        loop = min(tangle.loops, key=repr)
+        # pivot choices depend on those; a single loop needs no repr
+        if len(tangle.loops) == 1:
+            (loop,) = tangle.loops
+        else:
+            loop = min(tangle.loops, key=repr)
         base = tangle.without_loop(loop)
         g_p = self.add_generator(grading.shift(0, 2), base)
         g_m = self.add_generator(grading.shift(0, -2), base)
@@ -139,6 +155,12 @@ class BigradedComplex:
             self.set_entry(g_p, v, plus)
             self.set_entry(g_m, v, minus)
         return g_p, g_m
+
+    def drop_isolated(self, h2: int) -> None:
+        """Drop the generators in degree h2 with no entry in or out: each is a direct summand."""
+        for gid in [g for g, (gr, _) in self.gens.items()
+                    if gr.h2 == h2 and not self.d[g] and not self.d_in[g]]:
+            self._drop_generator(gid)
 
     def deloop_all(self) -> None:
         again = True
@@ -172,32 +194,51 @@ class BigradedComplex:
     def _drop_generator(self, gid: int) -> None:
         for v in self.d.pop(gid, {}):
             self.d_in[v].discard(gid)
-            self.pivots.discard((gid, v))
         for u in self.d_in.pop(gid, set()):
             self.d[u].pop(gid, None)
-            self.pivots.discard((u, gid))
+        for v in self.pivots_from.pop(gid, ()):
+            self.pivots_to[v].discard(gid)
+        for u in self.pivots_to.pop(gid, ()):
+            self.pivots_from[u].discard(gid)
         del self.gens[gid]
 
     def simplify(self) -> "BigradedComplex":
         """Deloop all circles and cancel invertible entries to a fixpoint.
 
-        Each pivot minimizes the (incoming-1)*(outgoing-1) fill-in, ties
-        broken by the source's (h2, q2, id); homology does not depend on the
-        choice.  Candidates come from `pivots`, the set of lambda * identity
-        entries that `set_entry` and `_drop_generator` keep current, so no
-        pass rescans the differential.  Elimination creates no generator and
-        no loop, so delooping once up front suffices.
+        Each pivot minimizes the key (fill, h2, q2, s, t): the
+        (incoming-1)*(outgoing-1) fill-in, ties broken by the source's
+        (h2, q2, id) and the target's id; homology does not depend on the
+        choice.  Candidates are the lambda * identity entries, which
+        `set_entry` and `_drop_generator` keep indexed by source and by
+        target.  The keys sit in a lazy heap: a pivot's key moves only with
+        its source's out-degree or its target's in-degree, and an elimination
+        changes those, and creates pivots, only at the eliminated pair's
+        neighbours, so their pivots are pushed again after it.  A popped key
+        that is no longer its pivot's current one is dropped.  Elimination
+        creates no generator and no loop, so delooping once up front
+        suffices.
         """
         self.deloop_all()
 
-        def cost(st):
-            s, t = st
+        def cost(s, t):
             g = self.gens[s][0]
             fill = (len(self.d_in[t]) - 1) * (len(self.d[s]) - 1)
             return (fill, g.h2, g.q2, s, t)
 
-        while self.pivots:
-            self.gaussian_eliminate(*min(self.pivots, key=cost))
+        heap = [cost(s, t) for s, t in self.pivots]
+        heapq.heapify(heap)
+        while heap:
+            key = heapq.heappop(heap)
+            s, t = key[3:]
+            if t not in self.pivots_from.get(s, ()) or cost(s, t) != key:
+                continue
+            sources = (self.d_in[s] | self.d_in[t]) - {s}
+            targets = (self.d[s].keys() | self.d[t].keys()) - {t}
+            self.gaussian_eliminate(s, t)
+            push = {(u, v) for u in sources for v in self.pivots_from.get(u, ())}
+            push.update((u, v) for v in targets for u in self.pivots_to.get(v, ()))
+            for u, v in push:
+                heapq.heappush(heap, cost(u, v))
         # kept across tasks, composites raise rw-twist's peak RSS by 3 MB
         _composite.cache_clear()
         return self
@@ -319,10 +360,13 @@ def planar_tensor(
     a: BigradedComplex,
     b: BigradedComplex,
     gluing: Optional[list[tuple]] = None,
+    h2_min: Optional[int] = None,
 ) -> BigradedComplex:
     """Koszul-signed tensor of two complexes, then glue listed point pairs.
 
     Gradings add; the sign on id (x) d_b entries is (-1)^(h(a-generator)).
+    Generators below h2_min are left out: since differentials raise h2, the
+    ones kept span a subcomplex, and no entry of theirs leads to one left out.
     """
     if a.spec != b.spec:
         raise ComplexError("tensor factors must share a Frobenius spec")
@@ -334,9 +378,12 @@ def planar_tensor(
         gr_a, t_a = a.gens[ga]
         for gb in b.generators():
             gr_b, t_b = b.gens[gb]
+            grading = gr_a + gr_b
+            if h2_min is not None and grading.h2 < h2_min:
+                continue
             if (t_a, t_b) not in gluings:
                 gluings[(t_a, t_b)] = tangle_gluing(_disjoint_tangle(t_a, t_b), pairs)
-            ends[(ga, gb)] = out.add_generator(gr_a + gr_b, gluings[(t_a, t_b)][0])
+            ends[(ga, gb)] = out.add_generator(grading, gluings[(t_a, t_b)][0])
     glued_points = {p for pair in pairs for p in pair}
 
     def changed(t):

@@ -15,8 +15,36 @@ Conventions, fixed once here:
 
 The default computation scans the diagram one crossing at a time, gluing
 the local two-term complex onto the partial complex and simplifying
-(delooping + Gaussian elimination) after every step; `kh_dims_bruteforce`
-is the independent dense oracle.
+(delooping + Gaussian elimination) after every step (D. Bar-Natan, "Fast
+Khovanov homology computations", 2007); `kh_dims_bruteforce` is the
+independent dense oracle.
+
+Window truncation.  A caller that reads only classical degrees h2 >= m + 2
+passes `scan_complex` the cut h2_min = m.  Every scan step tensors with a
+complex in h2 {0, 2} (a positive crossing), {-2, 0} (a negative one) or 0
+(a free loop), so a generator's classical h2 grows by at most twice the
+number of positive crossings still to scan.  Each step leaves out every
+generator whose h2 plus that bound is below m: it can only end below m.
+What remains is a subcomplex, because differentials raise h2, so the part
+left out is a quotient living, to the end, in final degrees below m.  By
+induction over the steps the truncated complex T maps to the full one C,
+up to the homotopy equivalences of simplification, with a cone homotopy
+equivalent to a complex whose generators all end below m: tensoring with
+the next crossing keeps the cone below the moving cut, and leaving more
+generators out extends it by another such complex.  The long exact
+sequence H^(h2-2)(cone) -> H^h2(T) -> H^h2(C) -> H^h2(cone) then makes
+H(T) = H(C) in every h2 >= m + 2.  At h2 = m, H(T) only maps onto H(C):
+a kept cycle may be the boundary of a generator left out.  That one
+column of margin is why the cut sits two below the lowest degree read.
+After each step's simplification, a generator on the moving cut with no
+entry is dropped too: it spans a direct summand whose later steps all end
+at or below m, so the rest has the same homology in h2 >= m + 2.  After
+the last crossing every entry is a scalar that simplification cancels,
+so the column h2 = m empties and the scan holds only those degrees.
+q is never cut, since loops closed later shift it.  `khr2_dims` cuts at
+the top of its window (gl2 h = -classical h), and
+`projector.twisted_tilde_table` at the top of the rw window; `lee` and
+the dense oracle never truncate.
 """
 
 from __future__ import annotations
@@ -80,8 +108,14 @@ def _scan_order(d: LinkDiagram) -> list[int]:
     return order
 
 
-def scan_complex(d: LinkDiagram, spec: FrobeniusSpec = KHOVANOV, simplify: bool = True) -> BigradedComplex:
-    """Classical-convention complex of a closed diagram, built by scanning."""
+def scan_complex(d: LinkDiagram, spec: FrobeniusSpec = KHOVANOV, simplify: bool = True,
+                 h2_min: Optional[int] = None) -> BigradedComplex:
+    """Classical-convention complex of a closed diagram, built by scanning.
+
+    With h2_min, its homology is exact in classical h2 >= h2_min + 2 and,
+    simplified with a crossing scanned, zero below (window truncation, see
+    the module docstring); None keeps every degree.
+    """
     if d.regions:
         raise ValueError("resolve surgery regions before computing homology")
     # token (ci, slot) for each crossing incidence of each edge
@@ -91,8 +125,12 @@ def scan_complex(d: LinkDiagram, spec: FrobeniusSpec = KHOVANOV, simplify: bool 
             slots[e].append((i, k))
     cur = BigradedComplex.unit(spec)
     done: set[int] = set()
+    positive_left = sum(1 for c in d.crossings if c.sign == 1)
     for ci in _scan_order(d):
-        piece = crossing_complex(ci, d.crossings[ci].sign, spec)
+        sign = d.crossings[ci].sign
+        positive_left -= sign == 1
+        cut = None if h2_min is None else h2_min - 2 * positive_left
+        piece = crossing_complex(ci, sign, spec)
         pairs = []
         for k, e in enumerate(d.crossings[ci].edges):
             here = (ci, k)
@@ -102,10 +140,12 @@ def scan_complex(d: LinkDiagram, spec: FrobeniusSpec = KHOVANOV, simplify: bool 
                 oc, ok = other
                 if oc in done or (oc == ci and ok < k):
                     pairs.append((other, here))
-        cur = planar_tensor(cur, piece, pairs)
+        cur = planar_tensor(cur, piece, pairs, cut)
         done.add(ci)
         if simplify:
             cur.simplify()
+        if cut is not None:
+            cur.drop_isolated(cut)
     for e in d.free_loops:
         circle = BigradedComplex(spec)
         circle.add_generator(Grading(0, 0), FlatTangle((), [("free", e)]))
@@ -117,9 +157,9 @@ def scan_complex(d: LinkDiagram, spec: FrobeniusSpec = KHOVANOV, simplify: bool 
     return cur
 
 
-def kh_dims(d: LinkDiagram) -> DimTable:
-    """Classical homology dimensions (scanning pipeline)."""
-    return scan_complex(d).homology_dims()
+def kh_dims(d: LinkDiagram, h2_min: Optional[int] = None) -> DimTable:
+    """Classical homology dimensions (scanning pipeline); with h2_min, exact in h2 >= h2_min + 2."""
+    return scan_complex(d, h2_min=h2_min).homology_dims()
 
 
 def kh_dims_bruteforce(d: LinkDiagram) -> DimTable:
@@ -134,8 +174,16 @@ def khr2_reindex(classical: DimTable, writhe: int) -> DimTable:
 
 
 def khr2_dims(d: LinkDiagram, window: Optional[Window] = None, bruteforce: bool = False) -> DimTable:
-    """gl2-normalized homology dims: KhR2^{h,q} = Kh^{-h, q+w} as dimensions."""
-    classical = kh_dims_bruteforce(d) if bruteforce else kh_dims(d)
+    """gl2-normalized homology dims: KhR2^{h,q} = Kh^{-h, q+w} as dimensions.
+
+    A window with a top h2 truncates the scan at classical h2_min =
+    -h2_hi - 2 (the dense oracle computes everything).
+    """
+    if bruteforce:
+        classical = kh_dims_bruteforce(d)
+    else:
+        cut = None if window is None or window.h2_hi is None else -window.h2_hi - 2
+        classical = kh_dims(d, cut)
     table = khr2_reindex(classical, d.writhe())
     if window is not None:
         table = table.restrict(window)

@@ -65,10 +65,11 @@ def rw_plus(d: LinkDiagram, window: Window, k_max: int = 3) -> RWResult:
         return RWResult(DimTable(), window, {}, {r.region_id: True for r in d.regions}, zero=True)
     if k_max < 2:
         raise ValueError("k_max must allow at least the k=1 vs k=2 comparison")
-    tables = {1: twisted_tilde_table(d, 1)}
+    # each level is computed only up to the window's top h (its scan is cut)
+    tables = {1: twisted_tilde_table(d, 1, window.h2_hi)}
     k_used = None
     for k in range(1, k_max):
-        tables[k + 1] = twisted_tilde_table(d, k + 1)
+        tables[k + 1] = twisted_tilde_table(d, k + 1, window.h2_hi)
         if tables[k].restrict(window) == tables[k + 1].restrict(window):
             k_used = k
             break
@@ -77,7 +78,7 @@ def rw_plus(d: LinkDiagram, window: Window, k_max: int = 3) -> RWResult:
         k_used = k_max
     h_window = Window(window.h2_lo, window.h2_hi)
     # every strand count is even here, so each region has a declared window
-    declared_ok = all(stable_window(r.strand_count, k_used)[0].contains_window(h_window)
+    declared_ok = all(stable_window(r.strand_count, k_used).contains_window(h_window)
                       for r in d.regions)
     table = tables[k_used]
     flags = {r.region_id: bool(stabilized and declared_ok) for r in d.regions}
@@ -99,9 +100,16 @@ def _floor(table: DimTable, window: Window) -> Optional[Grading]:
     bounds the homology below); the quantum floor is taken over the entries
     whose homological degree lies inside the reported window, since high-h
     entries outside the window do not contribute to in-window tensor splits.
+
+    A twisted table is computed only up to the window's top h
+    (`twisted_tilde_table`), exactly there, and the full table's lowest h
+    is then read unchanged unless the window lies wholly below the table's
+    support.  The cut table is empty in that case alone (a link's homology
+    never is), and the floor is the weaker but still certified bound just
+    above the window.
     """
     if not len(table):
-        return None
+        return None if window.h2_hi is None else Grading(window.h2_hi + 1, 0)
     h_floor = min(g.h2 for g in table)
     in_h = [g.q2 for g in table
             if (window.h2_lo is None or g.h2 >= window.h2_lo)

@@ -35,7 +35,8 @@ def copied(c: BigradedComplex) -> BigradedComplex:
     out.gens = dict(c.gens)
     out.d = {s: dict(row) for s, row in c.d.items()}
     out.d_in = {t: set(srcs) for t, srcs in c.d_in.items()}
-    out.pivots = set(c.pivots)
+    out.pivots_from = {s: set(ts) for s, ts in c.pivots_from.items()}
+    out.pivots_to = {t: set(ss) for t, ss in c.pivots_to.items()}
     out._next = c._next
     return out
 

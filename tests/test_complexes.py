@@ -192,8 +192,8 @@ def unsimplified_scans():
 
     partial = []
 
-    def recording(a, b, gluing=None):
-        c = planar_tensor(a, b, gluing)
+    def recording(a, b, gluing=None, h2_min=None):
+        c = planar_tensor(a, b, gluing, h2_min)
         partial.append(copied(c))
         return c
 
@@ -263,28 +263,58 @@ def test_invertible_scalar_near_misses():
         assert _reference_invertible_scalar(m) == expected, name
 
 
-def test_maintained_pivot_set_equals_rescan(unsimplified_scans, monkeypatch):
-    diagrams, partial, final = unsimplified_scans
+def _assert_pivot_index(c):
+    """The pivots indexed by source and by target are the rescanned ones, on live generators."""
+    rescanned = _rescanned_pivots(c)
+    assert c.pivots == rescanned
+    assert {(s, t) for t, sources in c.pivots_to.items() for s in sources} == rescanned
+    assert c.pivots_from.keys() <= c.gens.keys() and c.pivots_to.keys() <= c.gens.keys()
+
+
+def _simplify_every_scan(unsimplified_scans, monkeypatch, before, after):
+    """Simplify the fixture's final complexes and rescan its diagrams, calling
+    before(c, s, t) and after(c) around each elimination; returns their number."""
+    diagrams, _, final = unsimplified_scans
     eliminate = BigradedComplex.gaussian_eliminate
     checked = []
 
     def checking(self, s, t):
+        before(self, s, t)
         eliminate(self, s, t)
-        assert self.pivots == _rescanned_pivots(self)
+        after(self)
         checked.append((s, t))
 
     monkeypatch.setattr(BigradedComplex, "gaussian_eliminate", checking)
-    for c in partial:
-        assert c.pivots == _rescanned_pivots(c)
     for c in final:
         c = copied(c)
-        assert c.pivots == _rescanned_pivots(c)
+        after(c)
         c.simplify()
         assert not c.pivots
     for d in diagrams:
         # scanning with simplification: delooping and elimination on open tangles
         scan_complex(d)
-    assert len(checked) > 100
+    return len(checked)
+
+
+def test_maintained_pivot_set_equals_rescan(unsimplified_scans, monkeypatch):
+    for c in unsimplified_scans[1]:
+        _assert_pivot_index(c)
+    count = _simplify_every_scan(unsimplified_scans, monkeypatch, lambda c, s, t: None,
+                                 _assert_pivot_index)
+    assert count > 100
+
+
+def test_popped_pivot_is_the_rescanned_minimum(unsimplified_scans, monkeypatch):
+    def rescanned_min(c, s, t):
+        def key(st):
+            g = c.gens[st[0]][0]
+            fill = (len(c.d_in[st[1]]) - 1) * (len(c.d[st[0]]) - 1)
+            return (fill, g.h2, g.q2, *st)
+
+        assert (s, t) == min(_rescanned_pivots(c), key=key)
+
+    count = _simplify_every_scan(unsimplified_scans, monkeypatch, rescanned_min, lambda c: None)
+    assert count > 100
 
 
 # -- the fast paths against their general references ---------------------------
@@ -374,8 +404,8 @@ def test_planar_tensor_matches_from_scratch_gluing(monkeypatch):
 
     sizes = []
 
-    def checking(a, b, gluing=None):
-        c = planar_tensor(a, b, gluing)
+    def checking(a, b, gluing=None, h2_min=None):
+        c = planar_tensor(a, b, gluing, h2_min)
         ref = _tensor_from_scratch(a, b, list(gluing or []))
         assert c.gens == ref.gens
         assert c.d == ref.d
@@ -465,8 +495,8 @@ def test_unsimplified_fixture_scans_store_dot_sets_on_closure_circles(spec, monk
 
     terms = []
 
-    def checking(a, b, gluing=None):
-        c = planar_tensor(a, b, gluing)
+    def checking(a, b, gluing=None, h2_min=None):
+        c = planar_tensor(a, b, gluing, h2_min)
         terms.append(_assert_dot_set_entries(c))
         return c
 
@@ -496,8 +526,8 @@ def test_scan_keeps_every_entry_in_normal_form(name, monkeypatch):
     steps, terms = [], []
     simplify = BigradedComplex.simplify
 
-    def tensor_checking(a, b, gluing=None):
-        c = planar_tensor(a, b, gluing)
+    def tensor_checking(a, b, gluing=None, h2_min=None):
+        c = planar_tensor(a, b, gluing, h2_min)
         terms.append(_assert_dot_set_entries(c))
         return c
 

@@ -1,8 +1,10 @@
 import random
+from pathlib import Path
 
 from lasagna import catalog
 from lasagna.gradings import DimTable, Grading, Window
 from lasagna.densecube import Cube
+from lasagna.diagram import parse_diagram
 from lasagna.khovanov import (
     jones_unnormalized,
     kh_dims,
@@ -135,6 +137,38 @@ def test_window_restriction():
     t = khr2_dims(catalog.trefoil_right(), window=Window(h2_lo=-8, h2_hi=0))
     assert all(-8 <= g.h2 <= 0 for g in t)
     assert t.total() > 0
+
+
+REGION_FREE_FIXTURES = ["figure8", "hopf", "t22", "t24", "t26", "t44", "trefoil", "trefoil_left",
+                        "unknot", "unknot_fr3", "unlink2"]
+
+
+def _support_windows(table):
+    """Windows whose top h lies below, at each edge of and inside the h support of a table."""
+    hs = sorted({g.h2 for g in table})
+    lo, hi = hs[0], hs[-1]
+    tops = {lo - 2, lo, lo + 2, lo + 2 * ((hi - lo) // 4), hi - 2, hi}
+    windows = [Window(h2_lo=top - 4, h2_hi=top) for top in sorted(tops)]
+    return windows + [Window(h2_hi=hi - 2, q2_lo=-4, q2_hi=8)]
+
+
+def test_window_truncated_scan_equals_restricted_full_table():
+    # a window's top cuts the scan two columns below it (in classical h, the
+    # cut m = -top - 2): inside the window the table is exact, and the cut
+    # scan holds the classical degrees h2 >= m + 2 alone once it has scanned
+    # a crossing
+    root = Path(__file__).resolve().parent.parent / "fixtures"
+    diagrams = [parse_diagram((root / f"{name}.json").read_text()) for name in REGION_FREE_FIXTURES]
+    rng = random.Random(20261019)
+    diagrams += [catalog.random_braid_diagram(rng, max_crossings=8) for _ in range(30)]
+    for d in diagrams:
+        assert not d.regions
+        full, classical = khr2_dims(d), kh_dims(d)
+        for window in _support_windows(full):
+            assert khr2_dims(d, window) == full.restrict(window), (d.to_json_obj(), window)
+            cut = -window.h2_hi - 2
+            kept = classical.restrict(Window(h2_lo=cut + 2)) if d.crossings else classical
+            assert kh_dims(d, cut) == kept, (d.to_json_obj(), cut)
 
 
 def test_cube_rejects_surgery_regions():

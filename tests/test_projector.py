@@ -25,15 +25,12 @@ def test_approximate_projector_mixed_orientations():
 
 
 def test_stable_window_shape():
-    w1, zero1 = stable_window(2, 1)
-    assert not zero1
+    w1 = stable_window(2, 1)
     assert w1.contains_window(Window(h2_lo=0, h2_hi=0))
-    w2, _ = stable_window(2, 2)
-    w3, _ = stable_window(2, 3)
+    w2 = stable_window(2, 2)
+    w3 = stable_window(2, 3)
     assert w2.h2_hi >= w1.h2_hi
     assert w3.h2_hi >= w2.h2_hi
-    wodd, zodd = stable_window(3, 2)
-    assert zodd and wodd is None
 
 
 def test_twisted_tilde_top_degree_anchor():

@@ -1,6 +1,10 @@
+import json
+from pathlib import Path
+
 import pytest
 
-from lasagna import catalog, rw
+from lasagna import catalog, projector, rw
+from lasagna.diagram import parse_diagram
 from lasagna.gradings import DimTable, Grading, Window
 from lasagna.khovanov import khr2_dims, tilde_renormalize
 from lasagna.rw import RWResult, rw_minus, rw_plus, rw_tensor
@@ -61,7 +65,8 @@ def test_rw_plus_builds_each_twist_level_once(monkeypatch):
     # a run that does not stabilize reports level k_max, already built by the loop
     levels = []
     real = rw.twisted_tilde_table
-    monkeypatch.setattr(rw, "twisted_tilde_table", lambda d, k: levels.append(k) or real(d, k))
+    monkeypatch.setattr(rw, "twisted_tilde_table",
+                        lambda d, k, h2_hi=None: levels.append(k) or real(d, k, h2_hi))
     res = rw_plus(catalog.belt_link(2), Window(h2_lo=0, h2_hi=2), k_max=2)
     assert res.stabilized == {"1": False} and res.twists == {"1": 2}
     assert levels == [1, 2]
@@ -155,3 +160,75 @@ def test_rw_plus_belt_four():
         assert res.table[(0, q2)] == 0
     assert all(g.h2 >= 0 for g in res.table)
     assert res.all_stabilized()
+
+
+@pytest.fixture(scope="module")
+def untruncated():
+    """twisted_tilde_table without the window's cut, each level scanned once per module."""
+    tables = {}
+
+    def table(d, k, h2_hi=None):
+        key = (json.dumps(d.to_json_obj(), sort_keys=True), k)
+        if key not in tables:
+            tables[key] = projector.twisted_tilde_table(d, k)
+        return tables[key]
+
+    return table
+
+
+def _fixture(name):
+    root = Path(__file__).resolve().parent.parent / "fixtures"
+    return parse_diagram((root / f"{name}.json").read_text())
+
+
+# the tilde tables of the belt links start at h = 0: windows whose top sits on
+# that edge, one column above it and inside the support, reaching k = 2, 3, 4
+EDGE = Window(h2_lo=-4, h2_hi=0, q2_lo=-16, q2_hi=0)
+ABOVE_EDGE = Window(h2_lo=0, h2_hi=2)
+INTERIOR = Window(h2_lo=2, h2_hi=6, q2_lo=-20, q2_hi=4)
+
+
+# (name, diagram, k_max, windows, the highest twist level the windows scan)
+TRUNCATION_CASES = [
+    ("fixture belt1", _fixture("belt1"), 3, [EDGE, INTERIOR], None),
+    ("fixture belt11", _fixture("belt11"), 3, [EDGE, ABOVE_EDGE, INTERIOR], 3),
+    ("fixture belt2", _fixture("belt2"), 3, [EDGE, ABOVE_EDGE, INTERIOR], 3),
+    ("fixture belt4", _fixture("belt4"), 2, [EDGE, ABOVE_EDGE], 2),
+    ("fixture empty_s1s2", _fixture("empty_s1s2"), 3, [EDGE, INTERIOR], 2),
+    ("fixture empty_s1s2_x2", _fixture("empty_s1s2_x2"), 3, [EDGE, INTERIOR], 2),
+    ("belt_link(4)", catalog.belt_link(4), 4, [EDGE, INTERIOR], 4),
+    ("belt_link(2)", catalog.belt_link(2), 4, [EDGE, ABOVE_EDGE, INTERIOR, BELT_WINDOW], 4),
+    ("belt_link(1, 1)", catalog.belt_link(1, 1), 4, [EDGE, ABOVE_EDGE, INTERIOR], 4),
+    ("belt_link(2, 2)", catalog.belt_link(2, 2), 3, [EDGE, ABOVE_EDGE], 3),
+]
+
+
+@pytest.mark.parametrize("d, k_max, windows, top_level", [case[1:] for case in TRUNCATION_CASES],
+                         ids=[case[0] for case in TRUNCATION_CASES])
+def test_truncated_rw_plus_equals_untruncated(d, k_max, windows, top_level, untruncated,
+                                              monkeypatch):
+    levels = []  # the twist levels scanned with the window's cut
+    real = rw.twisted_tilde_table
+    monkeypatch.setattr(rw, "twisted_tilde_table",
+                        lambda d, k, h2_hi=None: levels.append(k) or real(d, k, h2_hi))
+    for window in windows:
+        cut = rw_plus(d, window, k_max)
+        with monkeypatch.context() as mp:
+            mp.setattr(rw, "twisted_tilde_table", untruncated)
+            full = rw_plus(d, window, k_max)
+        assert cut == full, window
+    assert max(levels, default=None) == top_level
+
+
+def test_truncated_floor_below_the_support(untruncated, monkeypatch):
+    # a window wholly below the table's support (h >= 0) leaves the cut table
+    # empty: the floor is the certified bound just above the window, where the
+    # full table gives its lowest h
+    d, window = catalog.belt_link(2), Window(h2_lo=-6, h2_hi=-2)
+    cut = rw_plus(d, window, 2)
+    with monkeypatch.context() as mp:
+        mp.setattr(rw, "twisted_tilde_table", untruncated)
+        full = rw_plus(d, window, 2)
+    assert cut.table == full.table == DimTable()
+    assert (cut.twists, cut.stabilized) == (full.twists, full.stabilized) == ({"1": 1}, {"1": True})
+    assert cut.floor == Grading(-1, 0) and full.floor == Grading(0, 0)
