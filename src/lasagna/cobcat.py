@@ -225,8 +225,7 @@ def glue(pieces, joins) -> tuple[Cobordism, list[int]]:
     (i, j, lost) glues pieces i and j along an interval (lost = 1) or a
     circle (lost = 0), lowering chi by `lost`.  A glued component adds up
     the nodes, dots and chi of its pieces, and its genus follows from chi
-    and its boundary circles.  A piece that no join touches is a component
-    as it is, node set included.  Returns the glued surface and, per piece,
+    and its boundary circles.  Returns the glued surface and, per piece,
     the index of the component holding it.
     """
     parent = list(range(len(pieces)))
@@ -242,25 +241,19 @@ def glue(pieces, joins) -> tuple[Cobordism, list[int]]:
     members: dict[int, list[int]] = {}
     for i in range(len(pieces)):
         members.setdefault(find(i), []).append(i)
-    lost: dict[int, int] = {}  # per component that joins made, the chi they lose
+    lost = dict.fromkeys(members, 0)
     for i, _, n in joins:
-        root = find(i)
-        lost[root] = lost.get(root, 0) + n
+        lost[find(i)] += n
     comps, circles, where = [], [], [0] * len(pieces)
     for root, idxs in members.items():
         for i in idxs:
             where[i] = len(comps)
-        if root in lost:
-            nodes = frozenset().union(*[pieces[i][0] for i in idxs])
-            dots = sum(pieces[i][1] for i in idxs)
-            chi = sum(pieces[i][2] for i in idxs) - lost[root]
-        else:  # a single piece, kept as it is
-            nodes, dots, chi = pieces[root]
+        nodes = frozenset().union(*[pieces[i][0] for i in idxs])
         bounds = _boundary_circle_partition(nodes)
-        genus2 = 2 - len(bounds) - chi
+        genus2 = 2 - len(bounds) + lost[root] - sum(pieces[i][2] for i in idxs)
         if genus2 % 2 or genus2 < 0:
             raise AssertionError("non-surface gluing of cobordisms")
-        comps.append(Component(nodes, dots, genus2 // 2))
+        comps.append(Component(nodes, sum(pieces[i][1] for i in idxs), genus2 // 2))
         circles.append(bounds)
     return Cobordism._with_circles(None, None, comps, circles), where
 

@@ -134,11 +134,8 @@ class BigradedComplex:
         if not tangle.loops:
             raise ComplexError("generator has no loop to remove")
         # repr order: the loop taken first fixes the new generators' ids, and
-        # pivot choices depend on those; a single loop needs no repr
-        if len(tangle.loops) == 1:
-            (loop,) = tangle.loops
-        else:
-            loop = min(tangle.loops, key=repr)
+        # pivot choices depend on those
+        loop = min(tangle.loops, key=repr)
         base = tangle.without_loop(loop)
         g_p = self.add_generator(grading.shift(0, 2), base)
         g_m = self.add_generator(grading.shift(0, -2), base)
@@ -156,8 +153,14 @@ class BigradedComplex:
             self.set_entry(g_m, v, minus)
         return g_p, g_m
 
-    def drop_isolated(self, h2: int) -> None:
-        """Drop the generators in degree h2 with no entry in or out: each is a direct summand."""
+    def truncate(self, h2: int) -> None:
+        """Drop the generators below degree h2, then those in h2 with no entry left.
+
+        The generators from h2 up span a subcomplex, since differentials
+        raise h2, and one with no entry spans a direct summand.
+        """
+        for gid in [g for g, (gr, _) in self.gens.items() if gr.h2 < h2]:
+            self._drop_generator(gid)
         for gid in [g for g, (gr, _) in self.gens.items()
                     if gr.h2 == h2 and not self.d[g] and not self.d_in[g]]:
             self._drop_generator(gid)

@@ -20,27 +20,33 @@ Khovanov homology computations", 2007); `kh_dims_bruteforce` is the
 independent dense oracle.
 
 Window truncation.  A caller that reads only classical degrees h2 >= m + 2
-passes `scan_complex` the cut h2_min = m.  Every scan step tensors with a
-complex in h2 {0, 2} (a positive crossing), {-2, 0} (a negative one) or 0
-(a free loop), so a generator's classical h2 grows by at most twice the
-number of positive crossings still to scan.  Each step leaves out every
-generator whose h2 plus that bound is below m: it can only end below m.
-What remains is a subcomplex, because differentials raise h2, so the part
-left out is a quotient living, to the end, in final degrees below m.  By
-induction over the steps the truncated complex T maps to the full one C,
-up to the homotopy equivalences of simplification, with a cone homotopy
-equivalent to a complex whose generators all end below m: tensoring with
-the next crossing keeps the cone below the moving cut, and leaving more
-generators out extends it by another such complex.  The long exact
-sequence H^(h2-2)(cone) -> H^h2(T) -> H^h2(C) -> H^h2(cone) then makes
-H(T) = H(C) in every h2 >= m + 2.  At h2 = m, H(T) only maps onto H(C):
-a kept cycle may be the boundary of a generator left out.  That one
-column of margin is why the cut sits two below the lowest degree read.
-After each step's simplification, a generator on the moving cut with no
-entry is dropped too: it spans a direct summand whose later steps all end
-at or below m, so the rest has the same homology in h2 >= m + 2.  After
-the last crossing every entry is a scalar that simplification cancels,
-so the column h2 = m empties and the scan holds only those degrees.
+passes `scan_complex` the cut h2_min = m; classical h2 is even, so an odd
+cut is raised by one, which keeps the same degrees exact.  Every scan step
+tensors with a complex in h2 {0, 2} (a positive crossing), {-2, 0} (a
+negative one) or 0 (a free loop), so a generator's classical h2 grows by
+at most twice the number p of positive crossings still to scan: one below
+the moving cut c = m - 2p can only end below m.  For a partial complex T,
+write F(T) for the complex that scanning the remaining crossings without
+a cut makes of it.  Three moves keep H(F(T)) equal to the full homology
+in every h2 >= m + 2:
+- simplification, a homotopy equivalence, which F keeps;
+- leaving out the generators below c.  The ones kept span a subcomplex
+  K, because differentials raise h2, and F of the quotient L has all its
+  generators below m, so the long exact sequence
+  H^(h2-2)(F L) -> H^h2(F K) -> H^h2(F T) -> H^h2(F L) makes the two
+  agree in every h2 >= m + 2.  At h2 = m, F K only maps onto F T: a kept
+  cycle may be the boundary of a generator left out.  That one column of
+  margin is why the cut sits two below the lowest degree read;
+- dropping a generator on c with no entry: it spans a direct summand, and
+  F of it ends at or below m.
+Each step builds the tensor product from the column below the moving cut
+up, simplifies, so that generators on the cut can cancel against that
+column, then leaves out everything below the cut and the generators on it
+with no entry (`BigradedComplex.truncate`).  Without that column, the
+generators on the cut whose cancelling partners lie below it stay, and
+the truncated complexes can outgrow the untruncated ones.  After the last
+crossing every entry is a scalar that simplification cancels, so the
+column h2 = m empties and the scan holds only the degrees from m + 2 up.
 q is never cut, since loops closed later shift it.  `khr2_dims` cuts at
 the top of its window (gl2 h = -classical h), and
 `projector.twisted_tilde_table` at the top of the rw window; `lee` and
@@ -118,6 +124,8 @@ def scan_complex(d: LinkDiagram, spec: FrobeniusSpec = KHOVANOV, simplify: bool 
     """
     if d.regions:
         raise ValueError("resolve surgery regions before computing homology")
+    if h2_min is not None:
+        h2_min += h2_min % 2
     # token (ci, slot) for each crossing incidence of each edge
     slots: dict[str, list[tuple[int, int]]] = {e: [] for e in d.edges}
     for i, c in enumerate(d.crossings):
@@ -140,12 +148,14 @@ def scan_complex(d: LinkDiagram, spec: FrobeniusSpec = KHOVANOV, simplify: bool 
                 oc, ok = other
                 if oc in done or (oc == ci and ok < k):
                     pairs.append((other, here))
-        cur = planar_tensor(cur, piece, pairs, cut)
+        # the column below the cut is built too, so that simplifying can
+        # cancel generators on the cut against it before it is dropped
+        cur = planar_tensor(cur, piece, pairs, None if cut is None else cut - 2)
         done.add(ci)
         if simplify:
             cur.simplify()
         if cut is not None:
-            cur.drop_isolated(cut)
+            cur.truncate(cut)
     for e in d.free_loops:
         circle = BigradedComplex(spec)
         circle.add_generator(Grading(0, 0), FlatTangle((), [("free", e)]))

@@ -149,7 +149,8 @@ def _support_windows(table):
     lo, hi = hs[0], hs[-1]
     tops = {lo - 2, lo, lo + 2, lo + 2 * ((hi - lo) // 4), hi - 2, hi}
     windows = [Window(h2_lo=top - 4, h2_hi=top) for top in sorted(tops)]
-    return windows + [Window(h2_hi=hi - 2, q2_lo=-4, q2_hi=8)]
+    # a half-integer top gives an odd cut, which the scan raises to even
+    return windows + [Window(h2_hi=hi - 2, q2_lo=-4, q2_hi=8), Window(h2_hi=lo + 1)]
 
 
 def test_window_truncated_scan_equals_restricted_full_table():

@@ -186,19 +186,21 @@ def _fixture(name):
 EDGE = Window(h2_lo=-4, h2_hi=0, q2_lo=-16, q2_hi=0)
 ABOVE_EDGE = Window(h2_lo=0, h2_hi=2)
 INTERIOR = Window(h2_lo=2, h2_hi=6, q2_lo=-20, q2_hi=4)
+# a half-integer top against an even twisted writhe: the scan's cut is odd
+ODD_TOP = Window(h2_lo=-1, h2_hi=3)
 
 
 # (name, diagram, k_max, windows, the highest twist level the windows scan)
 TRUNCATION_CASES = [
     ("fixture belt1", _fixture("belt1"), 3, [EDGE, INTERIOR], None),
-    ("fixture belt11", _fixture("belt11"), 3, [EDGE, ABOVE_EDGE, INTERIOR], 3),
-    ("fixture belt2", _fixture("belt2"), 3, [EDGE, ABOVE_EDGE, INTERIOR], 3),
+    ("fixture belt11", _fixture("belt11"), 3, [EDGE, ABOVE_EDGE, INTERIOR, ODD_TOP], 3),
+    ("fixture belt2", _fixture("belt2"), 3, [EDGE, ABOVE_EDGE, INTERIOR, ODD_TOP], 3),
     ("fixture belt4", _fixture("belt4"), 2, [EDGE, ABOVE_EDGE], 2),
     ("fixture empty_s1s2", _fixture("empty_s1s2"), 3, [EDGE, INTERIOR], 2),
     ("fixture empty_s1s2_x2", _fixture("empty_s1s2_x2"), 3, [EDGE, INTERIOR], 2),
     ("belt_link(4)", catalog.belt_link(4), 4, [EDGE, INTERIOR], 4),
     ("belt_link(2)", catalog.belt_link(2), 4, [EDGE, ABOVE_EDGE, INTERIOR, BELT_WINDOW], 4),
-    ("belt_link(1, 1)", catalog.belt_link(1, 1), 4, [EDGE, ABOVE_EDGE, INTERIOR], 4),
+    ("belt_link(1, 1)", catalog.belt_link(1, 1), 4, [EDGE, ABOVE_EDGE, INTERIOR, ODD_TOP], 4),
     ("belt_link(2, 2)", catalog.belt_link(2, 2), 3, [EDGE, ABOVE_EDGE], 3),
 ]
 
