@@ -13,30 +13,30 @@ guard refused the input).
 Every command runs one request path, `serve`: it keys the request on its
 options but --json, --no-cache and --cache-dir (the diagram as its JSON)
 and the source version, reads the entry from the cache or computes and
-stores it, prints it, and reads the exit code off the entry, hit or miss.
+stores it, prints it, and reads the exit code off the entry, hit or miss;
+a hit loads only this module, `diagram`, `json` and the builtin sha256.
+Options go before or after the diagram, spelled in full, as `--opt value`
+or `--opt=value` (a value may start with `-`); a usage error exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .diagram import parse_diagram
 
-# The computing modules, and gradings, are imported inside the functions that
-# use them, so a cache hit loads neither the cube nor the cobordism stack.
+try:  # the builtin C sha256 (_sha256 to 3.11, _sha2 from 3.12); hashlib's loads OpenSSL
+    sha256 = __import__("_sha256" if sys.version_info < (3, 12) else "_sha2").sha256
+except ImportError:
+    from hashlib import sha256
 
 
 def _cache_dir(args) -> str:
-    if args.cache_dir:
-        return args.cache_dir
-    env = os.environ.get("LASAGNA_CACHE_DIR")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "lasagna")
+    return (args.cache_dir or os.environ.get("LASAGNA_CACHE_DIR")
+            or os.path.join(os.path.expanduser("~"), ".cache", "lasagna"))
 
 
 def _source_version() -> str:
@@ -45,7 +45,7 @@ def _source_version() -> str:
     Cache keys include it, so an entry never outlives the code that computed it.
     """
     package = os.path.dirname(os.path.abspath(__file__))
-    digest = hashlib.sha256()
+    digest = sha256()
     for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
         with open(os.path.join(package, name), "rb") as fh:
             data = fh.read()
@@ -120,9 +120,7 @@ def _emit(result: dict, as_json: bool) -> None:
 def _window(args):
     from .gradings import Window, parse_window
 
-    if args.window:
-        return parse_window(args.window)
-    return Window()
+    return parse_window(args.window) if args.window else Window()
 
 
 def cmd_kh(args, d) -> dict:
@@ -175,7 +173,7 @@ def serve(args) -> int:
     if not args.no_cache:
         request = {k: v for k, v in vars(args).items() if k not in _PRESENTATION}
         request.update(diagram=d.to_json_obj(), version=_source_version())
-        key = hashlib.sha256(json.dumps(request, sort_keys=True).encode()).hexdigest()
+        key = sha256(json.dumps(request, sort_keys=True).encode()).hexdigest()
     entry = _cache_get(args, key)
     if entry is None:
         entry = args.func(args, d)
@@ -185,70 +183,72 @@ def serve(args) -> int:
     return 0 if all(flags) else 3
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="lasagna", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("diagram", help="diagram JSON file")
-        sp.add_argument("--window", help="hLo:hHi,qLo:qHi with * for open bounds")
-        sp.add_argument("--json", action="store_true")
-        sp.add_argument("--no-cache", action="store_true")
-        sp.add_argument("--cache-dir", default=None)
-
-    kh = sub.add_parser("kh", help="gl2 link homology dimensions")
-    common(kh)
-    kh.set_defaults(func=cmd_kh, oracle=False)
-
-    rw = sub.add_parser("rw", help="Rozansky-Willis homology (plus variant)")
-    common(rw)
-    rw.add_argument("--max-twists", type=int, default=3)
-    rw.set_defaults(func=cmd_rw)
-
-    las = sub.add_parser("lasagna", help="skein lasagna module dimensions")
-    common(las)
-    las.add_argument("--alpha", default="", help="skein class offset n, comma separated")
-    las.add_argument("--r-max", type=int, default=3)
-    las.set_defaults(func=cmd_lasagna)
-
-    lee = sub.add_parser("lee", help="Lee total rank")
-    common(lee)
-    lee.set_defaults(func=cmd_lee)
-
-    orc = sub.add_parser("oracle", help="dense-cube oracle recomputation")
-    orc_sub = orc.add_subparsers(dest="oracle_command", required=True)
-    okh = orc_sub.add_parser("kh")
-    common(okh)
-    okh.set_defaults(func=cmd_kh, oracle=True)
-    return p
+class UsageError(ValueError):
+    """A malformed command line; run prints it as one error line and exits 2."""
 
 
-def run(argv) -> int:
-    parser = build_parser()
-    # join value-taking flags with leading-dash values (e.g. --window -1:0,-4:0)
-    argv = list(argv)
-    joined = []
-    i = 0
-    while i < len(argv):
-        a = argv[i]
-        if a in ("--window", "--alpha") and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            joined.append(f"{a}={argv[i + 1]}")
-            i += 2
+# The options every command takes, flag: (dest, type, default), and its _FLAGS, which take
+# no value; then each command's dispatch, fixed fields and own options.
+_SHARED = {"--window": ("window", str, None), "--cache-dir": ("cache_dir", str, None)}
+_FLAGS = {"--json": "json", "--no-cache": "no_cache"}
+_COMMANDS = {
+    "kh": (cmd_kh, {"oracle": False}, {}),
+    "rw": (cmd_rw, {}, {"--max-twists": ("max_twists", int, 3)}),
+    "lasagna": (cmd_lasagna, {}, {"--alpha": ("alpha", str, ""), "--r-max": ("r_max", int, 3)}),
+    "lee": (cmd_lee, {}, {}),
+    "oracle kh": (cmd_kh, {"oracle_command": "kh", "oracle": True}, {}),
+}
+
+
+def _usage() -> str:
+    def flags(options):
+        return "".join(f" [{f} {dest.upper()}]" for f, (dest, _, _) in options.items())
+    lines = [f"  lasagna {name} DIAGRAM{flags(own)}" for name, (_, _, own) in _COMMANDS.items()]
+    shared = flags(_SHARED) + "".join(f" [{f}]" for f in _FLAGS)
+    return "\n".join(["usage:", *lines, f"options of every command:{shared}", "", __doc__])
+
+
+def parse_args(argv: list) -> SimpleNamespace:
+    """The request argv names: the command's fixed fields, then each option's value or default."""
+    name = " ".join(argv[:2] if argv[:1] == ["oracle"] else argv[:1])
+    if name not in _COMMANDS:
+        raise UsageError(f"unknown command {name!r}; choose from {', '.join(_COMMANDS)}")
+    func, fixed, own = _COMMANDS[name]
+    options = {**_SHARED, **own}
+    fields = dict.fromkeys(_FLAGS.values(), False) | {d: v for d, _, v in options.values()}
+    diagrams, rest = [], iter(argv[len(name.split()):])
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        if arg in _FLAGS:
+            fields[_FLAGS[arg]] = True
+        elif not arg.startswith("-"):
+            diagrams.append(arg)
+        elif flag not in options:
+            raise UsageError(f"unknown option {arg} for {name}")
+        elif not eq and (value := next(rest, None)) is None:
+            raise UsageError(f"{flag} needs a value")
         else:
-            joined.append(a)
-            i += 1
-    argv = joined
+            dest, kind, _ = options[flag]
+            try:
+                fields[dest] = kind(value)
+            except ValueError:
+                raise UsageError(f"{flag}: invalid int value {value!r}") from None
+    if len(diagrams) != 1:
+        raise UsageError(f"{name} takes one diagram file, got {len(diagrams)}")
+    return SimpleNamespace(command=argv[0], diagram=diagrams[0], func=func, **fixed, **fields)
+
+
+def run(argv: list[str]) -> int:
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_usage())
+        return 0
     try:
-        args = parser.parse_args(argv)
-        return serve(args)
-    except ValueError as exc:  # DiagramError and LasagnaError among them
+        return serve(parse_args(argv))
+    except (ValueError, OSError) as exc:  # DiagramError, LasagnaError and UsageError among them
         sys.stderr.write(f"error: {exc}\n")
         from .densecube import CapacityError  # only on the error path: a cache hit skips densecube
 
         return 4 if isinstance(exc, CapacityError) else 2
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
 
 
 def main() -> None:

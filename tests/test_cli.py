@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -86,6 +88,7 @@ def test_oracle_matches_kh(tmp_path):
     b = run_cli(["oracle", "kh", fixture("hopf.json")], tmp_path)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+    assert len(list(tmp_path.iterdir())) == 2  # the oracle's request is keyed apart
 
 
 def test_determinism_and_cache(tmp_path):
@@ -178,6 +181,90 @@ def test_stabilization_failure_exit_code(tmp_path):
     assert "stabilized[1]=false" in out.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate", "hopf.json"],
+        ["oracle", "hopf.json"],
+        ["kh"],
+        ["kh", "hopf.json", "hopf.json"],
+        ["kh", "hopf.json", "--bogus"],
+        ["kh", "hopf.json", "--max-twists", "3"],  # an option of another command
+        ["kh", "hopf.json", "--json=yes"],
+        ["rw", "belt2.json", "--max", "3"],  # prefixes of an option are not accepted
+        ["rw", "belt2.json", "--max-twists"],
+        ["kh", "hopf.json", "--window"],
+        ["rw", "belt2.json", "--max-twists", "three"],
+        ["lasagna", "empty_s1s2.json", "--r-max=2.5"],
+    ],
+)
+def test_usage_error_exit_code(tmp_path, monkeypatch, capsys, argv):
+    from lasagna import cli
+
+    monkeypatch.setenv("LASAGNA_CACHE_DIR", str(tmp_path))
+    argv = [fixture(a) if a.endswith(".json") else a for a in argv]
+    assert cli.run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["rw", "belt2.json", "--help"]])
+def test_help_names_every_command(tmp_path, monkeypatch, capsys, argv):
+    from lasagna import cli
+
+    monkeypatch.setenv("LASAGNA_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(cli, "serve", lambda args: pytest.fail("--help served a request"))
+    assert cli.run(argv) == 0
+    out = capsys.readouterr().out
+    for command in ("kh", "rw", "lasagna", "lee", "oracle kh"):
+        assert f"lasagna {command} DIAGRAM" in out
+    assert "--max-twists" in out and "--cache-dir" in out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_spellings_of_one_request_share_one_entry(tmp_path, capsys):
+    from lasagna import cli
+
+    belt2 = fixture("belt2.json")
+    spellings = [
+        ["rw", belt2, "--window", "-1:0,-4:0"],
+        ["rw", belt2, "--window=-1:0,-4:0"],
+        ["rw", "--max-twists", "3", belt2, "--window", "-1:0,-4:0"],  # the default, given
+        ["rw", belt2, "--window=-1:0,-4:0", "--max-twists=3"],
+    ]
+    outputs = []
+    for argv in spellings:
+        assert cli.run([*argv, "--cache-dir", str(tmp_path)]) == 0
+        outputs.append(capsys.readouterr())
+        assert len(list(tmp_path.iterdir())) == 1
+    assert outputs == [outputs[0]] * len(spellings)
+    assert outputs[0].out == "0\t-2\t1\n0\t0\t1\n"
+
+
+def test_parsed_fields_are_the_cache_key_contract():
+    # serve keys a request on these fields, so they must not drift; the argvs
+    # have the benchmark's shape: options after the diagram, --cache-dir last
+    from lasagna import cli
+
+    shared = {"diagram": "d.json", "window": None, "json": False, "no_cache": False,
+              "cache_dir": "/c"}
+    cases = [
+        (["kh", "d.json"], cli.cmd_kh, {"command": "kh", "oracle": False}),
+        (["oracle", "kh", "d.json"], cli.cmd_kh,
+         {"command": "oracle", "oracle_command": "kh", "oracle": True}),
+        (["rw", "d.json", "--window", "-1:0,-4:0", "--max-twists", "3"], cli.cmd_rw,
+         {"command": "rw", "window": "-1:0,-4:0", "max_twists": 3}),
+        (["lasagna", "d.json", "--r-max", "2"], cli.cmd_lasagna,
+         {"command": "lasagna", "alpha": "", "r_max": 2}),
+        (["lee", "d.json"], cli.cmd_lee, {"command": "lee"}),
+    ]
+    for argv, func, fields in cases:
+        assert vars(cli.parse_args([*argv, "--cache-dir", "/c"])) == {
+            **shared, "func": func, **fields}
+
+
 def python_c(code, cache_dir, **env):
     """Run `python -c code` with the cache directory and extra environment set."""
     env = dict(os.environ, LASAGNA_CACHE_DIR=str(cache_dir), **env)
@@ -205,7 +292,25 @@ def test_cache_hit_loads_only_cli_and_diagram(tmp_path):
     assert list(tmp_path.iterdir()) == [entry]
     assert {m for m in loaded if m.split(".")[0] == "lasagna"} == {
         "lasagna", "lasagna.cli", "lasagna.diagram"}
-    assert "dataclasses" not in set(loaded) - set(bare.stdout.split())
+    new = set(loaded) - set(bare.stdout.split())
+    assert not new & {"dataclasses", "argparse", "gettext", "locale"}
+    if any(importlib.util.find_spec(m) for m in ("_sha256", "_sha2")):
+        assert "_hashlib" not in new and "hashlib" not in new  # no OpenSSL for two digests
+
+
+def test_builtin_sha256_matches_hashlib():
+    from lasagna import cli
+
+    with open(fixture("t44.json"), "rb") as fh:
+        diagram = fh.read()
+    request = json.dumps({"command": "kh", "diagram": diagram.decode(), "oracle": False,
+                          "version": cli._source_version(), "window": None}, sort_keys=True)
+    for data in (b"", request.encode(), diagram):
+        assert cli.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+    digest = cli.sha256()
+    digest.update(b"cli.py\0")
+    digest.update(diagram)
+    assert digest.hexdigest() == hashlib.sha256(b"cli.py\0" + diagram).hexdigest()
 
 
 def source_version(src_dir, hash_seed):
