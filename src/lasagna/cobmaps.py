@@ -13,11 +13,13 @@ on homology only; no test asserts its chain-level signs.
 This module owns the belt-permutation action (`_permutation_chain_map`,
 labels transported along crossed tubes) and the symmetrizer built on it
 (`_Symmetrizer`), which `skein` imports.  The symmetrizer builds only the
-belt transpositions and checks every one of them to commute with the
-differential.  `homology_matrix` is the one routine turning a chain-level
-map into matrices between homology blocks: each column is one reduction of
-an image in the target block's coordinate echelon (`Cube.homology_basis`),
-with no span rebuilt per column.
+belt transpositions, checks every one of them to commute with the
+differential, and sums in integers on chains; its 1/k! weight is applied
+to matrices on homology.  `homology_matrix` is the one routine turning a
+chain-level map into matrices between homology blocks: each column is one
+reduction of an image in the target block's coordinate echelon
+(`Cube.homology_basis`), with no span rebuilt per column.
+`compose_matrices` multiplies two such matrices block by block.
 
 All formulas are classical-convention; consumers needing the gl2-normalized
 degree of a move use -chi + 2*dots.
@@ -43,7 +45,7 @@ from .densecube import (
     unit,
 )
 from .diagram import Crossing, DiagramError, LinkDiagram, check_planar, fresh_name
-from .linalg import Echelon, inverse, row_reduce
+from .linalg import Echelon, exact, inverse, row_reduce
 
 
 # -- diagram rewrites for Morse moves ----------------------------------------
@@ -220,6 +222,42 @@ def homology_matrix(apply: Callable[[dict], dict], H_src: dict, H_dst: dict, shi
     return result
 
 
+def compose_matrices(outer: Optional[dict], inner: Optional[dict], shift=(0, 0), scale=1) -> dict:
+    """`scale` times the matrix on homology of f∘g, from outer = H(f) and inner = H(g).
+
+    Both are `homology_matrix` results in the same homology bases, and g
+    moves the grading by `shift`: inner's block at a key lands in outer's
+    block at key + shift, and the result is keyed like inner.  None stands
+    for an identity and builds nothing.  Exact, because homology is a
+    functor on chain maps: the matrix of a composite is the product of the
+    matrices in the same bases.  Each entry is multiplied by `scale` once,
+    at the end, and is an int where integral.  A block that inner maps into
+    an empty middle block (columns of length 0) gets empty columns, so the
+    outer map's target must be empty there too, as for an endomorphism.
+    """
+    if outer is None or inner is None:
+        single = inner if outer is None else outer
+        if scale == 1:
+            return single
+        return {key: [[exact(scale * x) for x in col] for col in cols] for key, cols in single.items()}
+    result = {}
+    for (h2, q2), cols in inner.items():
+        ocols = outer.get((h2 + shift[0], q2 + shift[1]), [])
+        width = len(ocols[0]) if ocols else 0
+        out = []
+        for col in cols:
+            if len(col) != len(ocols):
+                raise AssertionError("the outer matrix misses a block the inner one reaches")
+            acc = [0] * width
+            for c, ocol in zip(col, ocols):
+                if c:
+                    for i, x in enumerate(ocol):
+                        acc[i] += c * x
+            out.append([exact(scale * x) for x in acc])
+        result[(h2, q2)] = out
+    return result
+
+
 def block_ranks(matrices: dict) -> dict:
     """Rank of each block of a `homology_matrix` result."""
     return {
@@ -271,19 +309,25 @@ def _belt_circle_indices(circles: list, groups: list) -> Optional[list[int]]:
 
 
 class _Symmetrizer:
-    """Average of all belt permutations per region, on chains.
+    """Sum of all belt permutations per region, on chains, in integers.
 
     Uses the Jucys-Murphy factorization Sym_k = X_k ... X_2 with
-    X_j = (1/j)(1 + sum_{i<j} (i j)), so only the k(k-1)/2 transpositions
-    are built.  Each is checked to be a chain map (one that fixes every
+    X_j = 1 + sum_{i<j} (i j), so only the k(k-1)/2 transpositions are
+    built.  Each is checked to be a chain map (one that fixes every
     generator is the identity, and needs no check); they generate S_k, so
-    every permutation, and the average, is then one too.  `apply` runs the
-    integral factors 1 + sum_{i<j} (i j) and divides by the product of the
-    j (k! per region) once at the end, so chains stay ints until then.
+    every permutation, and the sum, is then one too.  `apply` runs the
+    integral factors, so a chain of ints stays one; `weight`, the inverse of
+    the product of the j (k! per region), turns the sum into the average,
+    `weight * apply(v)`.  Callers weight matrices on homology, not chains:
+    the sum is a chain map, so its matrix on homology times `weight` is the
+    average's.  `moves` says whether some transposition moves a generator;
+    where none does, the sum is k! times the identity and the average is
+    the identity.
     """
 
     def __init__(self, cube: Cube, region_groups: Iterable[list]):
         self.factors = []  # the transposition maps of X_2, X_3, ... per region
+        self.moves = False
         for groups in region_groups:
             k = len(groups)
             for j in range(1, k):
@@ -298,6 +342,7 @@ class _Symmetrizer:
                             f"belt transposition of {groups[i][0]!r} and {groups[j][0]!r} "
                             "is not a chain map"
                         )
+                    self.moves = self.moves or moves
                     maps.append(f)
                 self.factors.append(maps)
         self.weight = inverse(math.prod(len(maps) + 1 for maps in self.factors))
@@ -310,7 +355,7 @@ class _Symmetrizer:
                 for k, v in f.apply(out).items():
                     _acc(acc, k, v)
             out = acc
-        return {k: self.weight * v for k, v in out.items()}
+        return out
 
 
 def reduction_equivalence(src: Cube, dst: Cube, q2s=None) -> ChainMap:

@@ -28,7 +28,7 @@ from typing import Iterable
 
 from .diagram import LinkDiagram, edge_classes
 from .gradings import DimTable, Grading, graded_blocks
-from .linalg import Echelon, block_homology_dims, inverse, kernel_basis
+from .linalg import Echelon, block_homology_dims, exact, inverse, kernel_basis
 
 LABEL_ONE = 0
 LABEL_X = 1
@@ -126,7 +126,7 @@ MAX_CROSSINGS = 14  # the dense cube holds every one of the 2^n states
 class Cube:
     """Full cube of resolutions of a diagram over Q[x]/(x^2-c)."""
 
-    def __init__(self, d: LinkDiagram, c: Fraction = Fraction(0)):
+    def __init__(self, d: LinkDiagram, c: int | Fraction = 0):
         if d.regions:
             raise ValueError("cube of resolutions requires a diagram without surgery regions")
         if len(d.crossings) > MAX_CROSSINGS:
@@ -134,7 +134,7 @@ class Cube:
                 f"dense cube guard: {len(d.crossings)} crossings exceeds {MAX_CROSSINGS}"
             )
         self.diagram = d
-        self.c = Fraction(c)
+        self.c = exact(Fraction(c))  # an integral c stays an int
         self.n = len(d.crossings)
         self.n_plus = sum(1 for x in d.crossings if x.sign == 1)
         self.n_minus = self.n - self.n_plus

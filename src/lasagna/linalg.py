@@ -6,7 +6,8 @@ coefficient is an int until a division makes it non-integral, and only then
 a Fraction: int with int stays int, int with Fraction gives Fraction, and
 equal values compare and hash equal across the two types.  `inverse` is the
 one place a scalar is inverted, so the cube and cobordism differentials,
-whose entries are mostly +-1, run on Python ints.  Everything here is
+whose entries are mostly +-1, run on Python ints; `exact` turns a product
+that came out integral back into an int.  Everything here is
 deterministic: pivots are the smallest key present, by sorted key order.
 
 `Echelon.reduce` is the one elimination kernel: every rank, kernel basis,
@@ -36,6 +37,11 @@ def inverse(x):
     if x == 1 or x == -1:
         return int(x)
     return Fraction(1) / x
+
+
+def exact(x):
+    """The scalar x, an int or a Fraction, as an int where it is integral."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
 class Tag(tuple):

@@ -4,6 +4,7 @@ Each works on the package's public data (a complex's entries, a chain map's
 rows, a diagram's edges), so the package itself carries none of them.
 """
 
+from lasagna.cobmaps import homology_matrix
 from lasagna.complexes import BigradedComplex
 from lasagna.densecube import ChainMap, Cube, TrackedReduction
 from lasagna.diagram import (
@@ -14,6 +15,7 @@ from lasagna.diagram import (
     check_planar,
     fresh_name,
 )
+from lasagna.skein import transition_down
 
 
 def verify_d_squared(c: BigradedComplex) -> bool:
@@ -70,6 +72,25 @@ def bidegree_shifts(f: ChainMap) -> set[tuple[int, int]]:
             tg = f.dst.gen_grading(*tgt)
             shifts.add((tg.h2 - gg.h2, tg.q2 - gg.q2))
     return shifts
+
+
+def symmetrizer_average(sym, vec: dict) -> dict:
+    """The average of the belt permutations on a chain: the weighted integral sum."""
+    return {k: sym.weight * v for k, v in sym.apply(vec).items()}
+
+
+def chain_level_transition(spec, stages, syms, Hs, r) -> dict:
+    """The symmetrized annihilation H(stage r+1) -> H(stage r), the slow way.
+
+    `homology_matrix` of the weighted chain-level composite P_r∘F∘P_{r+1},
+    P being `symmetrizer_average` and F `skein.transition_down`: every
+    column runs both averages and F on chains.
+    """
+    F = transition_down(stages[r + 1], stages[r], Hs[r + 1])
+    return homology_matrix(
+        lambda v: symmetrizer_average(syms[r], F.apply(symmetrizer_average(syms[r + 1], v))),
+        Hs[r + 1], Hs[r], (0, -4 * len(spec.boundary.regions)),
+    )
 
 
 def identity_map(cube: Cube) -> ChainMap:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lasagna import catalog
-from lasagna.cobmaps import homology_matrix
+from lasagna.cobmaps import compose_matrices, homology_matrix
 from lasagna.densecube import Cube
 from lasagna.khovanov import scan_complex
 from lasagna.linalg import inverse
@@ -67,16 +67,22 @@ def test_reduction_coefficients_are_exact(r3_pair):
 
 
 def test_symmetrizer_and_homology_matrix_are_exact():
+    """The symmetrizer sums in ints; its weight, applied once to the matrix
+    on homology, gives exact Fractions where the average divides."""
     st = build_stage(HandlebodySpec(catalog.empty_surgery(1), (0,)), 2)
     sym = _Symmetrizer(st.cube, st.belt_groups.values())
     H = st.cube.homology_basis()
     reps = [v for reps, _img in H.values() for v in reps]
     assert reps
     images = [c for v in reps for c in sym.apply(v).values()]
-    assert images and _types(images) <= {int, Fraction}
-    cols = [c for block in homology_matrix(sym.apply, H, H).values() for col in block for c in col]
-    assert cols and _strict(cols)
+    assert images and _types(images) == {int}
+    S = homology_matrix(sym.apply, H, H)
+    cols = [c for block in S.values() for col in block for c in col]
+    assert cols and _types(cols) == {int}
     assert any(c not in (0, 1, -1) for c in cols)
+    averaged = [c for block in compose_matrices(None, S, scale=sym.weight).values()
+                for col in block for c in col]
+    assert _strict(averaged) and _types(averaged) == {int, Fraction}
 
 
 def test_capping_coordinates_follow_the_convention_strictly():
@@ -92,6 +98,15 @@ def test_capping_coordinates_follow_the_convention_strictly():
     (allx,) = homology_matrix(lambda v: v, {(0, -4): ([all_x], None)}, Hs[0])[(0, -4)]
     coords = [c for col in block + [allx] for c in col]
     assert coords and _strict(coords)
+
+
+def test_dense_cube_keeps_an_integral_c_an_int():
+    for c in (1, Fraction(1)):
+        cube = Cube(catalog.trefoil_right(), c)
+        assert type(cube.c) is int
+        coeffs = [v for g in cube.generators() for v in cube.differential(g).values()]
+        assert coeffs and _types(coeffs) == {int}
+    assert Cube(catalog.unknot(), Fraction(1, 2)).c == Fraction(1, 2)
 
 
 def test_unsimplified_scan_coefficients_are_ints():

@@ -15,6 +15,8 @@ from lasagna.skein import (
     transition_down,
 )
 
+from helpers import chain_level_transition, symmetrizer_average
+
 FIXTURE_WINDOW = Window(h2_lo=-4, h2_hi=4, q2_lo=-12, q2_hi=0)
 
 
@@ -248,6 +250,62 @@ def test_colimit_builds_only_the_window_blocks(monkeypatch):
             assert (res.table, res.stable, res.stages) == reference, (alpha, w)
 
 
+def _types(matrices: dict) -> dict:
+    return {key: [[type(x) for x in col] for col in cols] for key, cols in matrices.items()}
+
+
+@pytest.mark.parametrize("alpha, r_max", [(0, 3), (2, 2)])
+def test_transition_on_homology_equals_the_chain_level_composite(alpha, r_max):
+    # w_r w_{r+1} S_r M_F S_{r+1} against homology_matrix of the averaged
+    # chain-level composite, entry for entry and type for type
+    from lasagna.cobmaps import block_ranks, homology_matrix
+    from lasagna.skein import _classical_to_global, _Symmetrizer, _transition_matrix, _window_stages
+
+    spec = HandlebodySpec(catalog.empty_surgery(1), (alpha,))
+    stages, Hs = _window_stages(spec, Window(), r_max)
+    syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
+    for r in range(r_max):
+        got = _transition_matrix(spec, stages, syms, Hs, r)
+        want = chain_level_transition(spec, stages, syms, Hs, r)
+        assert got == want and _types(got) == _types(want), r
+    res = s02_dims(spec, Window(), r_max)
+    for st, H, sym, table in zip(stages, Hs, syms, res.stages):
+        ranks = block_ranks(homology_matrix(lambda v: symmetrizer_average(sym, v), H, H))
+        assert table == DimTable({_classical_to_global(*k, st): v for k, v in ranks.items()})
+
+
+def test_capping_transition_on_homology_equals_the_chain_level_composite():
+    from lasagna.skein import _Symmetrizer, _transition_matrix
+
+    spec = HandlebodySpec(catalog.belt_link(2), (0,))
+    stages = [build_stage(spec, 0), build_stage(spec, 1)]
+    syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
+    assert not any(sym.moves for sym in syms)  # both averages are the identity
+    Hs = [stages[0].cube.homology_basis({(0, -4)}.__contains__),
+          stages[1].cube.homology_basis({(0, 0)}.__contains__)]
+    got = _transition_matrix(spec, stages, syms, Hs, 0)
+    want = chain_level_transition(spec, stages, syms, Hs, 0)
+    assert got and got == want and _types(got) == _types(want)
+
+
+@pytest.mark.parametrize("alpha, r_max", [(0, 3), (2, 2)])
+def test_weighted_stage_matrix_is_a_projector(alpha, r_max):
+    from lasagna.cobmaps import compose_matrices
+    from lasagna.skein import _stage_matrix, _Symmetrizer
+
+    spec = HandlebodySpec(catalog.empty_surgery(1), (alpha,))
+    for r in range(r_max + 1):
+        st = build_stage(spec, r)
+        sym = _Symmetrizer(st.cube, st.belt_groups.values())
+        S = _stage_matrix(sym, st.cube.homology_basis())
+        if S is None:  # no belt moves: the average is the identity
+            assert r == 0 and alpha == 0
+            continue
+        P = compose_matrices(None, S, scale=sym.weight)
+        assert compose_matrices(P, P) == P, r
+        assert P != S  # the weight is not 1
+
+
 @pytest.mark.parametrize(
     "boundary, offset, r, moves",
     [
@@ -278,7 +336,11 @@ def test_symmetrizer_equals_average_over_all_permutations(boundary, offset, r, m
     reps = [v for reps, _img in st.cube.homology_basis().values() for v in reps]
     assert reps
     for v in reps:
-        assert sym.apply(v) == average(v)
+        # the sum keeps an int chain in ints; weighted once, it is the average
+        if all(type(x) is int for x in v.values()):
+            assert all(type(x) is int for x in sym.apply(v).values())
+        assert symmetrizer_average(sym, v) == average(v)
+    assert sym.moves == moves
     if moves:
         assert any(f.apply(v) != v for maps in per_region for f in maps for v in reps)
     else:
@@ -286,7 +348,9 @@ def test_symmetrizer_equals_average_over_all_permutations(boundary, offset, r, m
         # their own, so every permutation fixes every chain and this case
         # compares two identities (see the FOUND: line on
         # `_permutation_chain_map` in CHANGES.md; whether that is right is open).
-        assert all(sym.apply(v) == v for v in reps)
+        # The sum is then 2! times the identity.
+        assert all(symmetrizer_average(sym, v) == v for v in reps)
+        assert all(sym.apply(v) == {k: 2 * x for k, x in v.items()} for v in reps)
 
 
 def test_symmetrizer_checks_every_transposition_that_moves_a_generator(monkeypatch):
