@@ -222,24 +222,19 @@ def homology_matrix(apply: Callable[[dict], dict], H_src: dict, H_dst: dict, shi
     return result
 
 
-def compose_matrices(outer: Optional[dict], inner: Optional[dict], shift=(0, 0), scale=1) -> dict:
+def compose_matrices(outer: dict, inner: dict, shift=(0, 0), scale=1) -> dict:
     """`scale` times the matrix on homology of f∘g, from outer = H(f) and inner = H(g).
 
     Both are `homology_matrix` results in the same homology bases, and g
     moves the grading by `shift`: inner's block at a key lands in outer's
-    block at key + shift, and the result is keyed like inner.  None stands
-    for an identity and builds nothing.  Exact, because homology is a
-    functor on chain maps: the matrix of a composite is the product of the
-    matrices in the same bases.  Each entry is multiplied by `scale` once,
-    at the end, and is an int where integral.  A block that inner maps into
-    an empty middle block (columns of length 0) gets empty columns, so the
-    outer map's target must be empty there too, as for an endomorphism.
+    block at key + shift, and the result is keyed like inner.  Exact,
+    because homology is a functor on chain maps: the matrix of a composite
+    is the product of the matrices in the same bases.  Each entry is
+    multiplied by `scale` once, at the end, and is an int where integral.
+    A block that inner maps into an empty middle block (columns of length 0)
+    gets empty columns, so the outer map's target must be empty there too,
+    as for an endomorphism.
     """
-    if outer is None or inner is None:
-        single = inner if outer is None else outer
-        if scale == 1:
-            return single
-        return {key: [[exact(scale * x) for x in col] for col in cols] for key, cols in single.items()}
     result = {}
     for (h2, q2), cols in inner.items():
         ocols = outer.get((h2 + shift[0], q2 + shift[1]), [])
@@ -320,14 +315,11 @@ class _Symmetrizer:
     the product of the j (k! per region), turns the sum into the average,
     `weight * apply(v)`.  Callers weight matrices on homology, not chains:
     the sum is a chain map, so its matrix on homology times `weight` is the
-    average's.  `moves` says whether some transposition moves a generator;
-    where none does, the sum is k! times the identity and the average is
-    the identity.
+    average's.
     """
 
     def __init__(self, cube: Cube, region_groups: Iterable[list]):
         self.factors = []  # the transposition maps of X_2, X_3, ... per region
-        self.moves = False
         for groups in region_groups:
             k = len(groups)
             for j in range(1, k):
@@ -342,7 +334,6 @@ class _Symmetrizer:
                             f"belt transposition of {groups[i][0]!r} and {groups[j][0]!r} "
                             "is not a chain map"
                         )
-                    self.moves = self.moves or moves
                     maps.append(f)
                 self.factors.append(maps)
         self.weight = inverse(math.prod(len(maps) + 1 for maps in self.factors))

@@ -33,8 +33,6 @@ M_F being the matrix on homology of the chain-level annihilation map F and
 w the 1/k! weights, applied once per matrix.  This is exact: homology is a
 functor on chain maps, so in the same bases the matrix of the averaged
 chain-level composite P_r F P_{r+1} is the product of the three matrices.
-A stage whose transpositions fix every generator (the crossed belts of
-`belt_link(2)`) averages to the identity and builds no matrix.
 
 Desk-scale guard: one handlebody component, few regions, at most MAX_BELTS
 belts per stage cable; the boundary link's transit strands must be
@@ -43,7 +41,6 @@ crossingless circles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -261,14 +258,11 @@ def s02_dims(spec: HandlebodySpec, window: Window, r_max: int = 3) -> LasagnaRes
         raise LasagnaError("r_max must be at least 2 to report stabilization")
     stages, Hs = _window_stages(spec, window, r_max)
     syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
-    mats = [_stage_matrix(sym, H) for sym, H in zip(syms, Hs)]
-    stage_tables = []
-    for st, H, S in zip(stages, Hs, mats):
-        if S is None:  # the average is the identity
-            ranks = {key: len(reps) for key, (reps, _ech) in H.items() if reps}
-        else:
-            ranks = block_ranks(S)
-        stage_tables.append(DimTable({_classical_to_global(*k, st): v for k, v in ranks.items()}))
+    mats = [homology_matrix(sym.apply, H, H) for sym, H in zip(syms, Hs)]
+    stage_tables = [
+        DimTable({_classical_to_global(*k, st): v for k, v in block_ranks(S).items()})
+        for st, S in zip(stages, mats)
+    ]
     # only the two transitions read are built: M[r]: H(stage r+1) -> H(stage r),
     # symmetrized, for r = r_max-2 (the flags) and r = r_max-1 (the table)
     prev_ranks = block_ranks(_transition_matrix(spec, stages, syms, Hs, r_max - 2, mats))
@@ -287,28 +281,23 @@ def s02_dims(spec: HandlebodySpec, window: Window, r_max: int = 3) -> LasagnaRes
     return LasagnaResult(table, window, stage_tables, stable)
 
 
-def _stage_matrix(sym: _Symmetrizer, H: dict) -> Optional[dict]:
-    """S, the integral symmetrizer's matrix on a stage's homology basis H;
-    None when no transposition moves a generator, where sym.weight * S is
-    the identity."""
-    return homology_matrix(sym.apply, H, H) if sym.moves else None
-
-
 def _transition_matrix(spec, stages, syms, Hs, r, mats=None) -> dict:
     """Symmetrized annihilation H(stage r+1) -> H(stage r) on the blocks of Hs[r + 1].
 
     w_r w_{r+1} S_r M_F S_{r+1}, with M_F the matrix on homology of
-    `transition_down` and S the stages' `_stage_matrix`, taken from `mats`
-    where the caller has built them; the weight of a stage without a matrix
-    is left out, since its average is the identity.  Each region loses a
-    belt pair, so classical q2 drops by 4 per region.
+    `transition_down` and S_i = homology_matrix(syms[i].apply, Hs[i], Hs[i])
+    the integral stage matrices, read from `mats` where the caller has built
+    them all (`s02_dims` ranks them for its stage tables) and built here
+    otherwise.  Each region loses a belt pair, so classical q2 drops by 4
+    per region.
     """
     shift = (0, -4 * len(spec.boundary.regions))
-    lo, hi = mats[r : r + 2] if mats else (_stage_matrix(syms[i], Hs[i]) for i in (r, r + 1))
+    if mats is None:
+        mats = {i: homology_matrix(syms[i].apply, Hs[i], Hs[i]) for i in (r, r + 1)}
     F = transition_down(stages[r + 1], stages[r], Hs[r + 1])
     M = homology_matrix(F.apply, Hs[r + 1], Hs[r], shift)
-    weight = math.prod(sym.weight for sym, S in ((syms[r], lo), (syms[r + 1], hi)) if S is not None)
-    return compose_matrices(lo, compose_matrices(M, hi), shift, weight)
+    weight = syms[r].weight * syms[r + 1].weight
+    return compose_matrices(mats[r], compose_matrices(M, mats[r + 1]), shift, weight)
 
 
 @dataclass

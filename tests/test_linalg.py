@@ -280,21 +280,25 @@ def test_homology_matrix_equals_per_column_solve():
     from lasagna.cobmaps import homology_matrix
     from lasagna.skein import HandlebodySpec, _Symmetrizer, build_stage
 
+    from helpers import symmetrizer_average
+
     st = build_stage(HandlebodySpec(catalog.empty_surgery(1), (0,)), 2)
     cube = st.cube
     H = cube.homology_basis()
     sym = _Symmetrizer(cube, st.belt_groups.values())
-    mats = homology_matrix(sym.apply, H, H)
-    checked = 0
-    for key, (reps, _) in H.items():
-        if not reps:
-            continue
-        h2, q2 = key
-        img = Echelon()
-        for g in cube.blocks().get((h2 - 2, q2), []):
-            img.add(cube.differential(g))
-        reduced = [img.reduce(r) for r in reps]
-        cols = [solve_in_span(reduced, img.reduce(sym.apply(v))) for v in reps]
-        assert mats[key] == cols
-        checked += len(cols)
-    assert checked > 10
+    # the integral sum, and the average, whose images have Fraction entries
+    for apply in (sym.apply, lambda v: symmetrizer_average(sym, v)):
+        mats = homology_matrix(apply, H, H)
+        checked = 0
+        for key, (reps, _) in H.items():
+            if not reps:
+                continue
+            h2, q2 = key
+            img = Echelon()
+            for g in cube.blocks().get((h2 - 2, q2), []):
+                img.add(cube.differential(g))
+            reduced = [img.reduce(r) for r in reps]
+            cols = [solve_in_span(reduced, img.reduce(apply(v))) for v in reps]
+            assert mats[key] == cols
+            checked += len(cols)
+        assert checked > 10
