@@ -92,14 +92,6 @@ class Window:
             and hi_ok(self.q2_hi, other.q2_hi)
         )
 
-    def reflect(self) -> "Window":
-        """The window of (-h,-q) for (h,q) in self."""
-
-        def n(v):
-            return None if v is None else -v
-
-        return Window(n(self.h2_hi), n(self.h2_lo), n(self.q2_hi), n(self.q2_lo))
-
     def __str__(self) -> str:
         def b(v):
             return "*" if v is None else format_half(v)

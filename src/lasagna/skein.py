@@ -334,17 +334,18 @@ def belt_capping_class(spec: HandlebodySpec) -> CappingCertificate:
     if not _two_divisible(d):
         return CappingCertificate(Grading(0, 0), False)
     ell = sum(r.strand_count for r in d.regions)
-    grading = Grading(0, -2 * ell)
-    stages, Hs = _window_stages(spec, Window(0, 0, grading.q2, grading.q2), 1)
     if ell == 0:
         return CappingCertificate(Grading(0, 0), True)
+    grading = Grading(0, -2 * ell)
+    stages, Hs = _window_stages(spec, Window(0, 0, grading.q2, grading.q2), 1)
     if not any(reps for reps, _ech in Hs[0].values()):
         return CappingCertificate(grading, False)
     syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
     mats = _transition_matrix(spec, stages, syms, Hs, 0)
     # coordinates of the all-x generator class in the stage-0 representatives
-    (block,) = Hs[0]
-    all_x = {(0, (1,) * len(stages[0].cube.circles[0])): 1}
-    (allx,) = homology_matrix(lambda v: v, {block: ([all_x], None)}, Hs[0])[block]
-    survives = any(sum(c * a for c, a in zip(col, allx)) for cols in mats.values() for col in cols)
+    ((_reps, ech),) = Hs[0].values()
+    allx = ech.coordinates({(0, (1,) * len(stages[0].cube.circles[0])): 1})
+    if allx is None:
+        raise AssertionError("image not a cycle coordinate in target homology")
+    survives = any(sum(col[i] * a for i, a in allx.items()) for cols in mats.values() for col in cols)
     return CappingCertificate(grading, survives)

@@ -8,7 +8,9 @@ whose tracer wraps functions by name.  A method is looked up by its bare
 name, so one that shares its name with a called function or method passes.
 `catalog` is exempt: it builds the diagrams the tests and fixtures use; so
 are dunders, which Python calls.  Anything else kept without a caller sits
-on ALLOWED, under its name or `Class.method`, with its reason.
+on ALLOWED, under its name or `Class.method`, with its reason, and some
+test other than this one must use it: an allowlisted definition that no
+test reads is dead code kept alive by the list.
 """
 
 import ast
@@ -23,8 +25,9 @@ ALLOWED = {
     "eval_closed_surface": "oracle: closed-surface traces of the cobordism category",
     "deloop_maps": "oracle: the delooping isomorphism checked in the tests",
     "birth_map": "Morse move of the neck-cutting relation checked in the tests",
-    "rw_minus": "the paper's minus variant of Rozansky-Willis homology",
-    "rw_tensor": "the paper's tensor rule over disjoint manifold components",
+    "LinkDiagram.mirror": "oracle: the mirror's table is the reflected table",
+    "DimTable.reflect": "oracle: the mirror's table is the reflected table",
+    "DimTable.convolve": "oracle: a split union's table is the factors' convolution",
     "LinkDiagram.component_count": "oracle: the Lee total rank is 2^components",
 }
 EXEMPT_MODULES = {"catalog"}
@@ -82,3 +85,11 @@ def test_every_definition_has_a_caller():
 def test_allowlist_names_only_definitions_without_callers():
     # an allowlisted name that gains a caller, or no longer exists, leaves the list
     assert sorted(name.split(".", 1)[1] for name in _uncalled(())) == sorted(ALLOWED)
+
+
+def test_allowlisted_names_are_used_by_tests():
+    tests = "\n".join(p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))
+                      if p.name != Path(__file__).name)
+    unused = [qual for qual in ALLOWED
+              if not re.search(rf"\b{re.escape(qual.rsplit('.', 1)[-1])}\b", tests)]
+    assert unused == []

@@ -41,13 +41,22 @@ def test_kh_json(tmp_path):
 
 
 def test_rw_belt(tmp_path):
-    out = run_cli(
-        ["rw", fixture("belt2.json"), "--window", "-1:0,-4:0", "--max-twists", "3"],
-        tmp_path,
-    )
+    args = ["rw", fixture("belt2.json"), "--window", "-1:0,-4:0", "--max-twists", "3"]
+    out = run_cli(args, tmp_path)
     assert out.returncode == 0
     assert "0\t-2\t1" in out.stdout.splitlines()
     assert "stabilized[1]=true" in out.stderr
+    # --json hits the entry the first run cached: it holds exactly these fields
+    out = run_cli(args + ["--json"], tmp_path)
+    assert out.returncode == 0
+    assert json.loads(out.stdout) == {
+        "dims": [{"dim": "1", "h": "0", "q": "-2"}, {"dim": "1", "h": "0", "q": "0"}],
+        "notes": ["stabilized[1]=true"],
+        "stabilized": {"1": True},
+        "twists": {"1": 1},
+        "window": "h:[-1,0] q:[-4,0]",
+        "zero": False,
+    }
 
 
 def test_rw_odd_strand_zero(tmp_path):

@@ -29,13 +29,10 @@ def test_grading_arithmetic():
     assert str(Grading(1, -3)) == "(1/2,-3/2)"
 
 
-def test_window_contains_and_reflect():
+def test_window_contains():
     w = Window(h2_lo=-2, h2_hi=4, q2_lo=None, q2_hi=0)
     assert w.contains(Grading(0, -10))
     assert not w.contains(Grading(6, 0))
-    r = w.reflect()
-    assert r.h2_lo == -4 and r.h2_hi == 2
-    assert r.q2_lo == 0 and r.q2_hi is None
     with pytest.raises(ValueError):
         Window(h2_lo=2, h2_hi=0)
 

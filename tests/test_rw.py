@@ -5,9 +5,9 @@ import pytest
 
 from lasagna import catalog, projector, rw
 from lasagna.diagram import parse_diagram
-from lasagna.gradings import DimTable, Grading, Window
+from lasagna.gradings import DimTable, Window
 from lasagna.khovanov import khr2_dims, tilde_renormalize
-from lasagna.rw import RWResult, rw_minus, rw_plus, rw_tensor
+from lasagna.rw import rw_plus
 
 from helpers import r1_kink, r2_poke
 
@@ -87,44 +87,7 @@ def test_rw_plus_no_regions_recovers_tilde():
 
 def test_rw_plus_odd_writhe_half_gradings():
     res = rw_plus(catalog.trefoil_right(), Window())
-    assert res.odd_writhe
     assert any(g.h2 % 2 for g in res.table)
-
-
-def test_rw_minus_is_reflected_mirror():
-    d = catalog.belt_link(2)
-    res_plus = rw_plus(d.mirror(), BELT_WINDOW.reflect(), k_max=3)
-    res_minus = rw_minus(d, BELT_WINDOW.reflect().reflect(), k_max=3)
-    assert res_minus.table == res_plus.table.reflect()
-
-
-def test_rw_minus_belt_two():
-    w = Window(h2_lo=-2, h2_hi=4, q2_lo=0, q2_hi=12)
-    res = rw_minus(catalog.belt_link(2), w, k_max=3)
-    assert res.table[(0, 4)] == 1  # (0,+2)
-    assert all(g.h2 <= 0 for g in res.table)
-
-
-def test_rw_minus_empty():
-    res = rw_minus(catalog.empty_surgery(1), Window(h2_lo=-4, h2_hi=4, q2_lo=-8, q2_hi=8))
-    assert res.table == DimTable({(0, 0): 1})
-
-
-def test_rw_tensor_identity_and_empty():
-    empty = rw_tensor([])
-    assert empty.table == DimTable({(0, 0): 1})
-    belt = rw_plus(catalog.belt_link(2), BELT_WINDOW, k_max=3)
-    unit = rw_plus(catalog.empty_surgery(1), Window(h2_lo=0, h2_hi=0, q2_lo=0, q2_hi=0))
-    both = rw_tensor([belt, unit])
-    assert both.table[(0, -4)] == belt.table[(0, -4)]
-
-
-def test_rw_tensor_two_belts():
-    belt = rw_plus(catalog.belt_link(2), BELT_WINDOW, k_max=3)
-    both = rw_tensor([belt, belt])
-    # dim 1 at (0,-4) in (h,q), i.e. doubled (0,-8)
-    assert both.table[(0, -8)] == 1
-    assert both.window.contains(Grading(0, -8))
 
 
 def test_rw_stabilization_failure_reported():
@@ -222,10 +185,9 @@ def test_truncated_rw_plus_equals_untruncated(d, k_max, windows, top_level, untr
     assert max(levels, default=None) == top_level
 
 
-def test_truncated_floor_below_the_support(untruncated, monkeypatch):
+def test_truncated_window_below_the_support(untruncated, monkeypatch):
     # a window wholly below the table's support (h >= 0) leaves the cut table
-    # empty: the floor is the certified bound just above the window, where the
-    # full table gives its lowest h
+    # empty, as the full one restricted to it
     d, window = catalog.belt_link(2), Window(h2_lo=-6, h2_hi=-2)
     cut = rw_plus(d, window, 2)
     with monkeypatch.context() as mp:
@@ -233,4 +195,3 @@ def test_truncated_floor_below_the_support(untruncated, monkeypatch):
         full = rw_plus(d, window, 2)
     assert cut.table == full.table == DimTable()
     assert (cut.twists, cut.stabilized) == (full.twists, full.stabilized) == ({"1": 1}, {"1": True})
-    assert cut.floor == Grading(-1, 0) and full.floor == Grading(0, 0)

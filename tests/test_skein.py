@@ -124,6 +124,17 @@ def test_capping_certificates():
     assert cert11.grading == Grading(0, -4)
 
 
+def test_capping_certificate_without_belts_builds_no_stage(monkeypatch):
+    from lasagna import skein
+
+    def no_stage(spec, r):
+        raise AssertionError(f"stage {r} built")
+
+    monkeypatch.setattr(skein, "build_stage", no_stage)
+    cert = belt_capping_class(HandlebodySpec(catalog.empty_surgery(1), (0,)))
+    assert cert.survives and cert.grading == Grading(0, 0)
+
+
 @pytest.mark.parametrize(
     "boundary, r",
     [(catalog.belt_link(1), 0), (catalog.empty_surgery(1), 1)],
