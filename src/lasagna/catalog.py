@@ -127,6 +127,14 @@ def encircle(d: LinkDiagram, region_id: str, up: int, down: int) -> LinkDiagram:
     Returns (diagram, belt_groups) where belt_groups lists, innermost first,
     the edge pieces of each added circle.  Other regions are kept; the
     target region's marker is dropped.
+
+    Belt names are stable across the lasagna colimit's stages: up-belts
+    count from the inside (`B<region>.<k>.`), down-belts from the outside
+    (`B<region>.d<k>.`), each in 2n pieces.  Up-belts sit inside down-belts,
+    so the (up + 1, down + 1) stack is the (up, down) one plus the pair at
+    their boundary, the newest pair; around a strand-free region, where each
+    belt is one free loop, the smaller cable is the larger one without that
+    pair, edge for edge.  Strand pieces are renamed with the stack size.
     """
     reg = d.region(region_id)
     n = reg.strand_count
@@ -154,7 +162,8 @@ def encircle(d: LinkDiagram, region_id: str, up: int, down: int) -> LinkDiagram:
     belt_piece = []
     belt_sign = []
     for i in range(m):
-        base = fresh_name(f"B{region_id}.{i}.", used)
+        label = i if i < up else f"d{m - 1 - i}"  # down-belts count from the outside
+        base = fresh_name(f"B{region_id}.{label}.", used)
         pieces = [base] + [fresh_name(f"{base}^.", used) for _ in range(2 * n - 1)] if n else [base]
         belt_piece.append(pieces)
         belt_sign.append(1 if i < up else -1)

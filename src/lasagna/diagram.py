@@ -113,8 +113,8 @@ def fresh_name(prefix: str, used: set[str]) -> str:
     return name
 
 
-def edge_classes(edges, pairs) -> list[frozenset[str]]:
-    """The classes of edges that the joined pairs make, sorted by smallest edge."""
+def edge_classes(edges, pairs) -> list[frozenset]:
+    """The classes of edges (or crossing indices) that the joined pairs make, sorted by smallest."""
     parent = {e: e for e in edges}
 
     def find(x):
@@ -453,37 +453,25 @@ def check_planar(d: LinkDiagram) -> None:
         for slot, e in enumerate(c.edges):
             ends.setdefault(e, []).append((ci, slot))
     other = {}
-    piece = list(range(len(d.crossings)))  # union-find; a root is its piece's lowest crossing
-
-    def find(x):
-        while piece[x] != x:
-            piece[x] = piece[piece[x]]
-            x = piece[x]
-        return x
-
     for a, b in ends.values():
         other[a], other[b] = b, a
-        ra, rb = find(a[0]), find(b[0])
-        piece[max(ra, rb)] = min(ra, rb)
-    size: dict[int, int] = {}
-    for ci in range(len(d.crossings)):
-        root = find(ci)
-        size[root] = size.get(root, 0) + 1
-    faces = dict.fromkeys(size, 0)
+    pieces = edge_classes(range(len(d.crossings)), ((a[0], b[0]) for a, b in ends.values()))
+    piece_of = {ci: i for i, p in enumerate(pieces) for ci in p}
+    faces = [0] * len(pieces)
     seen = set()
     for dart in other:
         if dart in seen:
             continue
-        faces[find(dart[0])] += 1
+        faces[piece_of[dart[0]]] += 1
         while dart not in seen:
             seen.add(dart)
             ci, slot = other[dart]
             dart = (ci, (slot + 1) % 4)
-    for root, n in size.items():
-        if faces[root] != n + 2:
+    for p, f in zip(pieces, faces):
+        if f != len(p) + 2:
             raise DiagramError(
-                f"not planar: the piece of crossing {root} ({n} crossings) "
-                f"traces {faces[root]} faces, a planar one {n + 2}"
+                f"not planar: the piece of crossing {min(p)} ({len(p)} crossings) "
+                f"traces {f} faces, a planar one {len(p) + 2}"
             )
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .diagram import LinkDiagram
 from .gradings import DimTable, Window
-from .khovanov import khr2_dims, tilde_renormalize
 from .projector import stable_window, twisted_tilde_table
 
 
@@ -51,8 +50,8 @@ def rw_plus(d: LinkDiagram, window: Window, k_max: int = 3) -> RWResult:
     of the mirror on the window reflected through the origin.
     """
     if not d.regions:
-        table = tilde_renormalize(khr2_dims(d), d.writhe())
-        return RWResult(table.restrict(window), window, {}, {})
+        # no twist to insert: one scan, cut at the window's top like the levels
+        return RWResult(twisted_tilde_table(d, 0, window.h2_hi).restrict(window), window, {}, {})
     if any(r.strand_count % 2 for r in d.regions):
         # non-2-divisible class: the projector is zero
         return RWResult(DimTable(), window, {}, {r.region_id: True for r in d.regions}, zero=True)

@@ -34,6 +34,14 @@ w the 1/k! weights, applied once per matrix.  This is exact: homology is a
 functor on chain maps, so in the same bases the matrix of the averaged
 chain-level composite P_r F P_{r+1} is the product of the three matrices.
 
+A stage is one `ColimitStage` record, which `_window_stages` completes with
+its window homology basis H, symmetrizer and integral matrix S; a transition
+reads two records.  `catalog.encircle` keeps belt names stable, so no edge is
+renamed: around a strand-free region, crossings elsewhere or not, the last
+death map lands on the lower stage's own cube.  A pair still winding through
+strands passes through the reduced models straight to the lower stage, so
+`transition_down` takes the regions whose belts are free loops first.
+
 Desk-scale guard: one handlebody component, few regions, at most MAX_BELTS
 belts per stage cable; the boundary link's transit strands must be
 crossingless circles.
@@ -41,7 +49,7 @@ crossingless circles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import catalog
@@ -95,6 +103,10 @@ class ColimitStage:
     belt_groups: dict  # region id -> list of belt edge groups (innermost first)
     newest_pair: dict  # region id -> (up group, down group) added at this stage
     q2_shift: int  # doubled global shift -2(||n|| + 2||r||)
+    # set by `_window_stages`: window homology basis, symmetrizer, its matrix on H
+    H: dict = field(init=False, repr=False)
+    sym: _Symmetrizer = field(init=False, repr=False)
+    S: dict = field(init=False, repr=False)
 
 
 @dataclass
@@ -161,12 +173,14 @@ def transition_down(hi: ColimitStage, lo: ColimitStage, keys) -> ChainMap:
     Merge each region's newest belt pair with a saddle, dot the merged
     circle, and kill it; if the intermediate circle still crosses strands,
     the identification with the lower stage goes through the reduced models,
-    built only in the quantum degrees the restricted map reaches.  Exact
-    for c = 0, where every step is q-homogeneous: the entries equal the full
-    map's on those generators.
+    built only in the quantum degrees the restricted map reaches.  That step
+    ends on the lower stage, so the regions whose belts are free loops go
+    first.  Exact for c = 0, where every step is q-homogeneous: the entries
+    equal the full map's on those generators.
     """
-    cur_diagram = hi.diagram
-    cur_cube = hi.cube
+    free = set(hi.diagram.free_loops)
+    pairs = sorted(hi.newest_pair.values(), key=lambda pair: pair[0][0] not in free)
+    cur_diagram, cur_cube = hi.diagram, hi.cube
     composite: Optional[ChainMap] = None
 
     def push(f: ChainMap):
@@ -177,7 +191,7 @@ def transition_down(hi: ColimitStage, lo: ColimitStage, keys) -> ChainMap:
         else:
             composite = composite.compose(f)
 
-    for reg_id, (grp_up, grp_down) in hi.newest_pair.items():
+    for i, (grp_up, grp_down) in enumerate(pairs, 1):
         e_up, e_down = grp_up[0], grp_down[0]
         d2 = saddle_diagram(cur_diagram, e_up, e_down)
         cube2 = Cube(d2)
@@ -186,8 +200,9 @@ def transition_down(hi: ColimitStage, lo: ColimitStage, keys) -> ChainMap:
         merged = e_up if e_up in d2.edges else e_down
         push(dot_map(cur_cube, merged))
         if merged in cur_diagram.free_loops:
-            d3 = death_diagram(cur_diagram, merged)
-            cube3 = Cube(d3)
+            last = i == len(pairs)  # stable belt names: the last death leaves stage r
+            d3 = lo.diagram if last else death_diagram(cur_diagram, merged)
+            cube3 = lo.cube if last else Cube(d3)
             push(death_map(cur_cube, cube3, merged))
             cur_diagram, cur_cube = d3, cube3
         else:
@@ -199,10 +214,6 @@ def transition_down(hi: ColimitStage, lo: ColimitStage, keys) -> ChainMap:
             push(reduction_equivalence(cur_cube, cube_split, q2s))
             push(death_map(cube_split, lo.cube, "annih"))
             cur_diagram, cur_cube = lo.diagram, lo.cube
-    # identify leftover edge names with the lower stage
-    if set(cur_diagram.edges) != set(lo.diagram.edges):
-        push(_rename_map(cur_cube, lo.cube))
-        cur_diagram, cur_cube = lo.diagram, lo.cube
     assert composite is not None
     return composite
 
@@ -212,38 +223,19 @@ def _block_key(cube: Cube, gen) -> tuple[int, int]:
     return (g.h2, g.q2)
 
 
-def _rename_map(src: Cube, dst: Cube) -> ChainMap:
-    """Identity map between cubes of equal diagrams up to edge names.
-
-    Only supported for crossingless unlinks, where circles are single edges
-    and the bijection follows the canonical circle order.
-    """
-    if src.n or dst.n:
-        raise LasagnaError("edge renaming only supported for crossingless stages")
-    src_c = src.circles[0]
-    dst_c = dst.circles[0]
-    if len(src_c) != len(dst_c):
-        raise LasagnaError("stage identification failed: circle counts differ")
-    entries = {}
-    for gen in src.generators():
-        s, labels = gen
-        entries[gen] = {(0, labels): 1}
-    return ChainMap(src, dst, entries)
-
-
-def _window_stages(spec: HandlebodySpec, window: Window, r_max: int) -> tuple[list, list]:
-    """Stages 0 ... r_max, each with its homology basis on the window's blocks.
+def _window_stages(spec: HandlebodySpec, window: Window, r_max: int) -> list:
+    """Stages 0 ... r_max, each with H, sym and S on the window's blocks.
 
     A stage's basis holds the classical blocks whose global grading lies in
     the window.  A transition keeps the global grading, so these are all the
     blocks the stage tables and the transitions between the stages read.
     """
     stages = [build_stage(spec, r) for r in range(r_max + 1)]
-    Hs = [
-        st.cube.homology_basis(lambda key, st=st: window.contains(_classical_to_global(*key, st)))
-        for st in stages
-    ]
-    return stages, Hs
+    for st in stages:
+        st.H = st.cube.homology_basis(lambda key: window.contains(_classical_to_global(*key, st)))
+        st.sym = _Symmetrizer(st.cube, st.belt_groups.values())
+        st.S = homology_matrix(st.sym.apply, st.H, st.H)
+    return stages
 
 
 def s02_dims(spec: HandlebodySpec, window: Window, r_max: int = 3) -> LasagnaResult:
@@ -256,17 +248,15 @@ def s02_dims(spec: HandlebodySpec, window: Window, r_max: int = 3) -> LasagnaRes
         return LasagnaResult(DimTable(), window, [], {}, zero=True)
     if r_max < 2:
         raise LasagnaError("r_max must be at least 2 to report stabilization")
-    stages, Hs = _window_stages(spec, window, r_max)
-    syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
-    mats = [homology_matrix(sym.apply, H, H) for sym, H in zip(syms, Hs)]
+    stages = _window_stages(spec, window, r_max)
     stage_tables = [
-        DimTable({_classical_to_global(*k, st): v for k, v in block_ranks(S).items()})
-        for st, S in zip(stages, mats)
+        DimTable({_classical_to_global(*k, st): v for k, v in block_ranks(st.S).items()})
+        for st in stages
     ]
-    # only the two transitions read are built: M[r]: H(stage r+1) -> H(stage r),
+    # only the two transitions read are built: stage r+1 -> stage r,
     # symmetrized, for r = r_max-2 (the flags) and r = r_max-1 (the table)
-    prev_ranks = block_ranks(_transition_matrix(spec, stages, syms, Hs, r_max - 2, mats))
-    last_ranks = block_ranks(_transition_matrix(spec, stages, syms, Hs, r_max - 1, mats))
+    prev_ranks = block_ranks(_transition_matrix(stages[r_max - 1], stages[r_max - 2]))
+    last_ranks = block_ranks(_transition_matrix(stages[r_max], stages[r_max - 1]))
     table = DimTable()
     stable = {}
     for g in sorted({g for t in stage_tables for g in t}):
@@ -281,23 +271,18 @@ def s02_dims(spec: HandlebodySpec, window: Window, r_max: int = 3) -> LasagnaRes
     return LasagnaResult(table, window, stage_tables, stable)
 
 
-def _transition_matrix(spec, stages, syms, Hs, r, mats=None) -> dict:
-    """Symmetrized annihilation H(stage r+1) -> H(stage r) on the blocks of Hs[r + 1].
+def _transition_matrix(hi: ColimitStage, lo: ColimitStage) -> dict:
+    """Symmetrized annihilation H(hi) -> H(lo) on the blocks of hi.H.
 
-    w_r w_{r+1} S_r M_F S_{r+1}, with M_F the matrix on homology of
-    `transition_down` and S_i = homology_matrix(syms[i].apply, Hs[i], Hs[i])
-    the integral stage matrices, read from `mats` where the caller has built
-    them all (`s02_dims` ranks them for its stage tables) and built here
-    otherwise.  Each region loses a belt pair, so classical q2 drops by 4
-    per region.
+    w_lo w_hi S_lo M_F S_hi, with M_F the matrix on homology of
+    `transition_down` and S, w each stage's integral symmetrizer matrix and
+    weight.  Each region loses a belt pair, so classical q2 drops by 4 per
+    region.
     """
-    shift = (0, -4 * len(spec.boundary.regions))
-    if mats is None:
-        mats = {i: homology_matrix(syms[i].apply, Hs[i], Hs[i]) for i in (r, r + 1)}
-    F = transition_down(stages[r + 1], stages[r], Hs[r + 1])
-    M = homology_matrix(F.apply, Hs[r + 1], Hs[r], shift)
-    weight = syms[r].weight * syms[r + 1].weight
-    return compose_matrices(mats[r], compose_matrices(M, mats[r + 1]), shift, weight)
+    shift = (0, -4 * len(hi.newest_pair))
+    F = transition_down(hi, lo, hi.H)
+    M = homology_matrix(F.apply, hi.H, lo.H, shift)
+    return compose_matrices(lo.S, compose_matrices(M, hi.S), shift, lo.sym.weight * hi.sym.weight)
 
 
 @dataclass
@@ -337,14 +322,13 @@ def belt_capping_class(spec: HandlebodySpec) -> CappingCertificate:
     if ell == 0:
         return CappingCertificate(Grading(0, 0), True)
     grading = Grading(0, -2 * ell)
-    stages, Hs = _window_stages(spec, Window(0, 0, grading.q2, grading.q2), 1)
-    if not any(reps for reps, _ech in Hs[0].values()):
+    lo, hi = _window_stages(spec, Window(0, 0, grading.q2, grading.q2), 1)
+    if not any(reps for reps, _ech in lo.H.values()):
         return CappingCertificate(grading, False)
-    syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
-    mats = _transition_matrix(spec, stages, syms, Hs, 0)
+    mats = _transition_matrix(hi, lo)
     # coordinates of the all-x generator class in the stage-0 representatives
-    ((_reps, ech),) = Hs[0].values()
-    allx = ech.coordinates({(0, (1,) * len(stages[0].cube.circles[0])): 1})
+    ((_reps, ech),) = lo.H.values()
+    allx = ech.coordinates({(0, (1,) * len(lo.cube.circles[0])): 1})
     if allx is None:
         raise AssertionError("image not a cycle coordinate in target homology")
     survives = any(sum(col[i] * a for i, a in allx.items()) for cols in mats.values() for col in cols)

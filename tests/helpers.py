@@ -79,17 +79,17 @@ def symmetrizer_average(sym, vec: dict) -> dict:
     return {k: sym.weight * v for k, v in sym.apply(vec).items()}
 
 
-def chain_level_transition(spec, stages, syms, Hs, r) -> dict:
-    """The symmetrized annihilation H(stage r+1) -> H(stage r), the slow way.
+def chain_level_transition(hi, lo) -> dict:
+    """The symmetrized annihilation H(hi) -> H(lo) between window stages, the slow way.
 
-    `homology_matrix` of the weighted chain-level composite P_r∘F∘P_{r+1},
+    `homology_matrix` of the weighted chain-level composite P_lo∘F∘P_hi,
     P being `symmetrizer_average` and F `skein.transition_down`: every
     column runs both averages and F on chains.
     """
-    F = transition_down(stages[r + 1], stages[r], Hs[r + 1])
+    F = transition_down(hi, lo, hi.H)
     return homology_matrix(
-        lambda v: symmetrizer_average(syms[r], F.apply(symmetrizer_average(syms[r + 1], v))),
-        Hs[r + 1], Hs[r], (0, -4 * len(spec.boundary.regions)),
+        lambda v: symmetrizer_average(lo.sym, F.apply(symmetrizer_average(hi.sym, v))),
+        hi.H, lo.H, (0, -4 * len(hi.newest_pair)),
     )
 
 

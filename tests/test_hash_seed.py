@@ -24,7 +24,7 @@ from lasagna.cobmaps import homology_matrix, reduction_equivalence
 from lasagna.complexes import BigradedComplex
 from lasagna.densecube import Cube
 from lasagna.gradings import Window
-from lasagna.skein import HandlebodySpec, _Symmetrizer, _transition_matrix, build_stage
+from lasagna.skein import HandlebodySpec, _transition_matrix, _window_stages
 
 eliminations = []
 pivots = []
@@ -55,14 +55,10 @@ pivot_digest = hashlib.sha256(repr(pivots).encode()).hexdigest()
 r3 = reduction_equivalence(Cube(catalog.braid_closure([1, 2, 1, -1, 2], 3)),
                            Cube(catalog.braid_closure([2, 1, 2, -1, 2], 3)))
 r3_entries = [(g, [(t, str(v)) for t, v in row.items()]) for g, row in r3.entries.items()]
-spec = HandlebodySpec(catalog.belt_link(2), (0,))
-stages = [build_stage(spec, 0), build_stage(spec, 1)]
-syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
-Hs = [stages[0].cube.homology_basis({(0, -4)}.__contains__),
-      stages[1].cube.homology_basis({(0, 0)}.__contains__)]
-block = _transition_matrix(spec, stages, syms, Hs, 0)[(0, 0)]
-all_x = {(0, (1,) * len(stages[0].cube.circles[0])): 1}
-(allx,) = homology_matrix(lambda v: v, {(0, -4): ([all_x], Hs[0][(0, -4)][1])}, Hs[0])[(0, -4)]
+lo, hi = _window_stages(HandlebodySpec(catalog.belt_link(2), (0,)), Window(0, 0, -4, -4), 1)
+block = _transition_matrix(hi, lo)[(0, 0)]
+all_x = {(0, (1,) * len(lo.cube.circles[0])): 1}
+(allx,) = homology_matrix(lambda v: v, {(0, -4): ([all_x], lo.H[(0, -4)][1])}, lo.H)[(0, -4)]
 capping = [[str(c) for c in col] for col in block + [allx]]
 out = {
     "dense figure-eight": khovanov.kh_dims_bruteforce(catalog.figure_eight()).to_json_obj(),

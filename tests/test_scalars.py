@@ -8,9 +8,10 @@ import pytest
 from lasagna import catalog
 from lasagna.cobmaps import homology_matrix
 from lasagna.densecube import Cube
+from lasagna.gradings import Window
 from lasagna.khovanov import scan_complex
 from lasagna.linalg import exact, inverse
-from lasagna.skein import HandlebodySpec, _Symmetrizer, _transition_matrix, build_stage
+from lasagna.skein import HandlebodySpec, _transition_matrix, _window_stages
 
 from helpers import full_reduction
 
@@ -69,18 +70,15 @@ def test_reduction_coefficients_are_exact(r3_pair):
 def test_symmetrizer_and_homology_matrix_are_exact():
     """The symmetrizer sums in ints; its weight, applied once to the matrix
     on homology, gives exact Fractions where the average divides."""
-    st = build_stage(HandlebodySpec(catalog.empty_surgery(1), (0,)), 2)
-    sym = _Symmetrizer(st.cube, st.belt_groups.values())
-    H = st.cube.homology_basis()
-    reps = [v for reps, _img in H.values() for v in reps]
+    st = _window_stages(HandlebodySpec(catalog.empty_surgery(1), (0,)), Window(), 2)[2]
+    reps = [v for reps, _img in st.H.values() for v in reps]
     assert reps
-    images = [c for v in reps for c in sym.apply(v).values()]
+    images = [c for v in reps for c in st.sym.apply(v).values()]
     assert images and _types(images) == {int}
-    S = homology_matrix(sym.apply, H, H)
-    cols = [c for block in S.values() for col in block for c in col]
+    cols = [c for block in st.S.values() for col in block for c in col]
     assert cols and _types(cols) == {int}
     assert any(c not in (0, 1, -1) for c in cols)
-    averaged = [exact(sym.weight * c) for c in cols]
+    averaged = [exact(st.sym.weight * c) for c in cols]
     assert _strict(averaged) and _types(averaged) == {int, Fraction}
 
 
@@ -88,13 +86,10 @@ def test_capping_coordinates_follow_the_convention_strictly():
     """The belt_link(2) transition block and all-x coordinates behind the
     capping certificate: integral coordinates are ints."""
     spec = HandlebodySpec(catalog.belt_link(2), (0,))
-    stages = [build_stage(spec, 0), build_stage(spec, 1)]
-    syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
-    Hs = [stages[0].cube.homology_basis({(0, -4)}.__contains__),
-          stages[1].cube.homology_basis({(0, 0)}.__contains__)]
-    block = _transition_matrix(spec, stages, syms, Hs, 0)[(0, 0)]
-    all_x = {(0, (1,) * len(stages[0].cube.circles[0])): 1}
-    (allx,) = homology_matrix(lambda v: v, {(0, -4): ([all_x], None)}, Hs[0])[(0, -4)]
+    lo, hi = _window_stages(spec, Window(0, 0, -4, -4), 1)
+    block = _transition_matrix(hi, lo)[(0, 0)]
+    all_x = {(0, (1,) * len(lo.cube.circles[0])): 1}
+    (allx,) = homology_matrix(lambda v: v, {(0, -4): ([all_x], None)}, lo.H)[(0, -4)]
     coords = [c for col in block + [allx] for c in col]
     assert coords and _strict(coords)
 

@@ -6,7 +6,9 @@ import pytest
 from lasagna import catalog
 from lasagna.densecube import CapacityError, Cube
 from lasagna.gradings import DimTable, Grading, Window
+from lasagna.khovanov import khr2_dims
 from lasagna.skein import (
+    CappingCertificate,
     HandlebodySpec,
     LasagnaError,
     belt_capping_class,
@@ -15,7 +17,7 @@ from lasagna.skein import (
     transition_down,
 )
 
-from helpers import chain_level_transition, symmetrizer_average
+from helpers import chain_level_transition, disjoint_union, symmetrizer_average
 
 FIXTURE_WINDOW = Window(h2_lo=-4, h2_hi=4, q2_lo=-12, q2_hi=0)
 
@@ -124,6 +126,40 @@ def test_capping_certificates():
     assert cert11.grading == Grading(0, -4)
 
 
+def test_capping_certificate_does_not_depend_on_region_order():
+    # the winding pair's step ends on stage 0 itself, so the free pair goes first
+    belt, empty = catalog.belt_link(2), catalog.empty_surgery(1)
+    first = belt_capping_class(HandlebodySpec(disjoint_union(belt, empty)))
+    second = belt_capping_class(HandlebodySpec(disjoint_union(empty, belt)))
+    assert first == second == CappingCertificate(Grading(0, -4), True)
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2])
+def test_lower_stage_is_the_upper_one_without_its_newest_pair(alpha):
+    # stable belt names: the transitions rename no edge
+    spec = HandlebodySpec(catalog.empty_surgery(1), (alpha,))
+    stages = [build_stage(spec, r) for r in range(4)]
+    for lo, hi in zip(stages, stages[1:]):
+        (pair,) = hi.newest_pair.values()
+        gone = {e for grp in pair for e in grp}
+        assert gone <= set(hi.diagram.edges)
+        assert list(lo.diagram.edges) == [e for e in hi.diagram.edges if e not in gone]
+        (lo_groups,), (hi_groups,) = lo.belt_groups.values(), hi.belt_groups.values()
+        assert lo_groups == [grp for grp in hi_groups if grp not in pair]
+
+
+@pytest.mark.parametrize("r_max", [2, 3])
+def test_split_union_with_a_strand_free_region_is_the_tensor_product(r_max):
+    # the belts never meet the trefoil's crossings: every stage, and the
+    # colimit, is the trefoil's table convolved with the empty link's
+    union = disjoint_union(catalog.trefoil_right(), catalog.empty_surgery(1))
+    res = s02_dims(HandlebodySpec(union), Window(), r_max)
+    empty = s02_dims(HandlebodySpec(catalog.empty_surgery(1)), Window(), r_max)
+    kh = khr2_dims(catalog.trefoil_right())
+    assert res.table == kh.convolve(empty.table)
+    assert res.stages == [kh.convolve(t) for t in empty.stages]
+
+
 def test_capping_certificate_without_belts_builds_no_stage(monkeypatch):
     from lasagna import skein
 
@@ -181,16 +217,14 @@ def test_transition_one_step_ranks_injective():
     # rank of each one-step symmetrized transition equals the source stage
     # dims inside the window: the maps are injective there
     from lasagna.cobmaps import block_ranks
-    from lasagna.skein import _global_to_classical, _Symmetrizer, _transition_matrix
+    from lasagna.skein import _global_to_classical, _transition_matrix, _window_stages
 
     spec = HandlebodySpec(catalog.empty_surgery(1), (0,))
     window = Window(h2_lo=0, h2_hi=0, q2_lo=-8, q2_hi=0)
     res = s02_dims(spec, window, r_max=3)
-    stages = [build_stage(spec, r) for r in range(4)]
-    syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
-    Hs = [st.cube.homology_basis() for st in stages]
+    stages = _window_stages(spec, Window(), 3)
     for r in range(3):
-        ranks = block_ranks(_transition_matrix(spec, stages, syms, Hs, r))
+        ranks = block_ranks(_transition_matrix(stages[r + 1], stages[r]))
         for g, dim in res.stages[r].items():
             assert ranks.get(_global_to_classical(g, stages[r + 1]), 0) == dim, (r, str(g))
 
@@ -209,24 +243,22 @@ def test_colimit_builds_only_the_two_transitions_it_reads(monkeypatch):
 
 def _ranked_from_full_bases(spec, window, r_max):
     """Table, flags and stage dims of `s02_dims`, ranked on every block of every stage."""
-    from lasagna.cobmaps import block_ranks, homology_matrix
+    from lasagna.cobmaps import block_ranks
     from lasagna.skein import (
         _classical_to_global,
         _global_to_classical,
-        _Symmetrizer,
         _transition_matrix,
+        _window_stages,
     )
 
-    stages = [build_stage(spec, r) for r in range(r_max + 1)]
-    syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
-    Hs = [st.cube.homology_basis() for st in stages]
+    stages = _window_stages(spec, Window(), r_max)
     stage_dims = []
-    for st, H, sym in zip(stages, Hs, syms):
-        ranks = block_ranks(homology_matrix(sym.apply, H, H))
+    for st in stages:
+        ranks = block_ranks(st.S)
         table = DimTable({_classical_to_global(*k, st): v for k, v in ranks.items()})
         stage_dims.append(table.restrict(window))
     prev, last = (
-        block_ranks(_transition_matrix(spec, stages, syms, Hs, r)) for r in (r_max - 2, r_max - 1)
+        block_ranks(_transition_matrix(stages[r + 1], stages[r])) for r in (r_max - 2, r_max - 1)
     )
     table, stable = DimTable(), {}
     for g in sorted({g for t in stage_dims for g in t}):
@@ -270,48 +302,42 @@ def test_transition_on_homology_equals_the_chain_level_composite(alpha, r_max):
     # w_r w_{r+1} S_r M_F S_{r+1} against homology_matrix of the averaged
     # chain-level composite, entry for entry and type for type
     from lasagna.cobmaps import block_ranks, homology_matrix
-    from lasagna.skein import _classical_to_global, _Symmetrizer, _transition_matrix, _window_stages
+    from lasagna.skein import _classical_to_global, _transition_matrix, _window_stages
 
     spec = HandlebodySpec(catalog.empty_surgery(1), (alpha,))
-    stages, Hs = _window_stages(spec, Window(), r_max)
-    syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
+    stages = _window_stages(spec, Window(), r_max)
     for r in range(r_max):
-        got = _transition_matrix(spec, stages, syms, Hs, r)
-        want = chain_level_transition(spec, stages, syms, Hs, r)
+        got = _transition_matrix(stages[r + 1], stages[r])
+        want = chain_level_transition(stages[r + 1], stages[r])
         assert got == want and _types(got) == _types(want), r
     res = s02_dims(spec, Window(), r_max)
-    for st, H, sym, table in zip(stages, Hs, syms, res.stages):
-        ranks = block_ranks(homology_matrix(lambda v: symmetrizer_average(sym, v), H, H))
+    for st, table in zip(stages, res.stages):
+        ranks = block_ranks(homology_matrix(lambda v: symmetrizer_average(st.sym, v), st.H, st.H))
         assert table == DimTable({_classical_to_global(*k, st): v for k, v in ranks.items()})
 
 
 def test_capping_transition_on_homology_equals_the_chain_level_composite():
-    from lasagna.skein import _Symmetrizer, _transition_matrix
+    from lasagna.skein import _transition_matrix, _window_stages
 
     spec = HandlebodySpec(catalog.belt_link(2), (0,))
-    stages = [build_stage(spec, 0), build_stage(spec, 1)]
-    syms = [_Symmetrizer(st.cube, st.belt_groups.values()) for st in stages]
-    Hs = [stages[0].cube.homology_basis({(0, -4)}.__contains__),
-          stages[1].cube.homology_basis({(0, 0)}.__contains__)]
-    got = _transition_matrix(spec, stages, syms, Hs, 0)
-    want = chain_level_transition(spec, stages, syms, Hs, 0)
+    # the capping certificate's window: classical (0, -4) at stage 0, (0, 0) at stage 1
+    lo, hi = _window_stages(spec, Window(0, 0, -4, -4), 1)
+    got = _transition_matrix(hi, lo)
+    want = chain_level_transition(hi, lo)
     assert got and got == want and _types(got) == _types(want)
 
 
 @pytest.mark.parametrize("alpha, r_max", [(0, 3), (2, 2)])
 def test_weighted_stage_matrix_is_a_projector(alpha, r_max):
-    from lasagna.cobmaps import compose_matrices, homology_matrix
-    from lasagna.skein import _Symmetrizer
+    from lasagna.cobmaps import compose_matrices
+    from lasagna.skein import _window_stages
 
     spec = HandlebodySpec(catalog.empty_surgery(1), (alpha,))
-    for r in range(r_max + 1):
-        st = build_stage(spec, r)
-        sym = _Symmetrizer(st.cube, st.belt_groups.values())
-        H = st.cube.homology_basis()
-        S = homology_matrix(sym.apply, H, H)
-        P = {key: [[sym.weight * x for x in col] for col in cols] for key, cols in S.items()}
-        assert compose_matrices(P, P) == P, r
-        assert (P != S) == (sym.weight != 1), r  # only a stage without belts has weight 1
+    for st in _window_stages(spec, Window(), r_max):
+        w, S = st.sym.weight, st.S
+        P = {key: [[w * x for x in col] for col in cols] for key, cols in S.items()}
+        assert compose_matrices(P, P) == P, st.r
+        assert (P != S) == (w != 1), st.r  # only a stage without belts has weight 1
 
 
 @pytest.mark.parametrize(
