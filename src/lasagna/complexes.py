@@ -134,8 +134,11 @@ class BigradedComplex:
         if not tangle.loops:
             raise ComplexError("generator has no loop to remove")
         # repr order: the loop taken first fixes the new generators' ids, and
-        # pivot choices depend on those
-        loop = min(tangle.loops, key=repr)
+        # pivot choices depend on those; most tangles have one loop
+        if len(tangle.loops) == 1:
+            (loop,) = tangle.loops
+        else:
+            loop = min(tangle.loops, key=repr)
         base = tangle.without_loop(loop)
         g_p = self.add_generator(grading.shift(0, 2), base)
         g_m = self.add_generator(grading.shift(0, -2), base)

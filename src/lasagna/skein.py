@@ -7,7 +7,7 @@ around each surgery region, with an overall quantum shift -||n|| - 2||r||;
 the transition maps are symmetrized dotted annulus cobordism maps creating
 one oppositely-oriented belt pair.
 
-Everything is computed in the classical model and reindexed: a stage-r
+The dense stages are computed in the classical model and reindexed: a stage-r
 class at classical (h, q) sits at global grading
     (-h,  q - w - ||n|| - 2||r||)
 with w the (stage-independent) writhe of the cable diagram, and the
@@ -42,9 +42,36 @@ death map lands on the lower stage's own cube.  A pair still winding through
 strands passes through the reduced models straight to the lower stage, so
 `transition_down` takes the regions whose belts are free loops first.
 
-Desk-scale guard: one handlebody component, few regions, at most MAX_BELTS
-belts per stage cable; the boundary link's transit strands must be
-crossingless circles.
+When every region is strand-free, no stage is built: the colimit is known in
+closed form, the 2-handle formula of Manolescu-Neithalath (Crelle 2022) with
+the belts as free circles.  Let L be the boundary link with its regions
+forgotten and N_j = |n_j| + 2r the belts around region j at stage r.
+  * Stage r's cable is L beside N = sum N_j free circles, and C(O) = V =
+    Q[x]/(x^2) with zero differential, 1 at classical (0, 1) and x at
+    (0, -1).  So C(stage r) = C(L) (x) V^(x)N, and by Kuenneth over Q its
+    homology is H(L) (x) V^(x)N.  The belts' global shift -N cancels their
+    top degree, so H(L) enters in its own gl2 grading, `khr2_dims(L)`.
+  * A belt transposition swaps two free circles, which permutes tensor
+    factors of V^(x)N.  The orbits of S_(N_j) on the monomials in {1, x} of
+    region j's belts are the monomials with k x's, k = 0..N_j, so the
+    symmetrizer's image is Sym^(N_j) V with the orbit sums m_k as basis, the
+    monomial basis.  m_k sits at classical q = N_j - 2k, that is at global
+    doubled (0, -4k), whatever the offset n_j: that is U(N_j) below.
+  * On free circles the Frobenius maps are the algebra's: the saddle merging
+    the newest pair is the product u (x) d -> ud, the dot multiplies by x
+    and the death is the counit, eps(x) = 1, eps(1) = 0.  So the pair goes
+    to eps(x u d), which is 1 on 1 (x) 1 and 0 otherwise, and the transition
+    sends m_k of stage r+1 to m_k of stage r for k <= N_j and to 0 above:
+    diagonal in the monomial basis, grading-preserving, and of rank one
+    exactly on stage r's monomials.  Its rank table is stage r's table.
+Stage r's table is therefore khr2_dims(L) convolved with U(N_j) over the
+regions, and the window's h-range cuts L's scan exactly, since U sits at
+h = 0.  `_closed_form_ranks` returns those tables; `_dense_ranks` builds the
+same from stage cubes, and the tests hold one against the other.
+
+`MAX_BELTS` bounds dense stage cables: crossed regions and the capping
+certificate.  One handlebody component, few regions; the boundary link's
+transit strands must be crossingless circles.
 """
 
 from __future__ import annotations
@@ -73,7 +100,7 @@ from .densecube import CapacityError, Cube
 from .diagram import LinkDiagram
 from .gradings import DimTable, Grading, Window
 
-MAX_BELTS = 8  # belts in one stage cable
+MAX_BELTS = 8  # belts in one dense stage cable
 
 
 @dataclass(frozen=True)
@@ -154,11 +181,6 @@ def build_stage(spec: HandlebodySpec, r: int) -> ColimitStage:
     assert not stage.regions
     norm = sum(abs(x) for x in n) + 2 * r * len(d.regions)
     return ColimitStage(r, stage, Cube(stage), belt_groups, newest, -2 * norm)
-
-
-def _global_to_classical(g: Grading, stage: ColimitStage) -> tuple[int, int]:
-    w = stage.diagram.writhe()
-    return (-g.h2, g.q2 + 2 * w - stage.q2_shift)
 
 
 def _classical_to_global(h2: int, q2: int, stage: ColimitStage) -> Grading:
@@ -248,20 +270,12 @@ def s02_dims(spec: HandlebodySpec, window: Window, r_max: int = 3) -> LasagnaRes
         return LasagnaResult(DimTable(), window, [], {}, zero=True)
     if r_max < 2:
         raise LasagnaError("r_max must be at least 2 to report stabilization")
-    stages = _window_stages(spec, window, r_max)
-    stage_tables = [
-        DimTable({_classical_to_global(*k, st): v for k, v in block_ranks(st.S).items()})
-        for st in stages
-    ]
-    # only the two transitions read are built: stage r+1 -> stage r,
-    # symmetrized, for r = r_max-2 (the flags) and r = r_max-1 (the table)
-    prev_ranks = block_ranks(_transition_matrix(stages[r_max - 1], stages[r_max - 2]))
-    last_ranks = block_ranks(_transition_matrix(stages[r_max], stages[r_max - 1]))
+    ranks = _dense_ranks if any(reg.strands for reg in d.regions) else _closed_form_ranks
+    stage_tables, prev_ranks, last_ranks = ranks(spec, window, r_max)
     table = DimTable()
     stable = {}
     for g in sorted({g for t in stage_tables for g in t}):
-        last = last_ranks.get(_global_to_classical(g, stages[r_max]), 0)
-        prev = prev_ranks.get(_global_to_classical(g, stages[r_max - 1]), 0)
+        last, prev = last_ranks[g], prev_ranks[g]
         if last:
             table.add(g, last)
         # a class that could not exist before stage r_max-1 is fresh, not
@@ -269,6 +283,42 @@ def s02_dims(spec: HandlebodySpec, window: Window, r_max: int = 3) -> LasagnaRes
         fresh = prev == 0 and stage_tables[r_max - 2][g] == 0
         stable[g] = (prev == last) or fresh
     return LasagnaResult(table, window, stage_tables, stable)
+
+
+def _dense_ranks(spec: HandlebodySpec, window: Window, r_max: int) -> tuple:
+    """Stage tables and the ranks of the transitions into stages r_max-1 and
+    r_max, in global grading, from dense stage cubes."""
+    stages = _window_stages(spec, window, r_max)
+
+    def global_table(matrices: dict, st: ColimitStage) -> DimTable:
+        return DimTable({_classical_to_global(*k, st): v for k, v in block_ranks(matrices).items()})
+
+    # only the two transitions read are built: stage r+1 -> stage r,
+    # symmetrized, for r = r_max-2 (the flags) and r = r_max-1 (the table);
+    # a transition's blocks are its source stage's
+    prev_ranks, last_ranks = (
+        global_table(_transition_matrix(stages[r + 1], stages[r]), stages[r + 1])
+        for r in (r_max - 2, r_max - 1)
+    )
+    return [global_table(st.S, st) for st in stages], prev_ranks, last_ranks
+
+
+def _closed_form_ranks(spec: HandlebodySpec, window: Window, r_max: int) -> tuple:
+    """`_dense_ranks` around strand-free regions, in closed form (module docstring)."""
+    n = spec.normalized_offset()
+    L = spec.boundary.forget_regions()
+    H = DimTable({Grading(0, 0): 1})
+    if L.edges:
+        from .khovanov import khr2_dims  # loads the scan only when L needs it
+
+        H = khr2_dims(L, Window(window.h2_lo, window.h2_hi))
+    stage_tables = []
+    for r in range(r_max + 1):
+        t = H
+        for n_j in n:
+            t = t.convolve(DimTable({Grading(0, -4 * k): 1 for k in range(abs(n_j) + 2 * r + 1)}))
+        stage_tables.append(t.restrict(window))
+    return stage_tables, stage_tables[r_max - 2], stage_tables[r_max - 1]
 
 
 def _transition_matrix(hi: ColimitStage, lo: ColimitStage) -> dict:

@@ -27,7 +27,6 @@ ALLOWED = {
     "birth_map": "Morse move of the neck-cutting relation checked in the tests",
     "LinkDiagram.mirror": "oracle: the mirror's table is the reflected table",
     "DimTable.reflect": "oracle: the mirror's table is the reflected table",
-    "DimTable.convolve": "oracle: a split union's table is the factors' convolution",
     "LinkDiagram.component_count": "oracle: the Lee total rank is 2^components",
 }
 EXEMPT_MODULES = {"catalog"}

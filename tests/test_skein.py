@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,14 @@ from lasagna.skein import (
 from helpers import chain_level_transition, disjoint_union, symmetrizer_average
 
 FIXTURE_WINDOW = Window(h2_lo=-4, h2_hi=4, q2_lo=-12, q2_hi=0)
+
+
+@pytest.fixture
+def dense(monkeypatch):
+    """Route `s02_dims` through the dense stage cubes, the closed form's oracle."""
+    from lasagna import skein
+
+    monkeypatch.setattr(skein, "_closed_form_ranks", skein._dense_ranks)
 
 
 def test_stage_bookkeeping():
@@ -85,9 +94,11 @@ def test_quantum_shift_bookkeeping_unit():
 
 
 def test_guard_rejects_large_cables():
-    spec = HandlebodySpec(catalog.empty_surgery(2), (0, 0))
+    # a many-belt strand-free neighbour: the capping certificate's stage 1
+    # cable holds 2 + 10 belts
+    belt = disjoint_union(catalog.belt_link(2), catalog.empty_surgery(1))
     with pytest.raises(LasagnaError, match="guard"):
-        s02_dims(spec, FIXTURE_WINDOW, r_max=3)
+        belt_capping_class(HandlebodySpec(belt, (0, 8)))
 
 
 def test_two_regions_are_the_tensor_square_of_one():
@@ -98,11 +109,20 @@ def test_two_regions_are_the_tensor_square_of_one():
     assert two.table == one.table.convolve(one.table)
 
 
-def test_two_regions_at_r3_hit_the_stage_guard():
-    # 2 regions x 3 pairs = 12 belts, over the 8-belt guard
+def test_two_regions_at_r3_hit_the_stage_guard(dense):
+    # 2 regions x 3 pairs = 12 belts, over the 8-belt guard of the dense stages
     spec = HandlebodySpec(catalog.empty_surgery(2), (0, 0))
     with pytest.raises(LasagnaError, match="12 belts exceeds the desk-scale guard"):
         s02_dims(spec, Window(), r_max=3)
+
+
+def test_two_regions_at_r3_are_the_tensor_square_of_one():
+    # the closed form builds no stage cable, so the 12 free belts run
+    one = s02_dims(HandlebodySpec(catalog.empty_surgery(1), (0,)), Window(), r_max=3)
+    two = s02_dims(HandlebodySpec(catalog.empty_surgery(2), (0, 0)), Window(), r_max=3)
+    assert one.table == DimTable({(0, q2): 1 for q2 in range(0, -17, -4)})
+    assert two.table == one.table.convolve(one.table)
+    assert two.stages == [t.convolve(t) for t in one.stages]
 
 
 def test_size_guards_raise_capacity_errors():
@@ -158,6 +178,46 @@ def test_split_union_with_a_strand_free_region_is_the_tensor_product(r_max):
     kh = khr2_dims(catalog.trefoil_right())
     assert res.table == kh.convolve(empty.table)
     assert res.stages == [kh.convolve(t) for t in empty.stages]
+
+
+WINDOWS = (Window(), Window(h2_lo=-2, h2_hi=2, q2_lo=-12, q2_hi=0), Window(0, 0, -8, -2))
+
+
+@pytest.mark.parametrize(
+    "boundary, offsets, r_maxes, windows",
+    [
+        (catalog.empty_surgery(1), [(a,) for a in range(-2, 3)], (2, 3), WINDOWS),
+        (catalog.empty_surgery(2), [(0, 0)], (2,), WINDOWS),
+        (disjoint_union(catalog.trefoil_right(), catalog.empty_surgery(1)), [()], (2, 3), WINDOWS[:2]),
+        (disjoint_union(catalog.unknot(), catalog.empty_surgery(1)), [()], (2, 3), WINDOWS[:2]),
+    ],
+    ids=["d2xs2", "two-regions", "trefoil-beside", "unknot-beside"],
+)
+def test_closed_form_equals_the_dense_stages(boundary, offsets, r_maxes, windows, monkeypatch):
+    # every strand-free case the dense stages run under the belt guard
+    from lasagna import skein
+
+    for offset, r_max, w in itertools.product(offsets, r_maxes, windows):
+        spec, case = HandlebodySpec(boundary, offset), (offset, r_max, w)
+        got = s02_dims(spec, w, r_max)
+        with monkeypatch.context() as m:
+            m.setattr(skein, "_closed_form_ranks", skein._dense_ranks)
+            want = s02_dims(spec, w, r_max)
+        assert got.table, case
+        assert (got.table, got.stable, got.stages) == (want.table, want.stable, want.stages), case
+
+
+def test_torus_knot_beside_a_region_is_the_tensor_product():
+    # T(3,4) beside a strand-free region took 161 s on the dense stages at r_max 3
+    t34 = catalog.torus_link(3, 4)
+    start = time.perf_counter()
+    res = s02_dims(HandlebodySpec(disjoint_union(t34, catalog.empty_surgery(1))), Window(), 3)
+    elapsed = time.perf_counter() - start
+    region = s02_dims(HandlebodySpec(catalog.empty_surgery(1)), Window(), 3)
+    kh = khr2_dims(t34)
+    assert res.table == kh.convolve(region.table)
+    assert res.stages == [kh.convolve(t) for t in region.stages]
+    assert elapsed < 1.0
 
 
 def test_capping_certificate_without_belts_builds_no_stage(monkeypatch):
@@ -217,19 +277,20 @@ def test_transition_one_step_ranks_injective():
     # rank of each one-step symmetrized transition equals the source stage
     # dims inside the window: the maps are injective there
     from lasagna.cobmaps import block_ranks
-    from lasagna.skein import _global_to_classical, _transition_matrix, _window_stages
+    from lasagna.skein import _classical_to_global, _transition_matrix, _window_stages
 
     spec = HandlebodySpec(catalog.empty_surgery(1), (0,))
     window = Window(h2_lo=0, h2_hi=0, q2_lo=-8, q2_hi=0)
     res = s02_dims(spec, window, r_max=3)
     stages = _window_stages(spec, Window(), 3)
-    for r in range(3):
-        ranks = block_ranks(_transition_matrix(stages[r + 1], stages[r]))
-        for g, dim in res.stages[r].items():
-            assert ranks.get(_global_to_classical(g, stages[r + 1]), 0) == dim, (r, str(g))
+    for lo, hi in zip(stages, stages[1:]):
+        ranks = block_ranks(_transition_matrix(hi, lo))
+        ranks = {_classical_to_global(*k, hi): v for k, v in ranks.items()}
+        for g, dim in res.stages[lo.r].items():
+            assert ranks.get(g, 0) == dim, (lo.r, str(g))
 
 
-def test_colimit_builds_only_the_two_transitions_it_reads(monkeypatch):
+def test_colimit_builds_only_the_two_transitions_it_reads(monkeypatch, dense):
     from lasagna import skein
 
     calls = []
@@ -244,32 +305,28 @@ def test_colimit_builds_only_the_two_transitions_it_reads(monkeypatch):
 def _ranked_from_full_bases(spec, window, r_max):
     """Table, flags and stage dims of `s02_dims`, ranked on every block of every stage."""
     from lasagna.cobmaps import block_ranks
-    from lasagna.skein import (
-        _classical_to_global,
-        _global_to_classical,
-        _transition_matrix,
-        _window_stages,
-    )
+    from lasagna.skein import _classical_to_global, _transition_matrix, _window_stages
 
     stages = _window_stages(spec, Window(), r_max)
-    stage_dims = []
-    for st in stages:
-        ranks = block_ranks(st.S)
-        table = DimTable({_classical_to_global(*k, st): v for k, v in ranks.items()})
-        stage_dims.append(table.restrict(window))
+
+    def global_ranks(matrices, st):
+        return {_classical_to_global(*k, st): v for k, v in block_ranks(matrices).items()}
+
+    stage_dims = [DimTable(global_ranks(st.S, st)).restrict(window) for st in stages]
     prev, last = (
-        block_ranks(_transition_matrix(stages[r + 1], stages[r])) for r in (r_max - 2, r_max - 1)
+        global_ranks(_transition_matrix(stages[r + 1], stages[r]), stages[r + 1])
+        for r in (r_max - 2, r_max - 1)
     )
     table, stable = DimTable(), {}
     for g in sorted({g for t in stage_dims for g in t}):
-        p = prev.get(_global_to_classical(g, stages[r_max - 1]), 0)
-        q = last.get(_global_to_classical(g, stages[r_max]), 0)
+        p = prev.get(g, 0)
+        q = last.get(g, 0)
         table.add(g, q)
         stable[g] = p == q or (p == 0 and stage_dims[r_max - 2][g] == 0)
     return table, stable, stage_dims
 
 
-def test_colimit_builds_only_the_window_blocks(monkeypatch):
+def test_colimit_builds_only_the_window_blocks(monkeypatch, dense):
     from lasagna import skein
 
     window = Window(h2_lo=-2, h2_hi=2, q2_lo=-12, q2_hi=0)  # the lasagna-colimit benchmark's
@@ -281,10 +338,10 @@ def test_colimit_builds_only_the_window_blocks(monkeypatch):
             columns.append(sum(len(reps) for reps, _ech in H_src.values()))
         return real(apply, H_src, H_dst, shift)
 
-    monkeypatch.setattr(skein, "homology_matrix", counting)
-    s02_dims(HandlebodySpec(catalog.empty_surgery(1), (2,)), window, r_max=3)
+    with monkeypatch.context() as m:
+        m.setattr(skein, "homology_matrix", counting)
+        s02_dims(HandlebodySpec(catalog.empty_surgery(1), (2,)), window, r_max=3)
     assert columns == [42, 93]  # of 64 and 256 representatives on every block
-    monkeypatch.undo()
     for alpha in (0, 1, 2):
         spec = HandlebodySpec(catalog.empty_surgery(1), (alpha,))
         for w in (window, Window()):
