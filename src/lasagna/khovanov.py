@@ -39,10 +39,11 @@ in every h2 >= m + 2:
   margin is why the cut sits two below the lowest degree read;
 - dropping a generator on c with no entry: it spans a direct summand, and
   F of it ends at or below m.
-Each step builds the tensor product from the column below the moving cut
-up, simplifies, so that generators on the cut can cancel against that
-column, then leaves out everything below the cut and the generators on it
-with no entry (`BigradedComplex.truncate`).  Without that column, the
+Each step (`glue_step`; `Scan.add` is the one per-crossing step of every
+scan) builds the tensor product from the column below the moving cut up,
+simplifies, so that generators on the cut can cancel against that column,
+then leaves out everything below the cut and the generators on it with no
+entry (`BigradedComplex.truncate`).  Without that column, the
 generators on the cut whose cancelling partners lie below it stay, and
 the truncated complexes can outgrow the untruncated ones.  After the last
 crossing every entry is a scalar that simplification cancels, so the
@@ -51,6 +52,29 @@ q is never cut, since loops closed later shift it.  `khr2_dims` cuts at
 the top of its window (gl2 h = -classical h), and
 `projector.twisted_tilde_table` at the top of the rw window; `lee` and
 the dense oracle never truncate.
+
+A prefix shared by several closures.  The argument holds for any partial
+complex T, and for any cut at or below c: the generators left out below
+c' <= c end below c' + 2p <= m.  So one partial complex can serve several
+diagrams that continue it, cut at the lowest of their moving cuts, each
+read off after its own remaining steps and cut at its own m.
+`projector.TwistLadder` scans the diagram with k_max full twists at every
+region once: the crossings outside the regions, then full twist 1 at
+every region, full twist 2, and so on.  Level k is the prefix up to full
+twist k, closed by gluing each strand's open end on top of full twist k
+to the point where the top of full twist k_max attaches: one step with no
+crossing, so with no positive crossing to come.  At any point of that
+prefix, level k + 1 has one more full twist at every region still to
+scan.  On a region of u up- and d down-strands, l = u + d, a full twist
+adds (u - d)^2 to the writhe with framing, so to m = w - h2_hi - 2 for a
+tilde window top h2_hi, and u(u-1) + d(d-1) positive crossings, each of
+which lowers the moving cut by 2.  Level k + 1's cut therefore sits at
+level k's plus, summed over the regions,
+    (u - d)^2 - 2(u(u-1) + d(d-1)) = 2(u + d) - (u + d)^2 = l(2 - l),
+which is at most 0 for l = 0 and for every even l >= 2 (an odd l has the
+zero projector and is never twisted).  Level k_max's moving cut is thus
+the lowest at every point, and a prefix cut there is exact for every
+level it serves.
 """
 
 from __future__ import annotations
@@ -86,7 +110,7 @@ def crossing_complex(ci: int, sign: int, spec: FrobeniusSpec) -> BigradedComplex
     return c
 
 
-def _scan_order(d: LinkDiagram) -> list[int]:
+def scan_order(d: LinkDiagram) -> list[int]:
     """Greedy crossing order keeping the open boundary small."""
     n = len(d.crossings)
     incident: dict[str, list[int]] = {}
@@ -114,6 +138,70 @@ def _scan_order(d: LinkDiagram) -> list[int]:
     return order
 
 
+class Scan:
+    """A closed diagram's complex, built one crossing at a time.
+
+    `complex` is the partial complex of the crossings in `done`; its open
+    boundary points are the slots (ci, k) whose edge's other end is not
+    done yet.  `add` is the one per-crossing step of every scan.  With
+    h2_min (an odd one raised by one), each step is cut at the moving cut
+    h2_min - 2p, p the positive crossings still to add.
+    """
+
+    def __init__(self, d: LinkDiagram, spec: FrobeniusSpec = KHOVANOV,
+                 h2_min: Optional[int] = None):
+        self.d = d
+        # token (ci, slot) for each crossing incidence of each edge
+        self.slots: dict[str, list[tuple[int, int]]] = {e: [] for e in d.edges}
+        for i, c in enumerate(d.crossings):
+            for k, e in enumerate(c.edges):
+                self.slots[e].append((i, k))
+        self.done: set[int] = set()
+        self.complex = BigradedComplex.unit(spec)
+        self.h2_min = None if h2_min is None else h2_min + h2_min % 2
+        self.positive_left = sum(1 for c in d.crossings if c.sign == 1)
+
+    def add(self, ci: int, simplify: bool = True) -> None:
+        """Glue crossing ci on along the edges it shares with the crossings done."""
+        crossing = self.d.crossings[ci]
+        self.positive_left -= crossing.sign == 1
+        pairs = []
+        for k, e in enumerate(crossing.edges):
+            here = (ci, k)
+            for other in self.slots[e]:
+                if other == here:
+                    continue
+                oc, ok = other
+                if oc in self.done or (oc == ci and ok < k):
+                    pairs.append((other, here))
+        piece = crossing_complex(ci, crossing.sign, self.complex.spec)
+        cut = None if self.h2_min is None else self.h2_min - 2 * self.positive_left
+        self.complex = glue_step(self.complex, piece, pairs, cut, simplify)
+        self.done.add(ci)
+
+
+def glue_step(cur: BigradedComplex, piece: BigradedComplex, pairs: list[tuple],
+              cut: Optional[int] = None, simplify: bool = True) -> BigradedComplex:
+    """Tensor piece onto cur, glue the pairs, simplify, then cut at classical h2 = cut."""
+    # the column below the cut is built too, so that simplifying can
+    # cancel generators on the cut against it before it is dropped
+    cur = planar_tensor(cur, piece, pairs, None if cut is None else cut - 2)
+    if simplify:
+        cur.simplify()
+    if cut is not None:
+        cur.truncate(cut)
+    return cur
+
+
+def close_free_loops(cur: BigradedComplex, loops, simplify: bool = True) -> BigradedComplex:
+    """Tensor on one crossingless circle per edge in loops."""
+    for e in loops:
+        circle = BigradedComplex(cur.spec)
+        circle.add_generator(Grading(0, 0), FlatTangle((), [("free", e)]))
+        cur = glue_step(cur, circle, [], None, simplify)
+    return cur
+
+
 def scan_complex(d: LinkDiagram, spec: FrobeniusSpec = KHOVANOV, simplify: bool = True,
                  h2_min: Optional[int] = None) -> BigradedComplex:
     """Classical-convention complex of a closed diagram, built by scanning.
@@ -124,44 +212,10 @@ def scan_complex(d: LinkDiagram, spec: FrobeniusSpec = KHOVANOV, simplify: bool 
     """
     if d.regions:
         raise ValueError("resolve surgery regions before computing homology")
-    if h2_min is not None:
-        h2_min += h2_min % 2
-    # token (ci, slot) for each crossing incidence of each edge
-    slots: dict[str, list[tuple[int, int]]] = {e: [] for e in d.edges}
-    for i, c in enumerate(d.crossings):
-        for k, e in enumerate(c.edges):
-            slots[e].append((i, k))
-    cur = BigradedComplex.unit(spec)
-    done: set[int] = set()
-    positive_left = sum(1 for c in d.crossings if c.sign == 1)
-    for ci in _scan_order(d):
-        sign = d.crossings[ci].sign
-        positive_left -= sign == 1
-        cut = None if h2_min is None else h2_min - 2 * positive_left
-        piece = crossing_complex(ci, sign, spec)
-        pairs = []
-        for k, e in enumerate(d.crossings[ci].edges):
-            here = (ci, k)
-            for other in slots[e]:
-                if other == here:
-                    continue
-                oc, ok = other
-                if oc in done or (oc == ci and ok < k):
-                    pairs.append((other, here))
-        # the column below the cut is built too, so that simplifying can
-        # cancel generators on the cut against it before it is dropped
-        cur = planar_tensor(cur, piece, pairs, None if cut is None else cut - 2)
-        done.add(ci)
-        if simplify:
-            cur.simplify()
-        if cut is not None:
-            cur.truncate(cut)
-    for e in d.free_loops:
-        circle = BigradedComplex(spec)
-        circle.add_generator(Grading(0, 0), FlatTangle((), [("free", e)]))
-        cur = planar_tensor(cur, circle)
-        if simplify:
-            cur.simplify()
+    scan = Scan(d, spec, h2_min)
+    for ci in scan_order(d):
+        scan.add(ci, simplify)
+    cur = close_free_loops(scan.complex, d.free_loops, simplify)
     if not simplify:
         cur.deloop_all()
     return cur

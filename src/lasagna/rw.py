@@ -4,10 +4,12 @@
 its input.  It inserts framed full twists at every surgery region,
 escalating the twist count until two consecutive levels agree inside the
 requested window, computes the gl2 homology of the resulting S^3 diagram
-and renormalizes by its writhe.  Links whose class fails 2-divisibility
-(odd strand count through some region) get the all-zero verdict.  The dual
-(minus) variant is `reflect . rw_plus . mirror`, should a caller ever need
-it.
+and renormalizes by its writhe.  The levels do not rescan: they are read
+off one scan of the diagram twisted k_max times (`projector.TwistLadder`),
+which goes on past full twist k only when level k + 1 is read.  Links
+whose class fails 2-divisibility (odd strand count through some region)
+get the all-zero verdict.  The dual (minus) variant is
+`reflect . rw_plus . mirror`, should a caller ever need it.
 
 Gradings outside the certified window are unknown, never silently zero.
 """
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 from .diagram import LinkDiagram
 from .gradings import DimTable, Window
-from .projector import stable_window, twisted_tilde_table
+from .projector import TwistLadder, stable_window, twisted_tilde_table
 
 
 @dataclass
@@ -51,17 +53,19 @@ def rw_plus(d: LinkDiagram, window: Window, k_max: int = 3) -> RWResult:
     """
     if not d.regions:
         # no twist to insert: one scan, cut at the window's top like the levels
-        return RWResult(twisted_tilde_table(d, 0, window.h2_hi).restrict(window), window, {}, {})
+        table = twisted_tilde_table(TwistLadder(d, 0, window.h2_hi), 0)
+        return RWResult(table.restrict(window), window, {}, {})
     if any(r.strand_count % 2 for r in d.regions):
         # non-2-divisible class: the projector is zero
         return RWResult(DimTable(), window, {}, {r.region_id: True for r in d.regions}, zero=True)
     if k_max < 2:
         raise ValueError("k_max must allow at least the k=1 vs k=2 comparison")
-    # each level is computed only up to the window's top h (its scan is cut)
-    tables = {1: twisted_tilde_table(d, 1, window.h2_hi)}
+    # every level comes from one scan, cut for the window's top h
+    ladder = TwistLadder(d, k_max, window.h2_hi)
+    tables = {1: twisted_tilde_table(ladder, 1)}
     k_used = None
     for k in range(1, k_max):
-        tables[k + 1] = twisted_tilde_table(d, k + 1, window.h2_hi)
+        tables[k + 1] = twisted_tilde_table(ladder, k + 1)
         if tables[k].restrict(window) == tables[k + 1].restrict(window):
             k_used = k
             break

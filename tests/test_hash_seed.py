@@ -29,7 +29,7 @@ from lasagna.skein import HandlebodySpec, _transition_matrix, _window_stages
 eliminations = []
 pivots = []
 eliminate = BigradedComplex.gaussian_eliminate
-scan = khovanov.scan_complex
+start_scan = khovanov.Scan.__init__
 
 
 def counting_eliminate(self, s, t):
@@ -38,13 +38,14 @@ def counting_eliminate(self, s, t):
     return eliminate(self, s, t)
 
 
-def counting_scan(*args, **kwargs):
+# every scan, scan_complex's or a twist ladder's, starts one count
+def counting_scan(self, *args, **kwargs):
     eliminations.append(0)
-    return scan(*args, **kwargs)
+    start_scan(self, *args, **kwargs)
 
 
 BigradedComplex.gaussian_eliminate = counting_eliminate
-khovanov.scan_complex = counting_scan
+khovanov.Scan.__init__ = counting_scan
 
 res = rw.rw_plus(catalog.belt_link(2), Window(h2_lo=-4, h2_hi=2, q2_lo=-12, q2_hi=0), k_max=3)
 del pivots[:]

@@ -1,10 +1,18 @@
+import pytest
+
 from lasagna import catalog
 from lasagna.gradings import DimTable, Window
 from lasagna.projector import (
+    TwistLadder,
     approximate_projector,
     stable_window,
     twisted_tilde_table,
 )
+
+
+def tilde(d, k):
+    """Level k alone, uncut."""
+    return twisted_tilde_table(TwistLadder(d, k), k)
 
 
 def test_approximate_projector_framing():
@@ -37,8 +45,9 @@ def test_twisted_tilde_top_degree_anchor():
     # the renormalized top class of the 2-strand approximation: one class at
     # (0,-2), nothing below it in q at h=0, nothing at h<0
     d = catalog.belt_link(2)
+    ladder = TwistLadder(d, 2)
     for k in (1, 2):
-        t = twisted_tilde_table(d, k)
+        t = twisted_tilde_table(ladder, k)
         assert t[(0, -4)] == 1
         for q2 in range(-14, -4, 2):
             assert t[(0, q2)] == 0
@@ -47,7 +56,7 @@ def test_twisted_tilde_top_degree_anchor():
 
 def test_twisted_tilde_top_degree_four_strands():
     # the 4-strand approximation puts its renormalized top class at (0,-4)
-    t = twisted_tilde_table(catalog.belt_link(4), 1)
+    t = tilde(catalog.belt_link(4), 1)
     assert t[(0, -8)] == 1
     for q2 in range(-20, -8, 2):
         assert t[(0, q2)] == 0
@@ -59,17 +68,27 @@ def test_twisted_tilde_stable_tail_two_strands():
     # matches the k=2 values there as well
     d = catalog.belt_link(2)
     w = Window(h2_lo=0, h2_hi=4, q2_lo=-16, q2_hi=4)
-    t2 = twisted_tilde_table(d, 2).restrict(w)
-    t3 = twisted_tilde_table(d, 3).restrict(w)
-    t4 = twisted_tilde_table(d, 4).restrict(w)
+    ladder = TwistLadder(d, 4)
+    t2 = twisted_tilde_table(ladder, 2).restrict(w)
+    t3 = twisted_tilde_table(ladder, 3).restrict(w)
+    t4 = twisted_tilde_table(ladder, 4).restrict(w)
     assert t3 == t4
     assert t2.restrict(Window(h2_lo=0, h2_hi=2)) == t3.restrict(Window(h2_lo=0, h2_hi=2))
 
 
 def test_twisted_tilde_mixed_four_strands():
     # 2 up + 2 down strands: the signed count vanishes, the top class stays
-    t = twisted_tilde_table(catalog.belt_link(2, 2), 1)
+    t = tilde(catalog.belt_link(2, 2), 1)
     assert t[(0, -8)] == 1
     for q2 in range(-20, -8, 2):
         assert t[(0, q2)] == 0
     assert all(g.h2 >= 0 for g in t)
+
+
+def test_ladder_reads_levels_in_increasing_order():
+    ladder = TwistLadder(catalog.belt_link(2), 3)
+    assert twisted_tilde_table(ladder, 2) == tilde(catalog.belt_link(2), 2)
+    for k in (1, 4):  # behind the prefix, and past the top level
+        with pytest.raises(ValueError):
+            twisted_tilde_table(ladder, k)
+    assert twisted_tilde_table(ladder, 3) == tilde(catalog.belt_link(2), 3)

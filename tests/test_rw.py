@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from lasagna import catalog, projector, rw
+from lasagna import catalog, khovanov, projector, rw
 from lasagna.diagram import parse_diagram
 from lasagna.gradings import DimTable, Window
 from lasagna.khovanov import khr2_dims, tilde_renormalize
@@ -63,13 +63,30 @@ def test_rw_plus_gate_negative_control():
 
 def test_rw_plus_builds_each_twist_level_once(monkeypatch):
     # a run that does not stabilize reports level k_max, already built by the loop
-    levels = []
+    levels, ladders = [], set()
     real = rw.twisted_tilde_table
-    monkeypatch.setattr(rw, "twisted_tilde_table",
-                        lambda d, k, h2_hi=None: levels.append(k) or real(d, k, h2_hi))
+
+    def counting(ladder, k):
+        levels.append(k)
+        ladders.add(id(ladder))
+        return real(ladder, k)
+
+    monkeypatch.setattr(rw, "twisted_tilde_table", counting)
     res = rw_plus(catalog.belt_link(2), Window(h2_lo=0, h2_hi=2), k_max=2)
     assert res.stabilized == {"1": False} and res.twists == {"1": 2}
     assert levels == [1, 2]
+    assert len(ladders) == 1  # both levels read off one scan
+
+
+def test_rw_plus_scans_the_top_level_once(monkeypatch):
+    # 24 crossings of the level-2 diagram and one closing step for level 1,
+    # where scanning each level on its own takes 12 + 24 steps
+    calls = []
+    real = khovanov.planar_tensor
+    monkeypatch.setattr(khovanov, "planar_tensor", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    res = rw_plus(catalog.belt_link(4), EDGE, k_max=2)
+    assert res.all_stabilized()
+    assert len(calls) == 25
 
 
 def test_rw_plus_gate_empty_region():
@@ -131,13 +148,14 @@ def test_rw_plus_belt_four():
 
 @pytest.fixture(scope="module")
 def untruncated():
-    """twisted_tilde_table without the window's cut, each level scanned once per module."""
+    """Level k's tilde table from its own uncut scan, each level scanned once per module."""
     tables = {}
 
-    def table(d, k, h2_hi=None):
+    def table(d, k):
         key = (json.dumps(d.to_json_obj(), sort_keys=True), k)
         if key not in tables:
-            tables[key] = projector.twisted_tilde_table(d, k)
+            twisted = projector.twist_all_regions(d, k)
+            tables[key] = tilde_renormalize(khr2_dims(twisted), twisted.writhe())
         return tables[key]
 
     return table
@@ -176,14 +194,14 @@ TRUNCATION_CASES = [
                          ids=[case[0] for case in TRUNCATION_CASES])
 def test_truncated_rw_plus_equals_untruncated(d, k_max, windows, top_level, untruncated,
                                               monkeypatch):
-    levels = []  # the twist levels scanned with the window's cut
+    levels = []  # the twist levels read with the window's cut
     real = rw.twisted_tilde_table
     monkeypatch.setattr(rw, "twisted_tilde_table",
-                        lambda d, k, h2_hi=None: levels.append(k) or real(d, k, h2_hi))
+                        lambda ladder, k: levels.append(k) or real(ladder, k))
     for window in windows:
         cut = rw_plus(d, window, k_max)
         with monkeypatch.context() as mp:
-            mp.setattr(rw, "twisted_tilde_table", untruncated)
+            mp.setattr(rw, "twisted_tilde_table", lambda ladder, k: untruncated(d, k))
             full = rw_plus(d, window, k_max)
         assert cut == full, window
     assert max(levels, default=None) == top_level
@@ -195,7 +213,42 @@ def test_truncated_window_below_the_support(untruncated, monkeypatch):
     d, window = catalog.belt_link(2), Window(h2_lo=-6, h2_hi=-2)
     cut = rw_plus(d, window, 2)
     with monkeypatch.context() as mp:
-        mp.setattr(rw, "twisted_tilde_table", untruncated)
+        mp.setattr(rw, "twisted_tilde_table", lambda ladder, k: untruncated(d, k))
         full = rw_plus(d, window, 2)
     assert cut.table == full.table == DimTable()
     assert (cut.twists, cut.stabilized) == (full.twists, full.stabilized) == ({"1": 1}, {"1": True})
+
+
+def _admissible_pairs_diagrams():
+    """The R2-poked and kink-traded diagrams of test_rw_invariance_admissible_pairs."""
+    out = []
+    for base in (catalog.belt_link(2), catalog.belt_link(1, 1)):
+        strands = [s.edge for s in base.region("1").strands]
+        out.append((f"r2_poke {base.region('1').signed_transit}", r2_poke(base, strands[0], strands[1])))
+    base = catalog.belt_link(2)
+    kinked = r1_kink(base, base.region("1").strands[0].edge, 1)
+    out.append(("r1_kink", kinked.add_framing_points([(kinked.region("1").strands[0].edge, -1)])))
+    return out
+
+
+# (name, diagram, k_max, windows): crossings outside the region, and two regions
+LADDER_CASES = [case[:4] for case in TRUNCATION_CASES] + [
+    (name, d, 3, [EDGE, ABOVE_EDGE, ODD_TOP]) for name, d in _admissible_pairs_diagrams()
+] + [
+    ("two regions", catalog.empty_surgery(2).add_belts("1", 2, 0).add_belts("2", 2, 0), 2,
+     [EDGE, ABOVE_EDGE, INTERIOR]),
+]
+
+
+@pytest.mark.parametrize("d, k_max, windows", [case[1:] for case in LADDER_CASES],
+                         ids=[case[0] for case in LADDER_CASES])
+def test_ladder_levels_equal_their_own_uncut_scans(d, k_max, windows, untruncated):
+    if any(r.strand_count % 2 for r in d.regions):
+        with pytest.raises(ValueError):
+            projector.TwistLadder(d, k_max)
+        return
+    for window in windows:
+        ladder = projector.TwistLadder(d, k_max, window.h2_hi)
+        for k in range(1, k_max + 1):
+            got = projector.twisted_tilde_table(ladder, k)
+            assert got.restrict(window) == untruncated(d, k).restrict(window), (window, k)
