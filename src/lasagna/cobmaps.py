@@ -93,11 +93,10 @@ def saddle_diagram(d: LinkDiagram, e: str, f: str) -> LinkDiagram:
         return death_diagram(d, e if e in free else f)
     # cross-join: each edge keeps its tail slot and receives the other's head
     crossings = [list(c.edges) for c in d.crossings]
-    swaps = {e: f, f: e}
-    for ci, c in enumerate(d.crossings):
-        for slot in (0, 3 if c.sign == 1 else 1):  # head slots
-            if c.edges[slot] in swaps:
-                crossings[ci][slot] = swaps[c.edges[slot]]
+    heads = d.head_slots()
+    for x, y in ((e, f), (f, e)):
+        ci, slot = heads[x]
+        crossings[ci][slot] = y
     out = LinkDiagram(
         d.edges,
         [Crossing(tuple(c), x.sign) for c, x in zip(crossings, d.crossings)],

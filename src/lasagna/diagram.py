@@ -10,7 +10,10 @@ Edge orientation bookkeeping: at a crossing ``(e0,e1,e2,e3)`` the
 under-strand enters at slot 0 and leaves at slot 2; for sign +1 the
 over-strand enters at slot 3 and leaves at slot 1, for sign -1 the other way
 around.  An edge id therefore occurs either at no crossing slot (a free
-loop) or at exactly one "head" slot and one "tail" slot.
+loop) or at exactly one "head" slot and one "tail" slot.  The convention has
+one home: `crossing(under, over, sign)` lays out every crossing a rewrite
+adds, and `Crossing.in_slots` names the head slots that validation,
+`LinkDiagram.head_slots` and the saddle read.
 
 Surgery regions are markers only; they are never resolved here.  Twisting
 and belting are pure diagram rewrites returning new values.  One structural
@@ -72,11 +75,25 @@ class Crossing(_Value):
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "sign", sign)
 
+    @property
+    def in_slots(self) -> tuple[int, int]:
+        """The slots where the under and the over strand enter: their edges' heads."""
+        return 0, 3 if self.sign == 1 else 1
+
     def mirror(self) -> "Crossing":
-        e = self.edges
-        if self.sign == 1:
-            return Crossing((e[3], e[0], e[1], e[2]), -1)
-        return Crossing((e[1], e[2], e[3], e[0]), 1)
+        e, (_, o) = self.edges, self.in_slots
+        # the over strand enters at slot o and leaves at 4 - o; it goes under
+        return crossing((e[o], e[4 - o]), (e[0], e[2]), -self.sign)
+
+
+def crossing(under: tuple[str, str], over: tuple[str, str], sign: int) -> Crossing:
+    """The crossing of the strands under = (in, out) and over = (in, out).
+
+    The under strand enters at slot 0, the over strand at slot 3 for sign +1
+    and at slot 1 for sign -1 (the module docstring's convention).
+    """
+    (ui, uo), (oi, oo) = under, over
+    return Crossing((ui, oo, uo, oi) if sign == 1 else (ui, oi, uo, oo), sign)
 
 
 class RegionStrand(_Value):
@@ -148,7 +165,9 @@ class LinkDiagram:
         self.crossings = tuple(crossings)
         self.framing_points = tuple((str(e), int(w)) for e, w in framing_points)
         self.regions = tuple(regions)
-        self.orientations = dict(orientations) if orientations else {e: UP for e in self.edges}
+        self.orientations = (
+            {e: UP for e in self.edges} if orientations is None else dict(orientations)
+        )
         self._validate()
 
     # -- validation -------------------------------------------------------
@@ -167,15 +186,8 @@ class LinkDiagram:
             for e in c.edges:
                 if e not in edge_set:
                     raise DiagramError(f"crossing {i}: unknown edge {e!r}")
-            e0, e1, e2, e3 = c.edges
-            heads[e0] += 1
-            tails[e2] += 1
-            if c.sign == 1:
-                heads[e3] += 1
-                tails[e1] += 1
-            else:
-                heads[e1] += 1
-                tails[e3] += 1
+            for slot, e in enumerate(c.edges):
+                (heads if slot in c.in_slots else tails)[e] += 1
         for e in self.edges:
             if (heads[e], tails[e]) not in ((0, 0), (1, 1)):
                 if heads[e] + tails[e] == 1 or heads[e] != tails[e]:
@@ -210,6 +222,11 @@ class LinkDiagram:
         for e in self.edges:
             if e not in self.orientations:
                 raise DiagramError(f"edge {e!r} missing from orientations")
+        for e, tag in self.orientations.items():
+            if e not in edge_set:
+                raise DiagramError(f"orientations: unknown edge {e!r}")
+            if tag not in (UP, DOWN):
+                raise DiagramError(f"orientations: edge {e!r} must be 'up' or 'down', got {tag!r}")
 
     # -- derived structure -------------------------------------------------
 
@@ -240,12 +257,8 @@ class LinkDiagram:
 
     def head_slots(self) -> dict[str, tuple[int, int]]:
         """Edge -> (crossing index, slot) of the slot where the edge ends."""
-        heads = {}
-        for ci, c in enumerate(self.crossings):
-            slot = 3 if c.sign == 1 else 1
-            heads[c.edges[0]] = (ci, 0)
-            heads[c.edges[slot]] = (ci, slot)
-        return heads
+        return {c.edges[slot]: (ci, slot)
+                for ci, c in enumerate(self.crossings) for slot in c.in_slots}
 
     # -- transforms ---------------------------------------------------------
 
@@ -279,6 +292,17 @@ class LinkDiagram:
         region marker is consumed.  Purely diagrammatic: framing points are
         not touched (see projector.approximate_projector for the framed
         variant used in homology pipelines).
+
+        The crossings are appended after the diagram's own in braid order,
+        full twist by full twist: each full twist is the word
+        (s_1 ... s_{l-1})^l, read upward, the strand at the left position
+        passing over.  `projector.TwistLadder`'s blocks and
+        `twist_all_regions` rely on this order.  A full twist is a pure
+        braid, so each strand ends on top at its own position, and one rename
+        closes the braid: a free loop's top takes the loop's id; a strand
+        through outside crossings is cut, and the piece that runs to its old
+        head slot takes a fresh stub id (the top of an up strand, the bottom
+        of a down strand, whose top keeps the old id).
         """
         if k < 0:
             raise DiagramError("twist count must be nonnegative")
@@ -291,104 +315,43 @@ class LinkDiagram:
             )
 
         used = set(self.edges)
-        free = set(self.free_loops)
-        # Head slots of each transit edge, so the top stub can be rewired.
-        heads = self.head_slots()
-
-        # Current segment and direction at each braid position.
-        cur = [s.edge for s in reg.strands]
-        dirs = [1 if s.direction == UP else -1 for s in reg.strands]
-        strand_dir = list(dirs)
-        new_crossings: list[Crossing] = []
-        new_orient = dict(self.orientations)
-
-        def braid_generator(p: int) -> None:
-            a, b = cur[p], cur[p + 1]
-            da, db = strand_dir[p], strand_dir[p + 1]
-            c_seg = fresh_name("tw#", used)
-            d_seg = fresh_name("tw#", used)
-            new_orient[c_seg] = UP if db == 1 else DOWN
-            new_orient[d_seg] = UP if da == 1 else DOWN
-            # Left segment goes over: over-path a--d, under-path b--c.
-            if db == 1:
-                new_crossings.append(Crossing((b, d_seg, c_seg, a), 1 if da == 1 else -1))
-            else:
-                new_crossings.append(Crossing((c_seg, a, b, d_seg), 1 if da == -1 else -1))
-            cur[p], cur[p + 1] = c_seg, d_seg
-            strand_dir[p], strand_dir[p + 1] = db, da
-
+        orient = dict(self.orientations)
+        # (current segment, direction) at each braid position
+        cur = [(s.edge, 1 if s.direction == UP else -1) for s in reg.strands]
+        twist = []
         for _ in range(k * ell):
             for p in range(ell - 1):
-                braid_generator(p)
+                (a, da), (b, db) = cur[p], cur[p + 1]
+                c, d = fresh_name("tw#", used), fresh_name("tw#", used)
+                orient[c], orient[d] = (UP if db == 1 else DOWN), (UP if da == 1 else DOWN)
+                # left strand over: over-path a--d, under-path b--c
+                twist.append(crossing((b, c)[::db], (a, d)[::da], da * db))
+                cur[p], cur[p + 1] = (c, db), (d, da)
 
-        # Glue top exits back to the outside of the diagram.
-        #  - free-loop transit: the outside arc is the bottom segment itself;
-        #  - up strand through crossings: top piece gets a fresh id at the
-        #    old edge's head slot;
-        #  - down strand: the cut is traversed top-to-bottom, so the original
-        #    id stays on the piece holding the tail slot (the top), and the
-        #    bottom entry should have used a fresh id.  Rather than thread
-        #    that through the braid, run the braid on the original ids and
-        #    substitute afterwards; the substitution is a bijection on the
-        #    braid-local occurrences.
-        subst: dict[str, str] = {}
-        crossing_rewires: list[tuple[int, int, str]] = []
-        for i, s in enumerate(reg.strands):
+        free = set(self.free_loops)
+        heads = self.head_slots()
+        rename, rewire = {}, {}
+        for s, (top, _) in zip(reg.strands, cur):
             e = s.edge
-            top = cur[i]
             if e in free:
-                subst[top] = e
-            elif s.direction == UP:
-                if top == e:
-                    continue  # strand untouched by any crossing
-                stub = fresh_name(f"{e}#", used)
-                new_orient[stub] = self.orientations[e]
-                subst[top] = stub
-                ci, slot = heads[e]
-                crossing_rewires.append((ci, slot, stub))
+                rename[top] = e
+                continue
+            stub = fresh_name(f"{e}#", used)
+            orient[stub] = self.orientations[e]
+            if s.direction == UP:
+                rename[top] = stub
             else:
-                # Downward strand: original id belongs above the braid.  The
-                # braid consumed `e` at the bottom; rename that bottom piece.
-                renamed = []
-                done = False
-                stub = fresh_name(f"{e}#", used)
-                for c in new_crossings:
-                    if not done and e in c.edges:
-                        renamed.append(
-                            Crossing(
-                                tuple(stub if x == e else x for x in c.edges), c.sign
-                            )
-                        )
-                        done = True
-                    else:
-                        renamed.append(c)
-                if not done:
-                    continue  # strand untouched by any crossing
-                new_crossings = renamed
-                new_orient[stub] = self.orientations[e]
-                subst[top] = e
-                ci, slot = heads[e]
-                crossing_rewires.append((ci, slot, stub))
+                rename[e], rename[top] = stub, e
+            rewire[heads[e]] = stub
 
-        new_crossings = [
-            Crossing(tuple(subst.get(x, x) for x in c.edges), c.sign) for c in new_crossings
-        ]
-        old_crossings = list(self.crossings)
-        for ci, slot, stub in crossing_rewires:
-            e = list(old_crossings[ci].edges)
-            e[slot] = stub
-            old_crossings[ci] = Crossing(tuple(e), old_crossings[ci].sign)
-
-        referenced = {x for c in old_crossings + new_crossings for x in c.edges}
-        all_edges = list(self.edges)
-        for e in sorted(used - set(self.edges)):
-            if e in referenced:
-                all_edges.append(e)
-        for e in all_edges:
-            new_orient.setdefault(e, UP)
-        # Framing points stay on their (possibly bottom-piece) edges.
-        fps = [(subst.get(e, e), w) for e, w in self.framing_points]
-        return LinkDiagram(all_edges, old_crossings + new_crossings, fps, rest_regions, new_orient)
+        crossings = [
+            Crossing(tuple(rewire.get((ci, slot), x) for slot, x in enumerate(c.edges)), c.sign)
+            for ci, c in enumerate(self.crossings)
+        ] + [Crossing(tuple(rename.get(x, x) for x in c.edges), c.sign) for c in twist]
+        edges = list(self.edges) + sorted(used - set(self.edges) - set(rename))
+        kept = set(edges)
+        orient = {e: tag for e, tag in orient.items() if e in kept}
+        return LinkDiagram(edges, crossings, self.framing_points, rest_regions, orient)
 
     def add_belts(self, region_id: str, up: int, down: int) -> "LinkDiagram":
         """Append up+down parallel circles through region `region_id`.

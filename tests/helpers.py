@@ -13,6 +13,7 @@ from lasagna.diagram import (
     RegionStrand,
     SurgeryRegion,
     check_planar,
+    crossing,
     fresh_name,
 )
 from lasagna.skein import transition_down
@@ -151,10 +152,9 @@ def r2_poke(d: LinkDiagram, over_edge: str, under_edge: str) -> LinkDiagram:
         if old in heads and new != old:
             ci, slot = heads[old]
             crossings[ci][slot] = new
-    # X1: a runs west->east over b (south->north): ccw from under-in (south)
-    x1 = Crossing((b, a_m, b_m, a), 1)
-    # X2: a returns east->west over b: under-in at south is b_m
-    x2 = Crossing((b_m, a_m, b2, a2), -1)
+    # X1: a runs west->east over b (south->north); X2: a returns over b
+    x1 = crossing((b, b_m), (a, a_m), 1)
+    x2 = crossing((b_m, b2), (a_m, a2), -1)
     new_crossings = [Crossing(tuple(c), x.sign) for c, x in zip(crossings, d.crossings)]
     edges = list(d.edges) + [x for x in (a_m, a2, b_m, b2) if x not in d.edges]
     orient = dict(d.orientations)
@@ -176,10 +176,7 @@ def r1_kink(d: LinkDiagram, edge: str, sign: int) -> LinkDiagram:
     if e in heads and e2 != e:
         ci, slot = heads[e]
         crossings[ci][slot] = e2
-    if sign == 1:
-        x = Crossing((e, e2, e_m, e_m), 1)
-    else:
-        x = Crossing((e, e_m, e_m, e2), -1)
+    x = crossing((e, e_m), (e_m, e2), sign)
     new_crossings = [Crossing(tuple(c), s.sign) for c, s in zip(crossings, d.crossings)] + [x]
     edges = list(d.edges) + [p for p in (e_m, e2) if p not in d.edges]
     orient = dict(d.orientations)

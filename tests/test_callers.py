@@ -5,12 +5,14 @@ A name counts as called when it appears in `src/lasagna` outside its own
 definition (as a name, an attribute or a string constant, which covers the
 lazy exports of `lasagna/__init__.py`), or anywhere in `perfbench/*.py`,
 whose tracer wraps functions by name.  A method is looked up by its bare
-name, so one that shares its name with a called function or method passes.
-`catalog` is exempt: it builds the diagrams the tests and fixtures use; so
-are dunders, which Python calls.  Anything else kept without a caller sits
-on ALLOWED, under its name or `Class.method`, with its reason, and some
-test other than this one must use it: an allowlisted definition that no
-test reads is dead code kept alive by the list.
+name, so a method whose name another package definition also has, or a
+method of dict, set, list, tuple or str has, would pass on their mentions;
+such a method passes only through SHARED, which names one call site that
+reads `.name` there.  `catalog` is exempt: it builds the diagrams the tests
+and fixtures use; so are dunders, which Python calls.  Anything else kept
+without a caller sits on ALLOWED, under its name or `Class.method`, with
+its reason, and some test other than this one must use it: an allowlisted
+definition that no test reads is dead code kept alive by the list.
 """
 
 import ast
@@ -30,6 +32,35 @@ ALLOWED = {
     "LinkDiagram.component_count": "oracle: the Lee total rank is 2^components",
 }
 EXEMPT_MODULES = {"catalog"}
+# Methods with a shared bare name -> the `module.definition` that calls them.
+# Reviewed: at that site, the receiver of `.name` is an instance of the class.
+SHARED = {
+    "FlatTangle.keys": "complexes.BigradedComplex.homology_dims",
+    "_Symmetrizer.apply": "skein._window_stages",
+    "BigradedComplex.pivots": "complexes.BigradedComplex.simplify",
+    "BigradedComplex.unit": "khovanov.Scan.__init__",
+    "BigradedComplex.generators": "complexes.planar_tensor",
+    "BigradedComplex.homology_dims": "khovanov.kh_dims",
+    "Cube.generators": "densecube.Cube.blocks",
+    "Cube.homology_dims": "khovanov.kh_dims_bruteforce",
+    "ChainMap.apply": "skein._transition_matrix",
+    "Crossing.mirror": "diagram.LinkDiagram.mirror",
+    "LinkDiagram.writhe": "khovanov.khr2_dims",
+    "LinkDiagram.to_json_obj": "cli.serve",
+    "Grading.shift": "complexes.BigradedComplex.deloop_generator",
+    "DimTable.add": "gradings.DimTable.__init__",
+    "DimTable.items": "gradings.DimTable.to_json_obj",
+    "DimTable.shift": "khovanov.tilde_renormalize",
+    "DimTable.to_json_obj": "cli.cmd_kh",
+    "Scan.add": "khovanov.scan_complex",
+    "Echelon.pivots": "linalg.row_reduce",
+    "Echelon.reduce": "linalg.kernel_basis",
+    "Echelon.add": "densecube.Cube.homology_basis",
+    "TwistLadder.writhe": "projector.twisted_tilde_table",
+    "RWResult.to_json_obj": "cli._flagged_entry",
+    "LasagnaResult.to_json_obj": "cli._flagged_entry",
+}
+BUILTIN_METHODS = set().union(*map(dir, (dict, set, list, tuple, str)))
 
 
 def _mentions(tree: ast.AST) -> Counter:
@@ -59,8 +90,22 @@ def _definitions(tree: ast.Module):
                         yield f"{node.name}.{sub.name}", sub
 
 
+def _trees() -> dict:
+    return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _shared(trees) -> list:
+    """`Class.method` of each method whose bare name is shared."""
+    names = Counter(node.name for tree in trees.values() for _, node in _definitions(tree))
+    return [qual for mod, tree in trees.items() if mod not in EXEMPT_MODULES
+            for qual, node in _definitions(tree)
+            if "." in qual and not node.name.startswith("__")
+            and (names[node.name] > 1 or node.name in BUILTIN_METHODS)]
+
+
 def _uncalled(allowed) -> list:
-    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    trees = _trees()
+    shared = set(_shared(trees))
     bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
     mentions = {mod: _mentions(tree) for mod, tree in trees.items()}
     missing = []
@@ -71,8 +116,12 @@ def _uncalled(allowed) -> list:
             name = node.name
             if qual in allowed or name.startswith("__"):
                 continue
-            named = sum(seen[name] for seen in mentions.values()) - _mentions(node)[name]
-            if not named and not re.search(rf"\b{re.escape(name)}\b", bench):
+            if qual in shared:
+                called = qual in SHARED
+            else:
+                named = sum(seen[name] for seen in mentions.values()) - _mentions(node)[name]
+                called = named or re.search(rf"\b{re.escape(name)}\b", bench)
+            if not called:
                 missing.append(f"{mod}.{qual}")
     return missing
 
@@ -92,3 +141,14 @@ def test_allowlisted_names_are_used_by_tests():
     unused = [qual for qual in ALLOWED
               if not re.search(rf"\b{re.escape(qual.rsplit('.', 1)[-1])}\b", tests)]
     assert unused == []
+
+
+def test_shared_names_pass_only_through_a_reviewed_call_site():
+    trees = _trees()
+    assert sorted(q for q in _shared(trees) if q not in ALLOWED) == sorted(SHARED)
+    for qual, site in SHARED.items():
+        mod, site_qual = site.split(".", 1)
+        [node] = [n for q, n in _definitions(trees[mod]) if q == site_qual]
+        name = qual.rsplit(".", 1)[1]
+        assert site_qual != qual
+        assert any(isinstance(n, ast.Attribute) and n.attr == name for n in ast.walk(node)), site

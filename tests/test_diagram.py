@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import pickle
@@ -17,10 +18,12 @@ from lasagna.diagram import (
     RegionStrand,
     SurgeryRegion,
     check_planar,
+    crossing,
     parse_diagram,
 )
+from lasagna.projector import twist_all_regions
 
-from helpers import disjoint_union
+from helpers import disjoint_union, r1_kink, r2_poke
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -82,6 +85,21 @@ def test_parse_errors_have_locations():
         parse_diagram(json.dumps({
             "edges": ["a"], "crossings": [], "framing_points": [["a", 1.5]],
             "regions": [], "orientations": {"a": "up"},
+        }))
+    with pytest.raises(DiagramError, match="orientations: unknown edge 'z'"):
+        parse_diagram(json.dumps({
+            "edges": ["a"], "crossings": [], "framing_points": [],
+            "regions": [], "orientations": {"a": "up", "z": "up"},
+        }))
+    with pytest.raises(DiagramError, match="edge 'a' missing from orientations"):
+        parse_diagram(json.dumps({
+            "edges": ["a"], "crossings": [], "framing_points": [],
+            "regions": [], "orientations": {},
+        }))
+    with pytest.raises(DiagramError, match="orientations: edge 'a' must be 'up' or 'down'"):
+        parse_diagram(json.dumps({
+            "edges": ["a"], "crossings": [], "framing_points": [],
+            "regions": [], "orientations": {"a": "left"},
         }))
 
 
@@ -148,6 +166,89 @@ def test_insert_full_twists_mixed_orientation_signs():
     # antiparallel pair: both crossings negative, writhe -2
     assert len(t.crossings) == 2
     assert t.writhe() == -2
+
+
+def test_twisted_orientations_name_exactly_the_edges():
+    for d in (twist_all_regions(catalog.belt_link(4), 2),
+              twist_all_regions(r1_kink(catalog.belt_link(1, 1), "belt1#1", 1), 2)):
+        assert set(d.orientations) == set(d.edges)
+
+
+def test_crossing_slot_order():
+    # counterclockwise from the incoming under strand; the over strand
+    # enters at slot 3 for sign +1 and at slot 1 for sign -1
+    for sign, edges, closure in ((1, ("u", "o'", "u'", "o"), ("s1", "s1", "s0", "s0")),
+                                 (-1, ("u", "o", "u'", "o'"), ("s0", "s1", "s1", "s0"))):
+        x = crossing(("u", "u'"), ("o", "o'"), sign)
+        assert x == Crossing(edges, sign)
+        assert [x.edges[i] for i in x.in_slots] == ["u", "o"]
+        assert x.mirror() == crossing(("o", "o'"), ("u", "u'"), -sign)
+        # sigma_1^sign on two strands: the strand from position 1 ends at position 2
+        assert catalog.braid_closure([sign], 2).crossings == (Crossing(closure, sign),)
+        # a kink: each edge has its head and its tail at the crossing
+        kink = LinkDiagram(["a", "b"], [crossing(("a", "b"), ("b", "a"), sign)])
+        assert kink.head_slots() == {"a": (0, 0), "b": (0, x.in_slots[1])}
+        with pytest.raises(DiagramError, match="inconsistently oriented"):
+            LinkDiagram(["a", "b"], [crossing(("a", "b"), ("a", "b"), sign)])
+
+
+# sha256 of every rewrite's output on the corpus below; a rewrite may change
+# only when it means to, shows which outputs move, and records the re-pin in
+# CHANGES.md (the rule of PIVOT_DIGEST in test_hash_seed.py)
+REWRITE_DIGEST = "640dc03d2da37412e22516214ffeab112e0d17f849ff952077e2ad82c7b67cce"
+
+
+def _rewrite_corpus():
+    """Fixtures, twists, belt cables and braid closures: 925 diagrams."""
+    for name in ("belt1", "belt11", "belt11_poke", "belt2", "belt4", "empty_s1s2",
+                 "empty_s1s2_x2", "figure8", "hopf", "t22", "t24", "t26", "t44", "trefoil",
+                 "trefoil_left", "trefoil_s1s2", "unknot", "unknot_fr3", "unlink2"):
+        with open(os.path.join(FIXTURES, f"{name}.json")) as fh:
+            d = parse_diagram(fh.read())
+        yield d
+        if d.regions:
+            for k in (1, 2):
+                yield twist_all_regions(d, k)
+    for d in (catalog.belt_link(a, b) for a in range(4) for b in range(4) if a + b):
+        strands = [s.edge for s in d.region("1").strands]
+        # strands through outside crossings: a kink, a poke either way
+        variants = [d, r1_kink(d, strands[0], 1), r1_kink(d, strands[-1], -1)]
+        if len(strands) > 1:
+            variants += [r2_poke(d, strands[0], strands[-1]), r2_poke(d, strands[-1], strands[0])]
+        for v in variants:
+            for k in range(4):
+                yield v.insert_full_twists("1", k)
+        for up in range(4):
+            for down in range(4):
+                yield catalog.encircle(d, "1", up, down)
+    pairs = [catalog.empty_surgery(2).add_belts("1", a, b).add_belts("2", c, e)
+             for a, b, c, e in ((2, 0, 1, 1), (1, 1, 3, 1), (2, 2, 0, 0), (0, 2, 2, 0))]
+    pairs.append(disjoint_union(catalog.trefoil_right(), catalog.belt_link(2, 2)))
+    for d in pairs:
+        for k in range(1, 4):
+            yield twist_all_regions(d, k)
+        for up, down in ((1, 0), (0, 1), (1, 1), (2, 1)):
+            out = d
+            for r in d.regions:
+                out, groups = catalog.encircle(out, r.region_id, up, down)
+                yield out, groups
+                up, down = down, up
+    rng = random.Random(28)
+    for _ in range(300):
+        yield catalog.random_braid_diagram(rng)
+    for n in range(2, 5):
+        for m in range(1, 6):
+            yield catalog.torus_link(n, m)
+
+
+def test_rewrites_match_the_pinned_digest():
+    h, count = hashlib.sha256(), 0
+    for v in _rewrite_corpus():
+        count += 1
+        obj = [v[0].to_json_obj(), v[1]] if isinstance(v, tuple) else v.to_json_obj()
+        h.update(json.dumps(obj).encode())
+    assert count == 925
+    assert h.hexdigest() == REWRITE_DIGEST
 
 
 def test_component_count_invariant_under_twisting():
