@@ -201,6 +201,14 @@ class LinkDiagram:
                 raise DiagramError(f"framing point on unknown edge {e!r}")
             if not isinstance(w, int):
                 raise DiagramError(f"framing weight on {e!r} must be an integer")
+        for e in self.edges:
+            if e not in self.orientations:
+                raise DiagramError(f"edge {e!r} missing from orientations")
+        for e, tag in self.orientations.items():
+            if e not in edge_set:
+                raise DiagramError(f"orientations: unknown edge {e!r}")
+            if tag not in (UP, DOWN):
+                raise DiagramError(f"orientations: edge {e!r} must be 'up' or 'down', got {tag!r}")
         seen_regions = set()
         transit_edges: set[str] = set()
         for r in self.regions:
@@ -214,19 +222,16 @@ class LinkDiagram:
                     raise DiagramError(
                         f"region {r.region_id!r}: direction must be 'up' or 'down'"
                     )
+                if s.direction != self.orientations[s.edge]:
+                    raise DiagramError(
+                        f"region {r.region_id!r}: strand on edge {s.edge!r} runs {s.direction}, "
+                        f"but the edge is tagged {self.orientations[s.edge]}"
+                    )
                 if s.edge in transit_edges:
                     raise DiagramError(
                         f"edge {s.edge!r} transits more than one region strand slot"
                     )
                 transit_edges.add(s.edge)
-        for e in self.edges:
-            if e not in self.orientations:
-                raise DiagramError(f"edge {e!r} missing from orientations")
-        for e, tag in self.orientations.items():
-            if e not in edge_set:
-                raise DiagramError(f"orientations: unknown edge {e!r}")
-            if tag not in (UP, DOWN):
-                raise DiagramError(f"orientations: edge {e!r} must be 'up' or 'down', got {tag!r}")
 
     # -- derived structure -------------------------------------------------
 

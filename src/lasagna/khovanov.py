@@ -75,16 +75,41 @@ which is at most 0 for l = 0 and for every even l >= 2 (an odd l has the
 zero projector and is never twisted).  Level k_max's moving cut is thus
 the lowest at every point, and a prefix cut there is exact for every
 level it serves.
+
+The reduced diagram.  `kh_dims` and `lee_total_dim` scan
+`reidemeister_reduced(d)`, which removes kinks and bigons until none is
+left.  An R1 kink is a crossing with one edge at two adjacent slots (3 and
+0 count as adjacent).  An R2 bigon is two crossings bounding a face of two
+darts, traced as `check_planar` traces faces, whose two sides sit at under
+slots (0 and 2, `crossing`) at both ends or at over slots at both: one
+strand passes under the other twice.  A bigon under at one end and over at
+the other is a clasp and stays.  Two shared edges adjacent at both
+crossings are not enough: two nugatory crossings joined by two edges have
+that shape with the rest of the diagram on both sides of the edges, and
+bound no bigon face.  A removed crossing's strands pass straight through,
+slot 0 to 2 and 1 to 3 as `LinkDiagram.components` pairs them, by one
+union-find over the edges; an edge class left at no crossing is a free
+loop, and a work-list revisits the crossings next to each removal, since
+one can expose a kink.  The pass is exact: the normalized classical table
+is invariant under Reidemeister moves (M. Khovanov, Duke Math. J. 2000;
+D. Bar-Natan, Geom. Topol. 2005, in the cobordism category `cobcat`
+implements), and Lee homology too, while `khr2_dims` reindexes by the
+input's `d.writhe()`, framing included, which R1 would change.
+`scan_complex`, whose complex the tests inspect, `TwistLadder`, whose
+crossing blocks index the twisted diagram, and the dense oracle
+`kh_dims_bruteforce`, which stays independent of the pass, scan the
+diagram they are given.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional
 
 from .cobcat import FlatTangle, FrobeniusSpec, KHOVANOV, MorphismCombo, elementary_saddle
 from .complexes import BigradedComplex, planar_tensor
 from .densecube import Cube
-from .diagram import LinkDiagram
+from .diagram import Crossing, LinkDiagram
 from .gradings import DimTable, Grading, Window
 
 
@@ -108,6 +133,75 @@ def crossing_complex(ci: int, sign: int, spec: FrobeniusSpec) -> BigradedComplex
     saddle = elementary_saddle(res0, res1, res0.arcs, res1.arcs)
     c.set_entry(g0, g1, MorphismCombo.from_cobordism(saddle))
     return c
+
+
+def reidemeister_reduced(d: LinkDiagram) -> LinkDiagram:
+    """d with its R1 kinks and R2 bigons removed until none is left (module docstring).
+
+    Keeps the remaining crossings in input order and names each edge class
+    by its smallest id; framing points are dropped, since the classical
+    table ignores them.  d itself when no move applies or d has regions.
+    """
+    if d.regions:
+        return d
+    ends = [c.edges for c in d.crossings]
+    parent = {e: e for e in d.edges}
+    at: dict[str, list[tuple[int, int]]] = {e: [] for e in d.edges}  # root -> live slots
+    for ci, c in enumerate(ends):
+        for k, e in enumerate(c):
+            at[e].append((ci, k))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def other(ci, k):
+        a, b = at[find(ends[ci][k])]
+        return b if a == (ci, k) else a
+
+    alive = [True] * len(ends)
+    work = deque(range(len(ends)))
+
+    def remove(*cis):
+        for ci in cis:
+            alive[ci] = False
+            for k, e in enumerate(ends[ci]):
+                at[find(e)].remove((ci, k))
+        # each strand passes straight through: slot 0 to 2, slot 1 to 3
+        for ci in cis:
+            e = ends[ci]
+            for a, b in ((e[0], e[2]), (e[1], e[3])):
+                ra, rb = sorted((find(a), find(b)))
+                if ra != rb:
+                    parent[rb] = ra
+                    at[ra] += at.pop(rb)
+        # a removal can expose a kink or a bigon at the crossings next to it
+        for ci in cis:
+            work.extend(cj for e in ends[ci] for cj, _ in at[find(e)])
+
+    while work:
+        ci = work.popleft()
+        if not alive[ci]:
+            continue
+        for s in range(4):
+            cj, t = other(ci, s)
+            if cj == ci and (t - s) % 2:  # one edge at two adjacent slots: a kink
+                remove(ci)
+                break
+            # a face of two darts (traced as check_planar does) whose sides
+            # are under at both ends or over at both, the under slots being
+            # 0 and 2 (`crossing`): not a clasp
+            if cj != ci and (t - s) % 2 == 0 and other(cj, (t + 1) % 4) == (ci, (s - 1) % 4):
+                remove(ci, cj)
+                break
+    if all(alive):
+        return d
+    edges = [e for e in d.edges if find(e) == e]
+    crossings = [Crossing(tuple(map(find, c.edges)), c.sign)
+                 for c, live in zip(d.crossings, alive) if live]
+    return LinkDiagram(edges, crossings, (), (), {e: d.orientations[e] for e in edges})
 
 
 def scan_order(d: LinkDiagram) -> list[int]:
@@ -222,8 +316,16 @@ def scan_complex(d: LinkDiagram, spec: FrobeniusSpec = KHOVANOV, simplify: bool 
 
 
 def kh_dims(d: LinkDiagram, h2_min: Optional[int] = None) -> DimTable:
-    """Classical homology dimensions (scanning pipeline); with h2_min, exact in h2 >= h2_min + 2."""
-    return scan_complex(d, h2_min=h2_min).homology_dims()
+    """Classical homology dimensions, scanned on `reidemeister_reduced(d)`.
+
+    With h2_min the table is exact in h2 >= h2_min + 2 and, when d has a
+    crossing, empty below, even if its reduction has none: a scan of free
+    loops alone is never cut, so that table is restricted here.
+    """
+    table = scan_complex(reidemeister_reduced(d), h2_min=h2_min).homology_dims()
+    if h2_min is not None and d.crossings:
+        table = table.restrict(Window(h2_lo=h2_min + 2))
+    return table
 
 
 def kh_dims_bruteforce(d: LinkDiagram) -> DimTable:

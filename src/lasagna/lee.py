@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from .cobcat import LEE
 from .diagram import LinkDiagram
-from .khovanov import scan_complex
+from .khovanov import reidemeister_reduced, scan_complex
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,9 @@ def eval_closed_surface(s: ClosedSurface) -> Fraction:
 def lee_total_dim(d: LinkDiagram) -> int:
     """Total Lee homology dimension of a closed diagram: 2^components.
 
-    Ranked on the scanning complex, whose Lee homology is per h2 only.
+    Ranked on the scanning complex of `reidemeister_reduced(d)`, whose Lee
+    homology is per h2 only.
     """
     if d.regions:
         raise ValueError("lee_total_dim needs a diagram without surgery regions")
-    return scan_complex(d, LEE).homology_dims().total()
+    return scan_complex(reidemeister_reduced(d), LEE).homology_dims().total()

@@ -52,7 +52,7 @@ def test_hopf_from_parse_roundtrip():
     assert d2.to_json_obj() == d.to_json_obj()
 
 
-def test_parse_errors_have_locations():
+def test_parse_errors_have_locations(tmp_path):
     with pytest.raises(DiagramError, match="missing field"):
         parse_diagram("{}")
     with pytest.raises(DiagramError, match="invalid JSON"):
@@ -101,6 +101,16 @@ def test_parse_errors_have_locations():
             "edges": ["a"], "crossings": [], "framing_points": [],
             "regions": [], "orientations": {"a": "left"},
         }))
+    # belt11's down strand tagged up: twisting would sign its crossings by
+    # the strand and tag its stub by the edge
+    with open(os.path.join(FIXTURES, "belt11.json")) as fh:
+        obj = json.load(fh)
+    obj["orientations"]["belt1#1"] = "up"
+    edited = tmp_path / "belt11_mistagged.json"
+    edited.write_text(json.dumps(obj))
+    with pytest.raises(DiagramError, match="region '1': strand on edge 'belt1#1' runs down, "
+                                           "but the edge is tagged up"):
+        parse_diagram(edited.read_text())
 
 
 def test_writhe_framing_points():

@@ -4,18 +4,19 @@ from pathlib import Path
 from lasagna import catalog
 from lasagna.gradings import DimTable, Grading, Window
 from lasagna.densecube import Cube
-from lasagna.diagram import parse_diagram
+from lasagna.diagram import Crossing, LinkDiagram, check_planar, crossing, parse_diagram
 from lasagna.khovanov import (
     jones_unnormalized,
     kh_dims,
     kh_dims_bruteforce,
     khr2_dims,
+    reidemeister_reduced,
     scan_complex,
     tilde_renormalize,
 )
 from lasagna.lee import lee_total_dim
 
-from helpers import disjoint_union, r2_poke
+from helpers import disjoint_union, r1_kink, r2_poke, relabeled
 
 # frozen classical tables ((h, q) undoubled): published values
 UNKNOT = {(0, -1): 1, (0, 1): 1}
@@ -229,3 +230,108 @@ def test_every_planar_r2_poke_is_invariant():
                 accepted += 1
                 assert khr2_dims(poked) == dims, (a, b)
     assert (accepted, rejected) == (16, 112)
+
+
+def _nugatory_pair():
+    """Two trefoil arcs, each closed through a nugatory crossing of its own.
+
+    The crossings are joined by edges p and s, adjacent at both and under (p)
+    and over (s) at both, but each arc lies on its own side of p and s, so
+    they bound no bigon face.
+    """
+    crossings, edges = [], ["p", "s"]
+    for k in "ab":
+        t = relabeled(catalog.trefoil_right(), k)
+        *rest, last = t.crossings
+        assert last.edges[2] == f"{k}s0"  # the tail of s0: cut the trefoil open there
+        crossings += rest + [Crossing(last.edges[:2] + (f"{k}o",) + last.edges[3:], last.sign)]
+        edges += list(t.edges) + [f"{k}o"]
+    crossings += [crossing(("p", "as0"), ("ao", "s"), 1), crossing(("bo", "p"), ("s", "bs0"), 1)]
+    return LinkDiagram(edges, crossings, orientations={e: "up" for e in edges})
+
+
+def _reduction_cases():
+    """(diagram, crossings its reduction keeps, free loops it ends with)."""
+    root = Path(__file__).resolve().parent.parent / "fixtures"
+    trefoil = parse_diagram((root / "trefoil.json").read_text())
+    figure8 = parse_diagram((root / "figure8.json").read_text())
+    curl = LinkDiagram(["s1", "s2"], [Crossing(("s2", "s2", "s1", "s1"), 1)])
+    return [
+        (catalog.braid_closure([1, -1, 1], 2), 0, 1),  # an adjacent R2, then a kink
+        (catalog.braid_closure([1, 3, -1], 4), 0, 3),  # an R2 across a far letter
+        (catalog.braid_closure([1, 2, 2, -1], 3), 2, 1),  # an R2 across the closure
+        (catalog.braid_closure([1, 2], 3), 0, 1),  # an R1 cascade to the unknot
+        (catalog.braid_closure([1, -1], 2), 0, 2),  # full cancellation
+        (curl, 0, 1),
+        (r1_kink(trefoil, "e2", -1), 3, 0),
+        (r1_kink(r1_kink(figure8, "s0", 1), "e3", 1), 4, 0),
+        (r2_poke(trefoil, "e1", "e2"), 3, 0),
+        (r2_poke(figure8, "s0", "s1"), 4, 0),
+        (catalog.hopf_positive(), 2, 0),  # a clasp
+        (figure8, 4, 0),
+        (_nugatory_pair(), 8, 0),
+    ]
+
+
+def test_reidemeister_pass_keeps_the_homology():
+    for d, kept, loops in _reduction_cases():
+        r = reidemeister_reduced(d)
+        assert (len(r.crossings), len(r.free_loops)) == (kept, loops), d.to_json_obj()
+        if kept == len(d.crossings):
+            assert r is d
+        check_planar(r)
+        assert r.component_count == d.component_count
+        expected = scan_complex(d).homology_dims()
+        assert kh_dims(d) == expected == kh_dims_bruteforce(d), d.to_json_obj()
+        assert lee_total_dim(d) == 2 ** d.component_count
+
+
+def test_reidemeister_pass_keeps_input_order_and_smallest_names():
+    # the one bigon, sigma_2 sigma_2^-1, goes and frees the third strand;
+    # the remaining crossings keep their order and each edge class its
+    # smallest id
+    d = catalog.braid_closure([1, 2, -2, 1, 1], 3)
+    r = reidemeister_reduced(d)
+    kept = [c for i, c in enumerate(d.crossings) if i not in (1, 2)]
+    assert len(r.free_loops) == 1
+    assert [c.sign for c in r.crossings] == [c.sign for c in kept]
+    for c, old in zip(r.crossings, kept):
+        for e, o in zip(c.edges, old.edges):
+            assert e <= o and e in r.edges
+    assert reidemeister_reduced(r) is r
+    assert kh_dims(r) == kh_dims(d)
+
+
+def test_windowed_khr2_of_a_reducible_diagram():
+    # the reduction may have no crossing left: the window's table is still
+    # the restricted full one, and kh_dims keeps nothing below the cut + 2
+    for d, _, _ in _reduction_cases():
+        full, classical = khr2_dims(d), kh_dims(d)
+        for window in _support_windows(full):
+            assert khr2_dims(d, window) == full.restrict(window), (d.to_json_obj(), window)
+            cut = -window.h2_hi - 2
+            assert kh_dims(d, cut) == classical.restrict(Window(h2_lo=cut + 2))
+
+
+def test_khr2_reads_the_input_writhe():
+    # R1 changes the crossing writhe; the gl2 table is reindexed by the
+    # input's, framing included
+    base = catalog.trefoil_right().add_framing_points([("s0", 2)])
+    kinked = r1_kink(r1_kink(base, "e1", 1), "e3", 1)
+    assert khr2_dims(kinked) == khr2_dims(base).shift(0, -4)
+    assert khr2_dims(kinked) == khr2_dims(kinked, bruteforce=True)
+
+
+def test_dense_oracle_builds_the_input_cube(monkeypatch):
+    from lasagna import khovanov
+
+    built = []
+
+    def recording(d, *args):
+        built.append(len(d.crossings))
+        return Cube(d, *args)
+
+    monkeypatch.setattr(khovanov, "Cube", recording)
+    d = catalog.braid_closure([1, -1, 1, 1], 2)
+    assert kh_dims_bruteforce(d) == kh_dims(d)
+    assert built == [4]
