@@ -225,8 +225,10 @@ def glue(pieces, joins) -> tuple[Cobordism, list[int]]:
     (i, j, lost) glues pieces i and j along an interval (lost = 1) or a
     circle (lost = 0), lowering chi by `lost`.  A glued component adds up
     the nodes, dots and chi of its pieces, and its genus follows from chi
-    and its boundary circles.  Returns the glued surface and, per piece,
-    the index of the component holding it.
+    and its boundary circles; one of chi 1 is a disk, whose one boundary
+    circle is all its nodes, so only the others walk their boundary.
+    Returns the glued surface and, per piece, the index of the component
+    holding it.
     """
     parent = list(range(len(pieces)))
 
@@ -249,8 +251,13 @@ def glue(pieces, joins) -> tuple[Cobordism, list[int]]:
         for i in idxs:
             where[i] = len(comps)
         nodes = frozenset().union(*[pieces[i][0] for i in idxs])
-        bounds = _boundary_circle_partition(nodes)
-        genus2 = 2 - len(bounds) + lost[root] - sum(pieces[i][2] for i in idxs)
+        chi = sum(pieces[i][2] for i in idxs) - lost[root]
+        if chi == 1:  # a disk: its one boundary circle holds every node
+            assert nodes, "a glued disk has a boundary circle"
+            bounds = (nodes,)
+        else:
+            bounds = _boundary_circle_partition(nodes)
+        genus2 = 2 - len(bounds) - chi
         if genus2 % 2 or genus2 < 0:
             raise AssertionError("non-surface gluing of cobordisms")
         comps.append(Component(nodes, sum(pieces[i][1] for i in idxs), genus2 // 2))

@@ -139,6 +139,7 @@ class Cube:
         self.n_plus = sum(1 for x in d.crossings if x.sign == 1)
         self.n_minus = self.n - self.n_plus
         self.circles = [resolve_circles(d, s) for s in range(1 << self.n)]
+        self._out: dict[int, list] = {}  # state -> its `_edges_out`, once read
 
     # generators are (state, labels) with labels a tuple over the state's
     # circles in canonical order; label 0 is the unit, 1 is x.
@@ -159,8 +160,11 @@ class Cube:
     def differential(self, gen) -> dict:
         """Sparse image of a generator under the cube differential."""
         s, labels = gen
+        edges = self._out.get(s)
+        if edges is None:
+            edges = self._out[s] = self._edges_out(s)
         out: dict = {}
-        for s2, sign, slots, ins, outs, op in self._edges_out(s):
+        for s2, sign, slots, ins, outs, op in edges:
             for tgt_labels, coeff in carry(labels, slots, ins, outs, op, self.c):
                 key = (s2, tgt_labels)
                 v = out.get(key, 0) + sign * coeff

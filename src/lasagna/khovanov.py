@@ -90,11 +90,31 @@ bound no bigon face.  A removed crossing's strands pass straight through,
 slot 0 to 2 and 1 to 3 as `LinkDiagram.components` pairs them, by one
 union-find over the edges; an edge class left at no crossing is a free
 loop, and a work-list revisits the crossings next to each removal, since
-one can expose a kink.  The pass is exact: the normalized classical table
-is invariant under Reidemeister moves (M. Khovanov, Duke Math. J. 2000;
-D. Bar-Natan, Geom. Topol. 2005, in the cobordism category `cobcat`
-implements), and Lee homology too, while `khr2_dims` reindexes by the
-input's `d.writhe()`, framing included, which R1 would change.
+one can expose a kink.  Once no kink or bigon is left, the pass tries R3
+moves, at the crossings in index order.  An R3 site is a face of three
+darts at three distinct crossings, traced as the bigon's, with a side at
+two slots of one parity: one strand passes over both crossings it meets
+on the triangle, or under both.  A triangle whose every strand is over at
+one end and under at the other is cyclic, and no move applies.  The move
+slides that strand across the third crossing: along each of the three
+strands the two crossings come in the other order, so each strand's two
+outer edges trade crossings and its triangle side moves to the opposite
+slots.  Every slot keeps its role in `crossing`'s layout, so the three
+crossings keep their signs and their indices, and every edge its name.
+A move is kept only when the work-list then removes a crossing, and is
+undone otherwise, so every kept move lowers the crossing count and the
+pass ends; after a kept move the search starts again at the first
+crossing.  The move takes a dart off each face across a side of the
+triangle, adds one to each face opposite a corner and leaves every other
+face as it was, so it can free a kink or a bigon only when a face across
+a side has at most three darts; other sites are not tried, which keeps
+the search cheap on diagrams where no move pays, such as positive braid
+closures.  A move that pays only after a second R3 move is not tried.
+The pass is exact: the normalized classical table is invariant under
+Reidemeister moves (M. Khovanov, Duke Math. J. 2000; D. Bar-Natan, Geom.
+Topol. 2005, in the cobordism category `cobcat` implements), and Lee
+homology too, while `khr2_dims` reindexes by the input's `d.writhe()`,
+framing included, which R1 would change.
 `scan_complex`, whose complex the tests inspect, `TwistLadder`, whose
 crossing blocks index the twisted diagram, and the dense oracle
 `kh_dims_bruteforce`, which stays independent of the pass, scan the
@@ -136,7 +156,8 @@ def crossing_complex(ci: int, sign: int, spec: FrobeniusSpec) -> BigradedComplex
 
 
 def reidemeister_reduced(d: LinkDiagram) -> LinkDiagram:
-    """d with its R1 kinks and R2 bigons removed until none is left (module docstring).
+    """d with its R1 kinks and R2 bigons removed until none is left, R3 moves
+    that free one included (module docstring).
 
     Keeps the remaining crossings in input order and names each edge class
     by its smallest id; framing points are dropped, since the classical
@@ -144,7 +165,7 @@ def reidemeister_reduced(d: LinkDiagram) -> LinkDiagram:
     """
     if d.regions:
         return d
-    ends = [c.edges for c in d.crossings]
+    ends = [list(c.edges) for c in d.crossings]
     parent = {e: e for e in d.edges}
     at: dict[str, list[tuple[int, int]]] = {e: [] for e in d.edges}  # root -> live slots
     for ci, c in enumerate(ends):
@@ -164,6 +185,43 @@ def reidemeister_reduced(d: LinkDiagram) -> LinkDiagram:
     alive = [True] * len(ends)
     work = deque(range(len(ends)))
 
+    def shift(moves):
+        """Move the edge at slot a to slot b, for every (a, b) in moves at once."""
+        edges = [ends[ci][k] for (ci, k), _ in moves]
+        for (a, (ci, k)), e in zip(moves, edges):
+            ends[ci][k] = e
+            slots = at[find(e)]
+            slots[slots.index(a)] = (ci, k)
+
+    def narrow(x, y):
+        """Whether the face across the side from dart x to dart y has at most three darts."""
+        for _ in range(2):
+            x = (x[0], (x[1] + 1) % 4)
+            if x == y:
+                return True
+            x = other(*x)
+        return (x[0], (x[1] + 1) % 4) == y
+
+    def triangle(ci, s):
+        """The sides (leaving dart, arriving dart) of the face of three darts
+        that ci's slot s leaves by, when ci is its smallest corner and an R3
+        move on it can pay; else None."""
+        sides, x = [], (ci, s)
+        for _ in range(3):
+            y = other(*x)
+            if y[0] < ci:
+                return None
+            sides.append((x, y))
+            x = (y[0], (y[1] + 1) % 4)
+        if x != (ci, s) or len({a[0] for a, _ in sides}) < 3:
+            return None
+        # a side at two slots of one parity is over at both ends or under at
+        # both; a triangle without one is cyclic and admits no R3 move
+        if all((a[1] - b[1]) % 2 for a, b in sides):
+            return None
+        # only a face across a side shrinks (module docstring)
+        return sides if any(narrow(x, y) for x, y in sides) else None
+
     def remove(*cis):
         for ci in cis:
             alive[ci] = False
@@ -181,26 +239,51 @@ def reidemeister_reduced(d: LinkDiagram) -> LinkDiagram:
         for ci in cis:
             work.extend(cj for e in ends[ci] for cj, _ in at[find(e)])
 
-    while work:
-        ci = work.popleft()
-        if not alive[ci]:
-            continue
+    def reduce():
+        """Run the work-list of R1 and R2 moves."""
+        while work:
+            ci = work.popleft()
+            if not alive[ci]:
+                continue
+            for s in range(4):
+                cj, t = other(ci, s)
+                if cj == ci and (t - s) % 2:  # one edge at two adjacent slots: a kink
+                    remove(ci)
+                    break
+                # a face of two darts (traced as check_planar does) whose sides
+                # are under at both ends or over at both, the under slots being
+                # 0 and 2 (`crossing`): not a clasp
+                if cj != ci and (t - s) % 2 == 0 and other(cj, (t + 1) % 4) == (ci, (s - 1) % 4):
+                    remove(ci, cj)
+                    break
+
+    reduce()
+    ci = 0
+    while ci < len(ends):
         for s in range(4):
-            cj, t = other(ci, s)
-            if cj == ci and (t - s) % 2:  # one edge at two adjacent slots: a kink
-                remove(ci)
+            sides = alive[ci] and triangle(ci, s)
+            if not sides:
+                continue
+            # slide: each side's outer edges trade ends, and the side moves
+            # to the opposite slots (module docstring)
+            moves = []
+            for x, y in sides:
+                xo, yo = (x[0], (x[1] + 2) % 4), (y[0], (y[1] + 2) % 4)
+                moves += [(yo, x), (xo, y), (x, xo), (y, yo)]
+            live = alive.count(True)
+            shift(moves)
+            work.extend(x[0] for x, _ in sides)
+            reduce()
+            if alive.count(True) < live:
+                ci = -1  # a kept move: look again from the first crossing
                 break
-            # a face of two darts (traced as check_planar does) whose sides
-            # are under at both ends or over at both, the under slots being
-            # 0 and 2 (`crossing`): not a clasp
-            if cj != ci and (t - s) % 2 == 0 and other(cj, (t + 1) % 4) == (ci, (s - 1) % 4):
-                remove(ci, cj)
-                break
+            shift([(b, a) for a, b in moves])
+        ci += 1
     if all(alive):
         return d
     edges = [e for e in d.edges if find(e) == e]
-    crossings = [Crossing(tuple(map(find, c.edges)), c.sign)
-                 for c, live in zip(d.crossings, alive) if live]
+    crossings = [Crossing(tuple(map(find, e)), c.sign)
+                 for e, c, live in zip(ends, d.crossings, alive) if live]
     return LinkDiagram(edges, crossings, (), (), {e: d.orientations[e] for e in edges})
 
 

@@ -511,3 +511,31 @@ def test_without_loop_equals_rebuilt_tangle():
         assert copy.deepcopy(out) == out == pickle.loads(pickle.dumps(out))
         with pytest.raises(ValueError, match="no such loop"):
             out.without_loop(loop)
+
+
+def test_glued_disks_match_the_boundary_walk(monkeypatch):
+    # glue reads a component of Euler characteristic 1 as a disk, whose one
+    # boundary circle is its whole node set: every component glued during an
+    # rw scan of belt_link(4) and a scan of T(4,4) has the circles that
+    # walking its boundary finds
+    from lasagna import catalog, complexes, khovanov, rw
+    from lasagna.gradings import Window
+
+    glue, glued = cobcat.glue, []
+
+    def recording(pieces, joins):
+        out = glue(pieces, joins)
+        glued.append(out[0])
+        return out
+
+    monkeypatch.setattr(cobcat, "glue", recording)
+    monkeypatch.setattr(complexes, "glue", recording)
+    rw.rw_plus(catalog.belt_link(4), Window(h2_lo=-4, h2_hi=0, q2_lo=-16, q2_hi=0), k_max=2)
+    khovanov.scan_complex(catalog.torus_link(4, 4))
+    disks = 0
+    for cob in glued:
+        for comp, circles in zip(cob.comps, cob.circles):
+            walk = cobcat._circles(comp.nodes)
+            assert set(circles) == set(walk), comp
+            disks += len(walk) == 1 and comp.genus == 0
+    assert disks > 0 and len(glued) > 100

@@ -18,6 +18,7 @@ CAPPING_DIGEST = "ee25acaf5ebda7c7a29eff5084f4aabc5ff591310a0f7f5510c475e23a7d54
 SCRIPT = r"""
 import hashlib
 import json
+import random
 
 from lasagna import catalog, khovanov, projector, rw
 from lasagna.cobmaps import homology_matrix, reduction_equivalence
@@ -61,6 +62,9 @@ block = _transition_matrix(hi, lo)[(0, 0)]
 all_x = {(0, (1,) * len(lo.cube.circles[0])): 1}
 (allx,) = homology_matrix(lambda v: v, {(0, -4): ([all_x], lo.H[(0, -4)][1])}, lo.H)[(0, -4)]
 capping = [[str(c) for c in col] for col in block + [allx]]
+rng = random.Random(30)
+reduced = [khovanov.reidemeister_reduced(catalog.random_braid_diagram(rng, 10)).to_json_obj()
+           for _ in range(50)]
 out = {
     "dense figure-eight": khovanov.kh_dims_bruteforce(catalog.figure_eight()).to_json_obj(),
     "jones T(3,4)": list(khovanov.jones_unnormalized(catalog.torus_link(3, 4)).items()),
@@ -71,6 +75,7 @@ out = {
     "rw_plus belt_link(2)": res.to_json_obj(),
     "eliminations per scan": eliminations,
     "pivot digest": pivot_digest,
+    "reduced diagrams": hashlib.sha256(json.dumps(reduced).encode()).hexdigest(),
 }
 print(json.dumps(out, sort_keys=True))
 """

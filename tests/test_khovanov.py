@@ -270,6 +270,12 @@ def _reduction_cases():
         (catalog.hopf_positive(), 2, 0),  # a clasp
         (figure8, 4, 0),
         (_nugatory_pair(), 8, 0),
+        # kh-corpus words that R1 and R2 leave whole: one R3 move frees an
+        # R1 or R2 move, and the cascade ends at the unknot
+        (catalog.braid_closure([-1, 2, 1, 2, -1, -2, 1, 2, 1, -2], 3), 0, 1),
+        (catalog.braid_closure([-2, 1, 2, 3, 2, -3, 1, -2, -3], 4), 0, 1),
+        # T(3,3): each of its six triangles admits an R3 move that frees nothing
+        (catalog.torus_link(3, 3), 6, 0),
     ]
 
 
@@ -300,6 +306,15 @@ def test_reidemeister_pass_keeps_input_order_and_smallest_names():
             assert e <= o and e in r.edges
     assert reidemeister_reduced(r) is r
     assert kh_dims(r) == kh_dims(d)
+
+
+def test_an_r3_move_that_frees_nothing_is_undone():
+    # beside a kink, which goes, T(3,3)'s crossings come back as they were,
+    # though each of its six triangles admits an R3 move
+    t33 = catalog.torus_link(3, 3)
+    r = reidemeister_reduced(disjoint_union(t33, catalog.braid_closure([1], 2)))
+    assert r.crossings == t33.crossings
+    assert len(r.free_loops) == 1
 
 
 def test_windowed_khr2_of_a_reducible_diagram():
