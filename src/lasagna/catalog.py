@@ -102,6 +102,12 @@ def random_braid_diagram(rng: random.Random, max_crossings: int = 8) -> LinkDiag
     return braid_closure(word, strands)
 
 
+def require_free_transit(d: LinkDiagram, reg: SurgeryRegion) -> None:
+    """Raise unless every transit strand of `reg` is a free loop, as `encircle` needs."""
+    if not {s.edge for s in reg.strands} <= set(d.free_loops):
+        raise ValueError("encircle supports free-loop transit strands only")
+
+
 def encircle(
     d: LinkDiagram, region_id: str, up: int, down: int
 ) -> tuple[LinkDiagram, list[list[str]]]:
@@ -131,10 +137,9 @@ def encircle(
     pair, edge for edge.  Strand pieces are renamed with the stack size.
     """
     reg = d.region(region_id)
+    require_free_transit(d, reg)
     n = reg.strand_count
     m = up + down
-    if not {s.edge for s in reg.strands} <= set(d.free_loops):
-        raise ValueError("encircle supports free-loop transit strands only")
     rest_regions = tuple(r for r in d.regions if r.region_id != region_id)
     used = set(d.edges)
     new = {}  # added edge -> orientation, in edge order

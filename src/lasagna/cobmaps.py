@@ -45,7 +45,7 @@ from .densecube import (
     unit,
 )
 from .diagram import Crossing, DiagramError, LinkDiagram, check_planar, fresh_name
-from .linalg import Echelon, exact, inverse, row_reduce
+from .linalg import Echelon, exact, inverse
 
 
 # -- diagram rewrites for Morse moves ----------------------------------------
@@ -250,14 +250,6 @@ def compose_matrices(outer: dict, inner: dict, shift=(0, 0), scale=1) -> dict:
             out.append([exact(scale * x) for x in acc])
         result[(h2, q2)] = out
     return result
-
-
-def block_ranks(matrices: dict) -> dict:
-    """Rank of each block of a `homology_matrix` result."""
-    return {
-        key: len(row_reduce([{i: c for i, c in enumerate(col) if c} for col in cols]))
-        for key, cols in matrices.items()
-    }
 
 
 # -- symmetrizer -----------------------------------------------------------------

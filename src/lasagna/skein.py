@@ -7,16 +7,25 @@ around each surgery region, with an overall quantum shift -||n|| - 2||r||;
 the transition maps are symmetrized dotted annulus cobordism maps creating
 one oppositely-oriented belt pair.
 
-The dense stages are computed in the classical model and reindexed: a stage-r
-class at classical (h, q) sits at global grading
+`s02_dims` has one path, the closed form below: every region strand-free.
+A region crossed by strands is refused with a capacity error, after the
+input errors and before any stage is built.  Its class is 2-divisible, so
+two or more strands cross it, and stage 2 (r_max >= 2) has four or more
+belts, each crossing each strand twice: 16 or more crossings, over the
+dense cube's 14.  Crossed regions wait for the scanning complex (ROADMAP
+item 3).
+
+The dense stages, which serve `belt_capping_class` and the tests' oracle,
+are computed in the classical model and reindexed: a stage-r class at
+classical (h, q) sits at global grading
     (-h,  q - w - ||n|| - 2||r||)
 with w the (stage-independent) writhe of the cable diagram, and the
 transition in the colimit direction is the linear dual of the classical
 annulus-annihilation map from stage r+1 down to stage r (merge the newest
-belt pair by a saddle, dot, kill the resulting circle).  Reported colimit
-dimensions are the ranks of the last transition, flagged stable when the
-previous transition already had the same rank; only these two transitions
-are built.  The window decides which blocks are built at all: every stage's
+belt pair by a saddle, dot, kill the resulting circle).  Colimit dimensions
+are the ranks of the last transition, flagged stable when the previous
+transition already had the same rank; only these two transitions are
+built.  The window decides which blocks are built at all: every stage's
 homology basis and every transition's source generators are restricted to
 the classical blocks whose global grading lies in it, which is exact since
 with c = 0 every map here is q-homogeneous and keeps the global grading.
@@ -66,12 +75,13 @@ forgotten and N_j = |n_j| + 2r the belts around region j at stage r.
     exactly on stage r's monomials.  Its rank table is stage r's table.
 Stage r's table is therefore khr2_dims(L) convolved with U(N_j) over the
 regions, and the window's h-range cuts L's scan exactly, since U sits at
-h = 0.  `_closed_form_ranks` returns those tables; `_dense_ranks` builds the
-same from stage cubes, and the tests hold one against the other.
+h = 0.  `_closed_form_ranks` returns those tables, the only ones
+`s02_dims` reports; the tests' oracle (`tests/helpers.py`) ranks the same
+tables on the dense stages, and the tests hold one against the other.
 
-`MAX_BELTS` bounds dense stage cables: crossed regions and the capping
-certificate.  One handlebody component, few regions; the boundary link's
-transit strands must be crossingless circles.
+`MAX_BELTS` bounds the dense stage cables, which only the capping
+certificate and the tests' oracle build.  One handlebody component, few
+regions; the boundary link's transit strands must be crossingless circles.
 """
 
 from __future__ import annotations
@@ -86,7 +96,6 @@ from .cobmaps import (
     _permutation_chain_map,  # noqa: F401  re-exported; perfbench/tracer.py wraps it here
     _Symmetrizer,
     birth_diagram,
-    block_ranks,
     compose_matrices,
     death_diagram,
     death_map,
@@ -119,7 +128,7 @@ class HandlebodySpec:
 
 
 class StageCapacityError(LasagnaError, CapacityError):
-    """The stage cable has more belts than the guard allows."""
+    """A region crossed by strands, or a dense stage cable over the belt guard."""
 
 
 @dataclass
@@ -265,13 +274,21 @@ def s02_dims(spec: HandlebodySpec, window: Window, r_max: int = 3) -> LasagnaRes
     d = spec.boundary
     if not d.regions:
         raise LasagnaError("a 2-handlebody needs at least one surgery region")
+    spec.normalized_offset()  # an input error before any verdict
     if not _two_divisible(d):
         # the boundary link's class fails 2-divisibility: the module vanishes
         return LasagnaResult(DimTable(), window, [], {}, zero=True)
     if r_max < 2:
         raise LasagnaError("r_max must be at least 2 to report stabilization")
-    ranks = _dense_ranks if any(reg.strands for reg in d.regions) else _closed_form_ranks
-    stage_tables, prev_ranks, last_ranks = ranks(spec, window, r_max)
+    for reg in d.regions:
+        catalog.require_free_transit(d, reg)
+    for reg in d.regions:
+        if reg.strands:
+            raise StageCapacityError(
+                f"region {reg.region_id} is crossed by {reg.strand_count} strands: "
+                "crossed regions wait for the scanning complex (ROADMAP item 3)"
+            )
+    stage_tables, prev_ranks, last_ranks = _closed_form_ranks(spec, window, r_max)
     table = DimTable()
     stable = {}
     for g in sorted({g for t in stage_tables for g in t}):
@@ -285,26 +302,9 @@ def s02_dims(spec: HandlebodySpec, window: Window, r_max: int = 3) -> LasagnaRes
     return LasagnaResult(table, window, stage_tables, stable)
 
 
-def _dense_ranks(spec: HandlebodySpec, window: Window, r_max: int) -> tuple:
-    """Stage tables and the ranks of the transitions into stages r_max-1 and
-    r_max, in global grading, from dense stage cubes."""
-    stages = _window_stages(spec, window, r_max)
-
-    def global_table(matrices: dict, st: ColimitStage) -> DimTable:
-        return DimTable({_classical_to_global(*k, st): v for k, v in block_ranks(matrices).items()})
-
-    # only the two transitions read are built: stage r+1 -> stage r,
-    # symmetrized, for r = r_max-2 (the flags) and r = r_max-1 (the table);
-    # a transition's blocks are its source stage's
-    prev_ranks, last_ranks = (
-        global_table(_transition_matrix(stages[r + 1], stages[r]), stages[r + 1])
-        for r in (r_max - 2, r_max - 1)
-    )
-    return [global_table(st.S, st) for st in stages], prev_ranks, last_ranks
-
-
 def _closed_form_ranks(spec: HandlebodySpec, window: Window, r_max: int) -> tuple:
-    """`_dense_ranks` around strand-free regions, in closed form (module docstring)."""
+    """Stage tables and the ranks of the transitions into stages r_max-1 and
+    r_max, in global grading, around strand-free regions (module docstring)."""
     n = spec.normalized_offset()
     L = spec.boundary.forget_regions()
     H = DimTable({Grading(0, 0): 1})

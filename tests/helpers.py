@@ -7,6 +7,8 @@ rows, a diagram's edges), so the package itself carries none of them.
 from lasagna.cobmaps import homology_matrix
 from lasagna.complexes import BigradedComplex
 from lasagna.densecube import ChainMap, Cube, TrackedReduction
+from lasagna.gradings import DimTable
+from lasagna.linalg import row_reduce
 from lasagna.diagram import (
     Crossing,
     LinkDiagram,
@@ -16,7 +18,12 @@ from lasagna.diagram import (
     crossing,
     fresh_name,
 )
-from lasagna.skein import transition_down
+from lasagna.skein import (
+    _classical_to_global,
+    _transition_matrix,
+    _window_stages,
+    transition_down,
+)
 
 
 def verify_d_squared(c: BigradedComplex) -> bool:
@@ -92,6 +99,33 @@ def chain_level_transition(hi, lo) -> dict:
         lambda v: symmetrizer_average(lo.sym, F.apply(symmetrizer_average(hi.sym, v))),
         hi.H, lo.H, (0, -4 * len(hi.newest_pair)),
     )
+
+
+def block_ranks(matrices: dict) -> dict:
+    """Rank of each block of a `homology_matrix` result."""
+    return {
+        key: len(row_reduce([{i: c for i, c in enumerate(col) if c} for col in cols]))
+        for key, cols in matrices.items()
+    }
+
+
+def dense_ranks(spec, window, r_max: int) -> tuple:
+    """`skein._closed_form_ranks`' tables from the dense stage cubes: the stage
+    tables and the ranks of the transitions into stages r_max-1 and r_max,
+    in global grading."""
+    stages = _window_stages(spec, window, r_max)
+
+    def global_table(matrices: dict, st) -> DimTable:
+        return DimTable({_classical_to_global(*k, st): v for k, v in block_ranks(matrices).items()})
+
+    # only the two transitions read are built: stage r+1 -> stage r,
+    # symmetrized, for r = r_max-2 (the flags) and r = r_max-1 (the table);
+    # a transition's blocks are its source stage's
+    prev_ranks, last_ranks = (
+        global_table(_transition_matrix(stages[r + 1], stages[r]), stages[r + 1])
+        for r in (r_max - 2, r_max - 1)
+    )
+    return [global_table(st.S, st) for st in stages], prev_ranks, last_ranks
 
 
 def identity_map(cube: Cube) -> ChainMap:

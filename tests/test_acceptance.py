@@ -15,7 +15,6 @@ from lasagna.cobmaps import (
     _permutation_chain_map,
     _Symmetrizer,
     birth_map,
-    block_ranks,
     dot_map,
     homology_matrix,
     saddle_diagram,
@@ -33,7 +32,7 @@ from lasagna.lee import lee_total_dim
 from lasagna.rw import rw_plus
 from lasagna.skein import HandlebodySpec, s02_dims
 
-from helpers import identity_map, verify_d_squared
+from helpers import block_ranks, identity_map, verify_d_squared
 
 
 @contextmanager

@@ -174,11 +174,32 @@ def test_non_planar_input_exit_code(tmp_path):
 
 
 def test_capacity_limit_exit_code(tmp_path):
-    # belt2 at r=2 needs a 16-crossing dense cube, over the 14-crossing guard
+    # belt2's region is crossed by strands: refused before any stage is built
     out = run_cli(["lasagna", fixture("belt2.json"), "--r-max", "2", "--no-cache"], tmp_path)
     assert out.returncode == 4
     assert out.stdout == ""
-    assert out.stderr == "error: dense cube guard: 16 crossings exceeds 14\n"
+    assert out.stderr == (
+        "error: region 1 is crossed by 2 strands: "
+        "crossed regions wait for the scanning complex (ROADMAP item 3)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # an over-long offset is an input error, 2-divisible class or not
+        (["belt1.json", "--alpha", "0,0"], "offset vector longer than the number of regions"),
+        (["empty_s1s2.json", "--alpha", "0,0"], "offset vector longer than the number of regions"),
+        (["belt2.json", "--alpha", "0,0"], "offset vector longer than the number of regions"),
+        # a transit strand that is not a free loop, before the crossed region's refusal
+        (["belt11_poke.json"], "encircle supports free-loop transit strands only"),
+    ],
+)
+def test_lasagna_input_errors_come_before_verdicts(argv, message, tmp_path):
+    out = run_cli(["lasagna", fixture(argv[0]), *argv[1:], "--r-max", "2", "--no-cache"], tmp_path)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == f"error: {message}\n"
 
 
 def test_stabilization_failure_exit_code(tmp_path):

@@ -9,7 +9,6 @@ from lasagna.cobmaps import (
     _Symmetrizer,
     birth_diagram,
     birth_map,
-    block_ranks,
     death_diagram,
     death_map,
     dot_map,
@@ -22,7 +21,7 @@ from lasagna.densecube import Cube
 from lasagna.gradings import DimTable, Window
 from lasagna.khovanov import kh_dims
 
-from helpers import bidegree_shifts, identity_map
+from helpers import bidegree_shifts, block_ranks, identity_map
 
 
 def _nonzero_ranks(f):

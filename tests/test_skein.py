@@ -1,11 +1,13 @@
 import itertools
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from lasagna import catalog
 from lasagna.densecube import CapacityError, Cube
+from lasagna.diagram import parse_diagram
 from lasagna.gradings import DimTable, Grading, Window
 from lasagna.khovanov import khr2_dims
 from lasagna.skein import (
@@ -18,7 +20,13 @@ from lasagna.skein import (
     transition_down,
 )
 
-from helpers import chain_level_transition, disjoint_union, symmetrizer_average
+from helpers import (
+    block_ranks,
+    chain_level_transition,
+    dense_ranks,
+    disjoint_union,
+    symmetrizer_average,
+)
 
 FIXTURE_WINDOW = Window(h2_lo=-4, h2_hi=4, q2_lo=-12, q2_hi=0)
 
@@ -28,7 +36,58 @@ def dense(monkeypatch):
     """Route `s02_dims` through the dense stage cubes, the closed form's oracle."""
     from lasagna import skein
 
-    monkeypatch.setattr(skein, "_closed_form_ranks", skein._dense_ranks)
+    monkeypatch.setattr(skein, "_closed_form_ranks", dense_ranks)
+
+
+CROSSED = {"belt_link(2)": catalog.belt_link(2), "belt_link(4)": catalog.belt_link(4),
+           "belt_link(1, 1)": catalog.belt_link(1, 1)}
+BELT11_POKE = parse_diagram((Path(__file__).parent.parent / "fixtures" / "belt11_poke.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "boundary, offset, r_max, outcome",
+    [
+        *(pytest.param(d, (alpha,), r_max, CapacityError, id=f"{name}-alpha{alpha}-r{r_max}")
+          for name, d in CROSSED.items() for alpha in (0, 1, 2, 9) for r_max in (2, 3)),
+        pytest.param(catalog.belt_link(1), (0,), 2, "zero", id="odd-class"),
+        pytest.param(catalog.belt_link(1), (0,), 1, "zero", id="odd-class-r1"),
+        pytest.param(catalog.belt_link(2), (0,), 1, "r_max must be at least 2 to report stabilization",
+                     id="r1"),
+        pytest.param(catalog.belt_link(2), (0, 0), 2, "offset vector longer than the number of regions",
+                     id="long-offset"),
+        pytest.param(catalog.belt_link(1), (0, 0), 2, "offset vector longer than the number of regions",
+                     id="long-offset-odd-class"),
+        pytest.param(BELT11_POKE, (), 2, "encircle supports free-loop transit strands only",
+                     id="belt11-poke"),
+    ],
+)
+def test_crossed_regions_are_refused_before_any_stage(boundary, offset, r_max, outcome, monkeypatch):
+    # input errors and the zero verdict first, then the crossed region's
+    # capacity error; no stage cable and no dense cube is built on the way
+    from lasagna import densecube, skein
+
+    def built(*args):
+        raise AssertionError("a stage or a dense cube was built")
+
+    monkeypatch.setattr(skein, "build_stage", built)
+    monkeypatch.setattr(densecube.Cube, "__init__", built)
+    spec = HandlebodySpec(boundary, offset)
+    if outcome == "zero":
+        res = s02_dims(spec, FIXTURE_WINDOW, r_max)
+        assert res.zero and res.table == DimTable()
+        return
+    with pytest.raises(ValueError) as exc:
+        s02_dims(spec, FIXTURE_WINDOW, r_max)
+    if outcome is CapacityError:
+        (region,) = boundary.regions
+        assert isinstance(exc.value, CapacityError)
+        assert str(exc.value) == (
+            f"region 1 is crossed by {region.strand_count} strands: "
+            "crossed regions wait for the scanning complex (ROADMAP item 3)"
+        )
+    else:
+        assert not isinstance(exc.value, CapacityError)
+        assert str(exc.value) == outcome
 
 
 def test_stage_bookkeeping():
@@ -201,7 +260,7 @@ def test_closed_form_equals_the_dense_stages(boundary, offsets, r_maxes, windows
         spec, case = HandlebodySpec(boundary, offset), (offset, r_max, w)
         got = s02_dims(spec, w, r_max)
         with monkeypatch.context() as m:
-            m.setattr(skein, "_closed_form_ranks", skein._dense_ranks)
+            m.setattr(skein, "_closed_form_ranks", dense_ranks)
             want = s02_dims(spec, w, r_max)
         assert got.table, case
         assert (got.table, got.stable, got.stages) == (want.table, want.stable, want.stages), case
@@ -276,7 +335,6 @@ def test_capping_requires_belt_link():
 def test_transition_one_step_ranks_injective():
     # rank of each one-step symmetrized transition equals the source stage
     # dims inside the window: the maps are injective there
-    from lasagna.cobmaps import block_ranks
     from lasagna.skein import _classical_to_global, _transition_matrix, _window_stages
 
     spec = HandlebodySpec(catalog.empty_surgery(1), (0,))
@@ -304,7 +362,6 @@ def test_colimit_builds_only_the_two_transitions_it_reads(monkeypatch, dense):
 
 def _ranked_from_full_bases(spec, window, r_max):
     """Table, flags and stage dims of `s02_dims`, ranked on every block of every stage."""
-    from lasagna.cobmaps import block_ranks
     from lasagna.skein import _classical_to_global, _transition_matrix, _window_stages
 
     stages = _window_stages(spec, Window(), r_max)
@@ -358,7 +415,7 @@ def _types(matrices: dict) -> dict:
 def test_transition_on_homology_equals_the_chain_level_composite(alpha, r_max):
     # w_r w_{r+1} S_r M_F S_{r+1} against homology_matrix of the averaged
     # chain-level composite, entry for entry and type for type
-    from lasagna.cobmaps import block_ranks, homology_matrix
+    from lasagna.cobmaps import homology_matrix
     from lasagna.skein import _classical_to_global, _transition_matrix, _window_stages
 
     spec = HandlebodySpec(catalog.empty_surgery(1), (alpha,))
