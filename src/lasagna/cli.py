@@ -150,8 +150,7 @@ def cmd_rw(args, d) -> dict:
 def cmd_lasagna(args, d) -> dict:
     from .skein import HandlebodySpec, s02_dims
 
-    offset = tuple(int(x) for x in args.alpha.split(",")) if args.alpha else ()
-    res = s02_dims(HandlebodySpec(d, offset), _window(args), r_max=args.r_max)
+    res = s02_dims(HandlebodySpec(d, args.alpha), _window(args), r_max=args.r_max)
     return _flagged_entry(res, "stable", "zero: boundary class is not 2-divisible")
 
 
@@ -187,6 +186,11 @@ class UsageError(ValueError):
     """A malformed command line; run prints it as one error line and exits 2."""
 
 
+def _ints(value: str) -> tuple:
+    """A comma-separated list of ints, such as an offset vector."""
+    return tuple(int(x) for x in value.split(","))
+
+
 # The options every command takes, flag: (dest, type, default), and its _FLAGS, which take
 # no value; then each command's dispatch, fixed fields and own options.
 _SHARED = {"--window": ("window", str, None), "--cache-dir": ("cache_dir", str, None)}
@@ -194,7 +198,7 @@ _FLAGS = {"--json": "json", "--no-cache": "no_cache"}
 _COMMANDS = {
     "kh": (cmd_kh, {"oracle": False}, {}),
     "rw": (cmd_rw, {}, {"--max-twists": ("max_twists", int, 3)}),
-    "lasagna": (cmd_lasagna, {}, {"--alpha": ("alpha", str, ""), "--r-max": ("r_max", int, 3)}),
+    "lasagna": (cmd_lasagna, {}, {"--alpha": ("alpha", _ints, ()), "--r-max": ("r_max", int, 3)}),
     "lee": (cmd_lee, {}, {}),
     "oracle kh": (cmd_kh, {"oracle_command": "kh", "oracle": True}, {}),
 }

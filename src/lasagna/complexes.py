@@ -72,9 +72,6 @@ class BigradedComplex:
         self.gens: dict[int, tuple[Grading, FlatTangle]] = {}
         self.d: dict[int, dict[int, MorphismCombo]] = {}
         self.d_in: dict[int, set[int]] = {}
-        # the entries s -> t that are lambda * identity, indexed both ways
-        self.pivots_from: dict[int, set[int]] = {}  # s -> its pivots' targets
-        self.pivots_to: dict[int, set[int]] = {}  # t -> its pivots' sources
         self._next = 0
 
     # -- construction -------------------------------------------------------
@@ -95,24 +92,9 @@ class BigradedComplex:
         if m.is_zero():
             self.d[s].pop(t, None)
             self.d_in[t].discard(s)
-            self._unpivot(s, t)
         else:
             self.d[s][t] = m
             self.d_in[t].add(s)
-            if m.invertible_scalar() is None:
-                self._unpivot(s, t)
-            else:
-                self.pivots_from.setdefault(s, set()).add(t)
-                self.pivots_to.setdefault(t, set()).add(s)
-
-    def _unpivot(self, s: int, t: int) -> None:
-        if t in self.pivots_from.get(s, ()):
-            self.pivots_from[s].discard(t)
-            self.pivots_to[t].discard(s)
-
-    @property
-    def pivots(self) -> set[tuple[int, int]]:
-        return {(s, t) for s, ts in self.pivots_from.items() for t in ts}
 
     def entry(self, s: int, t: int) -> Optional[MorphismCombo]:
         return self.d.get(s, {}).get(t)
@@ -202,10 +184,6 @@ class BigradedComplex:
             self.d_in[v].discard(gid)
         for u in self.d_in.pop(gid, set()):
             self.d[u].pop(gid, None)
-        for v in self.pivots_from.pop(gid, ()):
-            self.pivots_to[v].discard(gid)
-        for u in self.pivots_to.pop(gid, ()):
-            self.pivots_from[u].discard(gid)
         del self.gens[gid]
 
     def simplify(self) -> "BigradedComplex":
@@ -214,15 +192,15 @@ class BigradedComplex:
         Each pivot minimizes the key (fill, h2, q2, s, t): the
         (incoming-1)*(outgoing-1) fill-in, ties broken by the source's
         (h2, q2, id) and the target's id; homology does not depend on the
-        choice.  Candidates are the lambda * identity entries, which
-        `set_entry` and `_drop_generator` keep indexed by source and by
-        target.  The keys sit in a lazy heap: a pivot's key moves only with
-        its source's out-degree or its target's in-degree, and an elimination
-        changes those, and creates pivots, only at the eliminated pair's
-        neighbours, so their pivots are pushed again after it.  A popped key
-        that is no longer its pivot's current one is dropped.  Elimination
-        creates no generator and no loop, so delooping once up front
-        suffices.
+        choice.  Candidates are the lambda * identity entries, read off the
+        differential by `invertible_scalar`.  The keys sit in a lazy heap,
+        filled from every row: a pivot's key moves only with its source's
+        out-degree or its target's in-degree, and an elimination changes
+        those, and creates pivots, only at the eliminated pair's neighbours,
+        so the invertible entries in their rows and columns are pushed again
+        after it.  A popped key whose entry is gone, is no longer invertible
+        or has another key now is dropped.  Elimination creates no generator
+        and no loop, so delooping once up front suffices.
         """
         self.deloop_all()
 
@@ -231,20 +209,23 @@ class BigradedComplex:
             fill = (len(self.d_in[t]) - 1) * (len(self.d[s]) - 1)
             return (fill, g.h2, g.q2, s, t)
 
-        heap = [cost(s, t) for s, t in self.pivots]
+        heap = [cost(s, t) for s, row in self.d.items() for t, m in row.items()
+                if m.invertible_scalar() is not None]
         heapq.heapify(heap)
         while heap:
             key = heapq.heappop(heap)
             s, t = key[3:]
-            if t not in self.pivots_from.get(s, ()) or cost(s, t) != key:
+            m = self.entry(s, t)
+            if m is None or m.invertible_scalar() is None or cost(s, t) != key:
                 continue
             sources = (self.d_in[s] | self.d_in[t]) - {s}
             targets = (self.d[s].keys() | self.d[t].keys()) - {t}
             self.gaussian_eliminate(s, t)
-            push = {(u, v) for u in sources for v in self.pivots_from.get(u, ())}
-            push.update((u, v) for v in targets for u in self.pivots_to.get(v, ()))
+            push = {(u, v) for u in sources for v in self.d[u]}
+            push.update((u, v) for v in targets for u in self.d_in[v])
             for u, v in push:
-                heapq.heappush(heap, cost(u, v))
+                if self.d[u][v].invertible_scalar() is not None:
+                    heapq.heappush(heap, cost(u, v))
         # kept across tasks, composites raise rw-twist's peak RSS by 3 MB
         _composite.cache_clear()
         return self

@@ -76,12 +76,12 @@ class TwistLadder:
     several closures); level k's closure glues its open strand ends with
     no crossing and is cut at level k's own final cut.  Levels are read in
     increasing order, and the prefix goes on past full twist k only when
-    level k + 1 is asked for.  At k_max = 0 the ladder is one scan of d
-    with its region markers dropped, which `rw.rw_plus` reads when d has
-    no region.
+    level k + 1 is asked for.
     """
 
     def __init__(self, d: LinkDiagram, k_max: int, h2_hi: Optional[int] = None):
+        if k_max < 1:
+            raise ValueError("a twist ladder needs at least one full twist")
         if any(r.strand_count % 2 for r in d.regions):
             raise ValueError("full twists approximate the projector on even strand counts only")
         top = twist_all_regions(d, k_max)
@@ -116,7 +116,7 @@ class TwistLadder:
 
     def level(self, k: int) -> BigradedComplex:
         """The classical complex of level k (exact in tilde h2 <= h2_hi); scans up to full twist k."""
-        if not self.level_read <= k <= self.k_max or k == 0 < self.k_max:
+        if not max(self.level_read, 1) <= k <= self.k_max:
             raise ValueError(f"a ladder up to level {self.k_max} that has read level "
                              f"{self.level_read} cannot read level {k}")
         for block in self.blocks[self.level_read:k]:

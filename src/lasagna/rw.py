@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .diagram import LinkDiagram
 from .gradings import DimTable, Window
+from .khovanov import khr2_dims, tilde_renormalize
 from .projector import TwistLadder, stable_window, twisted_tilde_table
 
 
@@ -52,8 +53,9 @@ def rw_plus(d: LinkDiagram, window: Window, k_max: int = 3) -> RWResult:
     of the mirror on the window reflected through the origin.
     """
     if not d.regions:
-        # no twist to insert: one scan, cut at the window's top like the levels
-        table = twisted_tilde_table(TwistLadder(d, 0, window.h2_hi), 0)
+        # no twist to insert: the reduced scan, cut at the window's top
+        w, top = d.writhe(), window.h2_hi
+        table = tilde_renormalize(khr2_dims(d, Window(h2_hi=None if top is None else top - w)), w)
         return RWResult(table.restrict(window), window, {}, {})
     if any(r.strand_count % 2 for r in d.regions):
         # non-2-divisible class: the projector is zero

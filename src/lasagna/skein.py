@@ -297,8 +297,7 @@ def s02_dims(spec: HandlebodySpec, window: Window, r_max: int = 3) -> LasagnaRes
             table.add(g, last)
         # a class that could not exist before stage r_max-1 is fresh, not
         # unstable; anything already visible must keep its image rank
-        fresh = prev == 0 and stage_tables[r_max - 2][g] == 0
-        stable[g] = (prev == last) or fresh
+        stable[g] = prev == last or prev == 0
     return LasagnaResult(table, window, stage_tables, stable)
 
 

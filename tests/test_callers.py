@@ -37,7 +37,6 @@ EXEMPT_MODULES = {"catalog"}
 SHARED = {
     "FlatTangle.keys": "complexes.BigradedComplex.homology_dims",
     "_Symmetrizer.apply": "skein._window_stages",
-    "BigradedComplex.pivots": "complexes.BigradedComplex.simplify",
     "BigradedComplex.unit": "khovanov.Scan.__init__",
     "BigradedComplex.generators": "complexes.planar_tensor",
     "BigradedComplex.homology_dims": "khovanov.kh_dims",
@@ -53,7 +52,6 @@ SHARED = {
     "DimTable.shift": "khovanov.tilde_renormalize",
     "DimTable.to_json_obj": "cli.cmd_kh",
     "Scan.add": "khovanov.scan_complex",
-    "Echelon.pivots": "linalg.row_reduce",
     "Echelon.reduce": "linalg.kernel_basis",
     "Echelon.add": "densecube.Cube.homology_basis",
     "TwistLadder.writhe": "projector.twisted_tilde_table",

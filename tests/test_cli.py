@@ -193,6 +193,9 @@ def test_capacity_limit_exit_code(tmp_path):
         (["belt2.json", "--alpha", "0,0"], "offset vector longer than the number of regions"),
         # a transit strand that is not a free loop, before the crossed region's refusal
         (["belt11_poke.json"], "encircle supports free-loop transit strands only"),
+        # an offset that is no list of ints, named by its option
+        (["belt1.json", "--alpha", "x"], "--alpha: invalid int value 'x'"),
+        (["belt2.json", "--alpha", "0,1.5"], "--alpha: invalid int value '0,1.5'"),
     ],
 )
 def test_lasagna_input_errors_come_before_verdicts(argv, message, tmp_path):
@@ -287,7 +290,9 @@ def test_parsed_fields_are_the_cache_key_contract():
         (["rw", "d.json", "--window", "-1:0,-4:0", "--max-twists", "3"], cli.cmd_rw,
          {"command": "rw", "window": "-1:0,-4:0", "max_twists": 3}),
         (["lasagna", "d.json", "--r-max", "2"], cli.cmd_lasagna,
-         {"command": "lasagna", "alpha": "", "r_max": 2}),
+         {"command": "lasagna", "alpha": (), "r_max": 2}),
+        (["lasagna", "d.json", "--alpha", "0,-1", "--r-max", "2"], cli.cmd_lasagna,
+         {"command": "lasagna", "alpha": (0, -1), "r_max": 2}),
         (["lee", "d.json"], cli.cmd_lee, {"command": "lee"}),
     ]
     for argv, func, fields in cases:

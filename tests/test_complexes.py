@@ -263,58 +263,32 @@ def test_invertible_scalar_near_misses():
         assert _reference_invertible_scalar(m) == expected, name
 
 
-def _assert_pivot_index(c):
-    """The pivots indexed by source and by target are the rescanned ones, on live generators."""
-    rescanned = _rescanned_pivots(c)
-    assert c.pivots == rescanned
-    assert {(s, t) for t, sources in c.pivots_to.items() for s in sources} == rescanned
-    assert c.pivots_from.keys() <= c.gens.keys() and c.pivots_to.keys() <= c.gens.keys()
-
-
-def _simplify_every_scan(unsimplified_scans, monkeypatch, before, after):
-    """Simplify the fixture's final complexes and rescan its diagrams, calling
-    before(c, s, t) and after(c) around each elimination; returns their number."""
+def test_popped_pivot_is_the_rescanned_minimum(unsimplified_scans, monkeypatch):
+    """Simplify the fixture's final complexes and rescan its diagrams: each
+    eliminated entry minimizes the key over the entries rescanned just before."""
     diagrams, _, final = unsimplified_scans
     eliminate = BigradedComplex.gaussian_eliminate
     checked = []
 
+    def key(c, st):
+        g = c.gens[st[0]][0]
+        fill = (len(c.d_in[st[1]]) - 1) * (len(c.d[st[0]]) - 1)
+        return (fill, g.h2, g.q2, *st)
+
     def checking(self, s, t):
-        before(self, s, t)
+        assert (s, t) == min(_rescanned_pivots(self), key=lambda st: key(self, st))
         eliminate(self, s, t)
-        after(self)
         checked.append((s, t))
 
     monkeypatch.setattr(BigradedComplex, "gaussian_eliminate", checking)
     for c in final:
         c = copied(c)
-        after(c)
         c.simplify()
-        assert not c.pivots
+        assert not _rescanned_pivots(c)
     for d in diagrams:
         # scanning with simplification: delooping and elimination on open tangles
         scan_complex(d)
-    return len(checked)
-
-
-def test_maintained_pivot_set_equals_rescan(unsimplified_scans, monkeypatch):
-    for c in unsimplified_scans[1]:
-        _assert_pivot_index(c)
-    count = _simplify_every_scan(unsimplified_scans, monkeypatch, lambda c, s, t: None,
-                                 _assert_pivot_index)
-    assert count > 100
-
-
-def test_popped_pivot_is_the_rescanned_minimum(unsimplified_scans, monkeypatch):
-    def rescanned_min(c, s, t):
-        def key(st):
-            g = c.gens[st[0]][0]
-            fill = (len(c.d_in[st[1]]) - 1) * (len(c.d[st[0]]) - 1)
-            return (fill, g.h2, g.q2, *st)
-
-        assert (s, t) == min(_rescanned_pivots(c), key=key)
-
-    count = _simplify_every_scan(unsimplified_scans, monkeypatch, rescanned_min, lambda c: None)
-    assert count > 100
+    assert len(checked) > 100
 
 
 # -- the fast paths against their general references ---------------------------

@@ -86,7 +86,11 @@ def test_twisted_tilde_mixed_four_strands():
 
 
 def test_ladder_reads_levels_in_increasing_order():
+    with pytest.raises(ValueError):
+        TwistLadder(catalog.belt_link(2), 0)  # a ladder has at least level 1
     ladder = TwistLadder(catalog.belt_link(2), 3)
+    with pytest.raises(ValueError):
+        twisted_tilde_table(ladder, 0)
     assert twisted_tilde_table(ladder, 2) == tilde(catalog.belt_link(2), 2)
     for k in (1, 4):  # behind the prefix, and past the top level
         with pytest.raises(ValueError):
