@@ -120,13 +120,14 @@ def _emit(result: dict, as_json: bool) -> None:
 def _window(args):
     from .gradings import Window, parse_window
 
-    return parse_window(args.window) if args.window else Window()
+    return parse_window(args.window) if args.window is not None else Window()
 
 
 def cmd_kh(args, d) -> dict:
     from .khovanov import khr2_dims
 
-    table = khr2_dims(d, window=_window(args) if args.window else None, bruteforce=args.oracle)
+    window = _window(args) if args.window is not None else None
+    table = khr2_dims(d, window=window, bruteforce=args.oracle)
     return {"dims": table.to_json_obj()}
 
 

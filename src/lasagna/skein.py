@@ -360,11 +360,8 @@ def belt_capping_class(spec: HandlebodySpec) -> CappingCertificate:
     this certificate is in effect unsymmetrized (an open finding).
     """
     d = spec.boundary
-    free = set(d.free_loops)
-    for r in d.regions:
-        for s in r.strands:
-            if s.edge not in free:
-                raise LasagnaError("belt capping expects a standard belt link")
+    for reg in d.regions:
+        catalog.require_free_transit(d, reg)
     if not _two_divisible(d):
         return CappingCertificate(Grading(0, 0), False)
     ell = sum(r.strand_count for r in d.regions)

@@ -28,70 +28,6 @@ def fixture(name):
     return os.path.join(FIXTURES, name)
 
 
-def test_kh_unknot_tsv(tmp_path):
-    out = run_cli(["kh", fixture("unknot.json")], tmp_path)
-    assert out.returncode == 0
-    assert out.stdout.splitlines() == ["0\t-1\t1", "0\t1\t1"]
-
-
-def test_kh_json(tmp_path):
-    out = run_cli(["kh", fixture("unknot.json"), "--json"], tmp_path)
-    data = json.loads(out.stdout)
-    assert {"h": "0", "q": "-1", "dim": "1"} in data["dims"]
-
-
-def test_rw_belt(tmp_path):
-    args = ["rw", fixture("belt2.json"), "--window", "-1:0,-4:0", "--max-twists", "3"]
-    out = run_cli(args, tmp_path)
-    assert out.returncode == 0
-    assert "0\t-2\t1" in out.stdout.splitlines()
-    assert "stabilized[1]=true" in out.stderr
-    # --json hits the entry the first run cached: it holds exactly these fields
-    out = run_cli(args + ["--json"], tmp_path)
-    assert out.returncode == 0
-    assert json.loads(out.stdout) == {
-        "dims": [{"dim": "1", "h": "0", "q": "-2"}, {"dim": "1", "h": "0", "q": "0"}],
-        "notes": ["stabilized[1]=true"],
-        "stabilized": {"1": True},
-        "twists": {"1": 1},
-        "window": "h:[-1,0] q:[-4,0]",
-        "zero": False,
-    }
-
-
-def test_rw_odd_strand_zero(tmp_path):
-    out = run_cli(["rw", fixture("belt1.json"), "--window", "-2:2,-6:0"], tmp_path)
-    assert out.returncode == 0
-    assert out.stdout.strip() == ""
-    assert "zero" in out.stderr
-
-
-def test_lasagna_fixture(tmp_path):
-    out = run_cli(
-        [
-            "lasagna",
-            fixture("empty_s1s2.json"),
-            "--alpha",
-            "0",
-            "--r-max",
-            "3",
-            "--window",
-            "-1:1,-6:0",
-        ],
-        tmp_path,
-    )
-    lines = out.stdout.splitlines()
-    for expected in ("0\t0\t1", "0\t-2\t1", "0\t-4\t1", "0\t-6\t1"):
-        assert expected in lines
-    assert out.returncode == 0
-
-
-def test_lee_subcommand(tmp_path):
-    out = run_cli(["lee", fixture("hopf.json")], tmp_path)
-    assert out.returncode == 0
-    assert out.stdout.strip() == "4"
-
-
 def test_oracle_matches_kh(tmp_path):
     a = run_cli(["kh", fixture("hopf.json")], tmp_path)
     b = run_cli(["oracle", "kh", fixture("hopf.json")], tmp_path)
@@ -159,59 +95,6 @@ def test_input_error_exit_code(tmp_path):
     assert "error" in out.stderr
     missing = run_cli(["kh", str(tmp_path / "nope.json")], tmp_path)
     assert missing.returncode == 2
-
-
-def test_non_planar_input_exit_code(tmp_path):
-    # an R2 poke of the Hopf link across edges that share no face: the
-    # crossings' slot orders embed in no plane, an input error, not a traceback
-    path = os.path.join(FIXTURES, "invalid", "nonplanar_hopf_poke.json")
-    out = run_cli(["kh", path, "--no-cache"], tmp_path)
-    assert out.returncode == 2
-    assert out.stdout == ""
-    assert out.stderr == (
-        "error: not planar: the piece of crossing 0 (4 crossings) traces 4 faces, a planar one 6\n"
-    )
-
-
-def test_capacity_limit_exit_code(tmp_path):
-    # belt2's region is crossed by strands: refused before any stage is built
-    out = run_cli(["lasagna", fixture("belt2.json"), "--r-max", "2", "--no-cache"], tmp_path)
-    assert out.returncode == 4
-    assert out.stdout == ""
-    assert out.stderr == (
-        "error: region 1 is crossed by 2 strands: "
-        "crossed regions wait for the scanning complex (ROADMAP item 3)\n"
-    )
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        # an over-long offset is an input error, 2-divisible class or not
-        (["belt1.json", "--alpha", "0,0"], "offset vector longer than the number of regions"),
-        (["empty_s1s2.json", "--alpha", "0,0"], "offset vector longer than the number of regions"),
-        (["belt2.json", "--alpha", "0,0"], "offset vector longer than the number of regions"),
-        # a transit strand that is not a free loop, before the crossed region's refusal
-        (["belt11_poke.json"], "encircle supports free-loop transit strands only"),
-        # an offset that is no list of ints, named by its option
-        (["belt1.json", "--alpha", "x"], "--alpha: invalid int value 'x'"),
-        (["belt2.json", "--alpha", "0,1.5"], "--alpha: invalid int value '0,1.5'"),
-    ],
-)
-def test_lasagna_input_errors_come_before_verdicts(argv, message, tmp_path):
-    out = run_cli(["lasagna", fixture(argv[0]), *argv[1:], "--r-max", "2", "--no-cache"], tmp_path)
-    assert out.returncode == 2
-    assert out.stdout == ""
-    assert out.stderr == f"error: {message}\n"
-
-
-def test_stabilization_failure_exit_code(tmp_path):
-    out = run_cli(
-        ["rw", fixture("belt2.json"), "--window", "-2:10,-40:0", "--max-twists", "2"],
-        tmp_path,
-    )
-    assert out.returncode == 3
-    assert "stabilized[1]=false" in out.stderr
 
 
 @pytest.mark.parametrize(

@@ -328,8 +328,10 @@ def test_capping_requires_belt_link():
         [SurgeryRegion("1", (RegionStrand("s0", "up"), RegionStrand("e1", "up")))],
         d.orientations,
     )
-    with pytest.raises(LasagnaError, match="belt"):
-        belt_capping_class(HandlebodySpec(with_region, ()))
+    # a region strand that is not a free loop, and belt11's R2-poked strand
+    for boundary in (with_region, BELT11_POKE):
+        with pytest.raises(ValueError, match="^encircle supports free-loop transit strands only$"):
+            belt_capping_class(HandlebodySpec(boundary))
 
 
 def test_transition_one_step_ranks_injective():
