@@ -119,6 +119,18 @@ framing included, which R1 would change.
 crossing blocks index the twisted diagram, and the dense oracle
 `kh_dims_bruteforce`, which stays independent of the pass, scan the
 diagram they are given.
+
+Split pieces, free loops and the first crossing.  Over Q the homology of a
+disjoint union is the tensor product of its parts' (Kuenneth; Khovanov
+2000), and a free loop's is V at (0, +-2).  So `kh_dims` scans each piece
+(`split_pieces`) of the reduced diagram alone and convolves the tables and
+V per free loop.  With a cut m, piece P is cut at m_P = m - 2 n+(others),
+n+ counting positive crossings: the others' classical h2 is at most
+2 n+(others), so in a product term at h2 >= m + 2 each factor P has h2_P >=
+m_P + 2, where its table is exact; the final restriction drops the terms
+below m + 2.  A scan's first crossing, unless a kink glues two of its
+slots, is the partial complex, as the unit tensored with it is the same
+complex, ids and all, cut alike: every later pivot choice is the same.
 """
 
 from __future__ import annotations
@@ -129,7 +141,7 @@ from typing import Optional
 from .cobcat import FlatTangle, FrobeniusSpec, KHOVANOV, MorphismCombo, elementary_saddle
 from .complexes import BigradedComplex, planar_tensor
 from .densecube import Cube
-from .diagram import Crossing, LinkDiagram
+from .diagram import Crossing, LinkDiagram, edge_classes
 from .gradings import DimTable, Grading, Window
 
 
@@ -320,9 +332,9 @@ class Scan:
 
     `complex` is the partial complex of the crossings in `done`; its open
     boundary points are the slots (ci, k) whose edge's other end is not
-    done yet.  `add` is the one per-crossing step of every scan.  With
-    h2_min (an odd one raised by one), each step is cut at the moving cut
-    h2_min - 2p, p the positive crossings still to add.
+    done yet.  `add` is the one per-crossing step of every scan, the first
+    crossing included (module docstring).  With h2_min (an odd one raised by
+    one), each step is cut at h2_min - 2p, p the positive crossings to add.
     """
 
     def __init__(self, d: LinkDiagram, spec: FrobeniusSpec = KHOVANOV,
@@ -353,7 +365,11 @@ class Scan:
                     pairs.append((other, here))
         piece = crossing_complex(ci, crossing.sign, self.complex.spec)
         cut = None if self.h2_min is None else self.h2_min - 2 * self.positive_left
-        self.complex = glue_step(self.complex, piece, pairs, cut, simplify)
+        if self.done or pairs:
+            piece = glue_step(self.complex, piece, pairs, cut, simplify)
+        elif cut is not None:  # the unit tensored with piece is piece
+            piece.truncate(cut)
+        self.complex = piece
         self.done.add(ci)
 
 
@@ -370,12 +386,18 @@ def glue_step(cur: BigradedComplex, piece: BigradedComplex, pairs: list[tuple],
     return cur
 
 
-def close_free_loops(cur: BigradedComplex, loops, simplify: bool = True) -> BigradedComplex:
-    """Tensor on one crossingless circle per edge in loops."""
-    for e in loops:
-        circle = BigradedComplex(cur.spec)
-        circle.add_generator(Grading(0, 0), FlatTangle((), [("free", e)]))
-        cur = glue_step(cur, circle, [], None, simplify)
+def close_free_loops(cur: BigradedComplex, loops) -> BigradedComplex:
+    """Closed C tensored with a circle per edge in loops, delooped: C{+1} + C{-1} per
+    loop, each generator copied to q2 + 2, then q2 - 2, in id order, each entry to both."""
+    for _ in loops:
+        out = BigradedComplex(cur.spec)
+        copies = {g: [out.add_generator(gr.shift(0, dq2), t) for dq2 in (2, -2)]
+                  for g, (gr, t) in sorted(cur.gens.items())}
+        for s, row in cur.d.items():
+            for t, m in row.items():
+                for cs, ct in zip(copies[s], copies[t]):
+                    out.set_entry(cs, ct, m)
+        cur = out
     return cur
 
 
@@ -392,20 +414,37 @@ def scan_complex(d: LinkDiagram, spec: FrobeniusSpec = KHOVANOV, simplify: bool 
     scan = Scan(d, spec, h2_min)
     for ci in scan_order(d):
         scan.add(ci, simplify)
-    cur = close_free_loops(scan.complex, d.free_loops, simplify)
+    cur = close_free_loops(scan.complex, d.free_loops)
     if not simplify:
         cur.deloop_all()
     return cur
 
 
-def kh_dims(d: LinkDiagram, h2_min: Optional[int] = None) -> DimTable:
-    """Classical homology dimensions, scanned on `reidemeister_reduced(d)`.
+def split_pieces(d: LinkDiagram) -> tuple[list[LinkDiagram], tuple[str, ...]]:
+    """d's pieces (crossings joined by shared edges, by smallest index) and free loops;
+    ([d], ()) when d is one piece with no free loop, or has regions (`scan_complex` refuses)."""
+    at = {e: ci for ci, c in enumerate(d.crossings) for e in c.edges}
+    classes = edge_classes(range(len(d.crossings)),
+                           ((ci, at[e]) for ci, c in enumerate(d.crossings) for e in c.edges))
+    if d.regions or len(classes) == 1 and not d.free_loops:
+        return [d], ()
+    edges = [[e for e in d.edges if at.get(e) in cis] for cis in classes]
+    return [LinkDiagram(es, [d.crossings[ci] for ci in sorted(cis)], (), (), {e: d.orientations[e] for e in es})
+            for cis, es in zip(classes, edges)], d.free_loops
 
-    With h2_min the table is exact in h2 >= h2_min + 2 and, when d has a
-    crossing, empty below, even if its reduction has none: a scan of free
-    loops alone is never cut, so that table is restricted here.
-    """
-    table = scan_complex(reidemeister_reduced(d), h2_min=h2_min).homology_dims()
+
+def kh_dims(d: LinkDiagram, h2_min: Optional[int] = None) -> DimTable:
+    """Classical homology dimensions: the scanned tables of the pieces of
+    `reidemeister_reduced(d)` tensored, and V per free loop.  With h2_min the table is
+    exact in h2 >= h2_min + 2 (module docstring) and, when d has a crossing, empty below."""
+    pieces, loops = split_pieces(reidemeister_reduced(d))
+    positive = [sum(c.sign == 1 for c in p.crossings) for p in pieces]
+    table = DimTable({Grading(0, 0): 1})
+    for p, n in zip(pieces, positive):
+        cut = None if h2_min is None else h2_min - 2 * (sum(positive) - n)
+        table = table.convolve(scan_complex(p, h2_min=cut).homology_dims())
+    for _ in loops:
+        table = table.convolve(DimTable({Grading(0, 2): 1, Grading(0, -2): 1}))
     if h2_min is not None and d.crossings:
         table = table.restrict(Window(h2_lo=h2_min + 2))
     return table

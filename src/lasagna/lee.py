@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from .cobcat import LEE
 from .diagram import LinkDiagram
-from .khovanov import reidemeister_reduced, scan_complex
+from .khovanov import reidemeister_reduced, scan_complex, split_pieces
 
 
 @dataclass(frozen=True)
@@ -54,9 +55,8 @@ def eval_closed_surface(s: ClosedSurface) -> Fraction:
 def lee_total_dim(d: LinkDiagram) -> int:
     """Total Lee homology dimension of a closed diagram: 2^components.
 
-    Ranked on the scanning complex of `reidemeister_reduced(d)`, whose Lee
-    homology is per h2 only.
+    The product of the scanned ranks (per h2 only) of the pieces of
+    `reidemeister_reduced(d)`, doubled per free loop; d has no regions.
     """
-    if d.regions:
-        raise ValueError("lee_total_dim needs a diagram without surgery regions")
-    return scan_complex(reidemeister_reduced(d), LEE).homology_dims().total()
+    pieces, loops = split_pieces(reidemeister_reduced(d))
+    return prod(scan_complex(p, LEE).homology_dims().total() for p in pieces) * 2 ** len(loops)

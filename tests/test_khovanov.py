@@ -5,18 +5,25 @@ from lasagna import catalog
 from lasagna.gradings import DimTable, Grading, Window
 from lasagna.densecube import Cube
 from lasagna.diagram import Crossing, LinkDiagram, check_planar, crossing, parse_diagram
+from lasagna.cobcat import KHOVANOV
+from lasagna.complexes import BigradedComplex
 from lasagna.khovanov import (
+    Scan,
+    crossing_complex,
+    glue_step,
     jones_unnormalized,
     kh_dims,
     kh_dims_bruteforce,
     khr2_dims,
     reidemeister_reduced,
     scan_complex,
+    scan_order,
+    split_pieces,
     tilde_renormalize,
 )
 from lasagna.lee import lee_total_dim
 
-from helpers import disjoint_union, r1_kink, r2_poke, relabeled
+from helpers import disjoint_union, r1_kink, r2_poke, relabeled, verify_d_squared
 
 # frozen classical tables ((h, q) undoubled): published values
 UNKNOT = {(0, -1): 1, (0, 1): 1}
@@ -350,3 +357,91 @@ def test_dense_oracle_builds_the_input_cube(monkeypatch):
     d = catalog.braid_closure([1, -1, 1, 1], 2)
     assert kh_dims_bruteforce(d) == kh_dims(d)
     assert built == [4]
+
+
+def _split_cases():
+    """(diagram, crossings per piece, free loops) of split reduced diagrams."""
+    hopf, trefoil, fig8 = catalog.hopf_positive(), catalog.trefoil_right(), catalog.figure_eight()
+    return [
+        (disjoint_union(hopf, hopf), [2, 2], 0),
+        (disjoint_union(trefoil, fig8), [3, 4], 0),
+        # kh-corpus braid closures: two unlinked pieces, and two beside a free loop
+        (catalog.braid_closure([-3, -1, 1, -3, -1, -1], 4), [2, 2], 0),
+        (catalog.braid_closure([-4, 2, 2, 4, -4, -4], 5), [2, 2], 1),
+        (disjoint_union(trefoil, catalog.unlink(2)), [3], 2),
+        (disjoint_union(catalog.unknot(), fig8), [4], 1),
+    ]
+
+
+def test_split_pieces_and_free_loops_match_the_dense_oracle():
+    for d, sizes, loops in _split_cases():
+        pieces, free = split_pieces(reidemeister_reduced(d))
+        assert ([len(p.crossings) for p in pieces], len(free)) == (sizes, loops)
+        dense = kh_dims_bruteforce(d)
+        assert kh_dims(d) == dense, d.to_json_obj()
+        # the free loops close an unsimplified complex too
+        c = scan_complex(d, simplify=False)
+        assert verify_d_squared(c) and c.simplify().homology_dims() == dense
+
+
+def test_windowed_khr2_of_a_split_diagram_cuts_each_piece_for_the_others():
+    # both pieces have positive crossings, so each one's cut sits below the
+    # window's by twice the other's positive crossings
+    d = disjoint_union(catalog.trefoil_right(), catalog.torus_link(2, 4))
+    full, classical = khr2_dims(d), kh_dims(d)
+    windows = _support_windows(full)
+    assert len({w.h2_hi for w in windows}) >= 3
+    for window in windows:
+        assert khr2_dims(d, window) == full.restrict(window), window
+        cut = -window.h2_hi - 2
+        assert kh_dims(d, cut) == classical.restrict(Window(h2_lo=cut + 2)), cut
+
+
+def test_lee_total_dim_of_split_unions():
+    for d, _, _ in _split_cases():
+        assert lee_total_dim(d) == 2 ** d.component_count, d.to_json_obj()
+
+
+def test_split_diagrams_build_no_unglued_tensor(monkeypatch):
+    # each piece is scanned on its own, a free loop is a factor of V and a
+    # scan starts at its first crossing: no step tensors a complex of more
+    # than one generator with a piece it shares no boundary point with
+    from lasagna import khovanov
+
+    calls = []
+    real = khovanov.planar_tensor
+
+    def recording(a, b, gluing=None, h2_min=None):
+        calls.append((len(a.gens), bool(gluing)))
+        return real(a, b, gluing, h2_min)
+
+    monkeypatch.setattr(khovanov, "planar_tensor", recording)
+    for d, _, _ in _split_cases():
+        kh_dims(d)
+    assert calls and [c for c in calls if c[0] > 1 and not c[1]] == []
+
+
+def test_the_first_crossing_is_the_unit_tensored_with_it(monkeypatch):
+    # the same generators, ids, tangles and entries as the tensor step, cut
+    # alike, so every later pivot choice is the same; a positive and a
+    # negative first crossing
+    for d in (catalog.trefoil_right(), catalog.trefoil_left()):
+        for h2_min in (None, -6, -4, -2, 0, 2, 4, 6, 8):
+            scan = Scan(d, h2_min=h2_min)
+            ci = scan_order(d)[0]
+            scan.add(ci)
+            cut = None if h2_min is None else scan.h2_min - 2 * scan.positive_left
+            ref = glue_step(BigradedComplex.unit(KHOVANOV),
+                            crossing_complex(ci, d.crossings[ci].sign, KHOVANOV), [], cut)
+            assert (scan.complex.gens, scan.complex.d) == (ref.gens, ref.d), (d.crossings, h2_min)
+    # a kinked first crossing glues a pair of its own slots: a tensor step
+    from lasagna import khovanov
+
+    gluings = []
+    real = khovanov.planar_tensor
+    monkeypatch.setattr(khovanov, "planar_tensor",
+                        lambda a, b, gluing=None, h2_min=None: gluings.append(gluing)
+                        or real(a, b, gluing, h2_min))
+    kink = r1_kink(catalog.unknot(), "a", 1)
+    assert scan_complex(kink).homology_dims() == kh_dims_bruteforce(kink)
+    assert len(gluings) == 1 and gluings[0]

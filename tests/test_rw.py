@@ -82,8 +82,9 @@ def test_rw_plus_scans_the_top_level_once(monkeypatch):
     # 24 crossings of the level-2 diagram and one closing step for level 1,
     # where scanning each level on its own takes 12 + 24 steps
     calls = []
-    real = khovanov.planar_tensor
-    monkeypatch.setattr(khovanov, "planar_tensor", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    add, glue_step = khovanov.Scan.add, projector.glue_step
+    monkeypatch.setattr(khovanov.Scan, "add", lambda *a, **kw: calls.append(1) or add(*a, **kw))
+    monkeypatch.setattr(projector, "glue_step", lambda *a, **kw: calls.append(1) or glue_step(*a, **kw))
     res = rw_plus(catalog.belt_link(4), EDGE, k_max=2)
     assert res.all_stabilized()
     assert len(calls) == 25
