@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from functools import cache
 from types import SimpleNamespace
 
 from .diagram import parse_diagram
@@ -39,10 +40,12 @@ def _cache_dir(args) -> str:
             or os.path.join(os.path.expanduser("~"), ".cache", "lasagna"))
 
 
+@cache
 def _source_version() -> str:
     """sha256 of the package sources: the sorted .py file names, each with its bytes.
 
     Cache keys include it, so an entry never outlives the code that computed it.
+    It is read once per process: the sources a process runs do not change.
     """
     package = os.path.dirname(os.path.abspath(__file__))
     digest = sha256()

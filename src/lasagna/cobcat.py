@@ -34,16 +34,21 @@ b = 0: with n = d + g, the sum over subsets S of its circles with
 
 Composing is gluing, and one routine does it: `glue` joins connected
 surfaces along intervals and circles, adds up their Euler characteristics
-and reads off each genus.  Composing depends on the tangles only.  f: A ->
-B then g: B -> C glue the disks of (A, B) and of (B, C) along the middle
-tangle B, an interval per arc and a circle per loop, into the same surface
-whatever the dots, so `_composite` builds that surface once per (A, B, C),
+and reads off each genus.  It walks no boundary: a cobordism's boundary is
+the closure of its two ends, so each caller hands `glue` the closure
+circles of the glued ends, each with a piece that holds one of its nodes,
+and a glued component owns the circles its pieces hold.  Composing
+depends on the tangles only.  f: A -> B then g: B -> C glue the disks of
+(A, B) and of (B, C) along the middle tangle B, an interval per arc and a
+circle per loop, into the same surface whatever the dots, so `_composite`
+builds that surface once per (A, B, C), bounded by `closure_circles(A, C)`,
 with maps from each input circle to the component it joins.  A pair of
-terms is then mapped by looking up its dotted circles, and `reduce` expands
-only the components that are not disks.  `complexes.glue_cobordism` glues
-a tensor's surfaces through `glue` too, along an interval per glued pair of
-points.  `closure_circles` keeps the circles of the last 256 tangle pairs,
-which are those of the current open boundary.
+terms is then mapped by looking up its dotted circles, and `reduce`
+expands only the components that are not disks.  `complexes.glue_cobordism`
+glues a tensor's surfaces through `glue` too, along an interval per glued
+pair of points.  `closure_circles` walks the arcs of its two tangles and
+keeps the circles of the last 256 tangle pairs, which are those of the
+current open boundary; the glued circles are those same frozensets.
 
 Gradings are bookkept by the complexes that use these morphisms, not here.
 The delooping maps follow the classical Khovanov convention: the circle is
@@ -133,9 +138,6 @@ class Component(NamedTuple):
     genus: int
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
-    def euler_characteristic(self) -> int:
-        return 2 - 2 * self.genus - len(_boundary_circle_partition(self.nodes))
-
 
 class Cobordism:
     """A surface from source to target, given by its connected components.
@@ -165,25 +167,16 @@ class Cobordism:
         return f"Cobordism({self.comps!r})"
 
 
-def _circles(nodes: frozenset) -> tuple:
-    """Boundary circles of a set of nodes as node subsets, in no fixed order.
+def _arc_circles(s_at: dict, t_at: dict) -> list:
+    """The circles that source and target arcs close up into, as node sets.
 
-    Each loop node is its own circle; arc-cycles alternate source and target
-    arcs through shared endpoints (the vertical boundary line at a point p
-    connects the source arc at p to the target arc at p).
+    `s_at` and `t_at` map each boundary point to the source and the target
+    arc at it.  The vertical boundary line at a point connects the two, so
+    a circle alternates source and target arcs through shared endpoints.
     """
-    circles, s_at, t_at = [], {}, {}
-    for node in nodes:
-        side, k = node
-        if type(k) is frozenset:
-            at = s_at if side == "s" else t_at
-            for p in k:
-                at[p] = k
-        else:
-            circles.append(frozenset((node,)))
     if s_at.keys() != t_at.keys():
-        raise ValueError("component boundary points do not match on both sides")
-    seen = set()
+        raise ValueError("boundary points do not match on both sides")
+    circles, seen = [], set()
     for p, a in s_at.items():
         if a in seen:
             continue
@@ -201,34 +194,58 @@ def _circles(nodes: frozenset) -> tuple:
             if arc is a:
                 break
         circles.append(frozenset(members))
+    return circles
+
+
+def _circles(nodes: frozenset) -> tuple:
+    """Boundary circles of a set of nodes as node subsets, in no fixed order.
+
+    Each loop node is its own circle; the arc nodes close up as in
+    `_arc_circles`.
+    """
+    circles, s_at, t_at = [], {}, {}
+    for node in nodes:
+        side, k = node
+        if type(k) is frozenset:
+            at = s_at if side == "s" else t_at
+            for p in k:
+                at[p] = k
+        else:
+            circles.append(frozenset((node,)))
+    circles += _arc_circles(s_at, t_at)
     if len(circles) == 1:
         return (nodes,)
     return tuple(circles)
 
 
-# Bounded: it serves the components of the surfaces in use, which lie on the
-# current open boundary.
+# Bounded: it serves the components that cobordisms are built from (identity
+# tubes, caps, cups and saddles), which lie on the current open boundary.
 _boundary_circle_partition = lru_cache(maxsize=256)(_circles)
 
 
 @lru_cache(maxsize=256)
 def closure_circles(source: FlatTangle, target: FlatTangle) -> tuple:
-    """The boundary circles of every cobordism from source to target."""
-    nodes = [("s", k) for k in source.keys()] + [("t", k) for k in target.keys()]
-    return _circles(frozenset(nodes))
+    """The boundary circles of every cobordism from source to target.
+
+    One per loop of either end, then the circles their arcs close up into.
+    """
+    s_at = {p: a for a in source.arcs for p in a}
+    t_at = {p: a for a in target.arcs for p in a}
+    return tuple([frozenset((("s", k),)) for k in source.loops]
+                 + [frozenset((("t", k),)) for k in target.loops]
+                 + _arc_circles(s_at, t_at))
 
 
-def glue(pieces, joins) -> tuple[Cobordism, list[int]]:
+def glue(pieces, joins, circles) -> tuple[Cobordism, list[int]]:
     """Glue connected surfaces into one surface with no ends.
 
-    Each piece is (boundary nodes left after gluing, dots, chi); each join
-    (i, j, lost) glues pieces i and j along an interval (lost = 1) or a
-    circle (lost = 0), lowering chi by `lost`.  A glued component adds up
-    the nodes, dots and chi of its pieces, and its genus follows from chi
-    and its boundary circles; one of chi 1 is a disk, whose one boundary
-    circle is all its nodes, so only the others walk their boundary.
-    Returns the glued surface and, per piece, the index of the component
-    holding it.
+    Each piece is (dots, chi); each join (i, j, lost) glues pieces i and j
+    along an interval (lost = 1) or a circle (lost = 0), lowering chi by
+    `lost`.  `circles` pairs each boundary circle of the glued surface
+    with a piece that holds one of its nodes.  A glued component adds up
+    the dots and chi of its pieces and owns the circles they hold; its
+    genus follows from chi and the number of those circles.  Returns the
+    glued surface and, per piece, the index of the component holding it.
     """
     parent = list(range(len(pieces)))
 
@@ -240,29 +257,23 @@ def glue(pieces, joins) -> tuple[Cobordism, list[int]]:
 
     for i, j, _ in joins:
         parent[find(i)] = find(j)
-    members: dict[int, list[int]] = {}
-    for i in range(len(pieces)):
-        members.setdefault(find(i), []).append(i)
-    lost = dict.fromkeys(members, 0)
-    for i, _, n in joins:
-        lost[find(i)] += n
-    comps, circles, where = [], [], [0] * len(pieces)
-    for root, idxs in members.items():
-        for i in idxs:
-            where[i] = len(comps)
-        nodes = frozenset().union(*[pieces[i][0] for i in idxs])
-        chi = sum(pieces[i][2] for i in idxs) - lost[root]
-        if chi == 1:  # a disk: its one boundary circle holds every node
-            assert nodes, "a glued disk has a boundary circle"
-            bounds = (nodes,)
-        else:
-            bounds = _boundary_circle_partition(nodes)
-        genus2 = 2 - len(bounds) - chi
+    index: dict[int, int] = {}  # root -> component, in the order of the first piece
+    where = [index.setdefault(find(i), len(index)) for i in range(len(pieces))]
+    dots, chi, bounds = [0] * len(index), [0] * len(index), [[] for _ in index]
+    for c, (d, x) in zip(where, pieces):
+        dots[c] += d
+        chi[c] += x
+    for i, _, lost in joins:
+        chi[where[i]] -= lost
+    for circle, i in circles:
+        bounds[where[i]].append(circle)
+    comps = []
+    for d, x, b in zip(dots, chi, bounds):
+        genus2 = 2 - len(b) - x
         if genus2 % 2 or genus2 < 0:
             raise AssertionError("non-surface gluing of cobordisms")
-        comps.append(Component(nodes, sum(pieces[i][1] for i in idxs), genus2 // 2))
-        circles.append(bounds)
-    return Cobordism._with_circles(None, None, comps, circles), where
+        comps.append(Component(b[0] if len(b) == 1 else frozenset().union(*b), d, genus2 // 2))
+    return Cobordism._with_circles(None, None, comps, bounds), where
 
 
 def identity_cobordism(t: FlatTangle) -> Cobordism:
@@ -396,23 +407,28 @@ class MorphismCombo:
         return None if dots else coeff
 
 
-# BigradedComplex.simplify clears it; a belt_link(4) k <= 2 scan has 1,014 triples
+# BigradedComplex.simplify clears it; rw_plus(belt_link(4), k_max=2) in the
+# window h2 in [-4, 0], q2 in [-16, 0] makes 896 `then` calls on 508 triples
 @lru_cache(maxsize=1024)
 def _composite(a: FlatTangle, b: FlatTangle, c: FlatTangle) -> tuple:
     """The undotted normal term a -> b followed by the undotted one b -> c.
 
-    Their disks, with their outer nodes only, glue along the middle tangle
-    b: each middle arc is an interval and each middle loop a circle.
-    Returns the composite surface from a to c and maps from the closure
-    circles of (a, b) and of (b, c) to the index of the component each one joins.
+    Their disks glue along the middle tangle b: each middle arc is an
+    interval and each middle loop a circle.  The composite's boundary is
+    `closure_circles(a, c)`, and each of its circles is held by the lower
+    disk of one of its source nodes and the upper disk of one of its target
+    nodes.  Returns the composite surface from a to c and maps from the
+    closure circles of (a, b) and of (b, c) to the index of the component
+    each one joins.
     """
     lower, upper = closure_circles(a, b), closure_circles(b, c)
     below = {k: i for i, circle in enumerate(lower) for side, k in circle if side == "t"}
-    pieces = [(frozenset(x for x in circle if x[0] == "s"), 0, 1) for circle in lower]
-    pieces += [(frozenset(x for x in circle if x[0] == "t"), 0, 1) for circle in upper]
     joins = [(below[k], j, int(type(k) is frozenset))
              for j, circle in enumerate(upper, len(lower)) for side, k in circle if side == "s"]
-    cob, where = glue(pieces, joins)
+    owner = {x: i for i, circle in enumerate(lower) for x in circle if x[0] == "s"}
+    owner.update({x: j for j, circle in enumerate(upper, len(lower)) for x in circle if x[0] == "t"})
+    circles = [(x, owner[next(iter(x))]) for x in closure_circles(a, c)]
+    cob, where = glue([(0, 1)] * (len(lower) + len(upper)), joins, circles)
     cob.source, cob.target = a, c
     return cob, dict(zip(lower, where)), dict(zip(upper, where[len(lower):]))
 

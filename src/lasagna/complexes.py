@@ -21,10 +21,12 @@ disks, the identity tensored on, and both glued ends.  `planar_tensor`
 glues only the pieces a glued pair touches, plus the identity's tubes on
 loops: every other disk keeps its circle and its dot.  Those pieces and the
 call's pairs fix the glued part, so keys with the same pieces share one,
-built once per call.  `glue_cobordism` renames the pieces' nodes through
-the tangle keymaps and glues them along an interval per glued pair through
-`cobcat.glue`, the routine composition uses too; the glued part has no
-ends, since the keys sharing it have their own.  A term is then mapped by
+built once per call.  `glue_cobordism` glues the pieces along an interval
+per glued pair through `cobcat.glue`, the routine composition uses too,
+and reads the glued boundary off the closure circles of the glued tangles:
+each circle holding a node of a piece, found through the tangle keymaps,
+belongs to that piece's component.  The glued part has no ends, since the
+keys sharing it have their own.  A term is then mapped by
 looking up its dotted circles in the map from the touched circles to the
 glued components, which are neck-cut where they are not disks
 (`cobcat._normal_terms`), once per dot set and glued part.  The Koszul sign
@@ -320,20 +322,32 @@ def tangle_gluing(t: FlatTangle, pairs: list[tuple]) -> tuple:
 def glue_cobordism(comps: tuple, src: tuple, tgt: tuple) -> tuple[Cobordism, list[int]]:
     """Self-glue a disjoint union of components between the tangles glued as src and tgt.
 
-    `src` and `tgt` come from `tangle_gluing` with the same pairs.  Nodes
-    are renamed through both keymaps.  The vertical boundary line at a
-    point joins its source and target arcs, so each glued pair glues the
-    components of its two source arcs along an interval (`cobcat.glue`).
+    `src` and `tgt` come from `tangle_gluing` with the same pairs.  Each
+    component is a disk on one closure circle or the identity's tube on
+    one key, which is a disk on an arc and an annulus on a loop.  The
+    vertical boundary line at a point joins its source and target arcs, so
+    each glued pair glues the components of its two source arcs along an
+    interval (`cobcat.glue`).  The glued boundary is read off the closure
+    circles of the glued tangles: a circle holding a component's node, as
+    the keymaps rename it, bounds the glued component holding that one.
     Returns the glued surface, with no ends, and, per input component, the
     index of the glued component holding it.
     """
-    _, src_map, joins = src
-    renamed = {("s", k): ("s", v) for k, v in src_map.items()}
-    renamed.update({("t", k): ("t", v) for k, v in tgt[1].items()})
+    glued_s, src_map, joins = src
+    # a glued key back to one key it merges, all of which lie on one component
+    back = {("s", v): ("s", k) for k, v in src_map.items()}
+    back.update({("t", v): ("t", k) for k, v in tgt[1].items()})
     comp_of = {node: i for i, c in enumerate(comps) for node in c.nodes}
-    pieces = [(frozenset([renamed.get(x, x) for x in c.nodes]), c.dots, c.euler_characteristic())
+    circles = []
+    for x in closure_circles(glued_s, tgt[0]):
+        node = next(iter(x))
+        i = comp_of.get(back.get(node, node))
+        if i is not None:
+            circles.append((x, i))
+    # chi: 1 on a disk and on an arc's tube, 0 on a loop's tube (two loop nodes)
+    pieces = [(c.dots, 1 if type(next(iter(c.nodes))[1]) is frozenset else 2 - len(c.nodes))
               for c in comps]
-    return glue(pieces, [(comp_of[na], comp_of[nb], 1) for na, nb in joins])
+    return glue(pieces, [(comp_of[na], comp_of[nb], 1) for na, nb in joins], circles)
 
 
 def _disjoint_tangle(a: FlatTangle, b: FlatTangle) -> FlatTangle:

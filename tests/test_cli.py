@@ -269,6 +269,25 @@ def test_source_version_only_on_the_cache_path(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == "0\t-1\t1\n0\t1\t1\n" * 2
 
 
+def test_source_version_is_read_once_per_process(tmp_path, monkeypatch, capsys):
+    from lasagna import cli
+
+    package = os.path.dirname(os.path.abspath(cli.__file__))
+    listed = []
+    listdir = os.listdir
+
+    def counting(path="."):
+        listed.append(os.path.abspath(path))
+        return listdir(path)
+
+    cli._source_version.cache_clear()
+    monkeypatch.setattr(os, "listdir", counting)
+    argv = ["kh", fixture("unknot.json"), "--cache-dir", str(tmp_path)]
+    assert cli.run(argv) == 0 and cli.run(argv) == 0
+    assert listed.count(package) == 1 and len(list(tmp_path.iterdir())) == 1
+    assert capsys.readouterr().out == "0\t-1\t1\n0\t1\t1\n" * 2
+
+
 def test_internal_error_exit_code(tmp_path):
     # a failed invariant inside the computation crashes visibly
     out = python_c(

@@ -298,6 +298,32 @@ def _connect(a: FlatTangle, b: FlatTangle) -> Cobordism:
     return Cobordism(a, b, comps)
 
 
+def test_closure_circles_equal_the_walk_of_their_node_set():
+    """`closure_circles` walks the two tangles' arcs; `_circles` walks their nodes."""
+    rng = random.Random(31)
+    loops = ["m", "n", ("loop", frozenset({frozenset({0, 1})})), (2, "x")]
+    counts = set()
+    for _ in range(120):
+        pts = list(range(2 * rng.randint(0, 4)))
+        a = FlatTangle(_random_flat_tangles(rng, pts).arcs, rng.sample(loops, rng.randint(0, 2)))
+        b = FlatTangle(_random_flat_tangles(rng, pts).arcs, rng.sample(loops, rng.randint(0, 2)))
+        nodes = frozenset([("s", k) for k in a.keys()] + [("t", k) for k in b.keys()])
+        circles = closure_circles(a, b)
+        assert len(set(circles)) == len(circles)
+        assert set(circles) == set(cobcat._circles(nodes))
+        counts.add((len(a.loops) + len(b.loops), len(circles)))
+    assert len(counts) > 10
+
+
+def test_closure_circles_refuse_mismatched_points():
+    arc = FlatTangle([(0, 1)])
+    for source, target in ((arc, FlatTangle([(0, 2)])), (arc, FlatTangle((), ["m"])),
+                           (FlatTangle([(0, 1), (2, 3)]), arc)):
+        for a, b in ((source, target), (target, source)):
+            with pytest.raises(ValueError, match="boundary points do not match"):
+                closure_circles(a, b)
+
+
 def _random_cobordism(rng, source, target, loop_side):
     """Boundary circles of source -> target grouped at random into components.
 
@@ -514,17 +540,17 @@ def test_without_loop_equals_rebuilt_tangle():
 
 
 def test_glued_disks_match_the_boundary_walk(monkeypatch):
-    # glue reads a component of Euler characteristic 1 as a disk, whose one
-    # boundary circle is its whole node set: every component glued during an
-    # rw scan of belt_link(4) and a scan of T(4,4) has the circles that
-    # walking its boundary finds
+    # glue reads a component's boundary off the closure circles its pieces
+    # hold, without walking its nodes: every component glued during an rw
+    # scan of belt_link(4) and a scan of T(4,4) has the circles that walking
+    # its boundary finds
     from lasagna import catalog, complexes, khovanov, rw
     from lasagna.gradings import Window
 
     glue, glued = cobcat.glue, []
 
-    def recording(pieces, joins):
-        out = glue(pieces, joins)
+    def recording(pieces, joins, circles):
+        out = glue(pieces, joins, circles)
         glued.append(out[0])
         return out
 
