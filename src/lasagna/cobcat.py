@@ -7,8 +7,9 @@ points plus a set of closed loops.  A cobordism between two flat tangles
 with the same boundary points is bounded by their closure circles: each
 loop of either end is a circle, and the arcs of both ends, joined by the
 vertical line at every boundary point, close up into the others.  A circle
-is the set of its nodes ('s'|'t', arc-or-loop key), as
-`_boundary_circle_partition` returns it; `closure_circles` lists them.
+is the set of its nodes ('s'|'t', arc-or-loop key); `closure_circles`
+lists them, and every cobordism's boundary comes from it: no node set is
+walked anywhere in the package (the tests keep such a walk as reference).
 
 Local relations (Frobenius algebra Q[x]/(x^2 - c), c = the value of a
 twice-dotted component): undotted sphere = 0, once-dotted sphere = 1, two
@@ -25,7 +26,8 @@ loop (`deloop_split`) sends each term to the summand that the dot on the
 loop's circle selects, and drops that circle.
 
 Arbitrary surfaces are described by `Component` (boundary nodes, dots,
-genus) and `Cobordism` (source, target, components); `reduce` brings a
+genus) and `Cobordism` (source, target, components), which gives each
+closure circle to the component holding its nodes; `reduce` brings a
 combination of them to normal form.  A connected surface with b boundary
 circles, genus g and d dots is Delta^(b-1)(x^d (2x)^g), or eps of it when
 b = 0: with n = d + g, the sum over subsets S of its circles with
@@ -142,24 +144,27 @@ class Component(NamedTuple):
 class Cobordism:
     """A surface from source to target, given by its connected components.
 
-    `circles[i]` are the boundary circles of component i; `necks` are the
-    components that are not undotted disks.
+    Its boundary is `closure_circles(source, target)`, and `circles[i]` are
+    the circles of component i: those `glue` passes, or else each closure
+    circle goes to the component holding its nodes, which must partition
+    the closure.  `necks` are the components that are not undotted disks.
     """
 
     __slots__ = ("source", "target", "comps", "circles", "necks")
 
-    def __init__(self, source: FlatTangle, target: FlatTangle, comps: Iterable[Component]):
+    def __init__(self, source: FlatTangle, target: FlatTangle, comps: Iterable[Component], circles=None):
         comps = tuple(comps)
-        self._set(source, target, comps, [_boundary_circle_partition(c.nodes) for c in comps])
-
-    @staticmethod
-    def _with_circles(source: FlatTangle, target: FlatTangle, comps, circles) -> "Cobordism":
-        """A cobordism whose components' boundary circles are known already."""
-        out = object.__new__(Cobordism)
-        out._set(source, target, tuple(comps), circles)
-        return out
-
-    def _set(self, source, target, comps: tuple, circles) -> None:
+        if circles is None:
+            owner = {node: i for i, c in enumerate(comps) for node in c.nodes}
+            circles = [[] for _ in comps]
+            closure = closure_circles(source, target)
+            for x in closure:
+                i = owner.get(next(iter(x)))
+                if i is None or any(owner.get(node) != i for node in x):
+                    raise ValueError("boundary points do not match the closure circles")
+                circles[i].append(x)
+            if sum(len(c.nodes) for c in comps) != sum(map(len, closure)):
+                raise ValueError("boundary points do not match the closure circles")
         self.source, self.target, self.comps, self.circles = source, target, comps, tuple(circles)
         self.necks = [i for i, c in enumerate(comps) if c.dots or c.genus or len(circles[i]) != 1]
 
@@ -167,16 +172,22 @@ class Cobordism:
         return f"Cobordism({self.comps!r})"
 
 
-def _arc_circles(s_at: dict, t_at: dict) -> list:
-    """The circles that source and target arcs close up into, as node sets.
+@lru_cache(maxsize=256)
+def closure_circles(source: FlatTangle, target: FlatTangle) -> tuple:
+    """The boundary circles of every cobordism from source to target, as node sets.
 
-    `s_at` and `t_at` map each boundary point to the source and the target
-    arc at it.  The vertical boundary line at a point connects the two, so
-    a circle alternates source and target arcs through shared endpoints.
+    One per loop of either end, then the circles their arcs close up into:
+    the vertical boundary line at a point connects the source and the
+    target arc there, so a circle alternates source and target arcs through
+    shared endpoints.
     """
+    s_at = {p: a for a in source.arcs for p in a}
+    t_at = {p: a for a in target.arcs for p in a}
     if s_at.keys() != t_at.keys():
         raise ValueError("boundary points do not match on both sides")
-    circles, seen = [], set()
+    circles = [frozenset((("s", k),)) for k in source.loops]
+    circles += [frozenset((("t", k),)) for k in target.loops]
+    seen = set()
     for p, a in s_at.items():
         if a in seen:
             continue
@@ -194,46 +205,7 @@ def _arc_circles(s_at: dict, t_at: dict) -> list:
             if arc is a:
                 break
         circles.append(frozenset(members))
-    return circles
-
-
-def _circles(nodes: frozenset) -> tuple:
-    """Boundary circles of a set of nodes as node subsets, in no fixed order.
-
-    Each loop node is its own circle; the arc nodes close up as in
-    `_arc_circles`.
-    """
-    circles, s_at, t_at = [], {}, {}
-    for node in nodes:
-        side, k = node
-        if type(k) is frozenset:
-            at = s_at if side == "s" else t_at
-            for p in k:
-                at[p] = k
-        else:
-            circles.append(frozenset((node,)))
-    circles += _arc_circles(s_at, t_at)
-    if len(circles) == 1:
-        return (nodes,)
     return tuple(circles)
-
-
-# Bounded: it serves the components that cobordisms are built from (identity
-# tubes, caps, cups and saddles), which lie on the current open boundary.
-_boundary_circle_partition = lru_cache(maxsize=256)(_circles)
-
-
-@lru_cache(maxsize=256)
-def closure_circles(source: FlatTangle, target: FlatTangle) -> tuple:
-    """The boundary circles of every cobordism from source to target.
-
-    One per loop of either end, then the circles their arcs close up into.
-    """
-    s_at = {p: a for a in source.arcs for p in a}
-    t_at = {p: a for a in target.arcs for p in a}
-    return tuple([frozenset((("s", k),)) for k in source.loops]
-                 + [frozenset((("t", k),)) for k in target.loops]
-                 + _arc_circles(s_at, t_at))
 
 
 def glue(pieces, joins, circles) -> tuple[Cobordism, list[int]]:
@@ -273,7 +245,7 @@ def glue(pieces, joins, circles) -> tuple[Cobordism, list[int]]:
         if genus2 % 2 or genus2 < 0:
             raise AssertionError("non-surface gluing of cobordisms")
         comps.append(Component(b[0] if len(b) == 1 else frozenset().union(*b), d, genus2 // 2))
-    return Cobordism._with_circles(None, None, comps, bounds), where
+    return Cobordism(None, None, comps, bounds), where
 
 
 def identity_cobordism(t: FlatTangle) -> Cobordism:

@@ -19,7 +19,9 @@ terms glue into depends only on the factor entry's source and target, the
 other factor's tangle and which factor the entry belongs to: those fix the
 disks, the identity tensored on, and both glued ends.  `planar_tensor`
 glues only the pieces a glued pair touches, plus the identity's tubes on
-loops: every other disk keeps its circle and its dot.  Those pieces and the
+glued arcs and on loops: every other disk keeps its circle and its dot.
+The tubes are bare `Component`s, one per key, with no cobordism around
+them, since only the glued boundary is ever read.  Those pieces and the
 call's pairs fix the glued part, so keys with the same pieces share one,
 built once per call.  `glue_cobordism` glues the pieces along an interval
 per glued pair through `cobcat.glue`, the routine composition uses too,
@@ -58,7 +60,6 @@ from .cobcat import (
     closure_circles,
     deloop_split,
     glue,
-    identity_cobordism,
 )
 from .gradings import DimTable, Grading, graded_blocks
 from .linalg import block_homology_dims, inverse
@@ -390,8 +391,8 @@ def planar_tensor(
     def changed(t):
         # the identity's tubes that the gluing joins, on glued arcs, and that
         # neck-cut, on loops; every other tube is an undotted disk no term dots
-        arcs = [a for a in t.arcs if not glued_points.isdisjoint(a)]
-        return identity_cobordism(FlatTangle(arcs, t.loops)).comps
+        keys = [a for a in t.arcs if not glued_points.isdisjoint(a)] + list(t.loops)
+        return tuple(Component(frozenset({("s", k), ("t", k)}), 0, 0) for k in keys)
 
     ids = {t: changed(t) for t in {t for c in (a, b) for _, t in c.gens.values()}}
     memo: dict = {}  # (factor source, factor target, other tangle, side) -> glued part

@@ -12,8 +12,7 @@ A region crossed by strands is refused with a capacity error, after the
 input errors and before any stage is built.  Its class is 2-divisible, so
 two or more strands cross it, and stage 2 (r_max >= 2) has four or more
 belts, each crossing each strand twice: 16 or more crossings, over the
-dense cube's 14.  Crossed regions wait for the scanning complex (ROADMAP
-item 3).
+dense cube's 14.  Crossed regions wait for the scanning complex.
 
 The dense stages, which serve `belt_capping_class` and the tests' oracle,
 are computed in the classical model and reindexed: a stage-r class at
@@ -286,7 +285,7 @@ def s02_dims(spec: HandlebodySpec, window: Window, r_max: int = 3) -> LasagnaRes
         if reg.strands:
             raise StageCapacityError(
                 f"region {reg.region_id} is crossed by {reg.strand_count} strands: "
-                "crossed regions wait for the scanning complex (ROADMAP item 3)"
+                "crossed regions wait for the scanning complex"
             )
     stage_tables, prev_ranks, last_ranks = _closed_form_ranks(spec, window, r_max)
     table = DimTable()

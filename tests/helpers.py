@@ -49,6 +49,45 @@ def copied(c: BigradedComplex) -> BigradedComplex:
     return out
 
 
+def boundary_walk(nodes: frozenset) -> list:
+    """The boundary circles of a set of nodes ('s'|'t', arc-or-loop key), as node subsets.
+
+    The reference for `cobcat.closure_circles`, which the package uses for
+    every cobordism: each loop node is its own circle, and the arc nodes
+    close up through the vertical boundary line at each point, which joins
+    the source and the target arc there.
+    """
+    circles, s_at, t_at = [], {}, {}
+    for node in nodes:
+        side, k = node
+        if type(k) is frozenset:
+            at = s_at if side == "s" else t_at
+            for p in k:
+                at[p] = k
+        else:
+            circles.append(frozenset((node,)))
+    if s_at.keys() != t_at.keys():
+        raise ValueError("boundary points do not match on both sides")
+    seen = set()
+    for p, a in s_at.items():
+        if a in seen:
+            continue
+        members, arc = [], a
+        while True:  # on the source arc `arc`, entered at p
+            seen.add(arc)
+            x, y = arc
+            p = y if x == p else x
+            t = t_at[p]
+            members += (("s", arc), ("t", t))
+            x, y = t
+            p = y if x == p else x
+            arc = s_at[p]
+            if arc is a:
+                break
+        circles.append(frozenset(members))
+    return circles
+
+
 def euler_characteristic(c: BigradedComplex) -> dict[int, int]:
     """The graded Euler characteristic q2 -> sum of (-1)^h over the generators."""
     out: dict[int, int] = {}

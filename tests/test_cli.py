@@ -28,14 +28,6 @@ def fixture(name):
     return os.path.join(FIXTURES, name)
 
 
-def test_oracle_matches_kh(tmp_path):
-    a = run_cli(["kh", fixture("hopf.json")], tmp_path)
-    b = run_cli(["oracle", "kh", fixture("hopf.json")], tmp_path)
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout
-    assert len(list(tmp_path.iterdir())) == 2  # the oracle's request is keyed apart
-
-
 def test_determinism_and_cache(tmp_path):
     first = run_cli(["kh", fixture("trefoil.json")], tmp_path)
     second = run_cli(["kh", fixture("trefoil.json")], tmp_path)  # cache hit
@@ -52,16 +44,6 @@ def test_json_hit_shares_the_text_entry(tmp_path):
     assert len(list(tmp_path.iterdir())) == 1
     rows = ["\t".join((r["h"], r["q"], r["dim"])) for r in json.loads(hit.stdout)["dims"]]
     assert rows == text.stdout.splitlines() != []
-
-
-def test_stabilization_failure_exit_code_on_a_hit(tmp_path):
-    argv = ["rw", fixture("belt2.json"), "--window", "0:1,-4:0", "--max-twists", "2"]
-    miss = run_cli(argv, tmp_path)
-    hit = run_cli(argv, tmp_path)
-    assert len(list(tmp_path.iterdir())) == 1
-    assert miss.returncode == hit.returncode == 3
-    assert (miss.stdout, miss.stderr) == (hit.stdout, hit.stderr)
-    assert hit.stderr == "stabilized[1]=false\n"
 
 
 @pytest.mark.parametrize(

@@ -76,13 +76,13 @@ ROWS = [
     # an odd strand count through a region: the zero verdict, exit 0
     ("rw belt1.json", 0, "", "stabilized[1]=true\nzero: class is not 2-divisible\n"),
     ("rw belt1.json --window -2:2,-6:0", 0, "", "stabilized[1]=true\nzero: class is not 2-divisible\n"),
-    # the stable[...] lines are today's flags; ROADMAP item 5 (a "not reached"
+    # the stable[...] lines are today's flags; ROADMAP item 8 (a "not reached"
     # value) will change them on purpose
     ("lasagna empty_s1s2_x2.json --r-max 2", 0, tsv("0 -8 1", "0 -6 2", "0 -4 3", "0 -2 2", "0 0 1"),
      stable(0, range(-16, 1, 2))),
     # twelve free belts, in closed form; the fresh rule reads the summed degree,
     # so (0,-8) and (0,-6) flag false and the exit is 3 (the CHANGES.md FOUND:
-    # line on the fresh rule, which ROADMAP item 6, step 2 closes)
+    # line on the fresh rule, which ROADMAP item 9, step 2 closes)
     ("lasagna empty_s1s2_x2.json --r-max 3", 3,
      tsv("0 -16 1", "0 -14 2", "0 -12 3", "0 -10 4", "0 -8 5", "0 -6 4", "0 -4 3", "0 -2 2",
          "0 0 1"),
@@ -109,7 +109,7 @@ ROWS = [
     ("kh", 2, "", "error: kh takes one diagram file, got 0\n"),
     ("kh hopf.json --window=", 2, "", "error: window must be 'hLo:hHi,qLo:qHi', got ''\n"),
     ("lasagna belt2.json --r-max 2", 4, "", "error: region 1 is crossed by 2 strands: "
-     "crossed regions wait for the scanning complex (ROADMAP item 3)\n"),
+     "crossed regions wait for the scanning complex\n"),
     # input errors come before the crossed region's refusal and the zero verdict
     *[(f"lasagna {name}.json --alpha 0,0 --r-max 2", 2, "",
        "error: offset vector longer than the number of regions\n")

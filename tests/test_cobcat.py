@@ -27,6 +27,8 @@ from lasagna.cobcat import (
 )
 from lasagna.lee import ClosedSurface, _trace_component, eval_closed_surface
 
+from helpers import boundary_walk
+
 
 def circle(tag="c"):
     return FlatTangle((), [tag])
@@ -299,7 +301,7 @@ def _connect(a: FlatTangle, b: FlatTangle) -> Cobordism:
 
 
 def test_closure_circles_equal_the_walk_of_their_node_set():
-    """`closure_circles` walks the two tangles' arcs; `_circles` walks their nodes."""
+    """`closure_circles` walks the two tangles' arcs; the reference walks their nodes."""
     rng = random.Random(31)
     loops = ["m", "n", ("loop", frozenset({frozenset({0, 1})})), (2, "x")]
     counts = set()
@@ -310,7 +312,7 @@ def test_closure_circles_equal_the_walk_of_their_node_set():
         nodes = frozenset([("s", k) for k in a.keys()] + [("t", k) for k in b.keys()])
         circles = closure_circles(a, b)
         assert len(set(circles)) == len(circles)
-        assert set(circles) == set(cobcat._circles(nodes))
+        assert set(circles) == set(boundary_walk(nodes))
         counts.add((len(a.loops) + len(b.loops), len(circles)))
     assert len(counts) > 10
 
@@ -322,6 +324,61 @@ def test_closure_circles_refuse_mismatched_points():
         for a, b in ((source, target), (target, source)):
             with pytest.raises(ValueError, match="boundary points do not match"):
                 closure_circles(a, b)
+
+
+def _assert_walked(cob):
+    """Each component of cob has the circles, no more, that the walk of its nodes finds."""
+    for comp, circles in zip(cob.comps, cob.circles):
+        assert len(set(circles)) == len(circles), comp
+        assert set(circles) == set(boundary_walk(comp.nodes)), comp
+
+
+def test_every_cobordism_gets_the_circles_of_the_boundary_walk():
+    """Identities, caps, cups, saddles and any grouping of the closure
+    circles into components read their boundary off `closure_circles`."""
+    rng = random.Random(37)
+    loops = ["m", "n", ("loop", frozenset({frozenset({0, 1})})), (2, "x")]
+    shapes = set()
+    for _ in range(60):
+        pts = list(range(2 * rng.randint(2, 4)))
+        a = FlatTangle(_random_flat_tangles(rng, pts).arcs, rng.sample(loops, rng.randint(1, 2)))
+        b = FlatTangle(_random_flat_tangles(rng, pts).arcs, rng.sample(loops, rng.randint(1, 2)))
+        loop = rng.choice(sorted(a.loops, key=repr))
+        # a saddle on two arcs of a, reconnected the other way
+        (p, q), (r, t) = (tuple(x) for x in rng.sample(sorted(a.arcs, key=sorted), 2))
+        moved = [frozenset((p, q)), frozenset((r, t))]
+        swapped = [frozenset((p, r)), frozenset((q, t))]
+        saddle_target = FlatTangle(a.arcs - set(moved) | set(swapped), a.loops)
+        circles = list(closure_circles(a, b))
+        rng.shuffle(circles)
+        comps = []
+        while circles:
+            take = rng.randint(1, min(3, len(circles)))
+            comps.append(Component(frozenset().union(*circles[:take]), rng.randint(0, 1), 0))
+            circles = circles[take:]
+        for cob in (identity_cobordism(a), identity_cobordism(b), cap(a, loop, rng.random() < 0.5),
+                    cup(a.without_loop(loop), loop), elementary_saddle(a, saddle_target, moved, swapped),
+                    Cobordism(a, b, comps)):
+            _assert_walked(cob)
+            shapes.add(tuple(sorted(len(x) for x in cob.circles)))
+    assert len(shapes) > 10
+
+
+@pytest.mark.parametrize("case", ["split circle", "missing node", "foreign node", "shared node"])
+def test_cobordism_refuses_components_that_do_not_partition_the_closure(case):
+    a, b = FlatTangle([(0, 1), (2, 3)], ["m"]), FlatTangle([(0, 3), (1, 2)])
+    [arcs] = [x for x in closure_circles(a, b) if len(x) == 4]
+    loop = frozenset({("s", "m")})
+    lower = frozenset(n for n in arcs if n[0] == "s")
+    comps = {
+        "split circle": [lower, arcs - lower, loop],
+        "missing node": [arcs],
+        "foreign node": [arcs, loop | {("t", "z")}],
+        "shared node": [arcs, loop, loop],
+    }[case]
+    _assert_walked(Cobordism(a, b, [Component(arcs, 0, 0), Component(loop, 0, 0)]))
+    with pytest.raises(ValueError, match="boundary points do not match the closure circles"):
+        Cobordism(a, b, [Component(nodes, 0, 0) for nodes in comps])
 
 
 def _random_cobordism(rng, source, target, loop_side):
@@ -561,7 +618,7 @@ def test_glued_disks_match_the_boundary_walk(monkeypatch):
     disks = 0
     for cob in glued:
         for comp, circles in zip(cob.comps, cob.circles):
-            walk = cobcat._circles(comp.nodes)
+            walk = boundary_walk(comp.nodes)
             assert set(circles) == set(walk), comp
             disks += len(walk) == 1 and comp.genus == 0
     assert disks > 0 and len(glued) > 100

@@ -83,7 +83,7 @@ def test_crossed_regions_are_refused_before_any_stage(boundary, offset, r_max, o
         assert isinstance(exc.value, CapacityError)
         assert str(exc.value) == (
             f"region 1 is crossed by {region.strand_count} strands: "
-            "crossed regions wait for the scanning complex (ROADMAP item 3)"
+            "crossed regions wait for the scanning complex"
         )
     else:
         assert not isinstance(exc.value, CapacityError)
