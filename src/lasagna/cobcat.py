@@ -48,7 +48,9 @@ with maps from each input circle to the component it joins.  A pair of
 terms is then mapped by looking up its dotted circles, and `reduce`
 expands only the components that are not disks.  `complexes.glue_cobordism`
 glues a tensor's surfaces through `glue` too, along an interval per glued
-pair of points.  `closure_circles` walks the arcs of its two tangles and
+pair of points, and finds the piece holding each glued circle through the
+reverse keymap of its gluing, from each glued key to one key it merges.
+`closure_circles` walks the arcs of its two tangles and
 keeps the circles of the last 256 tangle pairs, which are those of the
 current open boundary; the glued circles are those same frozensets.
 
@@ -230,11 +232,18 @@ def glue(pieces, joins, circles) -> tuple[Cobordism, list[int]]:
     for i, j, _ in joins:
         parent[find(i)] = find(j)
     index: dict[int, int] = {}  # root -> component, in the order of the first piece
-    where = [index.setdefault(find(i), len(index)) for i in range(len(pieces))]
-    dots, chi, bounds = [0] * len(index), [0] * len(index), [[] for _ in index]
-    for c, (d, x) in zip(where, pieces):
+    where, dots, chi = [], [], []
+    for i, (d, x) in enumerate(pieces):
+        root = find(i)
+        c = index.get(root)
+        if c is None:
+            c = index[root] = len(dots)
+            dots.append(0)
+            chi.append(0)
+        where.append(c)
         dots[c] += d
         chi[c] += x
+    bounds = [[] for _ in dots]
     for i, _, lost in joins:
         chi[where[i]] -= lost
     for circle, i in circles:
@@ -271,15 +280,6 @@ def cup(t: FlatTangle, loop, dotted: bool = False) -> Cobordism:
     return Cobordism(t, tgt, comps)
 
 
-def elementary_saddle(source: FlatTangle, target: FlatTangle, moved_keys_s, moved_keys_t) -> Cobordism:
-    """Cobordism which is a product away from one saddle component."""
-    nodes = {("s", k) for k in moved_keys_s} | {("t", k) for k in moved_keys_t}
-    comps = [Component(frozenset(nodes), 0, 0)]
-    for k in set(source.keys()) - set(moved_keys_s):
-        comps.append(Component(frozenset({("s", k), ("t", k)}), 0, 0))
-    return Cobordism(source, target, comps)
-
-
 class MorphismCombo:
     """Finite Q-linear combination of normal terms with common source/target.
 
@@ -307,15 +307,6 @@ class MorphismCombo:
             self.terms[dots] = cur
         else:
             del self.terms[dots]
-
-    @staticmethod
-    def from_cobordism(cob: Cobordism, coeff=1) -> "MorphismCombo":
-        """A cobordism already in normal form: every component a disk with at most one dot."""
-        pieces = list(zip(cob.comps, cob.circles))
-        if any(c.genus or c.dots > 1 or len(circles) != 1 for c, circles in pieces):
-            raise ValueError("cobordism not in normal form; reduce it")
-        dots = frozenset(circles[0] for c, circles in pieces if c.dots)
-        return MorphismCombo(cob.source, cob.target, {dots: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -379,8 +370,9 @@ class MorphismCombo:
         return None if dots else coeff
 
 
-# BigradedComplex.simplify clears it; rw_plus(belt_link(4), k_max=2) in the
-# window h2 in [-4, 0], q2 in [-16, 0] makes 896 `then` calls on 508 triples
+# BigradedComplex.simplify clears it: no composite recurs across a scan's
+# simplify calls, since kh_dims(T(5,5)) makes 2,691 `then` calls on 1,425
+# distinct triples and clearing at each simplify misses 1,425 times
 @lru_cache(maxsize=1024)
 def _composite(a: FlatTangle, b: FlatTangle, c: FlatTangle) -> tuple:
     """The undotted normal term a -> b followed by the undotted one b -> c.

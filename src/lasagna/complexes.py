@@ -26,9 +26,10 @@ call's pairs fix the glued part, so keys with the same pieces share one,
 built once per call.  `glue_cobordism` glues the pieces along an interval
 per glued pair through `cobcat.glue`, the routine composition uses too,
 and reads the glued boundary off the closure circles of the glued tangles:
-each circle holding a node of a piece, found through the tangle keymaps,
-belongs to that piece's component.  The glued part has no ends, since the
-keys sharing it have their own.  A term is then mapped by
+each circle holding a node of a piece, found through the reverse keymap
+`tangle_gluing` returns with each glued tangle, belongs to that piece's
+component.  The glued part has no ends, since the keys sharing it have
+their own.  A term is then mapped by
 looking up its dotted circles in the map from the touched circles to the
 glued components, which are neck-cut where they are not disks
 (`cobcat._normal_terms`), once per dot set and glued part.  The Koszul sign
@@ -41,11 +42,17 @@ along the middle tangle (`cobcat._composite`); `simplify` drops them when
 it returns, as a scan step composes tangles of its own.  Delooping a
 generator splits each incoming and outgoing entry into its plus and minus
 summands (`cobcat.deloop_split`), a partition of its terms.
+
+Whether an entry is lambda * id is decided once, when `set_entry` stores
+it: `units` and `units_in` hold those entries by row and by column, and
+lose them when an entry is overwritten, zeroed or dropped with its
+generator.  `simplify` takes its pivot candidates from them alone.
 """
 
 from __future__ import annotations
 
 import heapq
+from fractions import Fraction
 from typing import Optional
 
 from .cobcat import (
@@ -75,6 +82,10 @@ class BigradedComplex:
         self.gens: dict[int, tuple[Grading, FlatTangle]] = {}
         self.d: dict[int, dict[int, MorphismCombo]] = {}
         self.d_in: dict[int, set[int]] = {}
+        # the entries lambda * id, decided once as they are stored: source ->
+        # {target: lambda} and target -> sources, a row or column only once it has one
+        self.units: dict[int, dict[int, int | Fraction]] = {}
+        self.units_in: dict[int, set[int]] = {}
         self._next = 0
 
     # -- construction -------------------------------------------------------
@@ -95,9 +106,17 @@ class BigradedComplex:
         if m.is_zero():
             self.d[s].pop(t, None)
             self.d_in[t].discard(s)
+            lam = None
         else:
             self.d[s][t] = m
             self.d_in[t].add(s)
+            lam = m.invertible_scalar()
+        if lam is not None:
+            self.units.setdefault(s, {})[t] = lam
+            self.units_in.setdefault(t, set()).add(s)
+        elif t in self.units.get(s, ()):
+            del self.units[s][t]
+            self.units_in[t].discard(s)
 
     def entry(self, s: int, t: int) -> Optional[MorphismCombo]:
         return self.d.get(s, {}).get(t)
@@ -164,10 +183,9 @@ class BigradedComplex:
 
     def gaussian_eliminate(self, s: int, t: int) -> None:
         """Remove an invertible entry s -> t with the zig-zag correction."""
-        m = self.entry(s, t)
-        if m is None:
+        if self.entry(s, t) is None:
             raise ComplexError("no such differential entry")
-        lam = m.invertible_scalar()
+        lam = self.units.get(s, {}).get(t)
         if lam is None:
             raise ComplexError("entry is not an isomorphism")
         # a -> (lam^-1 id) -> b, negated; entries are in normal form, so
@@ -187,6 +205,10 @@ class BigradedComplex:
             self.d_in[v].discard(gid)
         for u in self.d_in.pop(gid, set()):
             self.d[u].pop(gid, None)
+        for v in self.units.pop(gid, ()):
+            self.units_in[v].discard(gid)
+        for u in self.units_in.pop(gid, ()):
+            del self.units[u][gid]
         del self.gens[gid]
 
     def simplify(self) -> "BigradedComplex":
@@ -195,41 +217,42 @@ class BigradedComplex:
         Each pivot minimizes the key (fill, h2, q2, s, t): the
         (incoming-1)*(outgoing-1) fill-in, ties broken by the source's
         (h2, q2, id) and the target's id; homology does not depend on the
-        choice.  Candidates are the lambda * identity entries, read off the
-        differential by `invertible_scalar`.  The keys sit in a lazy heap,
-        filled from every row: a pivot's key moves only with its source's
+        choice.  Candidates are the lambda * identity entries, which
+        `set_entry` records in `units` and `units_in` as it stores them, so
+        no entry is asked twice.  The keys sit in a lazy heap, filled from
+        every recorded candidate: a pivot's key moves only with its source's
         out-degree or its target's in-degree, and an elimination changes
         those, and creates pivots, only at the eliminated pair's neighbours,
-        so the invertible entries in their rows and columns are pushed again
-        after it.  A popped key whose entry is gone, is no longer invertible
-        or has another key now is dropped.  Elimination creates no generator
+        so the candidates in their rows and columns are pushed again after
+        it.  A popped key whose entry is gone, is no longer invertible or
+        has another key now is dropped.  Elimination creates no generator
         and no loop, so delooping once up front suffices.
         """
         self.deloop_all()
+        units, units_in = self.units, self.units_in
 
         def cost(s, t):
             g = self.gens[s][0]
             fill = (len(self.d_in[t]) - 1) * (len(self.d[s]) - 1)
             return (fill, g.h2, g.q2, s, t)
 
-        heap = [cost(s, t) for s, row in self.d.items() for t, m in row.items()
-                if m.invertible_scalar() is not None]
+        heap = [cost(s, t) for s, row in units.items() for t in row]
         heapq.heapify(heap)
         while heap:
             key = heapq.heappop(heap)
             s, t = key[3:]
-            m = self.entry(s, t)
-            if m is None or m.invertible_scalar() is None or cost(s, t) != key:
+            if t not in units.get(s, ()) or cost(s, t) != key:
                 continue
             sources = (self.d_in[s] | self.d_in[t]) - {s}
             targets = (self.d[s].keys() | self.d[t].keys()) - {t}
             self.gaussian_eliminate(s, t)
-            push = {(u, v) for u in sources for v in self.d[u]}
-            push.update((u, v) for v in targets for u in self.d_in[v])
+            push = {(u, v) for u in sources for v in units.get(u, ())}
+            push.update((u, v) for v in targets for u in units_in.get(v, ()))
             for u, v in push:
-                if self.d[u][v].invertible_scalar() is not None:
-                    heapq.heappush(heap, cost(u, v))
-        # kept across tasks, composites raise rw-twist's peak RSS by 3 MB
+                heapq.heappush(heap, cost(u, v))
+        # no composite recurs across a scan's simplify calls: kh_dims(T(5,5))
+        # makes 2,691 `then` calls on 1,425 distinct triples, and clearing here
+        # misses 1,425 times; kept across tasks, rw-twist's peak RSS rises 3 MB
         _composite.cache_clear()
         return self
 
@@ -314,10 +337,14 @@ def glue_tangle(t: FlatTangle, pairs: list[tuple]) -> tuple[FlatTangle, dict]:
 
 
 def tangle_gluing(t: FlatTangle, pairs: list[tuple]) -> tuple:
-    """(glued tangle, keymap, source-arc node pairs joined) for gluing t along pairs."""
+    """(glued tangle, keymap, source-arc node pairs joined, reverse keymap) for gluing t along pairs.
+
+    The reverse keymap sends each glued arc or loop to one key it merges.
+    """
     glued, keymap = glue_tangle(t, pairs)
     arc_at = {p: a for a in t.arcs for p in a}
-    return glued, keymap, [(("s", arc_at[p]), ("s", arc_at[q])) for p, q in pairs]
+    joins = [(("s", arc_at[p]), ("s", arc_at[q])) for p, q in pairs]
+    return glued, keymap, joins, {v: k for k, v in keymap.items()}
 
 
 def glue_cobordism(comps: tuple, src: tuple, tgt: tuple) -> tuple[Cobordism, list[int]]:
@@ -329,20 +356,19 @@ def glue_cobordism(comps: tuple, src: tuple, tgt: tuple) -> tuple[Cobordism, lis
     vertical boundary line at a point joins its source and target arcs, so
     each glued pair glues the components of its two source arcs along an
     interval (`cobcat.glue`).  The glued boundary is read off the closure
-    circles of the glued tangles: a circle holding a component's node, as
-    the keymaps rename it, bounds the glued component holding that one.
-    Returns the glued surface, with no ends, and, per input component, the
-    index of the glued component holding it.
+    circles of the glued tangles: a circle's first node, taken back through
+    its end's reverse keymap to a key it merges, lies on the component
+    whose glued component bounds that circle; every key a glued key merges
+    lies on one glued component.  Returns the glued surface, with no ends,
+    and, per input component, the index of the glued component holding it.
     """
-    glued_s, src_map, joins = src
-    # a glued key back to one key it merges, all of which lie on one component
-    back = {("s", v): ("s", k) for k, v in src_map.items()}
-    back.update({("t", v): ("t", k) for k, v in tgt[1].items()})
+    glued_s, _, joins, back_s = src
+    glued_t, back_t = tgt[0], tgt[3]
     comp_of = {node: i for i, c in enumerate(comps) for node in c.nodes}
     circles = []
-    for x in closure_circles(glued_s, tgt[0]):
-        node = next(iter(x))
-        i = comp_of.get(back.get(node, node))
+    for x in closure_circles(glued_s, glued_t):
+        side, k = next(iter(x))
+        i = comp_of.get((side, (back_s if side == "s" else back_t).get(k, k)))
         if i is not None:
             circles.append((x, i))
     # chi: 1 on a disk and on an arc's tube, 0 on a loop's tube (two loop nodes)

@@ -138,7 +138,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .cobcat import FlatTangle, FrobeniusSpec, KHOVANOV, MorphismCombo, elementary_saddle
+from .cobcat import FlatTangle, FrobeniusSpec, KHOVANOV, MorphismCombo
 from .complexes import BigradedComplex, planar_tensor
 from .densecube import Cube
 from .diagram import Crossing, LinkDiagram, edge_classes
@@ -162,8 +162,8 @@ def crossing_complex(ci: int, sign: int, spec: FrobeniusSpec) -> BigradedComplex
     else:
         g0 = c.add_generator(Grading(-2, -4), res0)
         g1 = c.add_generator(Grading(0, -2), res1)
-    saddle = elementary_saddle(res0, res1, res0.arcs, res1.arcs)
-    c.set_entry(g0, g1, MorphismCombo.from_cobordism(saddle))
+    # res0 and res1 close up into one circle, so the saddle is one undotted disk
+    c.set_entry(g0, g1, MorphismCombo(res0, res1, {frozenset(): 1}))
     return c
 
 

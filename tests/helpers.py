@@ -4,6 +4,7 @@ Each works on the package's public data (a complex's entries, a chain map's
 rows, a diagram's edges), so the package itself carries none of them.
 """
 
+from lasagna.cobcat import Cobordism, Component, FlatTangle, MorphismCombo
 from lasagna.cobmaps import homology_matrix
 from lasagna.complexes import BigradedComplex
 from lasagna.densecube import ChainMap, Cube, TrackedReduction
@@ -45,8 +46,28 @@ def copied(c: BigradedComplex) -> BigradedComplex:
     out.gens = dict(c.gens)
     out.d = {s: dict(row) for s, row in c.d.items()}
     out.d_in = {t: set(srcs) for t, srcs in c.d_in.items()}
+    out.units = {s: dict(row) for s, row in c.units.items()}
+    out.units_in = {t: set(srcs) for t, srcs in c.units_in.items()}
     out._next = c._next
     return out
+
+
+def elementary_saddle(source: FlatTangle, target: FlatTangle, moved_keys_s, moved_keys_t) -> Cobordism:
+    """Cobordism which is a product away from one saddle component."""
+    nodes = {("s", k) for k in moved_keys_s} | {("t", k) for k in moved_keys_t}
+    comps = [Component(frozenset(nodes), 0, 0)]
+    for k in set(source.keys()) - set(moved_keys_s):
+        comps.append(Component(frozenset({("s", k), ("t", k)}), 0, 0))
+    return Cobordism(source, target, comps)
+
+
+def from_cobordism(cob: Cobordism, coeff=1) -> MorphismCombo:
+    """A cobordism already in normal form: every component a disk with at most one dot."""
+    pieces = list(zip(cob.comps, cob.circles))
+    if any(c.genus or c.dots > 1 or len(circles) != 1 for c, circles in pieces):
+        raise ValueError("cobordism not in normal form; reduce it")
+    dots = frozenset(circles[0] for c, circles in pieces if c.dots)
+    return MorphismCombo(cob.source, cob.target, {dots: coeff})
 
 
 def boundary_walk(nodes: frozenset) -> list:

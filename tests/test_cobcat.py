@@ -21,13 +21,12 @@ from lasagna.cobcat import (
     cup,
     deloop_maps,
     deloop_split,
-    elementary_saddle,
     identity_cobordism,
     reduce,
 )
 from lasagna.lee import ClosedSurface, _trace_component, eval_closed_surface
 
-from helpers import boundary_walk
+from helpers import boundary_walk, elementary_saddle, from_cobordism
 
 
 def circle(tag="c"):
@@ -36,37 +35,37 @@ def circle(tag="c"):
 
 def test_identity_composition():
     t = FlatTangle([{1, 2}, {3, 4}])
-    ident = MorphismCombo.from_cobordism(identity_cobordism(t))
-    saddle = MorphismCombo.from_cobordism(
+    ident = from_cobordism(identity_cobordism(t))
+    saddle = from_cobordism(
         elementary_saddle(t, FlatTangle([{1, 4}, {2, 3}]), t.arcs,
                           FlatTangle([{1, 4}, {2, 3}]).arcs)
     )
     assert ident.then(saddle, KHOVANOV) == saddle
-    assert saddle.then(MorphismCombo.from_cobordism(
+    assert saddle.then(from_cobordism(
         identity_cobordism(FlatTangle([{1, 4}, {2, 3}]))), KHOVANOV) == saddle
 
 
 def test_sphere_relations():
     t0 = FlatTangle(())
     # cup then cap on the empty tangle: closed undotted sphere = 0
-    k = MorphismCombo.from_cobordism(cup(t0, "c")).then(
-        MorphismCombo.from_cobordism(cap(circle("c"), "c")),
+    k = from_cobordism(cup(t0, "c")).then(
+        from_cobordism(cap(circle("c"), "c")),
         KHOVANOV,
     )
     assert k.as_scalar() == 0
-    k2 = MorphismCombo.from_cobordism(cup(t0, "c")).then(
-        MorphismCombo.from_cobordism(cap(circle("c"), "c", dotted=True)),
+    k2 = from_cobordism(cup(t0, "c")).then(
+        from_cobordism(cap(circle("c"), "c", dotted=True)),
         KHOVANOV,
     )
     assert k2.as_scalar() == 1
 
 
 def cup_m(dotted=False, tag="c"):
-    return MorphismCombo.from_cobordism(cup(FlatTangle(()), tag, dotted=dotted))
+    return from_cobordism(cup(FlatTangle(()), tag, dotted=dotted))
 
 
 def cap_m(dotted=False, tag="c"):
-    return MorphismCombo.from_cobordism(cap(circle(tag), tag, dotted=dotted))
+    return from_cobordism(cap(circle(tag), tag, dotted=dotted))
 
 
 def test_twice_dotted_component():
@@ -186,9 +185,9 @@ def test_compose_associative_random():
         b = _random_flat_tangles(rng, pts)
         c_ = _random_flat_tangles(rng, pts)
         d_ = _random_flat_tangles(rng, pts)
-        f = MorphismCombo.from_cobordism(_connect(a, b), Fraction(rng.randint(1, 3)))
-        g = MorphismCombo.from_cobordism(_connect(b, c_))
-        h = MorphismCombo.from_cobordism(_connect(c_, d_), Fraction(rng.randint(-2, -1)))
+        f = from_cobordism(_connect(a, b), Fraction(rng.randint(1, 3)))
+        g = from_cobordism(_connect(b, c_))
+        h = from_cobordism(_connect(c_, d_), Fraction(rng.randint(-2, -1)))
         lhs = f.then(g, KHOVANOV).then(h, KHOVANOV)
         rhs = f.then(g.then(h, KHOVANOV), KHOVANOV)
         assert lhs == rhs
@@ -529,12 +528,12 @@ def test_reduce_returns_normal_cobordism_itself(spec):
         raw = _random_cobordism(rng, a, b, "t")
         if any(c.genus or c.dots > 1 or len(circles) > 1 for c, circles in zip(raw.comps, raw.circles)):
             with pytest.raises(ValueError, match="normal form"):
-                MorphismCombo.from_cobordism(raw)
+                from_cobordism(raw)
             rejected += 1
         for dots, coeff in reduce(raw, [((), 1)], spec).terms.items():
             disks = Cobordism(a, b, [Component(x, int(x in dots), 0) for x in closure_circles(a, b)])
             assert reduce(disks, [((), coeff)], spec).terms == {dots: coeff}
-            assert MorphismCombo.from_cobordism(disks, coeff).terms == {dots: coeff}
+            assert from_cobordism(disks, coeff).terms == {dots: coeff}
     assert rejected >= 20
 
 

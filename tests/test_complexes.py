@@ -14,7 +14,6 @@ from lasagna.cobcat import (
     FlatTangle,
     MorphismCombo,
     closure_circles,
-    elementary_saddle,
     identity_cobordism,
     reduce,
 )
@@ -30,7 +29,14 @@ from lasagna.diagram import parse_diagram
 from lasagna.gradings import DimTable, Grading
 from lasagna.khovanov import kh_dims_bruteforce, scan_complex
 
-from helpers import copied, euler_characteristic, r1_kink, verify_d_squared
+from helpers import (
+    copied,
+    elementary_saddle,
+    euler_characteristic,
+    from_cobordism,
+    r1_kink,
+    verify_d_squared,
+)
 
 
 def unknot_complex():
@@ -73,7 +79,7 @@ def test_acyclic_pair_eliminates_to_empty():
     t = FlatTangle(())
     s = c.add_generator(Grading(0, 0), t)
     u = c.add_generator(Grading(2, 0), t)
-    c.set_entry(s, u, MorphismCombo.from_cobordism(identity_cobordism(t)))
+    c.set_entry(s, u, from_cobordism(identity_cobordism(t)))
     c.gaussian_eliminate(s, u)
     assert not c.gens
 
@@ -84,7 +90,7 @@ def test_eliminate_requires_isomorphism():
     s = c.add_generator(Grading(0, 0), t)
     u = c.add_generator(Grading(2, 0), t.without_loop("c"))
     from lasagna.cobcat import cap
-    c.set_entry(s, u, MorphismCombo.from_cobordism(cap(t, "c")))
+    c.set_entry(s, u, from_cobordism(cap(t, "c")))
     with pytest.raises(ComplexError, match="isomorphism"):
         c.gaussian_eliminate(s, u)
 
@@ -162,7 +168,7 @@ def test_disjoint_eliminations_commute():
         u = c.add_generator(Grading(0, 4), t)
         v = c.add_generator(Grading(2, 4), t)
         w = c.add_generator(Grading(0, 8), t)
-        ident = MorphismCombo.from_cobordism(identity_cobordism(t))
+        ident = from_cobordism(identity_cobordism(t))
         c.set_entry(a, b, ident)
         c.set_entry(u, v, ident.scale(3))
         return c, (a, b), (u, v)
@@ -246,12 +252,12 @@ def test_invertible_scalar_near_misses():
         return MorphismCombo(src, tgt, {frozenset(dotted): coeff})
 
     cases = {
-        "identity": (MorphismCombo.from_cobordism(ident), 1),
-        "lambda != 1": (MorphismCombo.from_cobordism(ident, Fraction(-3, 2)), Fraction(-3, 2)),
+        "identity": (from_cobordism(ident), 1),
+        "lambda != 1": (from_cobordism(ident, Fraction(-3, 2)), Fraction(-3, 2)),
         "dotted": (combo(t, t, a), None),
         "two terms": (combo(t, t) + combo(t, t, a, b), None),
         "zero": (MorphismCombo(t, t), None),
-        "source != target": (MorphismCombo.from_cobordism(elementary_saddle(
+        "source != target": (from_cobordism(elementary_saddle(
             t, FlatTangle([{1, 4}, {2, 3}]), t.arcs, FlatTangle([{1, 4}, {2, 3}]).arcs)), None),
         # on a loop the identity tube neck-cuts into two terms; neither alone is a scalar
         "identity with a loop": (reduce(identity_cobordism(looped), [((), 1)], KHOVANOV), None),
@@ -289,6 +295,65 @@ def test_popped_pivot_is_the_rescanned_minimum(unsimplified_scans, monkeypatch):
         # scanning with simplification: delooping and elimination on open tangles
         scan_complex(d)
     assert len(checked) > 100
+
+
+def _assert_tracked_units(c, where=None):
+    """The entries recorded as lambda * id, by row and by column, with their lambdas,
+    are those a rescan finds: of the whole complex, or of row s and column t for
+    where = (s, t)."""
+    if where is None:
+        assert c.units.keys() <= c.gens.keys() and c.units_in.keys() <= c.gens.keys()
+        rows, cols = list(c.d), list(c.d_in)
+    else:
+        rows, cols = [where[0]], [where[1]]
+    tracked = {(s, t): lam for s in rows for t, lam in c.units.get(s, {}).items()}
+    tracked.update({(s, t): c.units[s][t] for t in cols for s in c.units_in.get(t, ())})
+    if where is None:
+        assert tracked.keys() == _rescanned_pivots(c)
+        return
+    # only set_entry records a lambda
+    entries = [(s, t, c.d[s][t]) for s in rows for t in c.d[s]]
+    entries += [(s, t, c.d[s][t]) for t in cols for s in c.d_in[t]]
+    rescanned = {(s, t): m.invertible_scalar() for s, t, m in entries}
+    assert tracked == {st: lam for st, lam in rescanned.items() if lam is not None}
+
+
+@pytest.mark.parametrize("case", ["unsimplified scans", "Lee T(3,4)"])
+def test_tracked_units_are_the_rescanned_pivots(case, unsimplified_scans, monkeypatch):
+    """What `set_entry` records as lambda * id is what a rescan finds: in the written
+    row and column after every set_entry, everywhere after every deloop_generator,
+    gaussian_eliminate and truncate, and in every complex the fixture recorded."""
+    calls = Counter()
+    lams = []
+
+    def checked(name):
+        method = getattr(BigradedComplex, name)
+
+        def checking(self, *args):
+            if name == "gaussian_eliminate":
+                lams.append(self.units[args[0]][args[1]])
+            out = method(self, *args)
+            _assert_tracked_units(self, args[:2] if name == "set_entry" else None)
+            calls[name] += 1
+            return out
+        return checking
+
+    names = ("set_entry", "deloop_generator", "gaussian_eliminate", "truncate")
+    for name in names:
+        monkeypatch.setattr(BigradedComplex, name, checked(name))
+    if case == "Lee T(3,4)":
+        scan_complex(catalog.torus_link(3, 4), LEE, h2_min=-2)
+        assert any(abs(lam) != 1 for lam in lams)  # a non-unit pivot
+    else:
+        diagrams, partial, final = unsimplified_scans
+        for c in partial:
+            _assert_tracked_units(c)
+        for c in final:
+            _assert_tracked_units(c)
+            copied(c).simplify()
+        for d in diagrams:
+            scan_complex(d, h2_min=-2)
+    assert all(calls[name] for name in names), calls
 
 
 # -- the fast paths against their general references ---------------------------
@@ -373,10 +438,20 @@ def _tensor_from_scratch(a, b, pairs):
 
 
 def test_planar_tensor_matches_from_scratch_gluing(monkeypatch):
-    from lasagna import khovanov
+    from lasagna import complexes, khovanov
     from lasagna.projector import twist_all_regions
 
     sizes = []
+    reversed_keys = Counter()
+
+    def reverse_checking(t, pairs):
+        glued = tangle_gluing(t, pairs)
+        keymap, back = glued[1], glued[3]
+        # each glued key goes back to a key it merged, and every glued key is there
+        assert all(keymap[k] == v for v, k in back.items())
+        assert back.keys() == set(keymap.values())
+        reversed_keys.update("loop" if v in glued[0].loops else "arc" for v in back)
+        return glued
 
     def checking(a, b, gluing=None, h2_min=None):
         c = planar_tensor(a, b, gluing, h2_min)
@@ -387,6 +462,7 @@ def test_planar_tensor_matches_from_scratch_gluing(monkeypatch):
         return c
 
     monkeypatch.setattr(khovanov, "planar_tensor", checking)
+    monkeypatch.setattr(complexes, "tangle_gluing", reverse_checking)
     scan_complex(catalog.torus_link(3, 4))
     scan_complex(twist_all_regions(catalog.belt_link(2), 1))
     # a kink glues two points of one crossing: a component glued to itself
@@ -394,6 +470,7 @@ def test_planar_tensor_matches_from_scratch_gluing(monkeypatch):
     scan_complex(kinked)
     # 14 scan steps; the first crossing of each scan is its complex, no tensor
     assert len(sizes) == 11 and sum(sizes) > 100
+    assert reversed_keys["loop"] and reversed_keys["arc"], reversed_keys
 
 
 @pytest.mark.parametrize("spec", [KHOVANOV, LEE], ids=["c=0", "c=1"])
@@ -524,7 +601,7 @@ def _eliminate_by_composition(c, s, t):
     from lasagna.linalg import inverse
 
     lam = c.entry(s, t).invertible_scalar()
-    inv_map = MorphismCombo.from_cobordism(identity_cobordism(c.gens[t][1]), inverse(lam))
+    inv_map = from_cobordism(identity_cobordism(c.gens[t][1]), inverse(lam))
     ins = [(u, c.d[u][t]) for u in c.d_in[t] if u != s]
     outs = [(v, f) for v, f in c.d[s].items() if v != t]
     c._drop_generator(s)
@@ -566,9 +643,9 @@ def test_elimination_divides_by_a_non_unit_pivot():
     tt, v = c.add_generator(Grading(2, 0), t), c.add_generator(Grading(2, 0), t)
     ident = identity_cobordism(t)
     for src, tgt, lam in ((u, tt, 3), (s, tt, 2), (s, v, 5)):
-        c.set_entry(src, tgt, MorphismCombo.from_cobordism(ident, lam))
+        c.set_entry(src, tgt, from_cobordism(ident, lam))
     ref = copied(c)
     _eliminate_by_composition(ref, s, tt)
     c.gaussian_eliminate(s, tt)
     assert c.d == ref.d
-    assert c.entry(u, v) == MorphismCombo.from_cobordism(ident, Fraction(-15, 2))
+    assert c.entry(u, v) == from_cobordism(ident, Fraction(-15, 2))

@@ -1,9 +1,12 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from lasagna import catalog, khovanov, projector, rw
+from lasagna.cobcat import MorphismCombo
+from lasagna.complexes import BigradedComplex
 from lasagna.diagram import parse_diagram
 from lasagna.gradings import DimTable, Window
 from lasagna.khovanov import khr2_dims, tilde_renormalize
@@ -88,6 +91,19 @@ def test_rw_plus_scans_the_top_level_once(monkeypatch):
     res = rw_plus(catalog.belt_link(4), EDGE, k_max=2)
     assert res.all_stabilized()
     assert len(calls) == 25
+
+
+def test_rw_plus_asks_each_entry_once_whether_it_is_invertible(monkeypatch):
+    # set_entry decides it as it stores an entry; simplify and elimination
+    # read that record instead of asking the entry again
+    calls = Counter()
+    for owner, name in ((MorphismCombo, "invertible_scalar"), (BigradedComplex, "set_entry")):
+        def counting(*args, _real=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(owner, name, counting)
+    rw_plus(catalog.belt_link(4), Window(h2_lo=-4, h2_hi=0, q2_lo=-16, q2_hi=0), k_max=2)
+    assert 0 < calls["invertible_scalar"] <= calls["set_entry"], calls
 
 
 def test_rw_plus_gate_empty_region():
